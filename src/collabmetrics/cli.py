@@ -16,16 +16,16 @@ from pathlib import Path
 
 import click
 
-from collabmetrics import __version__, collab, discourse, netmetrics, simgen, synergy
+from collabmetrics import __version__, discourse, report, simgen
 from collabmetrics.corpus import (
     attribute_histogram,
+    corpus_files,
     load_comments,
     load_corpus_dir,
     load_registry,
     load_videos,
 )
 from collabmetrics.errors import CollabMetricsError
-from collabmetrics.report import ABSENT, RunConfig, RunStageError, run_report
 
 _CONTEXT = {"auto_envvar_prefix": "COLLABMETRICS", "help_option_names": ["-h", "--help"]}
 
@@ -34,11 +34,20 @@ def _echo_json(payload) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
 
 
-def _load(corpus_dir: str, attribute_key: str):
+def _run_stage(write, corpus_dir: str, attribute_key: str, out_dir: str, *inputs, **settings) -> None:
+    """Print the summary of ``write``, one stage's file writer, run on one corpus.
+
+    ``inputs`` are the pipeline's discourse scorer, classifier and labels;
+    ``settings`` are :class:`RunConfig` fields.
+    """
     try:
-        return load_corpus_dir(corpus_dir, attribute_key=attribute_key)
+        corpus = load_corpus_dir(corpus_dir, attribute_key=attribute_key)
     except (CollabMetricsError, FileNotFoundError) as exc:
         raise click.ClickException(str(exc)) from exc
+    config = report.RunConfig(community_dirs=(corpus_dir,), out_dir=out_dir, attribute_key=attribute_key, **settings)
+    pipeline = report.CommunityPipeline(corpus, config, *inputs)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    click.echo(write(pipeline, Path(out_dir)))
 
 
 @click.group(context_settings=_CONTEXT)
@@ -57,21 +66,13 @@ def main(verbose: bool) -> None:
 @click.option("--attribute-key", default="gender", show_default=True)
 def ingest(corpus_dir: str, attribute_key: str) -> None:
     """Load and validate a corpus directory; print a summary with error counts."""
-    directory = Path(corpus_dir)
-
-    def find(stem: str) -> Path:
-        for suffix in (".jsonl", ".csv"):
-            candidate = directory / f"{stem}{suffix}"
-            if candidate.exists():
-                return candidate
-        raise click.ClickException(f"no {stem}.jsonl or {stem}.csv in {directory}")
-
     try:
-        registry = load_registry(find("registry"), attribute_key=attribute_key)
-    except CollabMetricsError as exc:
+        files = corpus_files(corpus_dir)
+        registry = load_registry(files["registry"], attribute_key=attribute_key)
+    except (CollabMetricsError, FileNotFoundError) as exc:
         raise click.ClickException(str(exc)) from exc
-    videos, video_errors = load_videos(find("videos"), registry)
-    comments, comment_report = load_comments(find("comments"), videos)
+    videos, video_errors = load_videos(files["videos"], registry)
+    comments, comment_report = load_comments(files["comments"], videos)
     histogram = attribute_histogram(registry, attribute_key)
     _echo_json(
         {
@@ -93,50 +94,7 @@ def ingest(corpus_dir: str, attribute_key: str) -> None:
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def collabs(corpus_dir: str, attribute_key: str, out_dir: str) -> None:
     """Detect collaboration dyads; write dyads.jsonl and shares.csv."""
-    corpus = _load(corpus_dir, attribute_key)
-    dyads, stats = collab.detect_collaborations(corpus, attribute_key)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with (out / "dyads.jsonl").open("w", encoding="utf-8") as fh:
-        for dyad in dyads:
-            fh.write(
-                json.dumps(
-                    {
-                        "host": dyad.host,
-                        "guest": dyad.guest,
-                        "dyad_type": dyad.dyad_type,
-                        "videos": list(dyad.videos),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    lines = ["dyad_type,videos,share_of_all_videos"]
-    per_type_videos = {
-        t: sum(len(d.videos) for d in dyads if d.dyad_type == t)
-        for t in sorted(stats.share_by_dyad_type)
-    }
-    for t, share in sorted(stats.share_by_dyad_type.items()):
-        lines.append(f"{t},{per_type_videos[t]},{float(share)!r}")
-    (out / "shares.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (out / "stats.jsonl").write_text(
-        json.dumps(
-            {
-                "total_videos": stats.total_videos,
-                "two_way_videos": stats.two_way_videos,
-                "multi_way_videos": stats.multi_way_videos,
-                "two_way_share": float(stats.two_way_share),
-                "share_by_dyad_type": {t: float(s) for t, s in stats.share_by_dyad_type.items()},
-            },
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    click.echo(
-        f"{len(dyads)} dyads; {stats.two_way_videos} two-way and "
-        f"{stats.multi_way_videos} multi-way videos of {stats.total_videos}"
-    )
+    _run_stage(report.write_collabs, corpus_dir, attribute_key, out_dir)
 
 
 @main.command("synergy")
@@ -147,106 +105,7 @@ def collabs(corpus_dir: str, attribute_key: str, out_dir: str) -> None:
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def synergy_cmd(corpus_dir: str, attribute_key: str, baseline_mode: str, statistic: str, out_dir: str) -> None:
     """Per-dyad contributions plus per-type aggregates and reciprocity."""
-    corpus = _load(corpus_dir, attribute_key)
-    partition = collab.partition_videos(corpus)
-    dyads, _ = collab.detect_collaborations(corpus, attribute_key, partition)
-    baselines = synergy.channel_baselines(corpus, partition, mode=baseline_mode)
-    synergies, diagnostics = synergy.compute_synergies(dyads, corpus, baselines)
-    report = synergy.aggregate_by_dyad_type(synergies, corpus.community, statistic)
-    recip = synergy.reciprocity(dyads, baselines, corpus.community)
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    def cell(v) -> str:
-        return "" if v is None else repr(float(v))
-
-    lines = [
-        "host,guest,dyad_type,n_videos,mean_collab_views,baseline_host,baseline_guest,"
-        "shap2_host,shap2_guest,shapn_host,shapn_guest,lift_host,lift_guest"
-    ]
-    for s in synergies:
-        lines.append(
-            ",".join(
-                [
-                    s.dyad.host,
-                    s.dyad.guest,
-                    s.dyad.dyad_type,
-                    str(s.n_videos),
-                    cell(s.mean_collab_views),
-                    cell(s.baseline_host),
-                    cell(s.baseline_guest),
-                    cell(s.shap2_host),
-                    cell(s.shap2_guest),
-                    cell(s.shapn_host),
-                    cell(s.shapn_guest),
-                    cell(s.lift_host),
-                    cell(s.lift_guest),
-                ]
-            )
-        )
-    (out / "dyad_synergy.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = ["dyad_type,dyad_count,video_count,shapn_host,shapn_guest,statistic"]
-    for t, agg in report.rows.items():
-        lines.append(
-            f"{t},{agg.dyad_count},{agg.video_count},"
-            f"{float(agg.shapn_host)!r},{float(agg.shapn_guest)!r},{report.statistic}"
-        )
-    (out / "synergy_by_type.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (out / "synergy_by_type.json").write_text(
-        json.dumps(
-            {
-                "community": report.community,
-                "statistic": report.statistic,
-                "rows": {
-                    t: {
-                        "dyad_count": agg.dyad_count,
-                        "video_count": agg.video_count,
-                        "shapn_host": float(agg.shapn_host),
-                        "shapn_guest": float(agg.shapn_guest),
-                    }
-                    for t, agg in report.rows.items()
-                },
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-
-    # one-community table in the report layout: community rows, dyad-type columns
-    labels = sorted(
-        {
-            rec.attributes[attribute_key]
-            for rec in corpus.registry
-            if attribute_key in rec.attributes
-        }
-    )
-    type_cols = synergy.dyad_type_order(labels)
-    for side in ("host", "guest"):
-        cells = []
-        for t in type_cols:
-            agg = report.rows.get(t)
-            if agg is None:
-                cells.append(ABSENT)
-            else:
-                cells.append(repr(float(agg.shapn_host if side == "host" else agg.shapn_guest)))
-        (out / f"synergy_{side}.csv").write_text(
-            "community,statistic," + ",".join(type_cols) + "\n"
-            + ",".join([corpus.community, report.statistic, *cells]) + "\n",
-            encoding="utf-8",
-        )
-
-    (out / "reciprocity.csv").write_text(
-        "videos_counted,host_greater,guest_greater,tied,skipped_videos\n"
-        f"{recip.videos_counted},{float(recip.host_greater)!r},"
-        f"{float(recip.guest_greater)!r},{float(recip.tied)!r},{recip.skipped_videos}\n",
-        encoding="utf-8",
-    )
-    skipped = len(diagnostics.skipped_no_baseline)
-    click.echo(f"{len(synergies)} dyads scored ({skipped} skipped without baselines)")
+    _run_stage(report.write_synergy, corpus_dir, attribute_key, out_dir, baseline_mode=baseline_mode, statistic=statistic)
 
 
 @main.command()
@@ -255,22 +114,7 @@ def synergy_cmd(corpus_dir: str, attribute_key: str, baseline_mode: str, statist
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def network(corpus_dir: str, attribute_key: str, out_dir: str) -> None:
     """Collaboration-graph closeness per channel and per attribute value."""
-    corpus = _load(corpus_dir, attribute_key)
-    dyads, _ = collab.detect_collaborations(corpus, attribute_key)
-    graph = netmetrics.build_collab_graph(dyads, corpus.registry)
-    attributes = {rec.channel_id: rec.attributes.get(attribute_key, "") for rec in corpus.registry}
-    summary = netmetrics.closeness(graph, attributes)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["channel_id,attribute,closeness"]
-    for channel_id in sorted(summary.closeness):
-        lines.append(f"{channel_id},{attributes.get(channel_id, '')},{summary.closeness[channel_id]!r}")
-    (out / "node_metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    lines = ["attribute_value,n_channels,median_closeness"]
-    for attr, s in summary.by_attribute.items():
-        lines.append(f"{attr},{len(s.values)},{s.median!r}")
-    (out / "centrality_summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    click.echo(f"{len(graph.nodes)} nodes, {len(graph.edges)} edges")
+    _run_stage(report.write_network, corpus_dir, attribute_key, out_dir)
 
 
 @main.command()
@@ -280,21 +124,7 @@ def network(corpus_dir: str, attribute_key: str, out_dir: str) -> None:
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def entropy(corpus_dir: str, attribute_key: str, min_comments: int, out_dir: str) -> None:
     """Commenter attention entropy and its CDF."""
-    corpus = _load(corpus_dir, attribute_key)
-    attention = netmetrics.build_attention_graph(corpus.videos, corpus.comments, min_comments)
-    dist = netmetrics.commenter_entropy(attention)
-    cdf = netmetrics.entropy_cdf(dist)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["author_id,entropy_bits"]
-    for author in sorted(dist.entropy):
-        lines.append(f"{author},{dist.entropy[author]!r}")
-    (out / "commenter_entropy.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    lines = ["threshold,cumulative_fraction"]
-    for threshold, fraction in cdf:
-        lines.append(f"{threshold!r},{fraction!r}")
-    (out / "entropy_cdf.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    click.echo(f"{len(dist.entropy)} commenters")
+    _run_stage(report.write_entropy, corpus_dir, attribute_key, out_dir, min_comments=min_comments)
 
 
 @main.command("discourse")
@@ -314,62 +144,14 @@ def discourse_cmd(
     out_dir: str,
 ) -> None:
     """Sentiment and topic aggregation by dyad type."""
-    corpus = _load(corpus_dir, attribute_key)
-    partition = collab.partition_videos(corpus)
-    dyads, _ = collab.detect_collaborations(corpus, attribute_key, partition)
-    scorer = (
-        discourse.LexiconSentimentScorer(discourse.load_sentiment_lexicon(sentiment_lexicon))
-        if sentiment_lexicon
-        else None
-    )
-    scores = discourse.score_comments(corpus.comments, scorer)
+    scorer = classifier = labels = None
+    if sentiment_lexicon:
+        scorer = discourse.LexiconSentimentScorer(discourse.load_sentiment_lexicon(sentiment_lexicon))
     if labels_path:
         labels = discourse.load_precomputed_labels(labels_path)
-    else:
-        classifier = (
-            discourse.KeywordTopicClassifier(discourse.load_topic_keywords(topic_keywords))
-            if topic_keywords
-            else None
-        )
-        labels = discourse.label_comments(corpus.comments, classifier)
-    report = discourse.aggregate_discourse(
-        corpus.comments, labels, scores, dyads, corpus, exclude_videos=partition.multi_way
-    )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    categories = report.categories
-    lines = ["group,comment_count,mean_sentiment,stdev_sentiment," + ",".join(f"prop_{c}" for c in categories)]
-    rows = list(report.by_dyad_type.values())
-    if report.baseline:
-        rows.append(report.baseline)
-    for row in rows:
-        lines.append(
-            f"{row.group},{row.comment_count},{row.mean_sentiment!r},{row.stdev_sentiment!r},"
-            + ",".join(repr(row.topic_proportions.get(c, 0.0)) for c in categories)
-        )
-    (out / "discourse.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (out / "discourse.json").write_text(
-        json.dumps(
-            {
-                "community": report.community,
-                "categories": list(categories),
-                "rows": {
-                    row.group: {
-                        "comment_count": row.comment_count,
-                        "mean_sentiment": row.mean_sentiment,
-                        "stdev_sentiment": row.stdev_sentiment,
-                        "topic_proportions": dict(row.topic_proportions),
-                    }
-                    for row in rows
-                },
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    click.echo(f"{len(rows)} discourse rows")
+    elif topic_keywords:
+        classifier = discourse.KeywordTopicClassifier(discourse.load_topic_keywords(topic_keywords))
+    _run_stage(report.write_discourse, corpus_dir, attribute_key, out_dir, scorer, classifier, labels)
 
 
 @main.command()
@@ -444,12 +226,12 @@ def report_cmd(
     if not raw.get("out_dir"):
         raise click.ClickException("--out (or config out_dir) is required")
     try:
-        config = RunConfig.from_dict(raw)
+        config = report.RunConfig.from_dict(raw)
     except TypeError as exc:
         raise click.ClickException(f"bad config: {exc}") from exc
     try:
-        bundle = run_report(config)
-    except RunStageError as exc:
+        bundle = report.run_report(config)
+    except report.RunStageError as exc:
         click.echo(f"error: {exc} (manifest records the failure)", err=True)
         sys.exit(1)
     for name, path in sorted(bundle.artifacts.items()):

@@ -12,11 +12,12 @@ import csv
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from collabmetrics.errors import NoBaselineError, ValidationError
 
@@ -27,17 +28,19 @@ __all__ = [
     "Corpus",
     "RowError",
     "CommentLoadReport",
-    "FetchAdapter",
-    "ReplayFetchAdapter",
     "normalize_handle",
     "load_registry",
     "load_videos",
     "load_comments",
+    "corpus_files",
     "load_corpus_dir",
     "write_registry",
     "write_videos",
     "write_comments",
     "write_corpus",
+    "write_csv",
+    "write_json",
+    "write_jsonl",
     "channel_baseline",
     "exact_median",
     "cap_videos_per_channel",
@@ -187,8 +190,16 @@ def _is_csv(path: Path) -> bool:
     return path.suffix.lower() == ".csv"
 
 
-def _iter_rows(path: Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, raw_mapping) from a CSV or JSON-lines file."""
+# Raised by a malformed row (OverflowError: int() of a JSON-lines Infinity).
+_ROW_ERRORS = (KeyError, ValueError, TypeError, OverflowError)
+
+
+def _iter_rows(path: Path) -> Iterator[tuple[int, dict | str]]:
+    """Yield (line_number, raw_row) from a CSV or JSON-lines file.
+
+    A CSV row arrives as a mapping and a JSON-lines row as its undecoded
+    text, so a malformed line fails inside the caller's per-row handling.
+    """
     if _is_csv(path):
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -202,7 +213,17 @@ def _iter_rows(path: Path) -> Iterator[tuple[int, dict]]:
             for i, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                yield i, json.loads(line)
+                yield i, line
+
+
+def _row(raw: dict | str) -> dict:
+    """The mapping behind one raw row; raises ``ValueError`` for bad JSON."""
+    if isinstance(raw, dict):
+        return raw
+    row = json.loads(raw)
+    if not isinstance(row, dict):
+        raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+    return row
 
 
 def _opt_int(raw: object) -> int | None:
@@ -271,15 +292,16 @@ def load_registry(path: str | Path, attribute_key: str = "gender") -> list[Chann
 
     Handle normalization is applied on load. Raises :class:`ValidationError`
     naming the offenders on duplicate channel ids, duplicate normalized
-    handles, or a missing dyad-typing attribute; the registry is the analysis
-    universe, so it is loaded strictly rather than row-by-row.
+    handles, or a dyad-typing attribute that is missing or contains ``-``
+    (the separator in dyad-type labels such as ``W-M``); the registry is
+    the analysis universe, so it is loaded strictly rather than row-by-row.
     """
     path = Path(path)
     records: list[ChannelRecord] = []
-    for line_no, row in _iter_rows(path):
+    for line_no, raw in _iter_rows(path):
         try:
-            records.append(_registry_from_row(row))
-        except (KeyError, ValueError, TypeError) as exc:
+            records.append(_registry_from_row(_row(raw)))
+        except _ROW_ERRORS as exc:
             raise ValidationError(f"{path.name}:{line_no}: {exc}") from exc
 
     problems: list[str] = []
@@ -298,6 +320,11 @@ def load_registry(path: str | Path, attribute_key: str = "gender") -> list[Chann
     for rec in records:
         if attribute_key not in rec.attributes:
             problems.append(f"channel {rec.channel_id!r} missing attribute {attribute_key!r}")
+        elif "-" in str(rec.attributes[attribute_key]):
+            problems.append(
+                f"channel {rec.channel_id!r}: {attribute_key!r} value "
+                f"{rec.attributes[attribute_key]!r} contains '-', the dyad-type separator"
+            )
     if problems:
         raise ValidationError("; ".join(problems))
     return records
@@ -318,10 +345,10 @@ def load_videos(
     records: list[VideoRecord] = []
     errors: list[RowError] = []
     seen: set[str] = set()
-    for line_no, row in _iter_rows(path):
+    for line_no, raw in _iter_rows(path):
         try:
-            rec = _video_from_row(row)
-        except (KeyError, ValueError, TypeError) as exc:
+            rec = _video_from_row(_row(raw))
+        except _ROW_ERRORS as exc:
             errors.append(RowError(line_no, f"malformed row: {exc}"))
             continue
         if rec.channel_id not in known:
@@ -351,10 +378,10 @@ def load_comments(
     orphans: list[CommentRecord] = []
     errors: list[RowError] = []
     seen: set[str] = set()
-    for line_no, row in _iter_rows(path):
+    for line_no, raw in _iter_rows(path):
         try:
-            rec = _comment_from_row(row)
-        except (KeyError, ValueError, TypeError) as exc:
+            rec = _comment_from_row(_row(raw))
+        except _ROW_ERRORS as exc:
             errors.append(RowError(line_no, f"malformed row: {exc}"))
             continue
         if rec.comment_id in seen:
@@ -368,12 +395,11 @@ def load_comments(
     return records, CommentLoadReport(tuple(orphans), tuple(errors))
 
 
-def load_corpus_dir(directory: str | Path, attribute_key: str = "gender") -> Corpus:
-    """Load ``registry``, ``videos`` and ``comments`` files from one directory.
+def corpus_files(directory: str | Path) -> dict[str, Path]:
+    """The ``registry``, ``videos`` and ``comments`` files of one directory.
 
-    Accepts either the ``.jsonl`` or ``.csv`` spelling of each file. Row
-    errors are tolerated (the accepted subset is analyzed); registry
-    problems raise.
+    Each is the ``.jsonl`` spelling if present, else the ``.csv`` one;
+    raises :class:`FileNotFoundError` when neither exists.
     """
     directory = Path(directory)
 
@@ -384,9 +410,19 @@ def load_corpus_dir(directory: str | Path, attribute_key: str = "gender") -> Cor
                 return candidate
         raise FileNotFoundError(f"no {stem}.jsonl or {stem}.csv in {directory}")
 
-    registry = load_registry(find("registry"), attribute_key=attribute_key)
-    videos, video_errors = load_videos(find("videos"), registry)
-    comments, comment_report = load_comments(find("comments"), videos)
+    return {stem: find(stem) for stem in ("registry", "videos", "comments")}
+
+
+def load_corpus_dir(directory: str | Path, attribute_key: str = "gender") -> Corpus:
+    """Load the :func:`corpus_files` of one directory.
+
+    Row errors are tolerated (the accepted subset is analyzed); registry
+    problems raise.
+    """
+    files = corpus_files(directory)
+    registry = load_registry(files["registry"], attribute_key=attribute_key)
+    videos, video_errors = load_videos(files["videos"], registry)
+    comments, comment_report = load_comments(files["comments"], videos)
     if video_errors:
         logger.warning("%s: dropped %d malformed video row(s)", directory, len(video_errors))
     if comment_report.errors or comment_report.orphans:
@@ -442,11 +478,28 @@ def _comment_to_row(rec: CommentRecord) -> dict:
     return row
 
 
-def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """Write one table; a cell holding a comma, quote or newline is quoted (RFC 4180)."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        # csv before Python 3.13 quotes a lone "\r" only when it is in the row
+        # terminator, so rows end in CRLF for csv and are written with LF.
+        lf_file = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+        writer = csv.writer(lf_file, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
             fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True))
             fh.write("\n")
+
+
+def write_json(path: str | Path, payload: object) -> None:
+    Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8"
+    )
 
 
 def write_registry(records: Sequence[ChannelRecord], path: str | Path) -> None:
@@ -454,34 +507,31 @@ def write_registry(records: Sequence[ChannelRecord], path: str | Path) -> None:
     if _is_csv(path):
         attr_keys = sorted({k for rec in records for k in rec.attributes})
         header = ["channel_id", "handles", "display_name", "community", *attr_keys]
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for rec in records:
-                writer.writerow(
-                    [
-                        rec.channel_id,
-                        _HANDLE_SEP.join(rec.handles),
-                        rec.display_name,
-                        rec.community,
-                        *[rec.attributes.get(k, "") for k in attr_keys],
-                    ]
-                )
+        write_csv(
+            path,
+            header,
+            (
+                [
+                    rec.channel_id,
+                    _HANDLE_SEP.join(rec.handles),
+                    rec.display_name,
+                    rec.community,
+                    *[rec.attributes.get(k, "") for k in attr_keys],
+                ]
+                for rec in records
+            ),
+        )
     else:
-        _write_jsonl(path, (_registry_to_row(r) for r in records))
+        write_jsonl(path, (_registry_to_row(r) for r in records))
 
 
 def _write_tabular(
     path: Path, rows: list[dict], header: Sequence[str]
 ) -> None:
     if _is_csv(path):
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(header), lineterminator="\n")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+        write_csv(path, header, ([row.get(k, "") for k in header] for row in rows))
     else:
-        _write_jsonl(path, rows)
+        write_jsonl(path, rows)
 
 
 def write_videos(records: Sequence[VideoRecord], path: str | Path) -> None:
@@ -568,67 +618,3 @@ def cap_videos_per_channel(videos: Sequence[VideoRecord], cap: int) -> list[Vide
         kept.extend(channel_videos[-cap:])
     kept.sort(key=lambda v: (v.channel_id, v.published_at))
     return kept
-
-
-# ---------------------------------------------------------------------------
-# Fetch adapter (paged retrieval surface for pluggable platform clients)
-
-
-class FetchAdapter(Protocol):
-    """Paged retrieval interface a real platform client can implement."""
-
-    def list_videos(
-        self, channel_id: str, page_token: str | None = None
-    ) -> tuple[list[VideoRecord], str | None]: ...
-
-    def list_comments(
-        self, video_id: str, page_token: str | None = None
-    ) -> tuple[list[CommentRecord], str | None]: ...
-
-
-@dataclass
-class ReplayFetchAdapter:
-    """Replays already-loaded records through the paged fetch interface."""
-
-    videos: Sequence[VideoRecord]
-    comments: Sequence[CommentRecord]
-    page_size: int = 100
-    _videos_by_channel: dict[str, list[VideoRecord]] = field(init=False, repr=False)
-    _comments_by_video: dict[str, list[CommentRecord]] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        vids: dict[str, list[VideoRecord]] = {}
-        for v in sorted(self.videos, key=lambda v: (v.channel_id, v.published_at, v.video_id)):
-            vids.setdefault(v.channel_id, []).append(v)
-        self._videos_by_channel = vids
-        coms: dict[str, list[CommentRecord]] = {}
-        for c in sorted(self.comments, key=lambda c: (c.video_id, c.published_at, c.comment_id)):
-            coms.setdefault(c.video_id, []).append(c)
-        self._comments_by_video = coms
-
-    def _page(self, items: list, page_token: str | None) -> tuple[list, str | None]:
-        start = int(page_token) if page_token else 0
-        end = start + self.page_size
-        next_token = str(end) if end < len(items) else None
-        return items[start:end], next_token
-
-    def list_videos(
-        self, channel_id: str, page_token: str | None = None
-    ) -> tuple[list[VideoRecord], str | None]:
-        return self._page(self._videos_by_channel.get(channel_id, []), page_token)
-
-    def list_comments(
-        self, video_id: str, page_token: str | None = None
-    ) -> tuple[list[CommentRecord], str | None]:
-        return self._page(self._comments_by_video.get(video_id, []), page_token)
-
-
-def fetch_all_videos(adapter: FetchAdapter, channel_id: str) -> list[VideoRecord]:
-    """Drain every page of an adapter's video listing."""
-    out: list[VideoRecord] = []
-    token: str | None = None
-    while True:
-        page, token = adapter.list_videos(channel_id, token)
-        out.extend(page)
-        if token is None:
-            return out

@@ -118,21 +118,14 @@ def load_topic_keywords(path: str | Path) -> dict[str, frozenset[str]]:
 
 @lru_cache(maxsize=1)
 def _bundled_lexicon() -> dict[str, float]:
-    with resources.files("collabmetrics.data").joinpath("sentiment_lexicon.csv").open(
-        newline="", encoding="utf-8"
-    ) as fh:
-        return {row["token"].strip().lower(): float(row["valence"]) for row in csv.DictReader(fh)}
+    with resources.as_file(resources.files("collabmetrics.data") / "sentiment_lexicon.csv") as path:
+        return load_sentiment_lexicon(path)
 
 
 @lru_cache(maxsize=1)
 def _bundled_keywords() -> dict[str, frozenset[str]]:
-    table: dict[str, set[str]] = {}
-    with resources.files("collabmetrics.data").joinpath("topic_keywords.csv").open(
-        newline="", encoding="utf-8"
-    ) as fh:
-        for row in csv.DictReader(fh):
-            table.setdefault(row["category"].strip(), set()).add(row["token"].strip().lower())
-    return {cat: frozenset(tokens) for cat, tokens in table.items()}
+    with resources.as_file(resources.files("collabmetrics.data") / "topic_keywords.csv") as path:
+        return load_topic_keywords(path)
 
 
 class LexiconSentimentScorer:

@@ -21,19 +21,27 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from statistics import fmean
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from collabmetrics import __version__, collab, discourse, netmetrics, synergy
-from collabmetrics.corpus import Corpus, cap_videos_per_channel, load_corpus_dir
+from collabmetrics.corpus import (
+    Corpus,
+    cap_videos_per_channel,
+    corpus_files,
+    load_corpus_dir,
+    write_csv,
+    write_json,
+    write_jsonl,
+)
 from collabmetrics.errors import CollabMetricsError
 
-__all__ = ["RunConfig", "ReportBundle", "RunStageError", "run_report"]
+__all__ = ["RunConfig", "ReportBundle", "RunStageError", "CommunityPipeline", "run_report"]
 
 logger = logging.getLogger(__name__)
 
@@ -85,14 +93,89 @@ class ReportBundle:
 
 
 @dataclass
-class _CommunityResults:
+class CommunityPipeline:
+    """Every analysis result for one community, each computed on first use.
+
+    Report artifacts and stage files read the results they show and so
+    compute only what they need: writing the ``network`` files never
+    scores a comment. ``scorer``, ``classifier`` and precomputed ``labels``
+    replace the bundled discourse defaults.
+    """
+
     corpus: Corpus
-    stats: collab.CollabShareStats
-    synergy_report: synergy.SynergyReport
-    reciprocity: synergy.ReciprocityStats
-    centrality: netmetrics.CentralitySummary
-    cdf: list[tuple[float, float]]
-    discourse_report: discourse.DiscourseReport
+    config: RunConfig
+    scorer: discourse.SentimentScorer | None = None
+    classifier: discourse.TopicClassifier | None = None
+    labels: Sequence[discourse.TopicLabel] | None = None
+
+    @cached_property
+    def partition(self) -> collab.VideoPartition:
+        return collab.partition_videos(self.corpus)
+
+    @cached_property
+    def collaborations(self) -> tuple[list[collab.CollaborationDyad], collab.CollabShareStats]:
+        return collab.detect_collaborations(self.corpus, self.config.attribute_key, self.partition)
+
+    @property
+    def dyads(self) -> list[collab.CollaborationDyad]:
+        return self.collaborations[0]
+
+    @property
+    def stats(self) -> collab.CollabShareStats:
+        return self.collaborations[1]
+
+    @cached_property
+    def baselines(self) -> dict[str, Fraction]:
+        return synergy.channel_baselines(self.corpus, self.partition, mode=self.config.baseline_mode)
+
+    @cached_property
+    def synergies(self) -> tuple[list[synergy.DyadSynergy], synergy.SynergyDiagnostics]:
+        return synergy.compute_synergies(self.dyads, self.corpus, self.baselines)
+
+    @cached_property
+    def synergy_report(self) -> synergy.SynergyReport:
+        return synergy.aggregate_by_dyad_type(
+            self.synergies[0], self.corpus.community, self.config.statistic
+        )
+
+    @cached_property
+    def reciprocity(self) -> synergy.ReciprocityStats:
+        return synergy.reciprocity(self.dyads, self.baselines, self.corpus.community)
+
+    @cached_property
+    def attributes(self) -> dict[str, str]:
+        key = self.config.attribute_key
+        return {rec.channel_id: rec.attributes.get(key, "") for rec in self.corpus.registry}
+
+    @cached_property
+    def graph(self) -> netmetrics.CollabGraph:
+        return netmetrics.build_collab_graph(self.dyads, self.corpus.registry)
+
+    @cached_property
+    def centrality(self) -> netmetrics.CentralitySummary:
+        return netmetrics.closeness(self.graph, self.attributes)
+
+    @cached_property
+    def entropy(self) -> netmetrics.EntropyDistribution:
+        attention = netmetrics.build_attention_graph(
+            self.corpus.videos, self.corpus.comments, min_comments=self.config.min_comments
+        )
+        return netmetrics.commenter_entropy(attention)
+
+    @cached_property
+    def cdf(self) -> list[tuple[float, float]]:
+        return netmetrics.entropy_cdf(self.entropy)
+
+    @cached_property
+    def discourse_report(self) -> discourse.DiscourseReport:
+        comments = self.corpus.comments
+        scores = discourse.score_comments(comments, self.scorer)
+        labels = self.labels
+        if labels is None:
+            labels = discourse.label_comments(comments, self.classifier)
+        return discourse.aggregate_discourse(
+            comments, labels, scores, self.dyads, self.corpus, exclude_videos=self.partition.multi_way
+        )
 
 
 def _digest(path: Path) -> str:
@@ -103,10 +186,10 @@ def _digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def _num(value: Fraction | float | None) -> str:
-    """Full-precision machine rendering; empty for missing."""
+def _num(value: Fraction | float | None, missing: str = "") -> str:
+    """Full-precision machine rendering; ``missing`` for None."""
     if value is None:
-        return ""
+        return missing
     return repr(float(value))
 
 
@@ -122,66 +205,17 @@ def format_compact(value: float | Fraction | None) -> str:
     return f"{x:.3g}"
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _analyze_community(
-    corpus: Corpus, config: RunConfig, stage_done: dict[str, str]
-) -> _CommunityResults:
-    def run(stage: str, fn):
-        try:
-            value = fn()
-        except Exception as exc:
-            stage_done[stage] = f"failed: {exc}"
-            raise RunStageError(stage, exc) from exc
-        stage_done[stage] = "ok"
-        return value
-
-    partition = collab.partition_videos(corpus)
-    dyads, stats = run(
-        "collabs", lambda: collab.detect_collaborations(corpus, config.attribute_key, partition)
+def _load(directory: str, config: RunConfig) -> Corpus:
+    corpus = load_corpus_dir(directory, attribute_key=config.attribute_key)
+    if config.max_videos_per_channel is None:
+        return corpus
+    videos = cap_videos_per_channel(corpus.videos, config.max_videos_per_channel)
+    kept = {v.video_id for v in videos}
+    return dataclasses.replace(
+        corpus,
+        videos=tuple(videos),
+        comments=tuple(c for c in corpus.comments if c.video_id in kept),
     )
-
-    def synergy_stage():
-        baselines = synergy.channel_baselines(corpus, partition, mode=config.baseline_mode)
-        synergies, _ = synergy.compute_synergies(dyads, corpus, baselines)
-        report = synergy.aggregate_by_dyad_type(synergies, corpus.community, config.statistic)
-        recip = synergy.reciprocity(dyads, baselines, corpus.community)
-        return report, recip
-
-    report, recip = run("synergy", synergy_stage)
-
-    def network_stage():
-        graph = netmetrics.build_collab_graph(dyads, corpus.registry)
-        attributes = {
-            rec.channel_id: rec.attributes.get(config.attribute_key, "") for rec in corpus.registry
-        }
-        return netmetrics.closeness(graph, attributes)
-
-    centrality = run("network", network_stage)
-
-    def entropy_stage():
-        attention = netmetrics.build_attention_graph(
-            corpus.videos, corpus.comments, min_comments=config.min_comments
-        )
-        dist = netmetrics.commenter_entropy(attention)
-        return netmetrics.entropy_cdf(dist)
-
-    cdf = run("entropy", entropy_stage)
-
-    def discourse_stage():
-        scores = discourse.score_comments(corpus.comments)
-        labels = discourse.label_comments(corpus.comments)
-        return discourse.aggregate_discourse(
-            corpus.comments, labels, scores, dyads, corpus, exclude_videos=partition.multi_way
-        )
-
-    discourse_report = run("discourse", discourse_stage)
-    return _CommunityResults(corpus, stats, report, recip, centrality, cdf, discourse_report)
 
 
 def run_report(config: RunConfig) -> ReportBundle:
@@ -201,269 +235,250 @@ def run_report(config: RunConfig) -> ReportBundle:
     inputs: dict[str, dict[str, str]] = {}
     manifest_path = out_dir / "manifest.json"
 
-    def write_manifest() -> None:
-        manifest = {
-            "tool": "collabmetrics",
-            "version": __version__,
-            "config": config.to_dict(),
-            "inputs": inputs,
-            "stages": stage_status,
-            "notes": notes,
-        }
-        manifest_path.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
+    def run(stage: str, fn):
+        try:
+            value = fn()
+        except Exception as exc:
+            stage_status[stage] = f"failed: {exc}"
+            raise RunStageError(stage, exc) from exc
+        stage_status[stage] = "ok"
+        return value
 
     try:
-        corpora: list[Corpus] = []
+        pipelines: list[CommunityPipeline] = []
         for directory in config.community_dirs:
-            directory = Path(directory)
-            try:
-                corpus = load_corpus_dir(directory, attribute_key=config.attribute_key)
-                if config.max_videos_per_channel is not None:
-                    videos = cap_videos_per_channel(corpus.videos, config.max_videos_per_channel)
-                    kept = {v.video_id for v in videos}
-                    corpus = Corpus(
-                        registry=corpus.registry,
-                        videos=tuple(videos),
-                        comments=tuple(c for c in corpus.comments if c.video_id in kept),
-                        community=corpus.community,
-                    )
-            except Exception as exc:
-                stage_status["ingest"] = f"failed: {exc}"
-                raise RunStageError("ingest", exc) from exc
-            for name in ("registry", "videos", "comments"):
-                for suffix in (".jsonl", ".csv"):
-                    candidate = directory / f"{name}{suffix}"
-                    if candidate.exists():
-                        inputs.setdefault(corpus.community, {})[candidate.name] = _digest(candidate)
-            corpora.append(corpus)
-        stage_status["ingest"] = "ok"
+            corpus = run("ingest", lambda: _load(directory, config))
+            digests = {path.name: _digest(path) for path in corpus_files(directory).values()}
+            inputs.setdefault(corpus.community, {}).update(digests)
+            pipelines.append(CommunityPipeline(corpus, config))
 
-        results = [_analyze_community(corpus, config, stage_status) for corpus in corpora]
+        for p in pipelines:
+            run("collabs", lambda: p.collaborations)
+            run("synergy", lambda: (p.synergy_report, p.reciprocity))
+            run("network", lambda: p.centrality)
+            run("entropy", lambda: p.cdf)
+            run("discourse", lambda: p.discourse_report)
 
-        for res in results:
-            if res.stats.two_way_videos == 0:
-                notes.append(f"no collaborations detected in community {res.corpus.community!r}")
+        for p in pipelines:
+            if p.stats.two_way_videos == 0:
+                notes.append(f"no collaborations detected in community {p.corpus.community!r}")
 
-        try:
-            artifacts = _render(results, config, out_dir)
-        except Exception as exc:
-            stage_status["render"] = f"failed: {exc}"
-            raise RunStageError("render", exc) from exc
-        stage_status["render"] = "ok"
+        artifacts = run("render", lambda: _render(pipelines, config, out_dir))
     finally:
-        write_manifest()
+        write_json(
+            manifest_path,
+            {
+                "tool": "collabmetrics",
+                "version": __version__,
+                "config": config.to_dict(),
+                "inputs": inputs,
+                "stages": stage_status,
+                "notes": notes,
+            },
+        )
 
     return ReportBundle(out_dir=out_dir, artifacts=artifacts, manifest_path=manifest_path)
 
 
-def _type_columns(results: Sequence[_CommunityResults], attribute_key: str) -> list[str]:
-    labels = sorted(
-        {
-            rec.attributes[attribute_key]
-            for res in results
-            for rec in res.corpus.registry
-            if attribute_key in rec.attributes
+# ---------------------------------------------------------------------------
+# Tables: each report artifact is one (header, rows) table over the
+# communities of a run; stage files select from the same tables.
+
+Table = tuple[list[str], list[list]]
+
+
+def _type_columns(pipelines: Sequence[CommunityPipeline]) -> list[str]:
+    labels = {
+        rec.attributes[p.config.attribute_key]
+        for p in pipelines
+        for rec in p.corpus.registry
+        if p.config.attribute_key in rec.attributes
+    }
+    return synergy.dyad_type_order(sorted(labels))
+
+
+def _shares_table(pipelines: Sequence[CommunityPipeline]) -> Table:
+    type_cols = _type_columns(pipelines)
+    header = ["community", "total_videos", "two_way_videos", "multi_way_videos", "two_way_share"]
+    rows = [
+        [
+            p.corpus.community,
+            p.stats.total_videos,
+            p.stats.two_way_videos,
+            p.stats.multi_way_videos,
+            _num(p.stats.two_way_share),
+            *(_num(p.stats.share_by_dyad_type.get(t), ABSENT) for t in type_cols),
+        ]
+        for p in pipelines
+    ]
+    return header + [f"share_{t}" for t in type_cols], rows
+
+
+def _synergy_table(pipelines: Sequence[CommunityPipeline], side: str) -> Table:
+    type_cols = _type_columns(pipelines)
+    rows = []
+    for p in pipelines:
+        aggs = [p.synergy_report.rows.get(t) for t in type_cols]
+        cells = [ABSENT if a is None else _num(a.shapn_host if side == "host" else a.shapn_guest) for a in aggs]
+        rows.append([p.corpus.community, p.synergy_report.statistic, *cells])
+    return ["community", "statistic", *type_cols], rows
+
+
+def _reciprocity_table(pipelines: Sequence[CommunityPipeline]) -> Table:
+    header = ["community", "videos_counted", "host_greater", "guest_greater", "tied", "skipped_videos"]
+    rows = [
+        [
+            p.corpus.community,
+            p.reciprocity.videos_counted,
+            _num(p.reciprocity.host_greater),
+            _num(p.reciprocity.guest_greater),
+            _num(p.reciprocity.tied),
+            p.reciprocity.skipped_videos,
+        ]
+        for p in pipelines
+    ]
+    return header, rows
+
+
+def _centrality_table(pipelines: Sequence[CommunityPipeline]) -> Table:
+    """Closeness distribution summary per attribute value."""
+    header = [
+        "community", "attribute_value", "n_channels",
+        "median_closeness", "mean_closeness", "min_closeness", "max_closeness",
+    ]
+    rows = [
+        [
+            p.corpus.community,
+            attr,
+            len(summary.values),
+            _num(summary.median),
+            _num(fmean(summary.values)),
+            _num(min(summary.values)),
+            _num(max(summary.values)),
+        ]
+        for p in pipelines
+        for attr, summary in p.centrality.by_attribute.items()
+    ]
+    return header, rows
+
+
+def _discourse_groups(report: discourse.DiscourseReport) -> list[discourse.DiscourseRow]:
+    """The dyad-type rows, then the baseline row if there is one."""
+    return [*report.by_dyad_type.values(), *([report.baseline] if report.baseline is not None else [])]
+
+
+def _discourse_table(pipelines: Sequence[CommunityPipeline]) -> Table:
+    categories = pipelines[0].discourse_report.categories if pipelines else discourse.TOPIC_CATEGORIES
+    header = ["community", "group", "comment_count", "mean_sentiment", "stdev_sentiment"]
+    rows = [
+        [
+            p.corpus.community,
+            row.group,
+            row.comment_count,
+            _num(row.mean_sentiment),
+            _num(row.stdev_sentiment),
+            *(_num(row.topic_proportions.get(cat, 0.0)) for cat in categories),
+        ]
+        for p in pipelines
+        for row in _discourse_groups(p.discourse_report)
+    ]
+    return header + [f"prop_{cat}" for cat in categories], rows
+
+
+def _entropy_cdf_table(pipelines: Sequence[CommunityPipeline]) -> Table:
+    rows = [[p.corpus.community, _num(t), _num(f)] for p in pipelines for t, f in p.cdf]
+    return ["community", "threshold", "cumulative_fraction"], rows
+
+
+_REPORT_TABLES: dict[str, Callable[[Sequence[CommunityPipeline]], Table]] = {
+    "shares": _shares_table,
+    "synergy_host": lambda pipelines: _synergy_table(pipelines, "host"),
+    "synergy_guest": lambda pipelines: _synergy_table(pipelines, "guest"),
+    "reciprocity": _reciprocity_table,
+    "centrality": _centrality_table,
+    "discourse": _discourse_table,
+    "entropy_cdf": _entropy_cdf_table,
+}
+
+
+def _columns(table: Table, start: int, stop: int | None = None) -> Table:
+    header, rows = table
+    return header[start:stop], [row[start:stop] for row in rows]
+
+
+def _synergy_rows(report: synergy.SynergyReport) -> dict:
+    return {
+        t: {
+            "dyad_count": agg.dyad_count,
+            "video_count": agg.video_count,
+            "shapn_host": float(agg.shapn_host),
+            "shapn_guest": float(agg.shapn_guest),
         }
-    )
-    return synergy.dyad_type_order(labels)
+        for t, agg in report.rows.items()
+    }
+
+
+def _discourse_rows(report: discourse.DiscourseReport) -> dict:
+    return {
+        row.group: {
+            "comment_count": row.comment_count,
+            "mean_sentiment": row.mean_sentiment,
+            "stdev_sentiment": row.stdev_sentiment,
+            "topic_proportions": dict(row.topic_proportions),
+        }
+        for row in _discourse_groups(report)
+    }
 
 
 def _render(
-    results: Sequence[_CommunityResults], config: RunConfig, out_dir: Path
+    pipelines: Sequence[CommunityPipeline], config: RunConfig, out_dir: Path
 ) -> dict[str, Path]:
-    type_cols = _type_columns(results, config.attribute_key)
     artifacts: dict[str, Path] = {}
-
-    # shares
-    rows = []
-    for res in results:
-        stats = res.stats
-        rows.append(
-            [
-                res.corpus.community,
-                str(stats.total_videos),
-                str(stats.two_way_videos),
-                str(stats.multi_way_videos),
-                _num(stats.two_way_share),
-                *[
-                    _num(stats.share_by_dyad_type[t]) if t in stats.share_by_dyad_type else ABSENT
-                    for t in type_cols
-                ],
-            ]
-        )
-    artifacts["shares"] = out_dir / "shares.csv"
-    _write_csv(
-        artifacts["shares"],
-        ["community", "total_videos", "two_way_videos", "multi_way_videos", "two_way_share"]
-        + [f"share_{t}" for t in type_cols],
-        rows,
-    )
-
-    # synergy tables (host and guest sides)
-    for side in ("host", "guest"):
-        rows = []
-        for res in results:
-            cells = []
-            for t in type_cols:
-                agg = res.synergy_report.rows.get(t)
-                if agg is None:
-                    cells.append(ABSENT)
-                else:
-                    cells.append(_num(agg.shapn_host if side == "host" else agg.shapn_guest))
-            rows.append([res.corpus.community, res.synergy_report.statistic, *cells])
-        artifacts[f"synergy_{side}"] = out_dir / f"synergy_{side}.csv"
-        _write_csv(
-            artifacts[f"synergy_{side}"],
-            ["community", "statistic", *type_cols],
-            rows,
-        )
-
-    # reciprocity
-    rows = [
-        [
-            res.corpus.community,
-            str(res.reciprocity.videos_counted),
-            _num(res.reciprocity.host_greater),
-            _num(res.reciprocity.guest_greater),
-            _num(res.reciprocity.tied),
-            str(res.reciprocity.skipped_videos),
-        ]
-        for res in results
-    ]
-    artifacts["reciprocity"] = out_dir / "reciprocity.csv"
-    _write_csv(
-        artifacts["reciprocity"],
-        ["community", "videos_counted", "host_greater", "guest_greater", "tied", "skipped_videos"],
-        rows,
-    )
-
-    # centrality distribution summary per attribute value
-    rows = []
-    for res in results:
-        for attr, summary in res.centrality.by_attribute.items():
-            rows.append(
-                [
-                    res.corpus.community,
-                    attr,
-                    str(len(summary.values)),
-                    _num(summary.median),
-                    _num(fmean(summary.values)),
-                    _num(min(summary.values)),
-                    _num(max(summary.values)),
-                ]
-            )
-    artifacts["centrality"] = out_dir / "centrality.csv"
-    _write_csv(
-        artifacts["centrality"],
-        ["community", "attribute_value", "n_channels", "median_closeness", "mean_closeness", "min_closeness", "max_closeness"],
-        rows,
-    )
-
-    # discourse
-    categories = results[0].discourse_report.categories if results else discourse.TOPIC_CATEGORIES
-    rows = []
-    for res in results:
-        report = res.discourse_report
-        table_rows = list(report.by_dyad_type.values())
-        if report.baseline is not None:
-            table_rows.append(report.baseline)
-        for row in table_rows:
-            rows.append(
-                [
-                    res.corpus.community,
-                    row.group,
-                    str(row.comment_count),
-                    _num(row.mean_sentiment),
-                    _num(row.stdev_sentiment),
-                    *[_num(row.topic_proportions.get(cat, 0.0)) for cat in categories],
-                ]
-            )
-    artifacts["discourse"] = out_dir / "discourse.csv"
-    _write_csv(
-        artifacts["discourse"],
-        ["community", "group", "comment_count", "mean_sentiment", "stdev_sentiment"]
-        + [f"prop_{cat}" for cat in categories],
-        rows,
-    )
-
-    # entropy CDF points
-    rows = []
-    for res in results:
-        for threshold, fraction in res.cdf:
-            rows.append([res.corpus.community, _num(threshold), _num(fraction)])
-    artifacts["entropy_cdf"] = out_dir / "entropy_cdf.csv"
-    _write_csv(
-        artifacts["entropy_cdf"],
-        ["community", "threshold", "cumulative_fraction"],
-        rows,
-    )
-
+    for name, table in _REPORT_TABLES.items():
+        artifacts[name] = out_dir / f"{name}.csv"
+        write_csv(artifacts[name], *table(pipelines))
     if "json" in config.formats:
         artifacts["report_json"] = out_dir / "report.json"
-        artifacts["report_json"].write_text(
-            json.dumps(_json_payload(results, type_cols), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
+        write_json(artifacts["report_json"], _json_payload(pipelines))
     if "table" in config.formats:
         artifacts["report_table"] = out_dir / "report.txt"
-        artifacts["report_table"].write_text(_text_tables(results, type_cols), encoding="utf-8")
+        artifacts["report_table"].write_text(_text_tables(pipelines), encoding="utf-8")
     return artifacts
 
 
-def _json_payload(results: Sequence[_CommunityResults], type_cols: list[str]) -> dict:
+def _json_payload(pipelines: Sequence[CommunityPipeline]) -> dict:
     payload: dict = {"communities": {}}
-    for res in results:
-        report = res.synergy_report
-        payload["communities"][res.corpus.community] = {
+    for p in pipelines:
+        payload["communities"][p.corpus.community] = {
             "shares": {
-                "total_videos": res.stats.total_videos,
-                "two_way_videos": res.stats.two_way_videos,
-                "multi_way_videos": res.stats.multi_way_videos,
-                "by_dyad_type": {t: float(f) for t, f in res.stats.share_by_dyad_type.items()},
+                "total_videos": p.stats.total_videos,
+                "two_way_videos": p.stats.two_way_videos,
+                "multi_way_videos": p.stats.multi_way_videos,
+                "by_dyad_type": {t: float(f) for t, f in p.stats.share_by_dyad_type.items()},
             },
-            "synergy": {
-                "statistic": report.statistic,
-                "rows": {
-                    t: {
-                        "dyad_count": agg.dyad_count,
-                        "video_count": agg.video_count,
-                        "shapn_host": float(agg.shapn_host),
-                        "shapn_guest": float(agg.shapn_guest),
-                    }
-                    for t, agg in report.rows.items()
-                },
-            },
+            "synergy": {"statistic": p.synergy_report.statistic, "rows": _synergy_rows(p.synergy_report)},
             "reciprocity": {
-                "videos_counted": res.reciprocity.videos_counted,
-                "host_greater": float(res.reciprocity.host_greater),
-                "guest_greater": float(res.reciprocity.guest_greater),
-                "tied": float(res.reciprocity.tied),
+                "videos_counted": p.reciprocity.videos_counted,
+                "host_greater": float(p.reciprocity.host_greater),
+                "guest_greater": float(p.reciprocity.guest_greater),
+                "tied": float(p.reciprocity.tied),
             },
             "centrality": {
                 attr: {"median": s.median, "values": list(s.values)}
-                for attr, s in res.centrality.by_attribute.items()
+                for attr, s in p.centrality.by_attribute.items()
             },
-            "entropy_cdf": [[t, f] for t, f in res.cdf],
-            "discourse": {
-                row.group: {
-                    "comment_count": row.comment_count,
-                    "mean_sentiment": row.mean_sentiment,
-                    "stdev_sentiment": row.stdev_sentiment,
-                    "topic_proportions": dict(row.topic_proportions),
-                }
-                for row in [
-                    *res.discourse_report.by_dyad_type.values(),
-                    *([res.discourse_report.baseline] if res.discourse_report.baseline else []),
-                ]
-            },
+            "entropy_cdf": [[t, f] for t, f in p.cdf],
+            "discourse": _discourse_rows(p.discourse_report),
         }
     return payload
 
 
-def _text_tables(results: Sequence[_CommunityResults], type_cols: list[str]) -> str:
+def _compact(cell: str) -> str:
+    """A full-precision table cell (or ``ABSENT``) at three significant decimals."""
+    return cell if cell == ABSENT else format_compact(float(cell))
+
+
+def _text_tables(pipelines: Sequence[CommunityPipeline]) -> str:
     """Aligned text tables with compact numbers (three significant decimals)."""
     lines: list[str] = []
 
@@ -476,30 +491,132 @@ def _text_tables(results: Sequence[_CommunityResults], type_cols: list[str]) -> 
         lines.append("")
 
     for side in ("host", "guest"):
-        rows = []
-        for res in results:
-            cells = []
-            for t in type_cols:
-                agg = res.synergy_report.rows.get(t)
-                value = None if agg is None else (agg.shapn_host if side == "host" else agg.shapn_guest)
-                cells.append(format_compact(value))
-            rows.append([res.corpus.community, *cells])
-        table(f"Normalized contribution ({side} side)", ["community", *type_cols], rows)
-
-    rows = [
-        [
-            res.corpus.community,
-            format_compact(res.stats.two_way_share),
-            str(res.stats.two_way_videos),
-            str(res.stats.multi_way_videos),
-        ]
-        for res in results
-    ]
-    table("Collaboration shares", ["community", "two_way_share", "two_way", "multi_way"], rows)
-
-    rows = []
-    for res in results:
-        for attr, summary in res.centrality.by_attribute.items():
-            rows.append([res.corpus.community, attr, format_compact(summary.median)])
-    table("Median closeness by attribute", ["community", "attribute", "median"], rows)
+        header, rows = _synergy_table(pipelines, side)
+        table(
+            f"Normalized contribution ({side} side)",
+            [header[0], *header[2:]],
+            [[row[0], *map(_compact, row[2:])] for row in rows],
+        )
+    _, rows = _shares_table(pipelines)
+    table(
+        "Collaboration shares",
+        ["community", "two_way_share", "two_way", "multi_way"],
+        [[row[0], _compact(row[4]), str(row[2]), str(row[3])] for row in rows],
+    )
+    _, rows = _centrality_table(pipelines)
+    table(
+        "Median closeness by attribute",
+        ["community", "attribute", "median"],
+        [[row[0], row[1], _compact(row[3])] for row in rows],
+    )
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Stage subcommands: each writes its files into ``out`` and returns the
+# one-line summary the subcommand prints.
+
+
+def write_collabs(p: CommunityPipeline, out: Path) -> str:
+    dyads, stats = p.collaborations
+    write_jsonl(
+        out / "dyads.jsonl",
+        (
+            {"host": d.host, "guest": d.guest, "dyad_type": d.dyad_type, "videos": list(d.videos)}
+            for d in dyads
+        ),
+    )
+    write_csv(
+        out / "shares.csv",
+        ["dyad_type", "videos", "share_of_all_videos"],
+        # each share is an exact fraction of total_videos
+        ([t, int(share * stats.total_videos), _num(share)] for t, share in sorted(stats.share_by_dyad_type.items())),
+    )
+    write_jsonl(
+        out / "stats.jsonl",
+        [
+            {
+                "total_videos": stats.total_videos,
+                "two_way_videos": stats.two_way_videos,
+                "multi_way_videos": stats.multi_way_videos,
+                "two_way_share": float(stats.two_way_share),
+                "share_by_dyad_type": {t: float(s) for t, s in stats.share_by_dyad_type.items()},
+            }
+        ],
+    )
+    return (
+        f"{len(dyads)} dyads; {stats.two_way_videos} two-way and "
+        f"{stats.multi_way_videos} multi-way videos of {stats.total_videos}"
+    )
+
+
+def write_synergy(p: CommunityPipeline, out: Path) -> str:
+    synergies, diagnostics = p.synergies
+    write_csv(
+        out / "dyad_synergy.csv",
+        [
+            "host", "guest", "dyad_type", "n_videos", "mean_collab_views", "baseline_host", "baseline_guest",
+            "shap2_host", "shap2_guest", "shapn_host", "shapn_guest", "lift_host", "lift_guest",
+        ],
+        (
+            [
+                s.dyad.host,
+                s.dyad.guest,
+                s.dyad.dyad_type,
+                s.n_videos,
+                *map(_num, (s.mean_collab_views, s.baseline_host, s.baseline_guest, s.shap2_host,
+                            s.shap2_guest, s.shapn_host, s.shapn_guest, s.lift_host, s.lift_guest)),
+            ]
+            for s in synergies
+        ),
+    )
+    report = p.synergy_report
+    write_csv(
+        out / "synergy_by_type.csv",
+        ["dyad_type", "dyad_count", "video_count", "shapn_host", "shapn_guest", "statistic"],
+        (
+            [t, agg.dyad_count, agg.video_count, _num(agg.shapn_host), _num(agg.shapn_guest), report.statistic]
+            for t, agg in report.rows.items()
+        ),
+    )
+    write_json(
+        out / "synergy_by_type.json",
+        {"community": report.community, "statistic": report.statistic, "rows": _synergy_rows(report)},
+    )
+    for side in ("host", "guest"):
+        write_csv(out / f"synergy_{side}.csv", *_synergy_table([p], side))
+    write_csv(out / "reciprocity.csv", *_columns(_reciprocity_table([p]), 1))
+    skipped = len(diagnostics.skipped_no_baseline)
+    return f"{len(synergies)} dyads scored ({skipped} skipped without baselines)"
+
+
+def write_network(p: CommunityPipeline, out: Path) -> str:
+    closeness = p.centrality.closeness
+    write_csv(
+        out / "node_metrics.csv",
+        ["channel_id", "attribute", "closeness"],
+        ([c, p.attributes.get(c, ""), _num(closeness[c])] for c in sorted(closeness)),
+    )
+    write_csv(out / "centrality_summary.csv", *_columns(_centrality_table([p]), 1, 4))
+    return f"{len(p.graph.nodes)} nodes, {len(p.graph.edges)} edges"
+
+
+def write_entropy(p: CommunityPipeline, out: Path) -> str:
+    entropy = p.entropy.entropy
+    write_csv(
+        out / "commenter_entropy.csv",
+        ["author_id", "entropy_bits"],
+        ([author, _num(entropy[author])] for author in sorted(entropy)),
+    )
+    write_csv(out / "entropy_cdf.csv", *_columns(_entropy_cdf_table([p]), 1))
+    return f"{len(entropy)} commenters"
+
+
+def write_discourse(p: CommunityPipeline, out: Path) -> str:
+    report = p.discourse_report
+    write_csv(out / "discourse.csv", *_columns(_discourse_table([p]), 1))
+    write_json(
+        out / "discourse.json",
+        {"community": report.community, "categories": list(report.categories), "rows": _discourse_rows(report)},
+    )
+    return f"{len(_discourse_groups(report))} discourse rows"

@@ -16,7 +16,6 @@ Floyd-Warshall shortest paths) used to cross-check pipeline output.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -34,6 +33,7 @@ from collabmetrics.corpus import (
     VideoRecord,
     build_corpus,
     write_corpus,
+    write_json,
 )
 from collabmetrics.errors import InfeasibleSpecError
 
@@ -136,6 +136,8 @@ class CommunitySpec:
             raise InfeasibleSpecError("attribute_ratios must be nonnegative and nonempty")
         if sum(self.attribute_ratios.values()) <= 0:
             raise InfeasibleSpecError("attribute_ratios must have positive total weight")
+        if any("-" in label for label in self.attribute_ratios):
+            raise InfeasibleSpecError("attribute values must not contain '-', the dyad-type separator")
         if not 0.0 <= self.loyalty <= 1.0:
             raise InfeasibleSpecError("loyalty must lie in [0, 1]")
         if not 0.0 <= self.collab_rate <= 1.0:
@@ -565,10 +567,7 @@ def write_truth(truth: PlantedTruth, path: str | Path) -> None:
         "multi_way_videos": truth.multi_way_videos,
         "baseline_targets": dict(truth.baseline_targets),
     }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, payload)
 
 
 def simulate_to_dir(spec: CommunitySpec, out_dir: str | Path, fmt: str = "jsonl") -> dict[str, Path]:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
 from click.testing import CliRunner
 
+from collabmetrics import discourse
 from collabmetrics.cli import main
 from collabmetrics.report import ABSENT, RunConfig, RunStageError, format_compact, run_report
 from collabmetrics.simgen import preset, simulate_to_dir, spec_from_dict
@@ -75,9 +77,13 @@ class TestSubcommands:
                 '{"video_id": "bad", "channel_id": "minigame-c000", '
                 '"published_at": "2024-01-01T00:00:00Z", "view_count": -3}\n'
             )
+            fh.write('{"video_id": "cut", "channel_\n')
+        with (broken / "comments.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write('{"comment_id": \n')
         result = run_cli("ingest", "--corpus", broken)
         payload = json.loads(result.output)
-        assert payload["video_row_errors"] == 1
+        assert payload["video_row_errors"] == 2
+        assert payload["comment_row_errors"] == 1
 
     def test_synergy_outputs(self, corpus_dir, tmp_path):
         result = run_cli("synergy", "--corpus", corpus_dir, "--out", tmp_path)
@@ -103,6 +109,13 @@ class TestSubcommands:
         assert result.exit_code == 0
         header = (tmp_path / "discourse.csv").read_text().splitlines()[0]
         assert header.endswith("prop_gameplay,prop_environment,prop_food,prop_appearance,prop_other")
+
+    def test_network_never_scores_comments(self, corpus_dir, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("network stage scored comments")
+
+        monkeypatch.setattr(discourse, "score_comments", fail)
+        assert run_cli("network", "--corpus", corpus_dir, "--out", tmp_path).exit_code == 0
 
     def test_simulate_unknown_spec_fails_cleanly(self, tmp_path):
         result = CliRunner().invoke(main, ["simulate", "--preset", "custom", "--out", str(tmp_path)])
@@ -306,3 +319,80 @@ class TestFormatting:
         cells = dict(zip(header.split(","), row.split(",")))
         assert cells["W-W"] == ABSENT
         assert cells["M-M"] != ABSENT
+
+
+def read_csv(path):
+    with path.open(newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def run_every_stage(corpus_dir, out):
+    """Write the report bundle and every stage subcommand's files under ``out``."""
+    run_report(
+        RunConfig(community_dirs=(str(corpus_dir),), out_dir=str(out / "report"), formats=("csv", "json"))
+    )
+    for stage in ("collabs", "synergy", "network", "entropy", "discourse"):
+        assert run_cli(stage, "--corpus", corpus_dir, "--out", out / stage).exit_code == 0
+
+
+class TestStageMatchesReport:
+    """Stage subcommands write the report's tables for their one community."""
+
+    @pytest.fixture(scope="class")
+    def out(self, corpus_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("stages")
+        run_every_stage(corpus_dir, out)
+        return out
+
+    def test_synergy_tables_equal_report(self, out):
+        for name in ("synergy_host.csv", "synergy_guest.csv"):
+            assert (out / "synergy" / name).read_bytes() == (out / "report" / name).read_bytes()
+
+    def test_tables_without_community_column(self, out):
+        for stage, name in (("synergy", "reciprocity.csv"), ("entropy", "entropy_cdf.csv"),
+                            ("discourse", "discourse.csv")):
+            report_rows = read_csv(out / "report" / name)
+            assert report_rows[0][0] == "community"
+            assert read_csv(out / stage / name) == [row[1:] for row in report_rows], name
+
+    def test_centrality_summary_is_report_columns(self, out):
+        report_rows = read_csv(out / "report" / "centrality.csv")
+        assert read_csv(out / "network" / "centrality_summary.csv") == [row[1:4] for row in report_rows]
+
+    def test_json_rows_equal_report_json(self, out):
+        report = json.loads((out / "report" / "report.json").read_text(encoding="utf-8"))
+        community = report["communities"]["minigame"]
+        by_type = json.loads((out / "synergy" / "synergy_by_type.json").read_text(encoding="utf-8"))
+        assert by_type["rows"] == community["synergy"]["rows"]
+        assert by_type["statistic"] == community["synergy"]["statistic"]
+        stage_discourse = json.loads((out / "discourse" / "discourse.json").read_text(encoding="utf-8"))
+        assert stage_discourse["rows"] == community["discourse"]
+
+
+def test_csv_cells_with_commas_are_quoted(tmp_path):
+    community = "halo, infinite"
+    corpus_dir = tmp_path / "halo"
+    spec = spec_from_dict(
+        {
+            "community": community,
+            "n_channels": 8,
+            "attribute_ratios": {"M": 5, "W": 3},
+            "seed": 2,
+            "videos_per_channel": 8,
+            "collab_rate": 0.2,
+            "audience_size": 40,
+        }
+    )
+    simulate_to_dir(spec, corpus_dir)
+    out = tmp_path / "out"
+    run_every_stage(corpus_dir, out)
+    tables = sorted(out.glob("*/*.csv"))
+    assert len(tables) == 7 + 11
+    for path in tables:
+        header, *rows = read_csv(path)
+        assert rows, path
+        assert all(len(row) == len(header) for row in rows), path
+        if header[0] == "community":
+            assert {row[0] for row in rows} == {community}, path
+    node_ids = {row[0] for row in read_csv(out / "network" / "node_metrics.csv")[1:]}
+    assert node_ids == {f"{community}-c{i:03d}" for i in range(8)}

@@ -10,16 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collabmetrics.corpus import (
-    ReplayFetchAdapter,
     cap_videos_per_channel,
     channel_baseline,
     exact_median,
-    fetch_all_videos,
     load_comments,
     load_registry,
     load_videos,
     normalize_handle,
     write_comments,
+    write_csv,
     write_registry,
     write_videos,
 )
@@ -94,6 +93,21 @@ class TestLoadRegistry:
         with pytest.raises(ValidationError, match="gender"):
             load_registry(path)
 
+    def test_dash_in_dyad_attribute_rejected(self, tmp_path):
+        rows = [registry_row("ch1", ["a"], gender="non-binary"), registry_row("ch2", ["b"])]
+        path = tmp_path / "registry.jsonl"
+        write_jsonl(path, rows)
+        with pytest.raises(ValidationError, match="'ch1'.*'non-binary'"):
+            load_registry(path)
+
+    def test_truncated_line_names_the_line(self, tmp_path):
+        path = tmp_path / "registry.jsonl"
+        write_jsonl(path, [registry_row("ch1", ["a"])])
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(registry_row("ch2", ["b"]))[:20] + "\n")
+        with pytest.raises(ValidationError, match=r"^registry\.jsonl:2: "):
+            load_registry(path)
+
     def test_csv_extra_columns_become_attributes(self, tmp_path):
         path = tmp_path / "registry.csv"
         path.write_text(
@@ -142,6 +156,22 @@ class TestLoadVideos:
         assert len(errors) == 1 and "ZZ" in errors[0].message
 
 
+    def test_truncated_line_is_a_row_error(self, tmp_path):
+        registry = [make_channel("A", "a")]
+        rows = [
+            {"video_id": f"v{i}", "channel_id": "A", "published_at": "2024-01-01T00:00:00Z", "view_count": 1}
+            for i in range(4)
+        ]
+        rows[3]["view_count"] = float("inf")  # JSON-lines "Infinity"
+        path = tmp_path / "videos.jsonl"
+        lines = [json.dumps(r) for r in rows]
+        lines[1] = lines[1][:25]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        records, errors = load_videos(path, registry)
+        assert [v.video_id for v in records] == ["v0", "v2"]
+        assert [e.line for e in errors] == [2, 4]
+
+
 class TestLoadComments:
     def test_orphans_diverted(self, tmp_path):
         videos = [make_video("v1", "A")]
@@ -179,6 +209,20 @@ class TestLoadComments:
         assert len(report.errors) == 1
 
 
+    def test_truncated_and_non_object_lines_are_row_errors(self, tmp_path):
+        videos = [make_video("v1", "A")]
+        row = {"comment_id": "c1", "video_id": "v1", "author_id": "u1",
+               "text": "x", "published_at": "2024-01-01T00:00:00Z"}
+        path = tmp_path / "comments.jsonl"
+        path.write_text(
+            "\n".join([json.dumps(row)[:30], "[1, 2]", "", json.dumps(row)]) + "\n", encoding="utf-8"
+        )
+        records, report = load_comments(path, videos)
+        assert [c.comment_id for c in records] == ["c1"]
+        assert [e.line for e in report.errors] == [1, 2]
+        assert "JSON object" in report.errors[1].message
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
     def test_registry_round_trip(self, tmp_path, suffix):
@@ -192,7 +236,7 @@ class TestRoundTrip:
         registry = [make_channel("A", "a")]
         records = [
             make_video("v1", "A", views=12, description="multi\nline, with commas"),
-            make_video("v2", "A", views=0, offset_hours=3, like_count=4, comment_count=1),
+            make_video("v2", "A", views=0, offset_hours=3, like_count=4, comment_count=1, description="lone\rCR"),
         ]
         path = tmp_path / f"videos.{suffix}"
         write_videos(records, path)
@@ -284,28 +328,75 @@ class TestLoaderFuzz:
         assert all(v.view_count >= 0 for v in records)
 
 
-class TestReplayFetchAdapter:
-    def test_paging_covers_everything(self):
-        videos = [make_video(f"v{i}", "A", views=i, offset_hours=i) for i in range(7)]
-        adapter = ReplayFetchAdapter(videos=videos, comments=[], page_size=3)
-        page1, token = adapter.list_videos("A")
-        assert len(page1) == 3 and token == "3"
-        assert [v.video_id for v in fetch_all_videos(adapter, "A")] == [f"v{i}" for i in range(7)]
+# Row fields drawn from small pools so that duplicate ids and unknown
+# references are common, plus values of the wrong type or range.
+_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-5, max_value=10**6),
+    st.floats(),
+    st.text(alphabet=st.characters(exclude_characters="\x00", exclude_categories=("Cs",)), max_size=4),
+    st.lists(st.integers(), max_size=2),
+)
+_timestamps = st.one_of(st.sampled_from(["2024-01-01T00:00:00Z", "2024-01-01 10:00", "2024-02-30"]), _junk)
+_video_rows = st.fixed_dictionaries(
+    {
+        "video_id": st.sampled_from(["v1", "v2", "v3"]),
+        "channel_id": st.sampled_from(["A", "B", "unknown"]),
+        "published_at": _timestamps,
+        "view_count": _junk,
+    },
+    optional={"title": _junk, "like_count": _junk, "comment_count": _junk},
+)
+_comment_rows = st.fixed_dictionaries(
+    {
+        "comment_id": st.sampled_from(["c1", "c2", "c3"]),
+        "video_id": st.sampled_from(["v1", "v2", "unknown"]),
+        "author_id": _junk,
+        "published_at": _timestamps,
+    },
+    optional={"text": _junk, "like_count": _junk},
+)
+_VIDEO_HEADER = ["video_id", "channel_id", "published_at", "title", "view_count", "like_count", "comment_count"]
+_COMMENT_HEADER = ["comment_id", "video_id", "author_id", "text", "published_at", "like_count"]
 
-    def test_unknown_channel_empty(self):
-        adapter = ReplayFetchAdapter(videos=[], comments=[])
-        assert adapter.list_videos("ZZ") == ([], None)
 
-    def test_comment_paging(self):
-        comments = [make_comment(f"c{i}", "v1", "u1", offset_minutes=i) for i in range(5)]
-        adapter = ReplayFetchAdapter(videos=[], comments=comments, page_size=2)
-        collected, token = [], None
-        while True:
-            page, token = adapter.list_comments("v1", token)
-            collected.extend(page)
-            if token is None:
-                break
-        assert [c.comment_id for c in collected] == [f"c{i}" for i in range(5)]
+def _fuzz_file(draw, path, rows, header):
+    """Write ``rows`` to ``path`` with damage; returns the number of data rows."""
+    if path.suffix == ".csv":
+        cut_rows = []
+        for row in rows:
+            cells = [str(row.get(k, "")) for k in header] + draw(st.lists(st.just("extra"), max_size=1))
+            cut_rows.append(cells[: draw(st.integers(min_value=1, max_value=len(cells)))])
+        write_csv(path, header, cut_rows)
+        return len(rows)
+    lines = []
+    for row in rows:
+        value = draw(st.one_of(st.just(row), st.lists(st.integers(), max_size=2), st.integers(), st.none()))
+        text = json.dumps(value)
+        lines.append(text[: draw(st.one_of(st.none(), st.integers(min_value=1, max_value=len(text))))])
+    path.write_text("\n".join(lines + [""]) + "\n", encoding="utf-8")
+    return len(lines)
+
+
+class TestRowConservation:
+    """Every data row is accepted, rejected with a reason, or orphaned."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["csv", "jsonl"]), st.lists(_video_rows, max_size=12), st.data())
+    def test_video_rows(self, tmp_path_factory, suffix, rows, data):
+        path = tmp_path_factory.mktemp("rows") / f"videos.{suffix}"
+        n_rows = _fuzz_file(data.draw, path, rows, _VIDEO_HEADER)
+        records, errors = load_videos(path, [make_channel("A", "a"), make_channel("B", "b")])
+        assert len(records) + len(errors) == n_rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["csv", "jsonl"]), st.lists(_comment_rows, max_size=12), st.data())
+    def test_comment_rows(self, tmp_path_factory, suffix, rows, data):
+        path = tmp_path_factory.mktemp("rows") / f"comments.{suffix}"
+        n_rows = _fuzz_file(data.draw, path, rows, _COMMENT_HEADER)
+        records, report = load_comments(path, [make_video("v1", "A"), make_video("v2", "A")])
+        assert len(records) + len(report.errors) + len(report.orphans) == n_rows
 
 
 def test_streaming_load_at_realistic_scale(tmp_path):

@@ -138,6 +138,11 @@ class TestGenerate:
         with pytest.raises(InfeasibleSpecError, match="pair ceiling"):
             generate(spec)
 
+    def test_dash_in_attribute_value_rejected(self):
+        spec = small_spec(attribute_ratios={"non-binary": 2, "M": 6})
+        with pytest.raises(InfeasibleSpecError, match="'-'"):
+            generate(spec)
+
     def test_infeasible_host_capacity(self):
         spec = small_spec(videos_per_channel=2, collab_rate=0.9)
         with pytest.raises(InfeasibleSpecError):
