@@ -9,6 +9,7 @@ validated, immutable, and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 from collections import Counter
@@ -190,18 +191,14 @@ def _is_csv(path: Path) -> bool:
     return path.suffix.lower() == ".csv"
 
 
-# Raised by a malformed row (OverflowError: int() of a JSON-lines Infinity).
+# Raised by a malformed row (OverflowError: int() of a JSON-lines Infinity;
+# ValueError also covers UnicodeDecodeError).
 _ROW_ERRORS = (KeyError, ValueError, TypeError, OverflowError)
 
 
-def _iter_rows(path: Path) -> Iterator[tuple[int, dict | str]]:
-    """Yield (line_number, raw_row) from a CSV or JSON-lines file.
-
-    A CSV row arrives as a mapping and a JSON-lines row as its undecoded
-    text, so a malformed line fails inside the caller's per-row handling.
-    """
+def _read_rows(path: Path, errors: str) -> Iterator[tuple[int, dict | str]]:
     if _is_csv(path):
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8", errors=errors) as fh:
             reader = csv.DictReader(fh)
             for i, row in enumerate(reader, start=2):  # line 1 is the header
                 if None in row:
@@ -209,17 +206,58 @@ def _iter_rows(path: Path) -> Iterator[tuple[int, dict | str]]:
                     row["__extra__"] = "row has more cells than the header"
                 yield i, row
     else:
-        with path.open(encoding="utf-8") as fh:
+        with path.open(encoding="utf-8", errors=errors) as fh:
             for i, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 yield i, line
 
 
-def _row(raw: dict | str) -> dict:
-    """The mapping behind one raw row; raises ``ValueError`` for bad JSON."""
+@dataclass(frozen=True)
+class _Escaped:
+    """A raw row read with ``surrogateescape``: each undecodable byte is a lone surrogate."""
+
+    raw: dict | str
+
+    def decode(self) -> dict | str:
+        """The row decoded strictly; raises ``UnicodeDecodeError`` at its first bad byte."""
+        if isinstance(self.raw, str):
+            return _strict_utf8(self.raw)
+        return {
+            _strict_utf8(k): _strict_utf8(v) if isinstance(v, str) else v
+            for k, v in self.raw.items()
+        }
+
+
+def _strict_utf8(text: str) -> str:
+    return text.encode("utf-8", "surrogateescape").decode("utf-8")
+
+
+def _iter_rows(path: Path) -> Iterator[tuple[int, dict | str | _Escaped]]:
+    """Yield (line_number, raw_row) from a CSV or JSON-lines file.
+
+    A CSV row arrives as a mapping and a JSON-lines row as its undecoded
+    text, so a malformed line fails inside the caller's per-row handling.
+    A file that fails its strict UTF-8 decode is read again with each bad
+    byte escaped, and the rows not yet yielded arrive as :class:`_Escaped`
+    for :func:`_row` to decode, so a bad byte costs only its own row.
+    """
+    yielded = 0
+    try:
+        for item in _read_rows(path, "strict"):
+            yield item
+            yielded += 1
+    except UnicodeDecodeError:
+        for line_no, raw in itertools.islice(_read_rows(path, "surrogateescape"), yielded, None):
+            yield line_no, _Escaped(raw)
+
+
+def _row(raw: dict | str | _Escaped) -> dict:
+    """The mapping behind one raw row; raises ``ValueError`` for bad JSON or UTF-8."""
     if isinstance(raw, dict):
         return raw
+    if isinstance(raw, _Escaped):
+        return _row(raw.decode())
     row = json.loads(raw)
     if not isinstance(row, dict):
         raise ValueError(f"expected a JSON object, got {type(row).__name__}")

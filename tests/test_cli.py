@@ -85,6 +85,21 @@ class TestSubcommands:
         assert payload["video_row_errors"] == 2
         assert payload["comment_row_errors"] == 1
 
+    def test_undecodable_bytes_are_row_errors(self, corpus_dir, tmp_path):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(corpus_dir, broken)
+        for name in ("videos.jsonl", "comments.jsonl"):
+            lines = (broken / name).read_bytes().splitlines(keepends=True)
+            middle = len(lines) // 2
+            lines[middle] = lines[middle][:20] + b"\xff" + lines[middle][20:]
+            (broken / name).write_bytes(b"".join(lines))
+        payload = json.loads(run_cli("ingest", "--corpus", broken).output)
+        assert payload["video_row_errors"] == 1
+        assert payload["comment_row_errors"] == 1
+        assert run_cli("report", "--corpus", broken, "--out", tmp_path / "rep").exit_code == 0
+
     def test_synergy_outputs(self, corpus_dir, tmp_path):
         result = run_cli("synergy", "--corpus", corpus_dir, "--out", tmp_path)
         assert result.exit_code == 0

@@ -108,6 +108,13 @@ class TestLoadRegistry:
         with pytest.raises(ValidationError, match=r"^registry\.jsonl:2: "):
             load_registry(path)
 
+    def test_undecodable_byte_names_the_line(self, tmp_path):
+        path = tmp_path / "registry.jsonl"
+        write_jsonl(path, [registry_row("A", ["a"]), registry_row("B", ["b"])])
+        path.write_bytes(path.read_bytes().replace(b'"b"', b'"\xffb"'))
+        with pytest.raises(ValidationError, match="registry.jsonl:2: 'utf-8' codec"):
+            load_registry(path)
+
     def test_csv_extra_columns_become_attributes(self, tmp_path):
         path = tmp_path / "registry.csv"
         path.write_text(
@@ -397,6 +404,34 @@ class TestRowConservation:
         n_rows = _fuzz_file(data.draw, path, rows, _COMMENT_HEADER)
         records, report = load_comments(path, [make_video("v1", "A"), make_video("v2", "A")])
         assert len(records) + len(report.errors) + len(report.orphans) == n_rows
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 rejects its own row; the rest of the file loads."""
+
+    @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
+    @pytest.mark.parametrize("kind", ["videos", "comments"])
+    def test_bad_byte_is_a_row_error(self, tmp_path, kind, suffix):
+        # The first bad byte lies several decode chunks into the file, so
+        # rows have already been handed out when the strict decode fails.
+        bad = {250, 390}
+        texts = ["BAD" if i in bad else "ok \u00e9" for i in range(400)]
+        path = tmp_path / f"{kind}.{suffix}"
+        if kind == "videos":
+            write_videos([make_video(f"v{i:03d}", "A", description=t) for i, t in enumerate(texts)], path)
+        else:
+            write_comments([make_comment(f"c{i:03d}", "v1", "u1", text=t) for i, t in enumerate(texts)], path)
+        path.write_bytes(path.read_bytes().replace(b"BAD", b"B\xffD"))
+        if kind == "videos":
+            records, errors = load_videos(path, [make_channel("A", "a")])
+            kept = {v.description for v in records}
+        else:
+            records, report = load_comments(path, [make_video("v1", "A")])
+            errors, kept = report.errors, {c.text for c in records}
+        first_line = 2 if suffix == "csv" else 1
+        assert [e.line for e in errors] == [i + first_line for i in sorted(bad)]
+        assert all("can't decode byte 0xff" in e.message for e in errors)
+        assert len(records) == 400 - len(bad) and kept == {"ok \u00e9"}
 
 
 def test_streaming_load_at_realistic_scale(tmp_path):

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from collabmetrics import netmetrics
 from collabmetrics.collab import CollaborationDyad
 from collabmetrics.netmetrics import (
     AttentionGraph,
@@ -35,6 +37,75 @@ def graph_from_edges(nodes, edges):
         nodes=frozenset(nodes),
         edges={(min(a, b), max(a, b)): 1 for a, b in edges},
     )
+
+
+def bfs_distances(adj, source):
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for nbr in adj[node]:
+            if nbr not in dist:
+                dist[nbr] = dist[node] + 1
+                queue.append(nbr)
+    return dist
+
+
+def reference_closeness(graph, convention="component-scaled"):
+    """Closeness from one dict BFS per node: the reference for ``closeness``."""
+    adj = graph.adjacency()
+    n = len(graph.nodes)
+    in_scope = None
+    if convention == "largest-component":
+        remaining = set(graph.nodes)
+        largest = set()
+        while remaining:
+            component = set(bfs_distances(adj, min(remaining)))
+            remaining -= component
+            if len(component) > len(largest):
+                largest = component
+        in_scope = largest
+    values = {}
+    for node in sorted(graph.nodes):
+        if in_scope is not None and node not in in_scope:
+            values[node] = 0.0
+            continue
+        dist = bfs_distances(adj, node)
+        k = len(dist)
+        total = sum(dist.values())
+        if n <= 1 or k <= 1 or total == 0:
+            values[node] = 0.0
+        elif in_scope is not None:
+            values[node] = (k - 1) / total
+        else:
+            values[node] = ((k - 1) / (n - 1)) * ((k - 1) / total)
+    return values
+
+
+# Around the 64-bit word boundary and past two words.
+NODE_COUNTS = (0, 1, 2, 63, 64, 65, 130)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Random sparse graphs with isolated nodes and several components.
+
+    When ``twin`` is drawn, the second half of the nodes copies the first
+    half's edges, so the largest components come in equal-size pairs and
+    the largest-component tie-break decides. Names are shuffled, so either
+    copy may hold the smallest id.
+    """
+    n = draw(st.sampled_from(NODE_COUNTS) | st.integers(min_value=0, max_value=24))
+    twin = n >= 2 and n % 2 == 0 and draw(st.booleans())
+    base = n // 2 if twin else n
+    index = st.integers(min_value=0, max_value=max(base - 1, 0))
+    pairs = draw(st.lists(st.tuples(index, index), max_size=2 * base)) if base else []
+    edges = {(a, b) for a, b in pairs if a != b}
+    if twin:
+        copy = draw(st.permutations(range(base, n)))
+        edges |= {(copy[a], copy[b]) for a, b in edges}
+    names = draw(st.permutations([f"v{i:03d}" for i in range(n)]))
+    return graph_from_edges(names, [(names[a], names[b]) for a, b in edges])
 
 
 class TestBuildCollabGraph:
@@ -130,24 +201,11 @@ class TestCloseness:
             before = closeness(graph).closeness
             adj = graph.adjacency()
             # candidate edges joining nodes already in one component
-            from collections import deque
-
-            def component(start):
-                seen = {start}
-                queue = deque([start])
-                while queue:
-                    x = queue.popleft()
-                    for y in adj[x]:
-                        if y not in seen:
-                            seen.add(y)
-                            queue.append(y)
-                return seen
-
             candidates = [
                 (a, b)
                 for a in nodes
                 for b in nodes
-                if a < b and (a, b) not in edges and b in component(a)
+                if a < b and (a, b) not in edges and b in bfs_distances(adj, a)
             ]
             if not candidates:
                 continue
@@ -155,6 +213,34 @@ class TestCloseness:
             after = closeness(graph_from_edges(nodes, edges | {(a, b)})).closeness
             assert after[a] >= before[a] - 1e-12
             assert after[b] >= before[b] - 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph=sparse_graphs(), block=st.sampled_from([1, 3, 64, netmetrics._SOURCE_BLOCK]))
+    @example(graph=graph_from_edges([], []), block=64)
+    @example(graph=graph_from_edges(["A"], []), block=64)
+    @example(  # two equal 3-node paths; the second holds the smallest id
+        graph=graph_from_edges("abcdef", [("b", "c"), ("c", "d"), ("a", "e"), ("e", "f")]), block=2
+    )
+    def test_equals_per_source_bfs(self, graph, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netmetrics, "_SOURCE_BLOCK", block)
+            for convention in ("component-scaled", "largest-component"):
+                expected = reference_closeness(graph, convention)
+                assert closeness(graph, convention=convention).closeness == expected
+
+    def test_matches_networkx_wf_improved(self):
+        nx = pytest.importorskip("networkx")
+        rnd = random.Random(800)
+        nodes = [f"c{i:03d}" for i in range(800)]
+        # a sparse random core, 25 four-node paths, and 100 isolated nodes
+        edges = {tuple(rnd.sample(nodes[:600], 2)) for _ in range(700)}
+        edges |= {(nodes[i], nodes[i + 1]) for i in range(600, 700) if i % 4 != 3}
+        reference = nx.Graph(edges)
+        reference.add_nodes_from(nodes)
+        expected = nx.closeness_centrality(reference, wf_improved=True)
+        values = closeness(graph_from_edges(nodes, edges)).closeness
+        assert values.keys() == expected.keys()
+        assert max(abs(values[v] - expected[v]) for v in nodes) == 0.0
 
 
 class TestAttentionGraph:
