@@ -20,7 +20,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from collabmetrics.errors import NoBaselineError, ValidationError
+from collabmetrics.errors import ConfigurationError, NoBaselineError, ValidationError
 
 __all__ = [
     "ChannelRecord",
@@ -77,7 +77,7 @@ def _format_timestamp(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).isoformat()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelRecord:
     """One creator channel in the analysis registry."""
 
@@ -96,7 +96,7 @@ class ChannelRecord:
             ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VideoRecord:
     """One published video with its engagement metadata."""
 
@@ -110,7 +110,7 @@ class VideoRecord:
     comment_count: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommentRecord:
     """One audience comment below a video."""
 
@@ -196,15 +196,18 @@ def _is_csv(path: Path) -> bool:
 _ROW_ERRORS = (KeyError, ValueError, TypeError, OverflowError)
 
 
-def _read_rows(path: Path, errors: str) -> Iterator[tuple[int, dict | str]]:
+def _read_rows(path: Path, errors: str) -> Iterator[tuple[int, dict | str | _Malformed]]:
     if _is_csv(path):
         with path.open(newline="", encoding="utf-8", errors=errors) as fh:
-            reader = csv.DictReader(fh)
-            for i, row in enumerate(reader, start=2):  # line 1 is the header
-                if None in row:
-                    row = {k: v for k, v in row.items() if k is not None}
-                    row["__extra__"] = "row has more cells than the header"
-                yield i, row
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            records = (cells for cells in reader if cells)  # a blank line holds no record
+            for i, cells in enumerate(records, start=2):  # line 1 is the header
+                if len(cells) > len(header):
+                    yield i, _Malformed(f"row has {len(cells)} cells but the header has {len(header)}")
+                else:
+                    # A short row lacks the keys of its missing cells.
+                    yield i, dict(zip(header, cells))
     else:
         with path.open(encoding="utf-8", errors=errors) as fh:
             for i, line in enumerate(fh, start=1):
@@ -213,27 +216,33 @@ def _read_rows(path: Path, errors: str) -> Iterator[tuple[int, dict | str]]:
                 yield i, line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
+class _Malformed:
+    """A raw row already known to be malformed, for :func:`_row` to reject."""
+
+    reason: str
+
+
+@dataclass(frozen=True, slots=True)
 class _Escaped:
     """A raw row read with ``surrogateescape``: each undecodable byte is a lone surrogate."""
 
-    raw: dict | str
+    raw: dict | str | _Malformed
 
-    def decode(self) -> dict | str:
+    def decode(self) -> dict | str | _Malformed:
         """The row decoded strictly; raises ``UnicodeDecodeError`` at its first bad byte."""
         if isinstance(self.raw, str):
             return _strict_utf8(self.raw)
-        return {
-            _strict_utf8(k): _strict_utf8(v) if isinstance(v, str) else v
-            for k, v in self.raw.items()
-        }
+        if isinstance(self.raw, _Malformed):
+            return self.raw
+        return {_strict_utf8(k): _strict_utf8(v) for k, v in self.raw.items()}
 
 
 def _strict_utf8(text: str) -> str:
     return text.encode("utf-8", "surrogateescape").decode("utf-8")
 
 
-def _iter_rows(path: Path) -> Iterator[tuple[int, dict | str | _Escaped]]:
+def _iter_rows(path: Path) -> Iterator[tuple[int, dict | str | _Malformed | _Escaped]]:
     """Yield (line_number, raw_row) from a CSV or JSON-lines file.
 
     A CSV row arrives as a mapping and a JSON-lines row as its undecoded
@@ -252,10 +261,16 @@ def _iter_rows(path: Path) -> Iterator[tuple[int, dict | str | _Escaped]]:
             yield line_no, _Escaped(raw)
 
 
-def _row(raw: dict | str | _Escaped) -> dict:
-    """The mapping behind one raw row; raises ``ValueError`` for bad JSON or UTF-8."""
+def _row(raw: dict | str | _Malformed | _Escaped) -> dict:
+    """The mapping behind one raw row.
+
+    Raises ``ValueError`` for bad JSON, bad UTF-8 or a CSV row with more
+    cells than its header.
+    """
     if isinstance(raw, dict):
         return raw
+    if isinstance(raw, _Malformed):
+        raise ValueError(raw.reason)
     if isinstance(raw, _Escaped):
         return _row(raw.decode())
     row = json.loads(raw)
@@ -282,9 +297,7 @@ def _registry_from_row(row: Mapping[str, object]) -> ChannelRecord:
     attributes = row.get("attributes")
     if attributes is None:
         # CSV flattening: every non-fixed column is an attribute.
-        attributes = {
-            k: str(v) for k, v in row.items() if k not in _REGISTRY_FIXED and k != "__extra__"
-        }
+        attributes = {k: str(v) for k, v in row.items() if k not in _REGISTRY_FIXED}
     return ChannelRecord(
         channel_id=str(row["channel_id"]),
         handles=handles,
@@ -646,7 +659,12 @@ def attribute_histogram(registry: Sequence[ChannelRecord], key: str) -> Counter:
 
 
 def cap_videos_per_channel(videos: Sequence[VideoRecord], cap: int) -> list[VideoRecord]:
-    """Keep at most ``cap`` most recent videos per channel (platform-style cap)."""
+    """Keep at most ``cap`` most recent videos per channel (platform-style cap).
+
+    Raises :class:`ConfigurationError` when ``cap`` is below 1.
+    """
+    if cap < 1:
+        raise ConfigurationError(f"max videos per channel must be at least 1, got {cap}")
     by_channel: dict[str, list[VideoRecord]] = {}
     for v in videos:
         by_channel.setdefault(v.channel_id, []).append(v)

@@ -71,20 +71,23 @@ BOOSTERS = frozenset(
     }
 )
 
-_TOKEN_RE = re.compile(r"[a-z0-9']+")
+# A token is a maximal run of letters a-z, digits and apostrophes in the
+# lowercased text, with the apostrophes at its ends trimmed; apostrophes
+# alone make no token.
+_TOKEN_RE = re.compile(r"[a-z0-9]+(?:'+[a-z0-9]+)*")
 
 
 def _tokenize(text: str) -> list[str]:
-    return [t for t in (tok.strip("'") for tok in _TOKEN_RE.findall(text.lower())) if t]
+    return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentimentScore:
     comment_id: str
     compound: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TopicLabel:
     comment_id: str
     label: str
@@ -146,15 +149,14 @@ class LexiconSentimentScorer:
             return 0.0
         tokens = _tokenize(text)
         total = 0.0
-        for i, token in enumerate(tokens):
-            valence = self.lexicon.get(token)
+        for i, valence in enumerate(map(self.lexicon.get, tokens)):
             if valence is None:
                 continue
             window = tokens[max(0, i - CONTEXT_WINDOW):i]
-            boosters = sum(1 for w in window if w in BOOSTERS)
+            boosters = sum(map(BOOSTERS.__contains__, window))
             sign = 1.0 if valence > 0 else -1.0
             adjusted = valence + sign * BOOSTER_STEP * boosters
-            if any(w in NEGATORS for w in window):
+            if not NEGATORS.isdisjoint(window):
                 adjusted *= NEGATION_SCALAR
             total += adjusted
         if total == 0.0:
@@ -184,14 +186,22 @@ class KeywordTopicClassifier:
         if unknown:
             raise ConfigurationError(f"keyword categories outside schema: {sorted(unknown)}")
         self.keywords = {cat: frozenset(t.lower() for t in table.get(cat, ())) for cat in self.schema}
+        self._topics = tuple(cat for cat in self.schema if cat != "other")
+        # Each keyword -> the positions in ``_topics`` of the categories it counts for.
+        positions: dict[str, list[int]] = {}
+        for i, cat in enumerate(self._topics):
+            for token in self.keywords[cat]:
+                positions.setdefault(token, []).append(i)
+        self._positions = {token: tuple(ids) for token, ids in positions.items()}
 
     def classify(self, text: str) -> str:
-        tokens = _tokenize(text)
+        hits = [0] * len(self._topics)
+        for ids in map(self._positions.get, _tokenize(text)):
+            if ids is not None:
+                for i in ids:
+                    hits[i] += 1
         best, best_score = "other", 0
-        for cat in self.schema:
-            if cat == "other":
-                continue
-            score = sum(1 for t in tokens if t in self.keywords[cat])
+        for cat, score in zip(self._topics, hits):
             if score > best_score:
                 best, best_score = cat, score
         return best

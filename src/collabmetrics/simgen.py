@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from collabmetrics import collab, netmetrics, synergy
 from collabmetrics.corpus import (
@@ -36,6 +34,9 @@ from collabmetrics.corpus import (
     write_json,
 )
 from collabmetrics.errors import InfeasibleSpecError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DiscourseProfile",
@@ -187,6 +188,10 @@ def _split_type(dyad_type: str) -> tuple[str, str]:
 
 def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
     """Generate a corpus plus its planted truth, deterministically from the seed."""
+    # numpy is imported here, not at module level, so that commands which
+    # only read a corpus (``report`` and the stage subcommands) never load it.
+    import numpy as np
+
     spec.validate()
     streams = np.random.SeedSequence(spec.seed).spawn(5)
     rng_channels = np.random.default_rng(streams[0])
@@ -449,7 +454,7 @@ def _comment_text(profile: DiscourseProfile, rng: np.random.Generator) -> str:
         topic = "other"
     else:
         names = sorted(weights)
-        p = np.array([weights[n] for n in names]) / total
+        p = [weights[n] / total for n in names]
         topic = names[int(rng.choice(len(names), p=p))]
     phrase = _TOPIC_PHRASES[topic][int(rng.integers(len(_TOPIC_PHRASES[topic])))]
     p_positive = (1.0 + max(-1.0, min(1.0, profile.mean_sentiment))) / 2.0

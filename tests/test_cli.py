@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -214,6 +216,34 @@ class TestRunReport:
         run_report(config)
         shares = (out / "shares.csv").read_text().splitlines()[1].split(",")
         assert shares[1] == "20"  # 10 channels x capped 2 videos
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_max_videos_cap_below_one_fails_at_ingest(self, corpus_dir, tmp_path, cap):
+        out = tmp_path / "rep"
+        result = CliRunner().invoke(
+            main, ["report", "--corpus", str(corpus_dir), "--out", str(out), "--max-videos-per-channel", cap]
+        )
+        assert result.exit_code == 1
+        assert "stage 'ingest' failed" in result.output
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert stages["ingest"] == f"failed: max videos per channel must be at least 1, got {cap}"
+        assert stages["collabs"] == "not-run"
+
+    def test_report_process_never_imports_numpy(self, corpus_dir, tmp_path):
+        """Only the generator needs numpy, so a report process does not load it."""
+        script = (
+            "import sys\n"
+            "from collabmetrics.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "except SystemExit as exit:\n"
+            "    assert not exit.code, exit.code\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        args = ["report", "--corpus", str(corpus_dir), "--out", str(tmp_path / "rep"), "--format", "table"]
+        done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "rep" / "manifest.json").exists()
 
 
 class TestGoldenHeaders:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collabmetrics.corpus import (
+    ChannelRecord,
     cap_videos_per_channel,
     channel_baseline,
     exact_median,
@@ -22,7 +24,8 @@ from collabmetrics.corpus import (
     write_registry,
     write_videos,
 )
-from collabmetrics.errors import NoBaselineError, ValidationError
+from collabmetrics.discourse import SentimentScore, TopicLabel
+from collabmetrics.errors import ConfigurationError, NoBaselineError, ValidationError
 
 from .conftest import make_channel, make_comment, make_video
 
@@ -434,6 +437,74 @@ class TestUndecodableBytes:
         assert len(records) == 400 - len(bad) and kept == {"ok \u00e9"}
 
 
+_VIDEO_CSV_HEADER = "video_id,channel_id,published_at,title,description,view_count,like_count,comment_count\n"
+_COMMENT_CSV_HEADER = "comment_id,video_id,author_id,text,published_at,like_count\n"
+_REGISTRY_CSV_HEADER = "channel_id,handles,display_name,community,gender\n"
+
+
+class TestCsvRowWidth:
+    """A CSV row with more cells than its header is malformed; a short row
+    lacks the keys of its missing cells rather than holding the text "None"."""
+
+    @pytest.mark.parametrize("escaped", [False, True])
+    def test_extra_cell_is_a_video_row_error(self, tmp_path, escaped):
+        # With a bad byte in the first row, the later rows are read again
+        # with escapes and must be judged the same way.
+        path = tmp_path / "videos.csv"
+        title = b"B\xffD" if escaped else b"ok"
+        path.write_bytes(
+            _VIDEO_CSV_HEADER.encode("utf-8")
+            + b"v0,A,2024-01-01T00:00:00Z," + title + b",d,5,,\n"
+            + b"v1,A,2024-01-01T00:00:00Z,t,d,5,,,EXTRA\n"
+            + b"v2,A,2024-01-01T00:00:00Z,t,d,5,,\n"
+        )
+        records, errors = load_videos(path, [make_channel("A", "a")])
+        assert [v.video_id for v in records] == (["v2"] if escaped else ["v0", "v2"])
+        assert [e.line for e in errors] == ([2, 3] if escaped else [3])
+        assert errors[-1].message == "malformed row: row has 9 cells but the header has 8"
+
+    @pytest.mark.parametrize("escaped", [False, True])
+    def test_extra_cell_is_a_comment_row_error(self, tmp_path, escaped):
+        path = tmp_path / "comments.csv"
+        text = b"B\xffD" if escaped else b"ok"
+        path.write_bytes(
+            _COMMENT_CSV_HEADER.encode("utf-8")
+            + b"c0,v1,u1," + text + b",2024-01-01T00:00:00Z,3\n"
+            + b"c1,v1,u1,hi,2024-01-01T00:00:00Z,3,EXTRA\n"
+            + b"c2,v1,u1,hi,2024-01-01T00:00:00Z,3\n"
+        )
+        records, report = load_comments(path, [make_video("v1", "A")])
+        assert [c.comment_id for c in records] == (["c2"] if escaped else ["c0", "c2"])
+        assert [e.line for e in report.errors] == ([2, 3] if escaped else [3])
+        assert "7 cells but the header has 6" in report.errors[-1].message
+
+    @pytest.mark.parametrize("escaped", [False, True])
+    def test_extra_cell_in_registry_names_the_line(self, tmp_path, escaped):
+        # A bad byte after the wide row makes the whole small file fail its
+        # strict decode, so the wide row is judged in its escaped form.
+        path = tmp_path / "registry.csv"
+        name = b"Ga\xffmma" if escaped else b"Gamma"
+        path.write_bytes(
+            _REGISTRY_CSV_HEADER.encode("utf-8")
+            + b"A,a,Alpha,g,W\nB,b,Beta,g,M,EXTRA\nC,c," + name + b",g,W\n"
+        )
+        with pytest.raises(ValidationError, match=r"^registry\.csv:3: row has 6 cells but the header has 5$"):
+            load_registry(path)
+
+    def test_short_registry_row_misses_the_attribute(self, tmp_path):
+        path = tmp_path / "registry.csv"
+        path.write_text(_REGISTRY_CSV_HEADER + "A,a,Alpha,g,W\nB,b,Beta,g\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="channel 'B' missing attribute 'gender'"):
+            load_registry(path)
+
+    def test_short_row_lacks_missing_cells(self, tmp_path):
+        path = tmp_path / "videos.csv"
+        path.write_text(_VIDEO_CSV_HEADER + "v1,A,2024-01-01T00:00:00Z,t,d,5\n", encoding="utf-8")
+        (video,), errors = load_videos(path, [make_channel("A", "a")])
+        assert errors == []
+        assert video.like_count is None and video.comment_count is None
+
+
 def test_streaming_load_at_realistic_scale(tmp_path):
     """13,471 rows (a real community-sized corpus) load cleanly and completely."""
     registry = [make_channel(f"C{i:02d}", f"h{i:02d}") for i in range(50)]
@@ -462,3 +533,30 @@ def test_cap_videos_keeps_most_recent():
     capped = cap_videos_per_channel(videos, cap=2)
     ids = {v.video_id for v in capped}
     assert ids == {"v4", "v5", "w0"}
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_cap_below_one_rejected(cap):
+    videos = [make_video(f"v{i}", "A", offset_hours=i) for i in range(4)]
+    with pytest.raises(ConfigurationError, match="at least 1"):
+        cap_videos_per_channel(videos, cap=cap)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        make_channel("A", "a"),
+        make_video("v1", "A"),
+        make_comment("c1", "v1", "u1", "hi"),
+        SentimentScore("c1", 0.5),
+        TopicLabel("c1", "food"),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_records_are_slotted_and_frozen(record):
+    assert not hasattr(record, "__dict__")
+    field = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, "x")
+    if not isinstance(record, ChannelRecord):  # its attributes mapping is a dict
+        hash(record)

@@ -4,17 +4,27 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collabmetrics.collab import CollaborationDyad
 from collabmetrics.corpus import build_corpus
 from collabmetrics.discourse import (
+    BOOSTERS,
+    BOOSTER_STEP,
+    CONTEXT_WINDOW,
+    NEGATION_SCALAR,
+    NEGATORS,
+    NORMALIZATION_ALPHA,
     TOPIC_CATEGORIES,
     KeywordTopicClassifier,
     LexiconSentimentScorer,
     SentimentScore,
     TopicLabel,
+    _tokenize,
     aggregate_discourse,
     label_comments,
     load_precomputed_labels,
@@ -221,3 +231,121 @@ class TestAggregate:
             }
         first, second = rows.values()
         assert first == second  # structure (groups, categories, counts) is plugin-independent
+
+
+# ---------------------------------------------------------------------------
+# Reference forms of the tokenizer, scorer and classifier: the original
+# strip-and-filter tokenizer, the classifier with one pass per category and
+# the scorer written with generator expressions. The module's forms must
+# give exactly their results.
+
+_REFERENCE_TOKEN_RE = re.compile(r"[a-z0-9']+")
+
+
+def reference_tokenize(text):
+    return [t for t in (tok.strip("'") for tok in _REFERENCE_TOKEN_RE.findall(text.lower())) if t]
+
+
+def reference_score(lexicon, text):
+    if not text:
+        return 0.0
+    tokens = reference_tokenize(text)
+    total = 0.0
+    for i, token in enumerate(tokens):
+        valence = lexicon.get(token)
+        if valence is None:
+            continue
+        window = tokens[max(0, i - CONTEXT_WINDOW):i]
+        boosters = sum(1 for w in window if w in BOOSTERS)
+        sign = 1.0 if valence > 0 else -1.0
+        adjusted = valence + sign * BOOSTER_STEP * boosters
+        if any(w in NEGATORS for w in window):
+            adjusted *= NEGATION_SCALAR
+        total += adjusted
+    if total == 0.0:
+        return 0.0
+    normalized = total / (total * total + NORMALIZATION_ALPHA) ** 0.5
+    return max(-1.0, min(1.0, normalized))
+
+
+def reference_classify(keywords, schema, text):
+    tokens = reference_tokenize(text)
+    best, best_score = "other", 0
+    for cat in schema:
+        if cat == "other":
+            continue
+        score = sum(1 for t in tokens if t in keywords[cat])
+        if score > best_score:
+            best, best_score = cat, score
+    return best
+
+
+_BUNDLED_SCORER = LexiconSentimentScorer()
+_BUNDLED_CLASSIFIER = KeywordTopicClassifier()
+# One token ("aim") in two categories and one ("desk") in two others, so
+# counts tie across categories and the schema order must break the tie.
+_SHARED_KEYWORDS = {
+    "gameplay": {"aim", "clutch"},
+    "environment": {"aim", "desk"},
+    "food": {"ramen", "desk"},
+    "appearance": {"hair"},
+}
+_SHARED_CLASSIFIER = KeywordTopicClassifier(_SHARED_KEYWORDS)
+_REORDERED_CLASSIFIER = KeywordTopicClassifier(
+    _SHARED_KEYWORDS, schema=("food", "other", "environment", "gameplay", "appearance")
+)
+
+_WORDS = sorted(
+    NEGATORS
+    | BOOSTERS
+    | set(_BUNDLED_SCORER.lexicon)
+    | {token for tokens in _BUNDLED_CLASSIFIER.keywords.values() for token in tokens}
+    | {token for tokens in _SHARED_KEYWORDS.values() for token in tokens}
+)
+# Apostrophes, letters that change length or leave the ASCII range when
+# lowercased, digits, punctuation and whitespace.
+_GLUE = ("'", "''", " '", "' ", " ", "  ", "\t", "\n", ",", ".", "!", "?", "-", "_", "İ", "ß", "É", "é", "7", "42")
+# Mostly words with a space after each, so negators and boosters often
+# fall inside a lexicon word's window, with glue that can join words.
+_TEXTS = st.lists(
+    st.one_of(
+        st.sampled_from(_WORDS).map(lambda word: word + " "),
+        st.sampled_from(_WORDS),
+        st.sampled_from(_GLUE),
+        st.text(alphabet="'aZİß09 .,-\u2019", max_size=4),
+    ),
+    max_size=30,
+).map("".join)
+
+
+class TestReferenceEquality:
+    @settings(max_examples=400, deadline=None)
+    @given(_TEXTS)
+    @example("")
+    @example("''")
+    @example("don't 'not' ''very'' good''s İstanbul ß 'n' rock'n'roll")
+    def test_tokens_equal_reference(self, text):
+        assert _tokenize(text) == reference_tokenize(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_TEXTS)
+    @example("not so very 'really' good, can't be bad")
+    def test_scores_equal_reference(self, text):
+        assert repr(_BUNDLED_SCORER.score(text)) == repr(reference_score(_BUNDLED_SCORER.lexicon, text))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_TEXTS)
+    @example("aim desk")
+    @example("desk ramen aim hair hair")
+    def test_labels_equal_reference(self, text):
+        for classifier in (_BUNDLED_CLASSIFIER, _SHARED_CLASSIFIER, _REORDERED_CLASSIFIER):
+            expected = reference_classify(classifier.keywords, classifier.schema, text)
+            assert classifier.classify(text) == expected
+
+    def test_shared_token_ties_break_by_schema_order(self):
+        # Hits per category, gameplay/environment/food/appearance.
+        assert _SHARED_CLASSIFIER.classify("aim desk") == "environment"  # 1, 2, 1, 0
+        assert _SHARED_CLASSIFIER.classify("aim ramen") == "gameplay"  # 1, 1, 1, 0
+        assert _SHARED_CLASSIFIER.classify("desk") == "environment"  # 0, 1, 1, 0
+        assert _REORDERED_CLASSIFIER.classify("aim ramen") == "food"
+        assert _REORDERED_CLASSIFIER.classify("aim") == "environment"
