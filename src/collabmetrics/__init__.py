@@ -15,7 +15,6 @@ from collabmetrics.errors import (
     InfeasibleSpecError,
     NoBaselineError,
     ValidationError,
-    ZeroBaselineError,
 )
 
 __all__ = [
@@ -24,6 +23,5 @@ __all__ = [
     "InfeasibleSpecError",
     "NoBaselineError",
     "ValidationError",
-    "ZeroBaselineError",
     "__version__",
 ]

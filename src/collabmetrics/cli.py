@@ -47,7 +47,11 @@ def _run_stage(write, corpus_dir: str, attribute_key: str, out_dir: str, *inputs
     config = report.RunConfig(community_dirs=(corpus_dir,), out_dir=out_dir, attribute_key=attribute_key, **settings)
     pipeline = report.CommunityPipeline(corpus, config, *inputs)
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    click.echo(write(pipeline, Path(out_dir)))
+    try:
+        summary = write(pipeline, Path(out_dir))
+    except CollabMetricsError as exc:
+        raise click.ClickException(str(exc)) from exc
+    click.echo(summary)
 
 
 @click.group(context_settings=_CONTEXT)
@@ -145,12 +149,15 @@ def discourse_cmd(
 ) -> None:
     """Sentiment and topic aggregation by dyad type."""
     scorer = classifier = labels = None
-    if sentiment_lexicon:
-        scorer = discourse.LexiconSentimentScorer(discourse.load_sentiment_lexicon(sentiment_lexicon))
-    if labels_path:
-        labels = discourse.load_precomputed_labels(labels_path)
-    elif topic_keywords:
-        classifier = discourse.KeywordTopicClassifier(discourse.load_topic_keywords(topic_keywords))
+    try:
+        if sentiment_lexicon:
+            scorer = discourse.LexiconSentimentScorer(discourse.load_sentiment_lexicon(sentiment_lexicon))
+        if labels_path:
+            labels = discourse.load_precomputed_labels(labels_path)
+        elif topic_keywords:
+            classifier = discourse.KeywordTopicClassifier(discourse.load_topic_keywords(topic_keywords))
+    except CollabMetricsError as exc:
+        raise click.ClickException(str(exc)) from exc
     _run_stage(report.write_discourse, corpus_dir, attribute_key, out_dir, scorer, classifier, labels)
 
 

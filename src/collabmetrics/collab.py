@@ -19,26 +19,14 @@ from collabmetrics.corpus import ChannelRecord, Corpus, VideoRecord
 from collabmetrics.errors import ValidationError
 
 __all__ = [
-    "MentionHit",
     "CollaborationDyad",
     "CollabShareStats",
     "VideoPartition",
     "HandleIndex",
-    "extract_mentions",
     "partition_videos",
     "detect_collaborations",
     "classify_dyad",
 ]
-
-
-@dataclass(frozen=True)
-class MentionHit:
-    """A registry handle found in a description (span in character offsets)."""
-
-    video_id: str
-    mentioned_channel_id: str
-    matched_handle: str
-    span: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -102,32 +90,14 @@ class HandleIndex:
         else:
             self._pattern = None
 
-    def scan(self, video: VideoRecord) -> list[MentionHit]:
+    def scan(self, video: VideoRecord) -> set[str]:
+        """Ids of the registered channels other than the owner that the description mentions."""
         if self._pattern is None or not video.description:
-            return []
-        hits: list[MentionHit] = []
-        for match in self._pattern.finditer(video.description):
-            handle = match.group(1).lower()
-            owner = self._owner_by_handle[handle]
-            if owner == video.channel_id:
-                continue  # self-mentions are not collaborations
-            hits.append(
-                MentionHit(
-                    video_id=video.video_id,
-                    mentioned_channel_id=owner,
-                    matched_handle=handle,
-                    span=match.span(),
-                )
-            )
-        return hits
-
-
-def extract_mentions(
-    video: VideoRecord, registry: Sequence[ChannelRecord] | HandleIndex
-) -> list[MentionHit]:
-    """All non-owner registry handles found in the description, by span start."""
-    index = registry if isinstance(registry, HandleIndex) else HandleIndex(registry)
-    return index.scan(video)
+            return set()
+        owner_by_handle = self._owner_by_handle
+        mentioned = {owner_by_handle[m.lower()] for m in self._pattern.findall(video.description)}
+        mentioned.discard(video.channel_id)  # self-mentions are not collaborations
+        return mentioned
 
 
 def classify_dyad(
@@ -159,7 +129,7 @@ def partition_videos(corpus: Corpus, index: HandleIndex | None = None) -> VideoP
     multi_way: set[str] = set()
     plain: set[str] = set()
     for video in corpus.videos:
-        mentioned = {hit.mentioned_channel_id for hit in index.scan(video)}
+        mentioned = index.scan(video)
         if len(mentioned) == 1:
             two_way[video.video_id] = next(iter(mentioned))
         elif len(mentioned) > 1:

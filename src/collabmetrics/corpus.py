@@ -9,7 +9,6 @@ validated, immutable, and safe to share across threads.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import logging
 from collections import Counter
@@ -18,7 +17,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from collabmetrics.errors import ConfigurationError, NoBaselineError, ValidationError
 
@@ -33,6 +32,7 @@ __all__ = [
     "load_registry",
     "load_videos",
     "load_comments",
+    "load_rows",
     "corpus_files",
     "load_corpus_dir",
     "write_registry",
@@ -196,18 +196,23 @@ def _is_csv(path: Path) -> bool:
 _ROW_ERRORS = (KeyError, ValueError, TypeError, OverflowError)
 
 
-def _read_rows(path: Path, errors: str) -> Iterator[tuple[int, dict | str | _Malformed]]:
-    if _is_csv(path):
+def _read_rows(path: Path, tabular: bool, errors: str) -> Iterator[tuple[int, dict | str | _Malformed]]:
+    if tabular:
         with path.open(newline="", encoding="utf-8", errors=errors) as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
-            records = (cells for cells in reader if cells)  # a blank line holds no record
-            for i, cells in enumerate(records, start=2):  # line 1 is the header
+            end = reader.line_num  # physical lines read so far
+            for cells in reader:
+                # A record is numbered by its first physical line: a quoted
+                # cell may hold newlines, and a blank line holds no record.
+                line_no, end = end + 1, reader.line_num
+                if not cells:
+                    continue
                 if len(cells) > len(header):
-                    yield i, _Malformed(f"row has {len(cells)} cells but the header has {len(header)}")
+                    yield line_no, _Malformed(f"row has {len(cells)} cells but the header has {len(header)}")
                 else:
                     # A short row lacks the keys of its missing cells.
-                    yield i, dict(zip(header, cells))
+                    yield line_no, dict(zip(header, cells))
     else:
         with path.open(encoding="utf-8", errors=errors) as fh:
             for i, line in enumerate(fh, start=1):
@@ -242,23 +247,30 @@ def _strict_utf8(text: str) -> str:
     return text.encode("utf-8", "surrogateescape").decode("utf-8")
 
 
-def _iter_rows(path: Path) -> Iterator[tuple[int, dict | str | _Malformed | _Escaped]]:
+def _iter_rows(
+    path: Path, tabular: bool | None = None
+) -> Iterator[tuple[int, dict | str | _Malformed | _Escaped]]:
     """Yield (line_number, raw_row) from a CSV or JSON-lines file.
 
-    A CSV row arrives as a mapping and a JSON-lines row as its undecoded
-    text, so a malformed line fails inside the caller's per-row handling.
-    A file that fails its strict UTF-8 decode is read again with each bad
-    byte escaped, and the rows not yet yielded arrive as :class:`_Escaped`
-    for :func:`_row` to decode, so a bad byte costs only its own row.
+    ``tabular`` says whether the file is CSV; by default its suffix
+    decides. A CSV row arrives as a mapping and a JSON-lines row as its
+    undecoded text, so a malformed line fails inside the caller's per-row
+    handling. A file that fails its strict UTF-8 decode is read again with
+    each bad byte escaped, and the rows not yet yielded arrive as
+    :class:`_Escaped` for :func:`_row` to decode, so a bad byte costs only
+    its own row.
     """
-    yielded = 0
+    if tabular is None:
+        tabular = _is_csv(path)
+    last = 0  # line number of the last row yielded
     try:
-        for item in _read_rows(path, "strict"):
-            yield item
-            yielded += 1
+        for line_no, raw in _read_rows(path, tabular, "strict"):
+            yield line_no, raw
+            last = line_no
     except UnicodeDecodeError:
-        for line_no, raw in itertools.islice(_read_rows(path, "surrogateescape"), yielded, None):
-            yield line_no, _Escaped(raw)
+        for line_no, raw in _read_rows(path, tabular, "surrogateescape"):
+            if line_no > last:
+                yield line_no, _Escaped(raw)
 
 
 def _row(raw: dict | str | _Malformed | _Escaped) -> dict:
@@ -277,6 +289,26 @@ def _row(raw: dict | str | _Malformed | _Escaped) -> dict:
     if not isinstance(row, dict):
         raise ValueError(f"expected a JSON object, got {type(row).__name__}")
     return row
+
+
+_T = TypeVar("_T")
+
+
+def load_rows(path: str | Path, parse: Callable[[dict], _T], tabular: bool | None = None) -> Iterator[_T]:
+    """Each row of a file that must be well-formed, through ``parse``.
+
+    The file is CSV when ``tabular`` is true, JSON-lines when it is false,
+    and by default CSV exactly when its suffix is ``.csv``. The first row
+    that fails to parse raises :class:`ValidationError` naming the file
+    and line.
+    """
+    path = Path(path)
+    for line_no, raw in _iter_rows(path, tabular):
+        try:
+            value = parse(_row(raw))
+        except _ROW_ERRORS as exc:
+            raise ValidationError(f"{path.name}:{line_no}: {exc}") from exc
+        yield value
 
 
 def _opt_int(raw: object) -> int | None:
@@ -347,13 +379,7 @@ def load_registry(path: str | Path, attribute_key: str = "gender") -> list[Chann
     (the separator in dyad-type labels such as ``W-M``); the registry is
     the analysis universe, so it is loaded strictly rather than row-by-row.
     """
-    path = Path(path)
-    records: list[ChannelRecord] = []
-    for line_no, raw in _iter_rows(path):
-        try:
-            records.append(_registry_from_row(_row(raw)))
-        except _ROW_ERRORS as exc:
-            raise ValidationError(f"{path.name}:{line_no}: {exc}") from exc
+    records = list(load_rows(path, _registry_from_row))
 
     problems: list[str] = []
     id_owners: dict[str, str] = {}
@@ -618,8 +644,8 @@ def write_corpus(corpus: Corpus, directory: str | Path, fmt: str = "jsonl") -> d
 # Baselines
 
 
-def exact_median(values: Sequence[int]) -> Fraction:
-    """Median over exact integers; even counts take the rational midpoint."""
+def exact_median(values: Sequence[int] | Sequence[Fraction]) -> Fraction:
+    """Median over exact integers or fractions; even counts take the rational midpoint."""
     if not values:
         raise ValueError("median of empty sequence")
     ordered = sorted(values)

@@ -10,8 +10,6 @@ five-category schema.
 
 from __future__ import annotations
 
-import csv
-import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,21 +19,17 @@ from statistics import fmean, pstdev
 from typing import Collection, Iterable, Mapping, Protocol, Sequence
 
 from collabmetrics.collab import CollaborationDyad
-from collabmetrics.corpus import CommentRecord, Corpus
-from collabmetrics.errors import ConfigurationError, ValidationError
+from collabmetrics.corpus import CommentRecord, Corpus, load_rows
+from collabmetrics.errors import ConfigurationError
 
 __all__ = [
     "TOPIC_CATEGORIES",
-    "SentimentScore",
-    "TopicLabel",
     "DiscourseReport",
     "DiscourseRow",
     "SentimentScorer",
     "TopicClassifier",
     "LexiconSentimentScorer",
     "KeywordTopicClassifier",
-    "score_sentiment",
-    "tag_topic",
     "score_comments",
     "label_comments",
     "load_sentiment_lexicon",
@@ -81,18 +75,6 @@ def _tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True, slots=True)
-class SentimentScore:
-    comment_id: str
-    compound: float
-
-
-@dataclass(frozen=True, slots=True)
-class TopicLabel:
-    comment_id: str
-    label: str
-
-
 class SentimentScorer(Protocol):
     def score(self, text: str) -> float: ...
 
@@ -102,20 +84,24 @@ class TopicClassifier(Protocol):
 
 
 def load_sentiment_lexicon(path: str | Path) -> dict[str, float]:
-    """Load a (token, valence) CSV lexicon."""
-    lexicon: dict[str, float] = {}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            lexicon[row["token"].strip().lower()] = float(row["valence"])
-    return lexicon
+    """Load a (token, valence) CSV lexicon.
+
+    Raises :class:`ValidationError` naming the line of a malformed row.
+    """
+    return dict(
+        load_rows(path, lambda row: (row["token"].strip().lower(), float(row["valence"])), tabular=True)
+    )
 
 
 def load_topic_keywords(path: str | Path) -> dict[str, frozenset[str]]:
-    """Load a (category, token) CSV keyword table."""
+    """Load a (category, token) CSV keyword table.
+
+    Raises :class:`ValidationError` naming the line of a malformed row.
+    """
     table: dict[str, set[str]] = {}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            table.setdefault(row["category"].strip(), set()).add(row["token"].strip().lower())
+    pairs = load_rows(path, lambda row: (row["category"].strip(), row["token"].strip().lower()), tabular=True)
+    for category, token in pairs:
+        table.setdefault(category, set()).add(token)
     return {cat: frozenset(tokens) for cat, tokens in table.items()}
 
 
@@ -207,53 +193,30 @@ class KeywordTopicClassifier:
         return best
 
 
-def score_sentiment(text: str, scorer: SentimentScorer | None = None) -> float:
-    """Compound sentiment in (-1, 1) for one text (default bundled scorer)."""
-    return (scorer or _default_scorer()).score(text)
-
-
-def tag_topic(text: str, classifier: TopicClassifier | None = None) -> str:
-    """Topic label for one text (default bundled keyword classifier)."""
-    return (classifier or _default_classifier()).classify(text)
-
-
-@lru_cache(maxsize=1)
-def _default_scorer() -> LexiconSentimentScorer:
-    return LexiconSentimentScorer()
-
-
-@lru_cache(maxsize=1)
-def _default_classifier() -> KeywordTopicClassifier:
-    return KeywordTopicClassifier()
-
-
 def score_comments(
     comments: Iterable[CommentRecord], scorer: SentimentScorer | None = None
-) -> list[SentimentScore]:
-    scorer = scorer or _default_scorer()
-    return [SentimentScore(c.comment_id, scorer.score(c.text)) for c in comments]
+) -> list[float]:
+    """Compound sentiment of each comment, in comment order (default: bundled lexicon)."""
+    scorer = scorer or LexiconSentimentScorer()
+    return [scorer.score(c.text) for c in comments]
 
 
 def label_comments(
     comments: Iterable[CommentRecord], classifier: TopicClassifier | None = None
-) -> list[TopicLabel]:
-    classifier = classifier or _default_classifier()
-    return [TopicLabel(c.comment_id, classifier.classify(c.text)) for c in comments]
+) -> list[str]:
+    """Topic label of each comment, in comment order (default: bundled keywords)."""
+    classifier = classifier or KeywordTopicClassifier()
+    return [classifier.classify(c.text) for c in comments]
 
 
-def load_precomputed_labels(path: str | Path) -> list[TopicLabel]:
-    """Import externally computed topic labels (JSON-lines: comment_id, label)."""
-    labels: list[TopicLabel] = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                labels.append(TopicLabel(str(row["comment_id"]), str(row["label"])))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ValidationError(f"{Path(path).name}:{line_no}: {exc}") from exc
-    return labels
+def load_precomputed_labels(path: str | Path) -> dict[str, str]:
+    """Externally computed topic labels by comment id (JSON-lines: comment_id, label).
+
+    Raises :class:`ValidationError` naming the line of a malformed row.
+    """
+    return dict(
+        load_rows(path, lambda row: (str(row["comment_id"]), str(row["label"])), tabular=False)
+    )
 
 
 @dataclass(frozen=True)
@@ -291,28 +254,27 @@ def _make_row(group: str, scores: list[float], labels: list[str], categories: Se
 
 def aggregate_discourse(
     comments: Sequence[CommentRecord],
-    labels: Sequence[TopicLabel],
-    scores: Sequence[SentimentScore],
+    labels: Sequence[str],
+    scores: Sequence[float],
     dyads: Sequence[CollaborationDyad],
     corpus: Corpus,
     exclude_videos: Collection[str] = (),
 ) -> DiscourseReport:
     """Aggregate per-comment sentiment and topics by dyad type.
 
+    ``labels`` and ``scores`` hold one entry per comment, in comment order.
     Comments under a dyad's videos feed that dyad type; comments under
     videos in no dyad (and not in ``exclude_videos``, which callers use
     for multi-party collaboration videos) feed the non-collaboration
     baseline. Aggregation weights each comment equally. Dyad types with
     zero comments are omitted rather than zero-filled.
     """
-    label_by_id = {lab.comment_id: lab.label for lab in labels}
-    score_by_id = {sc.comment_id: sc.compound for sc in scores}
     dyad_type_of_video: dict[str, str] = {}
     for dyad in dyads:
         for video_id in dyad.videos:
             dyad_type_of_video[video_id] = dyad.dyad_type
 
-    observed = set(label_by_id.values())
+    observed = set(labels)
     categories = (
         TOPIC_CATEGORIES
         if observed <= set(TOPIC_CATEGORIES)
@@ -324,14 +286,7 @@ def aggregate_discourse(
     grouped_labels: dict[str, list[str]] = {}
     baseline_scores: list[float] = []
     baseline_labels: list[str] = []
-    for comment in comments:
-        try:
-            score = score_by_id[comment.comment_id]
-            label = label_by_id[comment.comment_id]
-        except KeyError:
-            raise ValidationError(
-                f"comment {comment.comment_id!r} lacks a sentiment score or topic label"
-            ) from None
+    for comment, score, label in zip(comments, scores, labels, strict=True):
         dyad_type = dyad_type_of_video.get(comment.video_id)
         if dyad_type is not None:
             grouped_scores.setdefault(dyad_type, []).append(score)

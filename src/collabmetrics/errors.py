@@ -13,10 +13,6 @@ class NoBaselineError(CollabMetricsError):
     """A channel has no videos left to compute a viewership baseline from."""
 
 
-class ZeroBaselineError(CollabMetricsError):
-    """A baseline of zero views makes the normalized contribution undefined."""
-
-
 class ConfigurationError(CollabMetricsError):
     """A component was configured inconsistently (e.g. topic schema without 'other')."""
 

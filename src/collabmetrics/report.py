@@ -39,7 +39,7 @@ from collabmetrics.corpus import (
     write_json,
     write_jsonl,
 )
-from collabmetrics.errors import CollabMetricsError
+from collabmetrics.errors import CollabMetricsError, ValidationError
 
 __all__ = ["RunConfig", "ReportBundle", "RunStageError", "CommunityPipeline", "run_report"]
 
@@ -99,14 +99,14 @@ class CommunityPipeline:
     Report artifacts and stage files read the results they show and so
     compute only what they need: writing the ``network`` files never
     scores a comment. ``scorer``, ``classifier`` and precomputed ``labels``
-    replace the bundled discourse defaults.
+    (topic label by comment id) replace the bundled discourse defaults.
     """
 
     corpus: Corpus
     config: RunConfig
     scorer: discourse.SentimentScorer | None = None
     classifier: discourse.TopicClassifier | None = None
-    labels: Sequence[discourse.TopicLabel] | None = None
+    labels: Mapping[str, str] | None = None
 
     @cached_property
     def partition(self) -> collab.VideoPartition:
@@ -170,9 +170,13 @@ class CommunityPipeline:
     def discourse_report(self) -> discourse.DiscourseReport:
         comments = self.corpus.comments
         scores = discourse.score_comments(comments, self.scorer)
-        labels = self.labels
-        if labels is None:
+        if self.labels is None:
             labels = discourse.label_comments(comments, self.classifier)
+        else:
+            try:
+                labels = [self.labels[c.comment_id] for c in comments]
+            except KeyError as exc:
+                raise ValidationError(f"comment {exc.args[0]!r} lacks a topic label") from None
         return discourse.aggregate_discourse(
             comments, labels, scores, self.dyads, self.corpus, exclude_videos=self.partition.multi_way
         )

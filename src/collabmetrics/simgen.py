@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
-from collabmetrics import collab, netmetrics, synergy
+from collabmetrics import report
 from collabmetrics.corpus import (
     ChannelRecord,
     CommentRecord,
@@ -619,22 +619,18 @@ class _Metrics:
 
 
 def compute_pipeline_metrics(corpus: Corpus, attribute_key: str = "gender") -> _Metrics:
-    """Run the production modules over a corpus and collect their numbers."""
-    partition = collab.partition_videos(corpus)
-    dyads, stats = collab.detect_collaborations(corpus, attribute_key, partition)
-    baselines = synergy.channel_baselines(corpus, partition, mode="solo")
-    synergies, _ = synergy.compute_synergies(dyads, corpus, baselines)
-    graph = netmetrics.build_collab_graph(dyads, corpus.registry)
-    centrality = netmetrics.closeness(graph)
-    attention = netmetrics.build_attention_graph(corpus.videos, corpus.comments)
-    entropy = netmetrics.commenter_entropy(attention)
+    """Collect the numbers the ``report`` pipeline computes for a corpus."""
+    config = report.RunConfig(community_dirs=(), out_dir="", attribute_key=attribute_key)
+    pipeline = report.CommunityPipeline(corpus, config)
+    synergies, _ = pipeline.synergies
+    stats = pipeline.stats
     return _Metrics(
-        baselines=dict(baselines),
+        baselines=dict(pipeline.baselines),
         shap2={(s.dyad.host, s.dyad.guest): (s.shap2_host, s.shap2_guest) for s in synergies},
         shapn={(s.dyad.host, s.dyad.guest): (s.shapn_host, s.shapn_guest) for s in synergies},
         share=(stats.total_videos, stats.two_way_videos, stats.multi_way_videos),
-        closeness=dict(centrality.closeness),
-        entropy=dict(entropy.entropy),
+        closeness=dict(pipeline.centrality.closeness),
+        entropy=dict(pipeline.entropy.entropy),
     )
 
 
@@ -823,16 +819,16 @@ def oracle_check(
     """
     pipeline = compute_pipeline_metrics(corpus, attribute_key)
     oracle = compute_oracle_metrics(corpus, attribute_key)
-    report = compare_metrics(pipeline, oracle)
+    result = compare_metrics(pipeline, oracle)
     if truth is not None:
         total, two, multi = pipeline.share
         measured = Fraction(two, two + multi) if (two + multi) else Fraction(0)
         if measured != truth.two_way_share:
-            report = OracleReport(
-                report.mismatches
+            result = OracleReport(
+                result.mismatches
                 + (Mismatch("two_way_share", "corpus", str(measured), str(truth.two_way_share)),),
-                report.checks + 1,
+                result.checks + 1,
             )
         else:
-            report = OracleReport(report.mismatches, report.checks + 1)
-    return report
+            result = OracleReport(result.mismatches, result.checks + 1)
+    return result

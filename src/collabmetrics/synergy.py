@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from collabmetrics.collab import CollaborationDyad, VideoPartition, partition_videos
-from collabmetrics.corpus import Corpus, VideoRecord, channel_baseline
-from collabmetrics.errors import NoBaselineError, ZeroBaselineError
+from collabmetrics.corpus import Corpus, VideoRecord, channel_baseline, exact_median
+from collabmetrics.errors import NoBaselineError
 
 __all__ = [
     "DyadSynergy",
@@ -115,49 +115,19 @@ class SynergyDiagnostics:
     zero_baseline: tuple[tuple[str, str], ...] = ()
 
 
-def _mean_views(
-    dyad: CollaborationDyad, videos: Mapping[str, VideoRecord]
-) -> Fraction:
-    total = sum(videos[vid].view_count for vid in dyad.videos)
-    return Fraction(total, len(dyad.videos))
-
-
-def _as_video_map(
-    videos: Mapping[str, VideoRecord] | Sequence[VideoRecord],
-) -> Mapping[str, VideoRecord]:
-    if isinstance(videos, Mapping):
-        return videos
-    return {v.video_id: v for v in videos}
-
-
 def dyad_synergy(
     dyad: CollaborationDyad,
-    videos: Mapping[str, VideoRecord] | Sequence[VideoRecord],
+    videos_by_id: Mapping[str, VideoRecord],
     baselines: Mapping[str, Fraction],
 ) -> DyadSynergy:
-    """Exact contributions for one dyad.
+    """Exact contributions for one dyad whose host and guest have baselines.
 
-    Raises :class:`ZeroBaselineError` when either baseline is zero, since
-    the normalized value divides by it; callers wanting the raw
-    contributions anyway use :func:`compute_synergies`, which retains them.
+    A zero baseline leaves the normalized contribution that divides by it
+    None; the raw contributions are always set.
     """
-    mean = _mean_views(dyad, _as_video_map(videos))
+    mean = Fraction(sum(videos_by_id[vid].view_count for vid in dyad.videos), len(dyad.videos))
     baseline_host = baselines[dyad.host]
     baseline_guest = baselines[dyad.guest]
-    if baseline_host == 0 or baseline_guest == 0:
-        raise ZeroBaselineError(
-            f"dyad ({dyad.host}, {dyad.guest}): zero baseline makes the "
-            "normalized contribution undefined"
-        )
-    return _build_synergy(dyad, mean, baseline_host, baseline_guest)
-
-
-def _build_synergy(
-    dyad: CollaborationDyad,
-    mean: Fraction,
-    baseline_host: Fraction,
-    baseline_guest: Fraction,
-) -> DyadSynergy:
     shap2_host = mean - baseline_guest
     shap2_guest = mean - baseline_host
     return DyadSynergy(
@@ -224,23 +194,17 @@ def compute_synergies(
             logger.info("skipping dyad (%s, %s): %s", dyad.host, dyad.guest, reason)
             skipped.append((dyad.host, dyad.guest, reason))
             continue
-        mean = _mean_views(dyad, videos)
-        baseline_host = baselines[dyad.host]
-        baseline_guest = baselines[dyad.guest]
-        if baseline_host == 0 or baseline_guest == 0:
+        syn = dyad_synergy(dyad, videos, baselines)
+        if syn.shapn_host is None or syn.shapn_guest is None:
             zeroed.append((dyad.host, dyad.guest))
-        out.append(_build_synergy(dyad, mean, baseline_host, baseline_guest))
+        out.append(syn)
     return out, SynergyDiagnostics(tuple(skipped), tuple(zeroed))
 
 
 def _central(values: list[Fraction], statistic: str) -> Fraction:
     if statistic == "mean":
         return sum(values, Fraction(0)) / len(values)
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
+    return exact_median(values)
 
 
 def aggregate_by_dyad_type(

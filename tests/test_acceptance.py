@@ -15,7 +15,7 @@ from fractions import Fraction
 from collabmetrics import collab, synergy
 from collabmetrics.collab import CollaborationDyad
 from collabmetrics.corpus import Corpus, build_corpus
-from collabmetrics.discourse import SentimentScore, TopicLabel, aggregate_discourse
+from collabmetrics.discourse import aggregate_discourse
 from collabmetrics.netmetrics import (
     AttentionGraph,
     CollabGraph,
@@ -308,8 +308,8 @@ def test_criterion_10_discourse_report_integrity():
     }
     report = aggregate_discourse(
         comments,
-        [TopicLabel(cid, lab) for cid, lab in labels_by_id.items()],
-        [SentimentScore(cid, s) for cid, s in injected_scores.items()],
+        [labels_by_id[c.comment_id] for c in comments],
+        [injected_scores[c.comment_id] for c in comments],
         dyads,
         corpus,
     )

@@ -441,3 +441,55 @@ def test_csv_cells_with_commas_are_quoted(tmp_path):
             assert {row[0] for row in rows} == {community}, path
     node_ids = {row[0] for row in read_csv(out / "network" / "node_metrics.csv")[1:]}
     assert node_ids == {f"{community}-c{i:03d}" for i in range(8)}
+
+
+def _comment_ids(corpus_dir):
+    lines = (corpus_dir / "comments.jsonl").read_text(encoding="utf-8").splitlines()
+    return [json.loads(line)["comment_id"] for line in lines]
+
+
+class TestDiscourseSideFiles:
+    """A bad lexicon, keyword table or labels file is a one-line error naming
+    the file and line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "option, name, text, message",
+        [
+            ("--sentiment-lexicon", "lex.csv", "token,valence\ngood,2.0\ngreat\n", "lex.csv:3: 'valence'"),
+            ("--topic-keywords", "kw.csv", "category,token\nfood,ramen\ngameplay\n", "kw.csv:3: 'token'"),
+            ("--labels", "labels.jsonl", '{"comment_id": "c1", "label": "food"}\n[1]\n',
+             "labels.jsonl:2: expected a JSON object, got list"),
+            ("--labels", "labels.jsonl", '{"comment_id": "c1"}\n', "labels.jsonl:1: 'label'"),
+            ("--topic-keywords", "kw.csv", "category,token\nmemes,lol\n",
+             "keyword categories outside schema: ['memes']"),
+        ],
+        ids=["lexicon-short-row", "keywords-short-row", "labels-not-object", "labels-no-label", "keywords-category"],
+    )
+    def test_bad_side_file_is_a_click_error(self, corpus_dir, tmp_path, option, name, text, message):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        result = run_cli("discourse", "--corpus", corpus_dir, option, path, "--out", tmp_path / "out")
+        assert result.exit_code == 1
+        assert result.output == f"Error: {message}\n"
+
+    def test_comment_without_label_is_a_click_error(self, corpus_dir, tmp_path):
+        first, *rest = _comment_ids(corpus_dir)
+        path = tmp_path / "labels.jsonl"
+        path.write_text("".join(json.dumps({"comment_id": c, "label": "food"}) + "\n" for c in rest), encoding="utf-8")
+        result = run_cli("discourse", "--corpus", corpus_dir, "--labels", path, "--out", tmp_path / "out")
+        assert result.exit_code == 1
+        assert result.output == f"Error: comment {first!r} lacks a topic label\n"
+
+    def test_labels_of_absent_comments_add_no_category(self, corpus_dir, tmp_path):
+        """Categories come from the labels of the corpus's own comments."""
+        rows = [{"comment_id": c, "label": "food"} for c in _comment_ids(corpus_dir)]
+        rows.append({"comment_id": "not-in-corpus", "label": "memes"})
+        path = tmp_path / "labels.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("discourse", "--corpus", corpus_dir, "--labels", path, "--out", out).exit_code == 0
+        header = (out / "discourse.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert header.endswith(",prop_gameplay,prop_environment,prop_food,prop_appearance,prop_other")
+        assert json.loads((out / "discourse.json").read_text(encoding="utf-8"))["categories"] == [
+            "gameplay", "environment", "food", "appearance", "other",
+        ]

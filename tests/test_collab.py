@@ -12,7 +12,6 @@ from collabmetrics.collab import (
     HandleIndex,
     classify_dyad,
     detect_collaborations,
-    extract_mentions,
     partition_videos,
 )
 from collabmetrics.corpus import build_corpus
@@ -31,44 +30,34 @@ def registry():
 
 
 class TestExtractMentions:
+    """Mention extraction: :meth:`HandleIndex.scan` gives the mentioned channel ids."""
+
     def test_at_prefixed_match(self, registry):
         video = make_video("v1", "OWNER", description="duo with @GuestChan!")
-        (hit,) = extract_mentions(video, registry)
-        assert hit.mentioned_channel_id == "GUEST"
-        assert hit.matched_handle == "guestchan"
-        start, end = hit.span
-        assert video.description[start:end] == "@GuestChan"
+        assert HandleIndex(registry).scan(video) == {"GUEST"}
 
     def test_word_boundary_blocks_substring(self, registry):
         video = make_video("v1", "OWNER", description="visit guestchannel.example")
-        assert extract_mentions(video, registry) == []
+        assert HandleIndex(registry).scan(video) == set()
 
     def test_self_mention_excluded(self, registry):
         video = make_video("v1", "OWNER", description="follow @ownerchan for more")
-        assert extract_mentions(video, registry) == []
+        assert HandleIndex(registry).scan(video) == set()
 
     def test_empty_description(self, registry):
-        assert extract_mentions(make_video("v1", "OWNER"), registry) == []
-
-    def test_hits_ordered_by_span(self, registry):
-        video = make_video("v1", "OWNER", description="@otherchan then @guestchan")
-        hits = extract_mentions(video, registry)
-        assert [h.mentioned_channel_id for h in hits] == ["OTHER", "GUEST"]
-        assert hits[0].span[0] < hits[1].span[0]
+        assert HandleIndex(registry).scan(make_video("v1", "OWNER")) == set()
 
     def test_bare_handle_matches(self, registry):
         video = make_video("v1", "OWNER", description="shoutout to guestchan.")
-        (hit,) = extract_mentions(video, registry)
-        assert hit.mentioned_channel_id == "GUEST"
-
-    def test_repeat_mentions_all_reported(self, registry):
-        video = make_video("v1", "OWNER", description="@guestchan and again @guestchan")
-        assert len(extract_mentions(video, registry)) == 2
+        assert HandleIndex(registry).scan(video) == {"GUEST"}
 
     def test_index_reuse_matches_direct_call(self, registry):
-        index = HandleIndex(registry)
-        video = make_video("v1", "OWNER", description="with @guestchan")
-        assert extract_mentions(video, index) == extract_mentions(video, registry)
+        videos = [
+            make_video("v1", "OWNER", description="with @guestchan"),
+            make_video("v2", "GUEST", description="@ownerchan and @otherchan", offset_hours=1),
+        ]
+        corpus = build_corpus(registry, videos, [])
+        assert partition_videos(corpus, HandleIndex(registry)) == partition_videos(corpus)
 
 
 class TestClassifyDyad:

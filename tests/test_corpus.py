@@ -24,7 +24,6 @@ from collabmetrics.corpus import (
     write_registry,
     write_videos,
 )
-from collabmetrics.discourse import SentimentScore, TopicLabel
 from collabmetrics.errors import ConfigurationError, NoBaselineError, ValidationError
 
 from .conftest import make_channel, make_comment, make_video
@@ -505,6 +504,53 @@ class TestCsvRowWidth:
         assert video.like_count is None and video.comment_count is None
 
 
+class TestCsvLineNumbers:
+    """A CSV record is numbered by its first physical line, past quoted
+    cells that hold newlines and past blank lines."""
+
+    _TWO_LINE_ROW = b'v0,A,2024-01-01T00:00:00Z,t,"first line\nsecond line",5,,\n'
+
+    def test_error_after_multiline_cell_and_blank_line(self, tmp_path):
+        path = tmp_path / "videos.csv"
+        path.write_bytes(
+            _VIDEO_CSV_HEADER.encode("utf-8")
+            + self._TWO_LINE_ROW  # lines 2-3
+            + b"\n"  # line 4
+            + b"v1,A,2024-01-01T00:00:00Z,t,d,-5,,\n"  # line 5
+        )
+        records, errors = load_videos(path, [make_channel("A", "a")])
+        assert [v.description for v in records] == ["first line\nsecond line"]
+        assert [(e.line, e.message) for e in errors] == [(5, "malformed row: negative view_count -5")]
+
+    def test_bad_byte_after_multiline_cell(self, tmp_path):
+        path = tmp_path / "videos.csv"
+        path.write_bytes(
+            _VIDEO_CSV_HEADER.encode("utf-8")
+            + self._TWO_LINE_ROW  # lines 2-3
+            + b"v1,A,2024-01-01T00:00:00Z,B\xffD,d,5,,\n"  # line 4
+            + b"\n"  # line 5
+            + b"v2,A,2024-01-01T00:00:00Z,t,d,-5,,\n"  # line 6
+        )
+        records, errors = load_videos(path, [make_channel("A", "a")])
+        assert [v.video_id for v in records] == ["v0"]
+        assert [e.line for e in errors] == [4, 6]
+        assert "can't decode byte 0xff" in errors[0].message
+
+    def test_escaped_reread_resumes_after_multiline_rows(self, tmp_path):
+        # Every row spans two lines and the bad byte lies several decode
+        # chunks in, so the re-read must skip exactly the rows handed out.
+        bad = 390
+        path = tmp_path / "comments.csv"
+        write_comments(
+            [make_comment(f"c{i:03d}", "v1", "u1", text=f"{'BAD' if i == bad else 'ok'}\nmore") for i in range(400)],
+            path,
+        )
+        path.write_bytes(path.read_bytes().replace(b"BAD", b"B\xffD"))
+        records, report = load_comments(path, [make_video("v1", "A")])
+        assert [e.line for e in report.errors] == [2 + 2 * bad]
+        assert [c.comment_id for c in records] == [f"c{i:03d}" for i in range(400) if i != bad]
+
+
 def test_streaming_load_at_realistic_scale(tmp_path):
     """13,471 rows (a real community-sized corpus) load cleanly and completely."""
     registry = [make_channel(f"C{i:02d}", f"h{i:02d}") for i in range(50)]
@@ -548,8 +594,6 @@ def test_cap_below_one_rejected(cap):
         make_channel("A", "a"),
         make_video("v1", "A"),
         make_comment("c1", "v1", "u1", "hi"),
-        SentimentScore("c1", 0.5),
-        TopicLabel("c1", "food"),
     ],
     ids=lambda record: type(record).__name__,
 )

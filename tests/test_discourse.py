@@ -22,8 +22,6 @@ from collabmetrics.discourse import (
     TOPIC_CATEGORIES,
     KeywordTopicClassifier,
     LexiconSentimentScorer,
-    SentimentScore,
-    TopicLabel,
     _tokenize,
     aggregate_discourse,
     label_comments,
@@ -31,12 +29,22 @@ from collabmetrics.discourse import (
     load_sentiment_lexicon,
     load_topic_keywords,
     score_comments,
-    score_sentiment,
-    tag_topic,
 )
 from collabmetrics.errors import ConfigurationError
 
 from .conftest import make_channel, make_comment, make_video
+
+
+def score_sentiment(text):
+    """Compound sentiment of one text under the default scorer of :func:`score_comments`."""
+    (score,) = score_comments([make_comment("c1", "v1", "u1", text)])
+    return score
+
+
+def tag_topic(text):
+    """Topic label of one text under the default classifier of :func:`label_comments`."""
+    (label,) = label_comments([make_comment("c1", "v1", "u1", text)])
+    return label
 
 
 class TestScorer:
@@ -134,8 +142,7 @@ class TestClassifier:
             {"comment_id": "c2", "label": "other"},
         ]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
-        labels = load_precomputed_labels(path)
-        assert labels == [TopicLabel("c1", "food"), TopicLabel("c2", "other")]
+        assert load_precomputed_labels(path) == {"c1": "food", "c2": "other"}
 
 
 class TestAggregate:
@@ -161,8 +168,8 @@ class TestAggregate:
 
     def _run(self, scores_by_id, labels_by_id, exclude=()):
         corpus, dyads = self._fixture()
-        scores = [SentimentScore(cid, s) for cid, s in scores_by_id.items()]
-        labels = [TopicLabel(cid, lab) for cid, lab in labels_by_id.items()]
+        scores = [scores_by_id[c.comment_id] for c in corpus.comments]
+        labels = [labels_by_id[c.comment_id] for c in corpus.comments]
         return aggregate_discourse(
             corpus.comments, labels, scores, dyads, corpus, exclude_videos=exclude
         )
@@ -206,12 +213,12 @@ class TestAggregate:
         corpus, dyads = self._fixture()
         dyads = dyads + [CollaborationDyad("B", "A", ("plain",), "W-M")]
         # no comments under any W-M video? c3 sits on 'plain' which is now W-M
-        scores = [SentimentScore(c.comment_id, 0.0) for c in corpus.comments]
-        labels = [TopicLabel(c.comment_id, "other") for c in corpus.comments]
+        scores = [0.0] * len(corpus.comments)
+        labels = ["other"] * len(corpus.comments)
         report = aggregate_discourse(corpus.comments, labels, scores, dyads, corpus)
         assert set(report.by_dyad_type) == {"M-M", "W-M"}
         report2 = aggregate_discourse(
-            [c for c in corpus.comments if c.comment_id != "c3"], labels, scores, dyads, corpus
+            [c for c in corpus.comments if c.comment_id != "c3"], labels[1:], scores[1:], dyads, corpus
         )
         assert set(report2.by_dyad_type) == {"M-M"}
 

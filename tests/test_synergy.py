@@ -4,13 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collabmetrics.collab import CollaborationDyad, detect_collaborations, partition_videos
 from collabmetrics.corpus import build_corpus
-from collabmetrics.errors import ZeroBaselineError
 from collabmetrics.synergy import (
     aggregate_by_dyad_type,
     channel_baselines,
@@ -52,8 +50,10 @@ class TestDyadSynergy:
     def test_zero_baseline_guarded(self):
         videos = video_map({"v1": 100})
         baselines = {"A": Fraction(250), "B": Fraction(0)}
-        with pytest.raises(ZeroBaselineError):
-            dyad_synergy(dyad(), videos, baselines)
+        syn = dyad_synergy(dyad(), videos, baselines)
+        assert (syn.shap2_host, syn.shap2_guest) == (100, -150)
+        assert syn.shapn_host is None and syn.lift_host is None
+        assert syn.shapn_guest == Fraction(-150, 250) - 1
 
     def test_lift_is_mean_over_baseline_minus_one(self):
         videos = video_map({"v1": 100, "v2": 200})
@@ -169,6 +169,11 @@ class TestAggregate:
             report = aggregate_by_dyad_type([syn], statistic=statistic)
             assert report.rows["M-W"].shapn_host == syn.shapn_host
             assert report.rows["M-W"].shapn_guest == syn.shapn_guest
+
+    def test_median_of_two_is_rational_midpoint(self):
+        synergies = [self._synergy("M-M", Fraction(1, 3)), self._synergy("M-M", Fraction(1, 2))]
+        median = aggregate_by_dyad_type(synergies).rows["M-M"].shapn_host
+        assert type(median) is Fraction and median == Fraction(5, 12)
 
     def test_mean_statistic(self):
         synergies = [self._synergy("M-M", 0), self._synergy("M-M", 1)]
