@@ -148,6 +148,8 @@ def discourse_cmd(
     out_dir: str,
 ) -> None:
     """Sentiment and topic aggregation by dyad type."""
+    if labels_path and topic_keywords:
+        raise click.UsageError("--labels and --topic-keywords are mutually exclusive: labels replace the classifier")
     scorer = classifier = labels = None
     try:
         if sentiment_lexicon:

@@ -566,10 +566,14 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable])
         writer.writerows(rows)
 
 
+# One encoder for all rows; ``json.dumps`` with these options builds one per call.
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True))
+            fh.write(_ROW_ENCODER.encode(row))
             fh.write("\n")
 
 

@@ -248,12 +248,23 @@ def run_report(config: RunConfig) -> ReportBundle:
         stage_status[stage] = "ok"
         return value
 
+    sources: dict[str, str] = {}  # community -> its corpus directory
+
+    def ingest(directory: str) -> Corpus:
+        corpus = _load(directory, config)
+        if corpus.community in sources:
+            raise ValidationError(
+                f"community {corpus.community!r} is in two corpus directories: "
+                f"{sources[corpus.community]} and {directory}"
+            )
+        sources[corpus.community] = directory
+        return corpus
+
     try:
         pipelines: list[CommunityPipeline] = []
         for directory in config.community_dirs:
-            corpus = run("ingest", lambda: _load(directory, config))
-            digests = {path.name: _digest(path) for path in corpus_files(directory).values()}
-            inputs.setdefault(corpus.community, {}).update(digests)
+            corpus = run("ingest", lambda: ingest(directory))
+            inputs[corpus.community] = {path.name: _digest(path) for path in corpus_files(directory).values()}
             pipelines.append(CommunityPipeline(corpus, config))
 
         for p in pipelines:

@@ -17,11 +17,12 @@ Floyd-Warshall shortest paths) used to cross-check pipeline output.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from collabmetrics import report
 from collabmetrics.corpus import (
@@ -75,6 +76,7 @@ _TOPIC_PHRASES = {
     "appearance": ("your hair", "that outfit", "the makeup", "your glasses", "that hoodie"),
     "other": ("this video", "the upload", "this one", "the edit"),
 }
+_TOPICS = tuple(sorted(_TOPIC_PHRASES))  # the order topic weights are drawn in
 _SOLO_DESCRIPTIONS = (
     "Solo session today, enjoy the run!",
     "Back again with another upload.",
@@ -247,12 +249,12 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
     multipliers = dict(spec.synergy_multipliers or {})
 
     type_videos = _apportion(n_two, propensity) if n_two and propensity else {}
-    pools = {
-        label: [cid for cid in channel_ids if label_of[cid] == label]
-        for label in label_counts
-    }
+    channel_labels = labels_arr.astype(str)
     host_capacity = spec.videos_per_channel - 1  # always keep >= 1 solo video
-    host_load: dict[str, int] = {cid: 0 for cid in channel_ids}
+    host_load = np.zeros(spec.n_channels, dtype=np.int64)  # by channel index
+    targets = np.array([baseline_targets[cid] for cid in channel_ids])
+    if type_videos:  # only pair weights take logs; a zero target is fine without pairs
+        log_targets = np.array([math.log(t) for t in targets.tolist()])
 
     dyad_plan: list[tuple[str, str, str, int]] = []  # (host, guest, dyad_type, n_videos)
     for dyad_type in sorted(type_videos):
@@ -260,10 +262,14 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
         if videos_wanted == 0:
             continue
         host_label, guest_label = _split_type(dyad_type)
-        hosts = pools.get(host_label, [])
-        guests = pools.get(guest_label, [])
-        pair_list = [(h, g) for h in hosts for g in guests if h != g]
-        ceiling = len(pair_list)
+        hosts = np.flatnonzero(channel_labels == host_label)
+        guests = np.flatnonzero(channel_labels == guest_label)
+        # ordered pairs (h, g), h != g, host-major, as channel indices
+        pair_host = np.repeat(hosts, len(guests))
+        pair_guest = np.tile(guests, len(hosts))
+        distinct = pair_host != pair_guest
+        pair_host, pair_guest = pair_host[distinct], pair_guest[distinct]
+        ceiling = len(pair_host)
         n_dyads = math.ceil(videos_wanted / spec.videos_per_dyad)
         if n_dyads > ceiling:
             raise InfeasibleSpecError(
@@ -274,23 +280,13 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
         base, extra = divmod(videos_wanted, n_dyads)
         loads = [base + 1] * extra + [base] * (n_dyads - extra)
         # pair weights: similar-popularity affinity plus host-popularity bias
-        gaps = np.array(
-            [abs(math.log(baseline_targets[h]) - math.log(baseline_targets[g])) for h, g in pair_list]
-        )
-        bias = np.array(
-            [
-                1.0 + spec.upstream_bias
-                if baseline_targets[h] < baseline_targets[g]
-                else (1.0 - spec.upstream_bias if baseline_targets[h] > baseline_targets[g] else 1.0)
-                for h, g in pair_list
-            ]
-        )
+        # (1 + bias for a less popular host, 1 - bias for a more popular one)
+        gaps = np.abs(log_targets[pair_host] - log_targets[pair_guest])
+        bias = 1.0 - spec.upstream_bias * np.sign(targets[pair_host] - targets[pair_guest])
         base_weights = np.exp(-4.0 * spec.pair_rank_affinity * gaps) * bias
-        available = np.ones(len(pair_list), dtype=bool)
+        available = np.ones(ceiling, dtype=bool)
         for load in loads:
-            eligible = available & np.array(
-                [host_load[h] + load <= host_capacity for h, _ in pair_list]
-            )
+            eligible = available & (host_load[pair_host] + load <= host_capacity)
             if not eligible.any():
                 raise InfeasibleSpecError(
                     f"dyad type {dyad_type}: hosts out of capacity "
@@ -301,11 +297,11 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
             if weights_sum <= 0:  # degenerate affinity weights; fall back to uniform
                 weights = eligible.astype(float)
                 weights_sum = weights.sum()
-            idx = int(rng_pairs.choice(len(pair_list), p=weights / weights_sum))
-            host, guest = pair_list[idx]
+            idx = int(rng_pairs.choice(ceiling, p=weights / weights_sum))
+            host, guest = int(pair_host[idx]), int(pair_guest[idx])
             available[idx] = False
             host_load[host] += load
-            dyad_plan.append((host, guest, dyad_type, load))
+            dyad_plan.append((channel_ids[host], channel_ids[guest], dyad_type, load))
 
     # --- multi-way plan -----------------------------------------------------
     multi_plan: list[tuple[str, str, str]] = []  # (host, guest1, guest2)
@@ -313,13 +309,14 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
         if spec.n_channels < 3:
             raise InfeasibleSpecError("multi-way collaborations need >= 3 channels")
         for _ in range(n_multi):
-            eligible_hosts = [cid for cid in channel_ids if host_load[cid] + 1 <= host_capacity]
-            if not eligible_hosts:
+            eligible_hosts = np.flatnonzero(host_load + 1 <= host_capacity)
+            if not len(eligible_hosts):
                 raise InfeasibleSpecError("hosts out of capacity for multi-way videos")
-            host = eligible_hosts[int(rng_pairs.integers(len(eligible_hosts)))]
-            others = [cid for cid in channel_ids if cid != host]
-            pick = rng_pairs.choice(len(others), size=2, replace=False)
-            multi_plan.append((host, others[int(pick[0])], others[int(pick[1])]))
+            host = int(eligible_hosts[int(rng_pairs.integers(len(eligible_hosts)))])
+            # guests are drawn among the other channels: index k skips the host
+            pick = rng_pairs.choice(spec.n_channels - 1, size=2, replace=False)
+            g1, g2 = (k + (k >= host) for k in map(int, pick))
+            multi_plan.append((channel_ids[host], channel_ids[g1], channel_ids[g2]))
             host_load[host] += 1
 
     # --- assemble videos ----------------------------------------------------
@@ -388,30 +385,31 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
         videos_of: dict[str, list[VideoRecord]] = {cid: [] for cid in channel_ids}
         for v in videos:
             videos_of[v.channel_id].append(v)
-        popularity = np.array([baseline_targets[cid] for cid in channel_ids])
-        popularity = popularity / popularity.sum()
+        popularity = targets / targets.sum()
+        home_cdf = _cdf(popularity)
+        away_cdfs: dict[int, list[float]] = {}  # home channel -> CDF without its own weight
+        text_draws: dict[str, tuple[list[float] | None, float]] = {}  # video bucket -> _text_draws
         lam = max(0.0, spec.comments_per_commenter - 1.0)
         comment_seq = 0
         for j in range(spec.audience_size):
             author = f"user{j:05d}"
-            home = int(rng_comments.choice(spec.n_channels, p=popularity))
+            home = bisect_right(home_cdf, rng_comments.random())
             n_comments = 1 + int(rng_comments.poisson(lam))
             for _ in range(n_comments):
                 if spec.n_channels > 1 and rng_comments.random() >= spec.loyalty:
-                    away = popularity.copy()
-                    away[home] = 0.0
-                    away = away / away.sum()
-                    target = int(rng_comments.choice(spec.n_channels, p=away))
+                    if home not in away_cdfs:
+                        away = popularity.copy()
+                        away[home] = 0.0
+                        away_cdfs[home] = _cdf(away / away.sum())
+                    target = bisect_right(away_cdfs[home], rng_comments.random())
                 else:
                     target = home
                 target_videos = videos_of[channel_ids[target]]
                 video = target_videos[int(rng_comments.integers(len(target_videos)))]
-                profile = (
-                    spec.discourse_profiles.get(video_bucket[video.video_id])
-                    or spec.discourse_profiles.get("baseline")
-                    or _NEUTRAL_PROFILE
-                )
-                text = _comment_text(profile, rng_text)
+                bucket = video_bucket[video.video_id]
+                if bucket not in text_draws:
+                    text_draws[bucket] = _text_draws(spec.discourse_profiles, bucket)
+                text = _comment_text(*text_draws[bucket], rng_text)
                 comments.append(
                     CommentRecord(
                         comment_id=f"{spec.community}-m{comment_seq:07d}",
@@ -447,17 +445,36 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
     return corpus, truth
 
 
-def _comment_text(profile: DiscourseProfile, rng: np.random.Generator) -> str:
+def _cdf(p: Sequence[float] | np.ndarray) -> list[float]:
+    """The cumulative table that ``Generator.choice(len(p), p=p)`` searches.
+
+    ``choice`` draws one ``random()`` u and returns
+    ``cdf.searchsorted(u, side="right")``, so ``bisect_right(_cdf(p),
+    rng.random())`` takes the same index from the same stream position.
+    """
+    import numpy as np
+
+    p = np.asarray(p, dtype=float)
+    if not (p >= 0).all():
+        raise ValueError("probabilities must be non-negative numbers")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _text_draws(profiles: Mapping[str, DiscourseProfile], bucket: str) -> tuple[list[float] | None, float]:
+    """A bucket's topic CDF over ``_TOPICS`` (None: no weight, always "other") and P(positive word)."""
+    profile = profiles.get(bucket) or profiles.get("baseline") or _NEUTRAL_PROFILE
     weights = {t: max(0.0, profile.topic_weights.get(t, 0.0)) for t in _TOPIC_PHRASES}
     total = sum(weights.values())
-    if total == 0:
-        topic = "other"
-    else:
-        names = sorted(weights)
-        p = [weights[n] / total for n in names]
-        topic = names[int(rng.choice(len(names), p=p))]
-    phrase = _TOPIC_PHRASES[topic][int(rng.integers(len(_TOPIC_PHRASES[topic])))]
+    topic_cdf = _cdf([weights[t] / total for t in _TOPICS]) if total != 0 else None
     p_positive = (1.0 + max(-1.0, min(1.0, profile.mean_sentiment))) / 2.0
+    return topic_cdf, p_positive
+
+
+def _comment_text(topic_cdf: list[float] | None, p_positive: float, rng: np.random.Generator) -> str:
+    topic = "other" if topic_cdf is None else _TOPICS[bisect_right(topic_cdf, rng.random())]
+    phrase = _TOPIC_PHRASES[topic][int(rng.integers(len(_TOPIC_PHRASES[topic])))]
     if rng.random() < p_positive:
         word = _POSITIVE_WORDS[int(rng.integers(len(_POSITIVE_WORDS)))]
     else:

@@ -198,6 +198,27 @@ class TestRunReport:
         )
         assert result.exit_code == 1
 
+    def test_duplicate_community_fails_ingest(self, corpus_dir, tmp_path):
+        """Two directories of one community would share one manifest entry
+        and give two indistinguishable rows in every table."""
+        import shutil
+
+        copy = tmp_path / "copy"
+        shutil.copytree(corpus_dir, copy)
+        with (copy / "comments.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write('{"comment_id": "orphan", "video_id": "nowhere", "author_id": "u", "text": "hi", '
+                     '"published_at": "2024-01-01T00:00:00Z"}\n')
+        out = tmp_path / "rep"
+        result = CliRunner().invoke(main, ["report", "--corpus", str(corpus_dir), "--corpus", str(copy),
+                                           "--out", str(out)])
+        assert result.exit_code == 1
+        message = f"community 'minigame' is in two corpus directories: {corpus_dir} and {copy}"
+        assert message in result.output
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert stages["ingest"] == f"failed: {message}"
+        assert stages["collabs"] == "not-run"
+        assert not (out / "shares.csv").exists()
+
     def test_rerun_byte_identical(self, corpus_dir, tmp_path):
         out = tmp_path / "rep"
         config = RunConfig(
@@ -471,6 +492,20 @@ class TestDiscourseSideFiles:
         result = run_cli("discourse", "--corpus", corpus_dir, option, path, "--out", tmp_path / "out")
         assert result.exit_code == 1
         assert result.output == f"Error: {message}\n"
+
+    def test_labels_with_topic_keywords_is_a_usage_error(self, corpus_dir, tmp_path):
+        """Labels replace the classifier, so a keywords file beside them was
+        once ignored unread, even one that fails on its own."""
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text("".join(json.dumps({"comment_id": c, "label": "food"}) + "\n"
+                                  for c in _comment_ids(corpus_dir)), encoding="utf-8")
+        keywords = tmp_path / "kw.csv"
+        keywords.write_text("category,token\nmemes,lol\n", encoding="utf-8")
+        result = run_cli("discourse", "--corpus", corpus_dir, "--labels", labels, "--topic-keywords", keywords,
+                         "--out", tmp_path / "out")
+        assert result.exit_code == 2
+        assert "--labels and --topic-keywords are mutually exclusive" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_comment_without_label_is_a_click_error(self, corpus_dir, tmp_path):
         first, *rest = _comment_ids(corpus_dir)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collabmetrics import collab
 from collabmetrics.corpus import attribute_histogram, write_corpus
@@ -13,6 +16,7 @@ from collabmetrics.errors import InfeasibleSpecError
 from collabmetrics.simgen import (
     CommunitySpec,
     DiscourseProfile,
+    _cdf,
     compare_metrics,
     compute_oracle_metrics,
     compute_pipeline_metrics,
@@ -184,6 +188,36 @@ class TestGenerate:
             median = views[len(views) // 2]
             target = truth.baseline_targets[channel_id]
             assert 0.5 * target <= median <= 2.0 * target
+
+
+class TestWeightedDraw:
+    """``bisect_right(_cdf(p), rng.random())`` is ``Generator.choice(n, p=p)``:
+    same index, same stream position, for the installed numpy."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e6)), min_size=1, max_size=12
+        ).filter(any),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(weights=[0.0, 0.0, 3.5, 0.0], seed=0)  # a single nonzero weight
+    @example(weights=[0.0, 2.0], seed=7)  # a leading zero weight
+    def test_cached_cdf_draw_matches_choice(self, weights, seed):
+        w = np.array(weights)
+        p = w / w.sum()
+        cdf = _cdf(p)
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            index = bisect_right(cdf, ours.random())
+            assert index == int(numpys.choice(len(w), p=p))
+            assert w[index] > 0
+        assert ours.random() == numpys.random()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_zero_popularity_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            generate(small_spec(viewership_scale=0, collab_rate=0.0))
 
 
 class TestOracle:
