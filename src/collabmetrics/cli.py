@@ -17,14 +17,7 @@ from pathlib import Path
 import click
 
 from collabmetrics import __version__, discourse, report, simgen
-from collabmetrics.corpus import (
-    attribute_histogram,
-    corpus_files,
-    load_comments,
-    load_corpus_dir,
-    load_registry,
-    load_videos,
-)
+from collabmetrics.corpus import attribute_histogram, load_corpus_dir
 from collabmetrics.errors import CollabMetricsError
 
 _CONTEXT = {"auto_envvar_prefix": "COLLABMETRICS", "help_option_names": ["-h", "--help"]}
@@ -34,16 +27,21 @@ def _echo_json(payload) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
 
 
+def _load(corpus_dir: str, attribute_key: str):
+    """:func:`load_corpus_dir`, with a failure as a one-line error."""
+    try:
+        return load_corpus_dir(corpus_dir, attribute_key=attribute_key)
+    except (CollabMetricsError, FileNotFoundError) as exc:
+        raise click.ClickException(str(exc)) from exc
+
+
 def _run_stage(write, corpus_dir: str, attribute_key: str, out_dir: str, *inputs, **settings) -> None:
     """Print the summary of ``write``, one stage's file writer, run on one corpus.
 
     ``inputs`` are the pipeline's discourse scorer, classifier and labels;
     ``settings`` are :class:`RunConfig` fields.
     """
-    try:
-        corpus = load_corpus_dir(corpus_dir, attribute_key=attribute_key)
-    except (CollabMetricsError, FileNotFoundError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    corpus, _ = _load(corpus_dir, attribute_key)
     config = report.RunConfig(community_dirs=(corpus_dir,), out_dir=out_dir, attribute_key=attribute_key, **settings)
     pipeline = report.CommunityPipeline(corpus, config, *inputs)
     Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -69,25 +67,17 @@ def main(verbose: bool) -> None:
 @click.option("--corpus", "corpus_dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--attribute-key", default="gender", show_default=True)
 def ingest(corpus_dir: str, attribute_key: str) -> None:
-    """Load and validate a corpus directory; print a summary with error counts."""
-    try:
-        files = corpus_files(corpus_dir)
-        registry = load_registry(files["registry"], attribute_key=attribute_key)
-    except (CollabMetricsError, FileNotFoundError) as exc:
-        raise click.ClickException(str(exc)) from exc
-    videos, video_errors = load_videos(files["videos"], registry)
-    comments, comment_report = load_comments(files["comments"], videos)
-    histogram = attribute_histogram(registry, attribute_key)
+    """Load and validate a corpus directory as ``report`` does; print a summary with drop counts."""
+    corpus, dropped = _load(corpus_dir, attribute_key)
+    histogram = attribute_histogram(corpus.registry, attribute_key)
     _echo_json(
         {
-            "community": registry[0].community if registry else "",
-            "channels": len(registry),
-            "videos": len(videos),
-            "comments": len(comments),
+            "community": corpus.community,
+            "channels": len(corpus.registry),
+            "videos": len(corpus.videos),
+            "comments": len(corpus.comments),
             "attribute_histogram": dict(sorted(histogram.items())),
-            "video_row_errors": len(video_errors),
-            "comment_row_errors": len(comment_report.errors),
-            "orphan_comments": len(comment_report.orphans),
+            **dropped,
         }
     )
 

@@ -122,9 +122,9 @@ def classify_dyad(
     return f"{parts[0]}-{parts[1]}"
 
 
-def partition_videos(corpus: Corpus, index: HandleIndex | None = None) -> VideoPartition:
+def partition_videos(corpus: Corpus) -> VideoPartition:
     """Split videos into two-way, multi-way, and plain by distinct mentions."""
-    index = index or HandleIndex(corpus.registry)
+    index = HandleIndex(corpus.registry)
     two_way: dict[str, str] = {}
     multi_way: set[str] = set()
     plain: set[str] = set()

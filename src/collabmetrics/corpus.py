@@ -192,122 +192,104 @@ def _is_csv(path: Path) -> bool:
 
 
 # Raised by a malformed row (OverflowError: int() of a JSON-lines Infinity;
-# ValueError also covers UnicodeDecodeError).
-_ROW_ERRORS = (KeyError, ValueError, TypeError, OverflowError)
+# ValueError also covers UnicodeDecodeError and bad JSON).
+_ROW_ERRORS = (KeyError, ValueError, TypeError, OverflowError, csv.Error)
+
+_T = TypeVar("_T")
 
 
-def _read_rows(path: Path, tabular: bool, errors: str) -> Iterator[tuple[int, dict | str | _Malformed]]:
-    if tabular:
-        with path.open(newline="", encoding="utf-8", errors=errors) as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            end = reader.line_num  # physical lines read so far
-            for cells in reader:
-                # A record is numbered by its first physical line: a quoted
-                # cell may hold newlines, and a blank line holds no record.
-                line_no, end = end + 1, reader.line_num
-                if not cells:
-                    continue
-                if len(cells) > len(header):
-                    yield line_no, _Malformed(f"row has {len(cells)} cells but the header has {len(header)}")
-                else:
-                    # A short row lacks the keys of its missing cells.
-                    yield line_no, dict(zip(header, cells))
-    else:
-        with path.open(encoding="utf-8", errors=errors) as fh:
-            for i, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                yield i, line
+def _csv_records(lines: Iterator[str]) -> Iterator[tuple[int, list[str] | csv.Error]]:
+    """Each CSV record with its first physical line; one that ``csv`` cannot read is its error.
+
+    A quoted cell may hold newlines, so a record can span several lines; a
+    blank line holds no record.
+    """
+    reader = csv.reader(lines)
+    end = 0  # physical lines read so far
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            record = exc  # the reader resumes at the next line
+        line_no, end = end + 1, reader.line_num
+        if record:
+            yield line_no, record
 
 
-@dataclass(frozen=True, slots=True)
-class _Malformed:
-    """A raw row already known to be malformed, for :func:`_row` to reject."""
+def _rows(
+    path: Path, parse: Callable[[dict], _T], tabular: bool | None = None
+) -> Iterator[tuple[int, _T | Exception]]:
+    """Yield ``(line, parse(row))`` for each good row of a file and ``(line, error)`` for each bad one.
 
-    reason: str
-
-
-@dataclass(frozen=True, slots=True)
-class _Escaped:
-    """A raw row read with ``surrogateescape``: each undecodable byte is a lone surrogate."""
-
-    raw: dict | str | _Malformed
-
-    def decode(self) -> dict | str | _Malformed:
-        """The row decoded strictly; raises ``UnicodeDecodeError`` at its first bad byte."""
-        if isinstance(self.raw, str):
-            return _strict_utf8(self.raw)
-        if isinstance(self.raw, _Malformed):
-            return self.raw
-        return {_strict_utf8(k): _strict_utf8(v) for k, v in self.raw.items()}
-
-
-def _strict_utf8(text: str) -> str:
-    return text.encode("utf-8", "surrogateescape").decode("utf-8")
-
-
-def _iter_rows(
-    path: Path, tabular: bool | None = None
-) -> Iterator[tuple[int, dict | str | _Malformed | _Escaped]]:
-    """Yield (line_number, raw_row) from a CSV or JSON-lines file.
-
-    ``tabular`` says whether the file is CSV; by default its suffix
-    decides. A CSV row arrives as a mapping and a JSON-lines row as its
-    undecoded text, so a malformed line fails inside the caller's per-row
-    handling. A file that fails its strict UTF-8 decode is read again with
-    each bad byte escaped, and the rows not yet yielded arrive as
-    :class:`_Escaped` for :func:`_row` to decode, so a bad byte costs only
-    its own row.
+    The file is CSV when ``tabular`` is true, JSON-lines when it is false,
+    and by default CSV exactly when its suffix is ``.csv``. It is read once.
+    A physical line holding a byte that is not UTF-8 makes its row a
+    ``UnicodeDecodeError``. Bad JSON, a CSV record that ``csv`` cannot read
+    or that has more cells than its header, and a row that ``parse``
+    rejects are that row's error. A CSV row is numbered by its first
+    physical line, and a short one lacks the keys of its missing cells.
     """
     if tabular is None:
         tabular = _is_csv(path)
-    last = 0  # line number of the last row yielded
-    try:
-        for line_no, raw in _read_rows(path, tabular, "strict"):
-            yield line_no, raw
-            last = line_no
-    except UnicodeDecodeError:
-        for line_no, raw in _read_rows(path, tabular, "surrogateescape"):
-            if line_no > last:
-                yield line_no, _Escaped(raw)
+    bad: list[UnicodeDecodeError] = []  # one per undecodable line of the record being read
 
+    def checked(lines: Iterable[str]) -> Iterator[str]:
+        for line in lines:
+            # An undecodable byte was read as a lone surrogate, the one character that fails to encode.
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    try:  # decoding the line's bytes again names its first bad byte
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        bad.append(exc)
+            yield line
 
-def _row(raw: dict | str | _Malformed | _Escaped) -> dict:
-    """The mapping behind one raw row.
-
-    Raises ``ValueError`` for bad JSON, bad UTF-8 or a CSV row with more
-    cells than its header.
-    """
-    if isinstance(raw, dict):
-        return raw
-    if isinstance(raw, _Malformed):
-        raise ValueError(raw.reason)
-    if isinstance(raw, _Escaped):
-        return _row(raw.decode())
-    row = json.loads(raw)
-    if not isinstance(row, dict):
-        raise ValueError(f"expected a JSON object, got {type(row).__name__}")
-    return row
-
-
-_T = TypeVar("_T")
+    with path.open(encoding="utf-8", errors="surrogateescape", newline="" if tabular else None) as fh:
+        if tabular:
+            records = _csv_records(checked(fh))
+            _, header = next(records, (0, []))
+            if bad:  # no row can be read against this header
+                header = bad[0]
+                bad.clear()
+        else:
+            records = ((i, text) for i, text in enumerate(checked(fh), 1) if text.strip())
+        for line_no, raw in records:
+            try:
+                if bad:
+                    raise bad[0]
+                if isinstance(raw, str):
+                    row = json.loads(raw)
+                    if not isinstance(row, dict):
+                        raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+                elif isinstance(raw, Exception):
+                    raise raw
+                elif isinstance(header, Exception):
+                    raise ValueError(f"header: {header}")
+                elif len(raw) > len(header):
+                    raise ValueError(f"row has {len(raw)} cells but the header has {len(header)}")
+                else:
+                    row = dict(zip(header, raw))
+                value = parse(row)
+            except _ROW_ERRORS as exc:
+                value = exc
+            bad.clear()
+            yield line_no, value
 
 
 def load_rows(path: str | Path, parse: Callable[[dict], _T], tabular: bool | None = None) -> Iterator[_T]:
     """Each row of a file that must be well-formed, through ``parse``.
 
-    The file is CSV when ``tabular`` is true, JSON-lines when it is false,
-    and by default CSV exactly when its suffix is ``.csv``. The first row
-    that fails to parse raises :class:`ValidationError` naming the file
-    and line.
+    The file is read as :func:`_rows` reads it. The first bad row raises
+    :class:`ValidationError` naming the file and line.
     """
     path = Path(path)
-    for line_no, raw in _iter_rows(path, tabular):
-        try:
-            value = parse(_row(raw))
-        except _ROW_ERRORS as exc:
-            raise ValidationError(f"{path.name}:{line_no}: {exc}") from exc
+    for line_no, value in _rows(path, parse, tabular):
+        if isinstance(value, Exception):
+            raise ValidationError(f"{path.name}:{line_no}: {value}") from value
         yield value
 
 
@@ -422,20 +404,16 @@ def load_videos(
     records: list[VideoRecord] = []
     errors: list[RowError] = []
     seen: set[str] = set()
-    for line_no, raw in _iter_rows(path):
-        try:
-            rec = _video_from_row(_row(raw))
-        except _ROW_ERRORS as exc:
-            errors.append(RowError(line_no, f"malformed row: {exc}"))
-            continue
-        if rec.channel_id not in known:
+    for line_no, rec in _rows(path, _video_from_row):
+        if isinstance(rec, Exception):
+            errors.append(RowError(line_no, f"malformed row: {rec}"))
+        elif rec.channel_id not in known:
             errors.append(RowError(line_no, f"unknown channel_id {rec.channel_id!r}"))
-            continue
-        if rec.video_id in seen:
+        elif rec.video_id in seen:
             errors.append(RowError(line_no, f"duplicate video_id {rec.video_id!r}"))
-            continue
-        seen.add(rec.video_id)
-        records.append(rec)
+        else:
+            seen.add(rec.video_id)
+            records.append(rec)
     records.sort(key=lambda v: (v.channel_id, v.published_at))
     return records, errors
 
@@ -455,20 +433,14 @@ def load_comments(
     orphans: list[CommentRecord] = []
     errors: list[RowError] = []
     seen: set[str] = set()
-    for line_no, raw in _iter_rows(path):
-        try:
-            rec = _comment_from_row(_row(raw))
-        except _ROW_ERRORS as exc:
-            errors.append(RowError(line_no, f"malformed row: {exc}"))
-            continue
-        if rec.comment_id in seen:
+    for line_no, rec in _rows(path, _comment_from_row):
+        if isinstance(rec, Exception):
+            errors.append(RowError(line_no, f"malformed row: {rec}"))
+        elif rec.comment_id in seen:
             errors.append(RowError(line_no, f"duplicate comment_id {rec.comment_id!r}"))
-            continue
-        seen.add(rec.comment_id)
-        if rec.video_id not in known:
-            orphans.append(rec)
-            continue
-        records.append(rec)
+        else:
+            seen.add(rec.comment_id)
+            (records if rec.video_id in known else orphans).append(rec)
     return records, CommentLoadReport(tuple(orphans), tuple(errors))
 
 
@@ -490,11 +462,12 @@ def corpus_files(directory: str | Path) -> dict[str, Path]:
     return {stem: find(stem) for stem in ("registry", "videos", "comments")}
 
 
-def load_corpus_dir(directory: str | Path, attribute_key: str = "gender") -> Corpus:
-    """Load the :func:`corpus_files` of one directory.
+def load_corpus_dir(directory: str | Path, attribute_key: str = "gender") -> tuple[Corpus, dict[str, int]]:
+    """Load the :func:`corpus_files` of one directory, with the rows it dropped.
 
-    Row errors are tolerated (the accepted subset is analyzed); registry
-    problems raise.
+    Row errors are tolerated (the accepted subset is analyzed) and counted
+    as ``video_row_errors``, ``comment_row_errors`` and ``orphan_comments``;
+    registry problems raise.
     """
     files = corpus_files(directory)
     registry = load_registry(files["registry"], attribute_key=attribute_key)
@@ -509,7 +482,12 @@ def load_corpus_dir(directory: str | Path, attribute_key: str = "gender") -> Cor
             len(comment_report.errors),
             len(comment_report.orphans),
         )
-    return build_corpus(registry, videos, comments)
+    dropped = {
+        "video_row_errors": len(video_errors),
+        "comment_row_errors": len(comment_report.errors),
+        "orphan_comments": len(comment_report.orphans),
+    }
+    return build_corpus(registry, videos, comments), dropped
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The supply side is an undirected collaboration graph over creators; the
 demand side is a commenter-to-creator bipartite attention graph. Closeness
-centrality uses the component-scaled convention: for a node in a component
-of size k within an n-node graph,
+centrality has one convention, the component-scaled one that networkx's
+``wf_improved`` closeness also uses: for a node in a component of size k
+within an n-node graph,
 
     closeness = ((k - 1) / (n - 1)) * ((k - 1) / sum_of_distances)
 
@@ -162,39 +163,12 @@ def _reach(neighbours: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     return reach, dist_sum
 
 
-def _component(neighbours: Sequence[Sequence[int]], start: int) -> set[int]:
-    """The node indices in the component of ``start``."""
-    found = {start}
-    stack = [start]
-    while stack:
-        for u in neighbours[stack.pop()]:
-            if u not in found:
-                found.add(u)
-                stack.append(u)
-    return found
-
-
-def closeness(
-    graph: CollabGraph,
-    attributes: Mapping[str, str] | None = None,
-    convention: str = "component-scaled",
-) -> CentralitySummary:
-    """Closeness per node, optionally grouped by attribute.
+def closeness(graph: CollabGraph, attributes: Mapping[str, str] | None = None) -> CentralitySummary:
+    """Closeness per node by the module's component-scaled formula, optionally grouped by attribute.
 
     Shortest paths are unweighted (edge weights are collaboration counts,
     metadata only). Values lie in [0, 1]; isolated nodes score 0.
-
-    ``convention`` selects the disconnected-graph treatment:
-
-    * ``"component-scaled"`` (default): the formula in the module
-      docstring, which down-weights small components.
-    * ``"largest-component"``: classic closeness ``(k - 1) / sum_d``
-      computed only inside the largest component; all other nodes
-      score 0. Among equally large components, the one holding the
-      smallest node id counts.
     """
-    if convention not in ("component-scaled", "largest-component"):
-        raise ValueError(f"unknown closeness convention {convention!r}")
     nodes = sorted(graph.nodes)
     n = len(nodes)
     index = {node: i for i, node in enumerate(nodes)}
@@ -203,17 +177,11 @@ def closeness(
         neighbours[index[a]].append(index[b])
         neighbours[index[b]].append(index[a])
     reach, dist_sum = _reach(neighbours)
-    in_scope: set[int] | None = None
-    if convention == "largest-component" and nodes:
-        # reach is the component size; index() takes the smallest node id.
-        in_scope = _component(neighbours, reach.index(max(reach)))
     values: dict[str, float] = {}
     for i, node in enumerate(nodes):
         k, total = reach[i], dist_sum[i]
-        if n <= 1 or k <= 1 or total == 0 or (in_scope is not None and i not in in_scope):
+        if n <= 1 or k <= 1 or total == 0:
             values[node] = 0.0
-        elif in_scope is not None:
-            values[node] = (k - 1) / total
         else:
             values[node] = ((k - 1) / (n - 1)) * ((k - 1) / total)
     by_attribute: dict[str, AttributeCentrality] = {}

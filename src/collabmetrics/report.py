@@ -210,7 +210,7 @@ def format_compact(value: float | Fraction | None) -> str:
 
 
 def _load(directory: str, config: RunConfig) -> Corpus:
-    corpus = load_corpus_dir(directory, attribute_key=config.attribute_key)
+    corpus, _ = load_corpus_dir(directory, attribute_key=config.attribute_key)
     if config.max_videos_per_channel is None:
         return corpus
     videos = cap_videos_per_channel(corpus.videos, config.max_videos_per_channel)

@@ -147,6 +147,8 @@ class CommunitySpec:
             raise InfeasibleSpecError("collab_rate must lie in [0, 1]")
         if not 0.0 <= self.two_way_share <= 1.0:
             raise InfeasibleSpecError("two_way_share must lie in [0, 1]")
+        if not self.viewership_scale > 0:
+            raise InfeasibleSpecError("viewership_scale must be positive")
         if self.videos_per_channel < 1 or self.videos_per_dyad < 1:
             raise InfeasibleSpecError("videos_per_channel and videos_per_dyad must be >= 1")
         if self.synergy_multipliers and any(m <= 0 for m in self.synergy_multipliers.values()):

@@ -87,6 +87,21 @@ class TestSubcommands:
         assert payload["video_row_errors"] == 2
         assert payload["comment_row_errors"] == 1
 
+    def test_ingest_validates_as_report_does(self, corpus_dir, tmp_path):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(corpus_dir, broken)
+        rows = [json.loads(line) for line in (broken / "registry.jsonl").read_text(encoding="utf-8").splitlines()]
+        rows[-1]["community"] = "othergame"
+        (broken / "registry.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        message = "registry spans multiple communities: ['minigame', 'othergame']"
+        result = run_cli("ingest", "--corpus", broken)
+        assert result.exit_code == 1
+        assert result.output == f"Error: {message}\n"
+        with pytest.raises(RunStageError, match=r"stage 'ingest' failed: registry spans multiple communities"):
+            run_report(RunConfig(community_dirs=(str(broken),), out_dir=str(tmp_path / "rep")))
+
     def test_undecodable_bytes_are_row_errors(self, corpus_dir, tmp_path):
         import shutil
 
@@ -137,6 +152,16 @@ class TestSubcommands:
     def test_simulate_unknown_spec_fails_cleanly(self, tmp_path):
         result = CliRunner().invoke(main, ["simulate", "--preset", "custom", "--out", str(tmp_path)])
         assert result.exit_code != 0
+
+    def test_simulate_zero_viewership_scale_is_a_one_line_error(self, tmp_path):
+        spec = tmp_path / "s.json"
+        spec.write_text(
+            json.dumps({"community": "g", "n_channels": 4, "attribute_ratios": {"M": 1}, "viewership_scale": 0}),
+            encoding="utf-8",
+        )
+        result = run_cli("simulate", "--preset", "custom", "--spec", spec, "--out", tmp_path / "out")
+        assert result.exit_code == 1
+        assert result.output == "Error: viewership_scale must be positive\n"
 
     def test_report_cli(self, corpus_dir, tmp_path):
         result = run_cli("report", "--corpus", corpus_dir, "--out", tmp_path / "rep")
@@ -483,8 +508,11 @@ class TestDiscourseSideFiles:
             ("--labels", "labels.jsonl", '{"comment_id": "c1"}\n', "labels.jsonl:1: 'label'"),
             ("--topic-keywords", "kw.csv", "category,token\nmemes,lol\n",
              "keyword categories outside schema: ['memes']"),
+            ("--sentiment-lexicon", "lex.csv", "token,valence\ngood,2.0\n\"" + "x" * (csv.field_size_limit() + 1),
+             f"lex.csv:3: field larger than field limit ({csv.field_size_limit()})"),
         ],
-        ids=["lexicon-short-row", "keywords-short-row", "labels-not-object", "labels-no-label", "keywords-category"],
+        ids=["lexicon-short-row", "keywords-short-row", "labels-not-object", "labels-no-label", "keywords-category",
+             "lexicon-runaway-quote"],
     )
     def test_bad_side_file_is_a_click_error(self, corpus_dir, tmp_path, option, name, text, message):
         path = tmp_path / name

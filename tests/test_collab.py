@@ -51,14 +51,6 @@ class TestExtractMentions:
         video = make_video("v1", "OWNER", description="shoutout to guestchan.")
         assert HandleIndex(registry).scan(video) == {"GUEST"}
 
-    def test_index_reuse_matches_direct_call(self, registry):
-        videos = [
-            make_video("v1", "OWNER", description="with @guestchan"),
-            make_video("v2", "GUEST", description="@ownerchan and @otherchan", offset_hours=1),
-        ]
-        corpus = build_corpus(registry, videos, [])
-        assert partition_videos(corpus, HandleIndex(registry)) == partition_videos(corpus)
-
 
 class TestClassifyDyad:
     def test_host_attribute_first(self, registry):

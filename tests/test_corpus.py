@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from collabmetrics.corpus import (
     ChannelRecord,
+    RowError,
     cap_videos_per_channel,
     channel_baseline,
     exact_median,
@@ -370,22 +373,44 @@ _VIDEO_HEADER = ["video_id", "channel_id", "published_at", "title", "view_count"
 _COMMENT_HEADER = ["comment_id", "video_id", "author_id", "text", "published_at", "like_count"]
 
 
+# Stand-ins longer than any ``_junk`` text, replaced in the written bytes by
+# a byte that is not UTF-8 and by a CSV cell whose opening quote never
+# closes within the field size limit (a ``csv.Error``: its physical line is
+# one bad row, and reading resumes on the next line).
+_BAD_BYTE = "<bad 0xff byte>"
+_RUNAWAY_QUOTE = "<runaway quote>"
+
+
 def _fuzz_file(draw, path, rows, header):
     """Write ``rows`` to ``path`` with damage; returns the number of data rows."""
+    damage = st.sampled_from([None, None, _BAD_BYTE, _RUNAWAY_QUOTE])
     if path.suffix == ".csv":
         cut_rows = []
         for row in rows:
             cells = [str(row.get(k, "")) for k in header] + draw(st.lists(st.just("extra"), max_size=1))
-            cut_rows.append(cells[: draw(st.integers(min_value=1, max_value=len(cells)))])
+            cells = cells[: draw(st.integers(min_value=1, max_value=len(cells)))]
+            kind = draw(damage)
+            if kind == _BAD_BYTE:
+                cells[-1] += _BAD_BYTE
+            elif kind == _RUNAWAY_QUOTE:
+                cells = [_RUNAWAY_QUOTE]
+            cut_rows.append(cells)
         write_csv(path, header, cut_rows)
-        return len(rows)
-    lines = []
-    for row in rows:
-        value = draw(st.one_of(st.just(row), st.lists(st.integers(), max_size=2), st.integers(), st.none()))
-        text = json.dumps(value)
-        lines.append(text[: draw(st.one_of(st.none(), st.integers(min_value=1, max_value=len(text))))])
-    path.write_text("\n".join(lines + [""]) + "\n", encoding="utf-8")
-    return len(lines)
+    else:
+        lines = []
+        for row in rows:
+            value = draw(st.one_of(st.just(row), st.lists(st.integers(), max_size=2), st.integers(), st.none()))
+            text = json.dumps(value)
+            text = text[: draw(st.one_of(st.none(), st.integers(min_value=1, max_value=len(text))))]
+            kind = draw(damage)
+            if kind is not None:
+                at = draw(st.integers(min_value=0, max_value=len(text)))
+                text = text[:at] + (_BAD_BYTE if kind == _BAD_BYTE else '"') + text[at:]
+            lines.append(text)
+        path.write_text("\n".join(lines + [""]) + "\n", encoding="utf-8")
+    runaway = b'"' + b"x" * (csv.field_size_limit() + 1)
+    path.write_bytes(path.read_bytes().replace(_BAD_BYTE.encode(), b"\xff").replace(_RUNAWAY_QUOTE.encode(), runaway))
+    return len(rows)
 
 
 class TestRowConservation:
@@ -549,6 +574,57 @@ class TestCsvLineNumbers:
         records, report = load_comments(path, [make_video("v1", "A")])
         assert [e.line for e in report.errors] == [2 + 2 * bad]
         assert [c.comment_id for c in records] == [f"c{i:03d}" for i in range(400) if i != bad]
+
+
+class TestCsvReadErrors:
+    """A record that ``csv`` cannot read (here an opening quote that runs
+    past the field size limit) is one bad row, and reading resumes on the
+    next line."""
+
+    _RUNAWAY = b'"' + b"x" * (csv.field_size_limit() + 1) + b"\n"
+    _MESSAGE = f"field larger than field limit ({csv.field_size_limit()})"
+
+    def test_video_row(self, tmp_path):
+        path = tmp_path / "videos.csv"
+        path.write_bytes(
+            _VIDEO_CSV_HEADER.encode("utf-8")
+            + b"v0,A,2024-01-01T00:00:00Z," + self._RUNAWAY
+            + b"v1,A,2024-01-01T00:00:00Z,t,d,5,,\n"
+        )
+        records, errors = load_videos(path, [make_channel("A", "a")])
+        assert [v.video_id for v in records] == ["v1"]
+        assert errors == [RowError(2, f"malformed row: {self._MESSAGE}")]
+
+    def test_comment_row(self, tmp_path):
+        path = tmp_path / "comments.csv"
+        path.write_bytes(
+            _COMMENT_CSV_HEADER.encode("utf-8")
+            + b"c0,v1,u1,hi,2024-01-01T00:00:00Z,3\n"
+            + b"c1,v1,u1," + self._RUNAWAY
+            + b"c2,v1,u1,hi,2024-01-01T00:00:00Z,3\n"
+        )
+        records, report = load_comments(path, [make_video("v1", "A")])
+        assert [c.comment_id for c in records] == ["c0", "c2"]
+        assert report.errors == (RowError(3, f"malformed row: {self._MESSAGE}"),)
+
+    def test_registry_names_the_line(self, tmp_path):
+        path = tmp_path / "registry.csv"
+        path.write_bytes(_REGISTRY_CSV_HEADER.encode("utf-8") + b"A,a,Alpha,g,W\nB,b," + self._RUNAWAY)
+        with pytest.raises(ValidationError, match=rf"^registry\.csv:3: {re.escape(self._MESSAGE)}$"):
+            load_registry(path)
+
+    def test_bad_header_makes_every_row_bad(self, tmp_path):
+        path = tmp_path / "comments.csv"
+        path.write_bytes(
+            b"comment_id,video_id,author_id,te\xffxt,published_at,like_count\n"
+            + b"c0,v1,u1,hi,2024-01-01T00:00:00Z,3\n"
+            + b"c1,v1,u1,hi,2024-01-01T00:00:00Z,3\n"
+        )
+        records, report = load_comments(path, [make_video("v1", "A")])
+        assert records == []
+        assert [e.line for e in report.errors] == [2, 3]
+        prefix = "malformed row: header: 'utf-8' codec can't decode byte 0xff"
+        assert all(e.message.startswith(prefix) for e in report.errors)
 
 
 def test_streaming_load_at_realistic_scale(tmp_path):

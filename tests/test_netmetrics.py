@@ -51,32 +51,17 @@ def bfs_distances(adj, source):
     return dist
 
 
-def reference_closeness(graph, convention="component-scaled"):
+def reference_closeness(graph):
     """Closeness from one dict BFS per node: the reference for ``closeness``."""
     adj = graph.adjacency()
     n = len(graph.nodes)
-    in_scope = None
-    if convention == "largest-component":
-        remaining = set(graph.nodes)
-        largest = set()
-        while remaining:
-            component = set(bfs_distances(adj, min(remaining)))
-            remaining -= component
-            if len(component) > len(largest):
-                largest = component
-        in_scope = largest
     values = {}
     for node in sorted(graph.nodes):
-        if in_scope is not None and node not in in_scope:
-            values[node] = 0.0
-            continue
         dist = bfs_distances(adj, node)
         k = len(dist)
         total = sum(dist.values())
         if n <= 1 or k <= 1 or total == 0:
             values[node] = 0.0
-        elif in_scope is not None:
-            values[node] = (k - 1) / total
         else:
             values[node] = ((k - 1) / (n - 1)) * ((k - 1) / total)
     return values
@@ -165,18 +150,6 @@ class TestCloseness:
             sorted([summary.closeness["A"], summary.closeness["B"]])
         )
 
-    def test_largest_component_convention(self):
-        # A-B-C path plus D-E pair: largest component gets classic closeness
-        graph = graph_from_edges("ABCDE", [("A", "B"), ("B", "C"), ("D", "E")])
-        summary = closeness(graph, convention="largest-component")
-        assert summary.closeness["B"] == pytest.approx(2 / 2)
-        assert summary.closeness["A"] == pytest.approx(2 / 3)
-        assert summary.closeness["D"] == 0.0 and summary.closeness["E"] == 0.0
-
-    def test_unknown_convention_rejected(self):
-        with pytest.raises(ValueError):
-            closeness(graph_from_edges("AB", [("A", "B")]), convention="weird")
-
     def test_relabeling_invariance(self):
         rnd = random.Random(7)
         nodes = [f"n{i}" for i in range(9)]
@@ -218,15 +191,13 @@ class TestCloseness:
     @given(graph=sparse_graphs(), block=st.sampled_from([1, 3, 64, netmetrics._SOURCE_BLOCK]))
     @example(graph=graph_from_edges([], []), block=64)
     @example(graph=graph_from_edges(["A"], []), block=64)
-    @example(  # two equal 3-node paths; the second holds the smallest id
+    @example(  # two 3-node components, BFS run in blocks of two sources
         graph=graph_from_edges("abcdef", [("b", "c"), ("c", "d"), ("a", "e"), ("e", "f")]), block=2
     )
     def test_equals_per_source_bfs(self, graph, block):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(netmetrics, "_SOURCE_BLOCK", block)
-            for convention in ("component-scaled", "largest-component"):
-                expected = reference_closeness(graph, convention)
-                assert closeness(graph, convention=convention).closeness == expected
+            assert closeness(graph).closeness == reference_closeness(graph)
 
     def test_matches_networkx_wf_improved(self):
         nx = pytest.importorskip("networkx")

@@ -214,10 +214,14 @@ class TestWeightedDraw:
             assert w[index] > 0
         assert ours.random() == numpys.random()
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_zero_popularity_is_rejected(self):
+        for scale in (0, -5):
+            with pytest.raises(InfeasibleSpecError, match="viewership_scale must be positive"):
+                generate(small_spec(viewership_scale=scale, collab_rate=0.0))
+
+    def test_negative_probability_is_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            generate(small_spec(viewership_scale=0, collab_rate=0.0))
+            _cdf([-1.0, 2.0])
 
 
 class TestOracle:
