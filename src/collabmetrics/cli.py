@@ -28,7 +28,10 @@ def _echo_json(payload) -> None:
 
 
 def _load(corpus_dir: str, attribute_key: str):
-    """:func:`load_corpus_dir`, with a failure as a one-line error."""
+    """:func:`load_corpus_dir`, with a failure as a one-line error.
+
+    Returns the corpus, its drop counts and its files' digests.
+    """
     try:
         return load_corpus_dir(corpus_dir, attribute_key=attribute_key)
     except (CollabMetricsError, FileNotFoundError) as exc:
@@ -41,7 +44,7 @@ def _run_stage(write, corpus_dir: str, attribute_key: str, out_dir: str, *inputs
     ``inputs`` are the pipeline's discourse scorer, classifier and labels;
     ``settings`` are :class:`RunConfig` fields.
     """
-    corpus, _ = _load(corpus_dir, attribute_key)
+    corpus, _, _ = _load(corpus_dir, attribute_key)
     config = report.RunConfig(community_dirs=(corpus_dir,), out_dir=out_dir, attribute_key=attribute_key, **settings)
     pipeline = report.CommunityPipeline(corpus, config, *inputs)
     Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -68,7 +71,7 @@ def main(verbose: bool) -> None:
 @click.option("--attribute-key", default="gender", show_default=True)
 def ingest(corpus_dir: str, attribute_key: str) -> None:
     """Load and validate a corpus directory as ``report`` does; print a summary with drop counts."""
-    corpus, dropped = _load(corpus_dir, attribute_key)
+    corpus, dropped, _ = _load(corpus_dir, attribute_key)
     histogram = attribute_histogram(corpus.registry, attribute_key)
     _echo_json(
         {

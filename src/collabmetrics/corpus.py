@@ -9,12 +9,15 @@ validated, immutable, and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -64,6 +67,13 @@ def normalize_handle(handle: str) -> str:
 
 def _parse_timestamp(value: str) -> datetime:
     """Parse an ISO-8601 timestamp; naive values are taken as UTC."""
+    try:  # the common case, already in UTC: the parser hands back ``timezone.utc`` itself
+        dt = datetime.fromisoformat(value)
+    except ValueError:
+        pass
+    else:
+        if dt.tzinfo is timezone.utc:
+            return dt
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -218,14 +228,50 @@ def _csv_records(lines: Iterator[str]) -> Iterator[tuple[int, list[str] | csv.Er
             yield line_no, record
 
 
+class _HashingReader(io.RawIOBase):
+    """A binary file that feeds every byte read from it to ``sha256``."""
+
+    def __init__(self, path: Path, sha256) -> None:
+        self._raw = path.open("rb", buffering=0)
+        self._sha256 = sha256
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int | None:
+        n = self._raw.readinto(buffer)
+        if n:
+            self._sha256.update(memoryview(buffer)[:n])
+        return n
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
+_decode_json = json.JSONDecoder().raw_decode
+
+
+def _json_row(line: str) -> object:
+    """``json.loads(line)``, without its whitespace scans when the line is one JSON value and its newline."""
+    try:
+        value, end = _decode_json(line)
+    except ValueError:
+        return json.loads(line)
+    if line[end:] not in ("\n", ""):
+        return json.loads(line)  # whitespace or extra data after the value
+    return value
+
+
 def _rows(
-    path: Path, parse: Callable[[dict], _T], tabular: bool | None = None
+    path: Path, parse: Callable[[dict], _T], tabular: bool | None = None, sha256=None
 ) -> Iterator[tuple[int, _T | Exception]]:
     """Yield ``(line, parse(row))`` for each good row of a file and ``(line, error)`` for each bad one.
 
     The file is CSV when ``tabular`` is true, JSON-lines when it is false,
-    and by default CSV exactly when its suffix is ``.csv``. It is read once.
-    A physical line holding a byte that is not UTF-8 makes its row a
+    and by default CSV exactly when its suffix is ``.csv``. It is opened and
+    read once; a ``hashlib`` object ``sha256`` is fed its bytes as they are
+    read. A physical line holding a byte that is not UTF-8 makes its row a
     ``UnicodeDecodeError``. Bad JSON, a CSV record that ``csv`` cannot read
     or that has more cells than its header, and a row that ``parse``
     rejects are that row's error. A CSV row is numbered by its first
@@ -248,7 +294,8 @@ def _rows(
                         bad.append(exc)
             yield line
 
-    with path.open(encoding="utf-8", errors="surrogateescape", newline="" if tabular else None) as fh:
+    binary = path.open("rb") if sha256 is None else io.BufferedReader(_HashingReader(path, sha256))
+    with io.TextIOWrapper(binary, encoding="utf-8", errors="surrogateescape", newline="" if tabular else None) as fh:
         if tabular:
             records = _csv_records(checked(fh))
             _, header = next(records, (0, []))
@@ -262,7 +309,7 @@ def _rows(
                 if bad:
                     raise bad[0]
                 if isinstance(raw, str):
-                    row = json.loads(raw)
+                    row = _json_row(raw)
                     if not isinstance(row, dict):
                         raise ValueError(f"expected a JSON object, got {type(row).__name__}")
                 elif isinstance(raw, Exception):
@@ -280,14 +327,16 @@ def _rows(
             yield line_no, value
 
 
-def load_rows(path: str | Path, parse: Callable[[dict], _T], tabular: bool | None = None) -> Iterator[_T]:
+def load_rows(
+    path: str | Path, parse: Callable[[dict], _T], tabular: bool | None = None, sha256=None
+) -> Iterator[_T]:
     """Each row of a file that must be well-formed, through ``parse``.
 
-    The file is read as :func:`_rows` reads it. The first bad row raises
-    :class:`ValidationError` naming the file and line.
+    The file is read (and ``sha256`` fed) as :func:`_rows` reads it. The
+    first bad row raises :class:`ValidationError` naming the file and line.
     """
     path = Path(path)
-    for line_no, value in _rows(path, parse, tabular):
+    for line_no, value in _rows(path, parse, tabular, sha256):
         if isinstance(value, Exception):
             raise ValidationError(f"{path.name}:{line_no}: {value}") from value
         yield value
@@ -299,13 +348,20 @@ def _opt_int(raw: object) -> int | None:
     return int(raw)
 
 
+def _text(value: object, what: str) -> str:
+    """``value`` itself if it is a string; a JSON-lines row may hold any JSON value."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} {value!r} is not a string")
+    return value
+
+
 def _registry_from_row(row: Mapping[str, object]) -> ChannelRecord:
     if "handles" in row and isinstance(row["handles"], str):
         handles = tuple(
             normalize_handle(h) for h in str(row["handles"]).split(_HANDLE_SEP) if h.strip()
         )
     else:
-        handles = tuple(normalize_handle(h) for h in row.get("handles", ()))  # type: ignore[arg-type]
+        handles = tuple(normalize_handle(_text(h, "handle")) for h in row.get("handles", ()))  # type: ignore[union-attr]
     if not handles:
         raise ValueError("channel has no handles")
     attributes = row.get("attributes")
@@ -316,18 +372,21 @@ def _registry_from_row(row: Mapping[str, object]) -> ChannelRecord:
         channel_id=str(row["channel_id"]),
         handles=handles,
         display_name=str(row.get("display_name", "")),
-        attributes=dict(attributes),  # type: ignore[arg-type]
+        attributes={k: _text(v, f"attribute {k!r} value") for k, v in dict(attributes).items()},  # type: ignore[call-overload]
         community=str(row.get("community", "")),
     )
 
 
-def _video_from_row(row: Mapping[str, object]) -> VideoRecord:
+def _video_from_row(channels: dict[str, str], row: Mapping[str, object]) -> VideoRecord:
+    """A video whose ``channel_id``, when ``channels`` holds it, is that one string."""
     view_count = int(row["view_count"])  # type: ignore[arg-type]
     if view_count < 0:
         raise ValueError(f"negative view_count {view_count}")
+    video_id = str(row["video_id"])
+    channel_id = str(row["channel_id"])
     return VideoRecord(
-        video_id=str(row["video_id"]),
-        channel_id=str(row["channel_id"]),
+        video_id=video_id,
+        channel_id=channels.get(channel_id, channel_id),
         published_at=_parse_timestamp(str(row["published_at"])),
         title=str(row.get("title", "")),
         description=str(row.get("description", "")),
@@ -337,11 +396,18 @@ def _video_from_row(row: Mapping[str, object]) -> VideoRecord:
     )
 
 
-def _comment_from_row(row: Mapping[str, object]) -> CommentRecord:
+def _comment_from_row(
+    videos: dict[str, str], authors: dict[str, str], row: Mapping[str, object]
+) -> CommentRecord:
+    """A comment whose ids share strings: the ``video_id`` that ``videos`` holds, and the
+    first equal ``author_id``, which ``authors`` collects."""
+    comment_id = str(row["comment_id"])
+    video_id = str(row["video_id"])
+    author_id = str(row["author_id"])
     return CommentRecord(
-        comment_id=str(row["comment_id"]),
-        video_id=str(row["video_id"]),
-        author_id=str(row["author_id"]),
+        comment_id=comment_id,
+        video_id=videos.get(video_id, video_id),
+        author_id=authors.setdefault(author_id, author_id),
         text=str(row.get("text", "")),
         published_at=_parse_timestamp(str(row["published_at"])),
         like_count=_opt_int(row.get("like_count")),
@@ -352,7 +418,7 @@ def _comment_from_row(row: Mapping[str, object]) -> CommentRecord:
 # Loaders
 
 
-def load_registry(path: str | Path, attribute_key: str = "gender") -> list[ChannelRecord]:
+def load_registry(path: str | Path, attribute_key: str = "gender", sha256=None) -> list[ChannelRecord]:
     """Load and validate the channel registry.
 
     Handle normalization is applied on load. Raises :class:`ValidationError`
@@ -360,8 +426,9 @@ def load_registry(path: str | Path, attribute_key: str = "gender") -> list[Chann
     handles, or a dyad-typing attribute that is missing or contains ``-``
     (the separator in dyad-type labels such as ``W-M``); the registry is
     the analysis universe, so it is loaded strictly rather than row-by-row.
+    A ``hashlib`` object ``sha256`` is fed the file's bytes as they are read.
     """
-    records = list(load_rows(path, _registry_from_row))
+    records = list(load_rows(path, _registry_from_row, sha256=sha256))
 
     problems: list[str] = []
     id_owners: dict[str, str] = {}
@@ -390,21 +457,22 @@ def load_registry(path: str | Path, attribute_key: str = "gender") -> list[Chann
 
 
 def load_videos(
-    path: str | Path, registry: Sequence[ChannelRecord]
+    path: str | Path, registry: Sequence[ChannelRecord], sha256=None
 ) -> tuple[list[VideoRecord], list[RowError]]:
     """Load videos, keeping well-formed rows and collecting the rest.
 
     Rows with an unknown channel, a duplicate video id, a negative view
     count, or a parse failure are diverted into the per-row error report
     instead of aborting the load. Returns records sorted by
-    ``(channel_id, published_at)``.
+    ``(channel_id, published_at)``; each record's ``channel_id`` is its
+    registry record's string. ``sha256`` is fed the file's bytes.
     """
     path = Path(path)
-    known = {ch.channel_id for ch in registry}
+    known = {ch.channel_id: ch.channel_id for ch in registry}
     records: list[VideoRecord] = []
     errors: list[RowError] = []
     seen: set[str] = set()
-    for line_no, rec in _rows(path, _video_from_row):
+    for line_no, rec in _rows(path, partial(_video_from_row, known), sha256=sha256):
         if isinstance(rec, Exception):
             errors.append(RowError(line_no, f"malformed row: {rec}"))
         elif rec.channel_id not in known:
@@ -419,21 +487,25 @@ def load_videos(
 
 
 def load_comments(
-    path: str | Path, videos: Sequence[VideoRecord]
+    path: str | Path, videos: Sequence[VideoRecord], sha256=None
 ) -> tuple[list[CommentRecord], CommentLoadReport]:
     """Load comments line by line (the corpus can be millions of rows).
 
     Comments pointing at an unknown video are diverted to the orphan
     report; malformed rows and duplicate comment ids go to the error
-    report. Well-formed, referentially valid rows are always kept.
+    report. Well-formed, referentially valid rows are always kept. A kept
+    comment's ``video_id`` is its video record's string, and equal
+    ``author_id`` values are one string, so a comment keeps only the bytes
+    of its own id, text and time. ``sha256`` is fed the file's bytes.
     """
     path = Path(path)
-    known = {v.video_id for v in videos}
+    known = {v.video_id: v.video_id for v in videos}
     records: list[CommentRecord] = []
     orphans: list[CommentRecord] = []
     errors: list[RowError] = []
     seen: set[str] = set()
-    for line_no, rec in _rows(path, _comment_from_row):
+    authors: dict[str, str] = {}
+    for line_no, rec in _rows(path, partial(_comment_from_row, known, authors), sha256=sha256):
         if isinstance(rec, Exception):
             errors.append(RowError(line_no, f"malformed row: {rec}"))
         elif rec.comment_id in seen:
@@ -462,17 +534,21 @@ def corpus_files(directory: str | Path) -> dict[str, Path]:
     return {stem: find(stem) for stem in ("registry", "videos", "comments")}
 
 
-def load_corpus_dir(directory: str | Path, attribute_key: str = "gender") -> tuple[Corpus, dict[str, int]]:
-    """Load the :func:`corpus_files` of one directory, with the rows it dropped.
+def load_corpus_dir(
+    directory: str | Path, attribute_key: str = "gender"
+) -> tuple[Corpus, dict[str, int], dict[str, str]]:
+    """Load the :func:`corpus_files` of one directory, with the rows it dropped and the files' digests.
 
     Row errors are tolerated (the accepted subset is analyzed) and counted
     as ``video_row_errors``, ``comment_row_errors`` and ``orphan_comments``;
-    registry problems raise.
+    registry problems raise. The digests are the hex SHA-256 of each
+    file's bytes, by file name, taken as the file is loaded.
     """
     files = corpus_files(directory)
-    registry = load_registry(files["registry"], attribute_key=attribute_key)
-    videos, video_errors = load_videos(files["videos"], registry)
-    comments, comment_report = load_comments(files["comments"], videos)
+    hashes = {stem: hashlib.sha256() for stem in files}
+    registry = load_registry(files["registry"], attribute_key=attribute_key, sha256=hashes["registry"])
+    videos, video_errors = load_videos(files["videos"], registry, sha256=hashes["videos"])
+    comments, comment_report = load_comments(files["comments"], videos, sha256=hashes["comments"])
     if video_errors:
         logger.warning("%s: dropped %d malformed video row(s)", directory, len(video_errors))
     if comment_report.errors or comment_report.orphans:
@@ -487,7 +563,8 @@ def load_corpus_dir(directory: str | Path, attribute_key: str = "gender") -> tup
         "comment_row_errors": len(comment_report.errors),
         "orphan_comments": len(comment_report.orphans),
     }
-    return build_corpus(registry, videos, comments), dropped
+    digests = {files[stem].name: h.hexdigest() for stem, h in hashes.items()}
+    return build_corpus(registry, videos, comments), dropped, digests
 
 
 # ---------------------------------------------------------------------------

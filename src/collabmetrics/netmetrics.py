@@ -16,7 +16,10 @@ about levels * 2m * n / 64 word operations. The reach counts and distance
 sums are exact integers, so the floats equal those of a per-source BFS.
 
 Commenter diversity is Shannon entropy in bits over the commenter's
-distribution of comments across channels.
+distribution of comments across channels. It is one fold over the
+attention graph's sorted ``(author, channel)`` keys, which visits each
+commenter's channels in order without a per-commenter mapping, so its
+transient memory is one list of key references.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from statistics import median
 from typing import Iterable, Mapping, Sequence
 
@@ -76,12 +81,6 @@ class AttentionGraph:
     commenters: frozenset[str]
     channels: frozenset[str]
     weights: Mapping[tuple[str, str], int]  # (author_id, channel_id) -> comments
-
-    def commenter_weights(self) -> dict[str, dict[str, int]]:
-        out: dict[str, dict[str, int]] = {c: {} for c in self.commenters}
-        for (author, channel), w in self.weights.items():
-            out[author][channel] = w
-        return out
 
 
 @dataclass(frozen=True)
@@ -220,12 +219,12 @@ def build_attention_graph(
         weights[key] = weights.get(key, 0) + 1
         totals[comment.author_id] = totals.get(comment.author_id, 0) + 1
     if min_comments > 1:
-        keep = {a for a, t in totals.items() if t >= min_comments}
+        keep = frozenset(a for a, t in totals.items() if t >= min_comments)
         weights = {k: w for k, w in weights.items() if k[0] in keep}
     else:
-        keep = set(totals)
+        keep = frozenset(totals)
     return AttentionGraph(
-        commenters=frozenset(keep),
+        commenters=keep,
         channels=frozenset(ch for _, ch in weights),
         weights=weights,
     )
@@ -238,22 +237,22 @@ def commenter_entropy(attention: AttentionGraph) -> EntropyDistribution:
     with the 0 log 0 := 0 convention. A commenter loyal to one channel
     scores exactly 0.
     """
-    per_commenter = attention.commenter_weights()
+    weights = attention.weights
     entropy: dict[str, float] = {}
-    for author in sorted(per_commenter):
-        channel_weights = per_commenter[author]
-        total = sum(channel_weights.values())
+    for author, keys in groupby(sorted(weights), key=itemgetter(0)):
+        counts = [weights[key] for key in keys]
+        total = sum(counts)
         if total == 0:
             continue
         h = 0.0
-        for channel in sorted(channel_weights):
-            w = channel_weights[channel]
+        for w in counts:
             if w == 0:
                 continue
             p = w / total
             h -= p * math.log2(p)
         entropy[author] = max(h, 0.0)
     return EntropyDistribution(entropy=entropy)
+
 
 
 def entropy_cdf(

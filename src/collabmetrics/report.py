@@ -20,7 +20,6 @@ round to three significant decimals; CSV and JSON carry full precision.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +32,6 @@ from collabmetrics import __version__, collab, discourse, netmetrics, synergy
 from collabmetrics.corpus import (
     Corpus,
     cap_videos_per_channel,
-    corpus_files,
     load_corpus_dir,
     write_csv,
     write_json,
@@ -182,14 +180,6 @@ class CommunityPipeline:
         )
 
 
-def _digest(path: Path) -> str:
-    h = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _num(value: Fraction | float | None, missing: str = "") -> str:
     """Full-precision machine rendering; ``missing`` for None."""
     if value is None:
@@ -209,17 +199,18 @@ def format_compact(value: float | Fraction | None) -> str:
     return f"{x:.3g}"
 
 
-def _load(directory: str, config: RunConfig) -> Corpus:
-    corpus, _ = load_corpus_dir(directory, attribute_key=config.attribute_key)
+def _load(directory: str, config: RunConfig) -> tuple[Corpus, dict[str, str]]:
+    """One directory's corpus, capped as ``config`` asks, and its files' digests."""
+    corpus, _, digests = load_corpus_dir(directory, attribute_key=config.attribute_key)
     if config.max_videos_per_channel is None:
-        return corpus
+        return corpus, digests
     videos = cap_videos_per_channel(corpus.videos, config.max_videos_per_channel)
     kept = {v.video_id for v in videos}
     return dataclasses.replace(
         corpus,
         videos=tuple(videos),
         comments=tuple(c for c in corpus.comments if c.video_id in kept),
-    )
+    ), digests
 
 
 def run_report(config: RunConfig) -> ReportBundle:
@@ -251,20 +242,20 @@ def run_report(config: RunConfig) -> ReportBundle:
     sources: dict[str, str] = {}  # community -> its corpus directory
 
     def ingest(directory: str) -> Corpus:
-        corpus = _load(directory, config)
+        corpus, digests = _load(directory, config)
         if corpus.community in sources:
             raise ValidationError(
                 f"community {corpus.community!r} is in two corpus directories: "
                 f"{sources[corpus.community]} and {directory}"
             )
         sources[corpus.community] = directory
+        inputs[corpus.community] = digests
         return corpus
 
     try:
         pipelines: list[CommunityPipeline] = []
         for directory in config.community_dirs:
             corpus = run("ingest", lambda: ingest(directory))
-            inputs[corpus.community] = {path.name: _digest(path) for path in corpus_files(directory).values()}
             pipelines.append(CommunityPipeline(corpus, config))
 
         for p in pipelines:

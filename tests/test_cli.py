@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from collabmetrics import discourse
 from collabmetrics.cli import main
+from collabmetrics.corpus import corpus_files
 from collabmetrics.report import ABSENT, RunConfig, RunStageError, format_compact, run_report
 from collabmetrics.simgen import preset, simulate_to_dir, spec_from_dict
 
@@ -42,6 +45,28 @@ def corpus_dir(tmp_path_factory):
     )
     simulate_to_dir(spec, out)
     return out
+
+
+_open_log: list | None = None  # paths passed to ``open`` while one is being recorded
+
+
+def _log_open(event: str, args: tuple) -> None:
+    if event == "open" and _open_log is not None and isinstance(args[0], (str, os.PathLike)):
+        _open_log.append(Path(args[0]))
+
+
+def _opened_paths(fn) -> list[Path]:
+    """The paths that ``fn()`` opens, from the interpreter's ``open`` audit event."""
+    global _open_log
+    if not getattr(_log_open, "installed", False):  # an audit hook cannot be removed
+        sys.addaudithook(_log_open)
+        _log_open.installed = True
+    _open_log = []
+    try:
+        fn()
+        return _open_log
+    finally:
+        _open_log = None
 
 
 def run_cli(*args):
@@ -330,6 +355,12 @@ class TestConfigFileAndEnv:
         manifest = json.loads(bundle.manifest_path.read_text())
         for filename, digest in manifest["inputs"]["minigame"].items():
             assert digest == hashlib.sha256((corpus_dir / filename).read_bytes()).hexdigest()
+
+    def test_each_input_file_opened_once(self, corpus_dir, tmp_path):
+        # The digests are taken while the loader reads each file.
+        opened = _opened_paths(lambda: run_report(RunConfig(community_dirs=(str(corpus_dir),), out_dir=str(tmp_path))))
+        for path in corpus_files(corpus_dir).values():
+            assert opened.count(path) == 1, path
 
     def test_config_file_drives_report(self, corpus_dir, tmp_path):
         config_path = tmp_path / "run.json"

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import json
 import re
+import tracemalloc
+from datetime import datetime, timezone
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from collabmetrics.corpus import (
     ChannelRecord,
     RowError,
+    _parse_timestamp,
     cap_videos_per_channel,
     channel_baseline,
     exact_median,
@@ -680,3 +684,162 @@ def test_records_are_slotted_and_frozen(record):
         setattr(record, field, "x")
     if not isinstance(record, ChannelRecord):  # its attributes mapping is a dict
         hash(record)
+
+
+class TestRegistryJsonValues:
+    """A JSON-lines registry can hold any JSON value where a CSV one holds
+    text; a handle or attribute value that is not a string names its line."""
+
+    def test_handle_that_is_not_a_string(self, tmp_path):
+        path = tmp_path / "registry.jsonl"
+        write_jsonl(path, [registry_row("A", ["a"]), registry_row("B", [5])])
+        with pytest.raises(ValidationError, match=r"^registry\.jsonl:2: handle 5 is not a string$"):
+            load_registry(path)
+
+    def test_attribute_value_that_is_not_a_string(self, tmp_path):
+        path = tmp_path / "registry.jsonl"
+        write_jsonl(path, [registry_row("A", ["a"], gender="M"), registry_row("B", ["b"], gender=5)])
+        with pytest.raises(
+            ValidationError, match=r"^registry\.jsonl:2: attribute 'gender' value 5 is not a string$"
+        ):
+            load_registry(path)
+
+
+class TestSharedIdStrings:
+    """Loaded records share their id strings instead of holding copies."""
+
+    @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
+    def test_ids_are_shared(self, tmp_path, suffix):
+        registry = [make_channel("A", "a"), make_channel("B", "b")]
+        write_videos([make_video(f"v{i}", "AB"[i % 2]) for i in range(4)], tmp_path / f"videos.{suffix}")
+        videos, _ = load_videos(tmp_path / f"videos.{suffix}", registry)
+        comments = [make_comment(f"c{i}", f"v{i % 5}", f"u{i % 3}") for i in range(30)]
+        write_comments(comments, tmp_path / f"comments.{suffix}")
+        records, report = load_comments(tmp_path / f"comments.{suffix}", videos)
+
+        channel_ids = {ch.channel_id: ch.channel_id for ch in registry}
+        assert all(v.channel_id is channel_ids[v.channel_id] for v in videos)
+        video_ids = {v.video_id: v.video_id for v in videos}
+        assert len(records) == 24 and len(report.orphans) == 6  # v4 is not a video
+        assert all(c.video_id is video_ids[c.video_id] for c in records)
+        authors: dict[str, str] = {}
+        for c in [*records, *report.orphans]:
+            assert authors.setdefault(c.author_id, c.author_id) is c.author_id
+        assert len(authors) == 3
+
+
+def test_bytes_kept_per_comment(tmp_path):
+    """A loaded comment keeps its own id, text and time, not copies of shared ids.
+
+    4,000 comments on 250 videos by 1,000 authors, shaped like the
+    simulator's. Each used to keep about 400 bytes, 125 of them in copies of
+    its video and author ids.
+    """
+    videos = [make_video(f"game-v{i // 10:03d}-{i % 10:04d}", "A") for i in range(250)]
+    path = tmp_path / "comments.jsonl"
+    with path.open("w", encoding="utf-8") as fh:
+        for i in range(4_000):
+            row = {
+                "author_id": f"user{(i * 7) % 1_000:05d}",
+                "comment_id": f"game-m{i:07d}",
+                "like_count": i % 50,
+                "published_at": f"2024-03-{1 + i % 28:02d}T{i % 24:02d}:{i % 60:02d}:00+00:00",
+                "text": ("the ranked match is terrible", "boring, this one", "bland, the stream setup")[i % 3],
+                "video_id": videos[(i * 13) % 250].video_id,
+            }
+            fh.write(json.dumps(row) + "\n")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        records, report = load_comments(path, videos)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 4_000 and not report.errors
+    assert kept / len(records) <= 340
+
+
+def _reference_timestamp(value: str) -> datetime:
+    """The timestamp normaliser without its UTC fast path."""
+    text = value.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    dt = datetime.fromisoformat(text)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.astimezone(timezone.utc)
+
+
+_timestamp_text = st.one_of(
+    st.builds(
+        "{}{}{}{}{}{}".format,
+        st.sampled_from(["", " ", "\t", "\n "]),
+        st.sampled_from(["2024-01-02", "2024-02-30", "1999-12-31"]),
+        st.sampled_from(["", "T10:11:12", " 23:59", "T00:00:00"]),
+        st.sampled_from(["", ".5", ".123456", ".1234567"]),
+        st.sampled_from(["", "Z", "z", "+00:00", "-00:00", "+05:30", "-08:00", "+00:00:00.5", "+24:00", "Zz"]),
+        st.sampled_from(["", " ", "\r\n", "x"]),
+    ),
+    st.text(max_size=30),
+)
+
+
+class TestParseTimestamp:
+    @settings(max_examples=300, deadline=None)
+    @given(_timestamp_text)
+    def test_same_as_the_normaliser(self, value):
+        try:
+            want = _reference_timestamp(value)
+        except Exception as exc:  # the fast path must fail the same way
+            with pytest.raises(type(exc)):
+                _parse_timestamp(value)
+            return
+        got = _parse_timestamp(value)
+        assert got == want and got.tzinfo is want.tzinfo
+
+
+_COMMENT_DOCS = [
+    '{"comment_id": "c1", "video_id": "v1", "author_id": "u1", "published_at": "2024-01-01T00:00:00+00:00"}',
+    '{"comment_id": NaN, "video_id": "v1", "author_id": "u1", "published_at": "2024-01-01T00:00:00+00:00"}',
+    "[1]",
+    "5",
+    "null",
+    '"text"',
+    '{"comment_id": "c1"',
+]
+_AFFIXES = [
+    ("", "\n"),
+    ("", ""),
+    ("  ", "\n"),
+    ("\ufeff", "\n"),
+    ("", "\t\n"),
+    ("", "\x0c\n"),
+    ("", "\r\n"),
+    ("", "\r"),
+    ("", "  \n"),
+    ("", ' {"b": 2}\n'),
+    ("", "]\n"),
+]
+
+
+class TestJsonLineDecoding:
+    """A JSON-lines row is the object ``json.loads`` reads from its line, or
+    the error ``json.loads`` raises."""
+
+    @pytest.mark.parametrize("prefix, suffix", _AFFIXES)
+    @pytest.mark.parametrize("doc", _COMMENT_DOCS)
+    def test_same_as_json_loads(self, tmp_path, doc, prefix, suffix):
+        path = tmp_path / "comments.jsonl"
+        path.write_text(prefix + doc + suffix, encoding="utf-8", newline="")
+        line = path.read_text(encoding="utf-8")  # with newlines translated, as rows are read
+        records, report = load_comments(path, [make_video("v1", "A")])
+        try:
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+        except ValueError as exc:
+            assert records == [] and report.errors == (RowError(1, f"malformed row: {exc}"),)
+        else:
+            assert report.errors == () and [c.comment_id for c in records] == [str(row["comment_id"])]

@@ -285,6 +285,34 @@ class TestEntropy:
         merged = [weights[0] + weights[1], *weights[2:]]
         assert self.entropy_of(merged) <= self.entropy_of(weights) + 1e-12
 
+    @settings(max_examples=100)
+    @given(
+        st.dictionaries(
+            st.tuples(st.sampled_from(["u1", "u2", "u10", "w"]), st.sampled_from(["A", "B", "a", "ch10", "ch2"])),
+            st.integers(min_value=0, max_value=40),
+        )
+    )
+    def test_same_floats_as_per_commenter_sums(self, weights):
+        # Each commenter's channels in sorted order, as a mapping per commenter.
+        per_commenter: dict[str, dict[str, int]] = {}
+        for (author, channel), w in weights.items():
+            per_commenter.setdefault(author, {})[channel] = w
+        want = {}
+        for author in sorted(per_commenter):
+            total = sum(per_commenter[author].values())
+            if total:
+                h = 0.0
+                for channel in sorted(per_commenter[author]):
+                    if per_commenter[author][channel]:
+                        p = per_commenter[author][channel] / total
+                        h -= p * math.log2(p)
+                want[author] = max(h, 0.0)
+        graph = AttentionGraph(
+            commenters=frozenset(per_commenter), channels=frozenset(c for _, c in weights), weights=weights
+        )
+        got = commenter_entropy(graph).entropy
+        assert list(got.items()) == list(want.items())
+
 
 class TestEntropyCdf:
     def dist_of(self, values):
