@@ -67,13 +67,6 @@ def normalize_handle(handle: str) -> str:
 
 def _parse_timestamp(value: str) -> datetime:
     """Parse an ISO-8601 timestamp; naive values are taken as UTC."""
-    try:  # the common case, already in UTC: the parser hands back ``timezone.utc`` itself
-        dt = datetime.fromisoformat(value)
-    except ValueError:
-        pass
-    else:
-        if dt.tzinfo is timezone.utc:
-            return dt
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -249,20 +242,6 @@ class _HashingReader(io.RawIOBase):
         super().close()
 
 
-_decode_json = json.JSONDecoder().raw_decode
-
-
-def _json_row(line: str) -> object:
-    """``json.loads(line)``, without its whitespace scans when the line is one JSON value and its newline."""
-    try:
-        value, end = _decode_json(line)
-    except ValueError:
-        return json.loads(line)
-    if line[end:] not in ("\n", ""):
-        return json.loads(line)  # whitespace or extra data after the value
-    return value
-
-
 def _rows(
     path: Path, parse: Callable[[dict], _T], tabular: bool | None = None, sha256=None
 ) -> Iterator[tuple[int, _T | Exception]]:
@@ -294,7 +273,7 @@ def _rows(
                         bad.append(exc)
             yield line
 
-    binary = path.open("rb") if sha256 is None else io.BufferedReader(_HashingReader(path, sha256))
+    binary = io.BufferedReader(_HashingReader(path, hashlib.sha256() if sha256 is None else sha256))
     with io.TextIOWrapper(binary, encoding="utf-8", errors="surrogateescape", newline="" if tabular else None) as fh:
         if tabular:
             records = _csv_records(checked(fh))
@@ -309,7 +288,7 @@ def _rows(
                 if bad:
                     raise bad[0]
                 if isinstance(raw, str):
-                    row = _json_row(raw)
+                    row = json.loads(raw)
                     if not isinstance(row, dict):
                         raise ValueError(f"expected a JSON object, got {type(row).__name__}")
                 elif isinstance(raw, Exception):

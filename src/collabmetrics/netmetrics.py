@@ -254,7 +254,6 @@ def commenter_entropy(attention: AttentionGraph) -> EntropyDistribution:
     return EntropyDistribution(entropy=entropy)
 
 
-
 def entropy_cdf(
     dist: EntropyDistribution, grid: Sequence[float] | None = None
 ) -> list[tuple[float, float]]:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -45,28 +44,6 @@ def corpus_dir(tmp_path_factory):
     )
     simulate_to_dir(spec, out)
     return out
-
-
-_open_log: list | None = None  # paths passed to ``open`` while one is being recorded
-
-
-def _log_open(event: str, args: tuple) -> None:
-    if event == "open" and _open_log is not None and isinstance(args[0], (str, os.PathLike)):
-        _open_log.append(Path(args[0]))
-
-
-def _opened_paths(fn) -> list[Path]:
-    """The paths that ``fn()`` opens, from the interpreter's ``open`` audit event."""
-    global _open_log
-    if not getattr(_log_open, "installed", False):  # an audit hook cannot be removed
-        sys.addaudithook(_log_open)
-        _log_open.installed = True
-    _open_log = []
-    try:
-        fn()
-        return _open_log
-    finally:
-        _open_log = None
 
 
 def run_cli(*args):
@@ -356,9 +333,18 @@ class TestConfigFileAndEnv:
         for filename, digest in manifest["inputs"]["minigame"].items():
             assert digest == hashlib.sha256((corpus_dir / filename).read_bytes()).hexdigest()
 
-    def test_each_input_file_opened_once(self, corpus_dir, tmp_path):
+    def test_each_input_file_opened_once(self, corpus_dir, tmp_path, monkeypatch):
         # The digests are taken while the loader reads each file.
-        opened = _opened_paths(lambda: run_report(RunConfig(community_dirs=(str(corpus_dir),), out_dir=str(tmp_path))))
+        opened: list[Path] = []
+        path_open = Path.open
+
+        def recording_open(self, *args, **kwargs):
+            opened.append(self)
+            return path_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", recording_open)
+        run_report(RunConfig(community_dirs=(str(corpus_dir),), out_dir=str(tmp_path)))
+        monkeypatch.undo()
         for path in corpus_files(corpus_dir).values():
             assert opened.count(path) == 1, path
 

@@ -8,7 +8,6 @@ import gc
 import json
 import re
 import tracemalloc
-from datetime import datetime, timezone
 from fractions import Fraction
 
 import pytest
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 from collabmetrics.corpus import (
     ChannelRecord,
     RowError,
-    _parse_timestamp,
     cap_videos_per_channel,
     channel_baseline,
     exact_median,
@@ -759,87 +757,3 @@ def test_bytes_kept_per_comment(tmp_path):
         tracemalloc.stop()
     assert len(records) == 4_000 and not report.errors
     assert kept / len(records) <= 340
-
-
-def _reference_timestamp(value: str) -> datetime:
-    """The timestamp normaliser without its UTC fast path."""
-    text = value.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    dt = datetime.fromisoformat(text)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
-
-
-_timestamp_text = st.one_of(
-    st.builds(
-        "{}{}{}{}{}{}".format,
-        st.sampled_from(["", " ", "\t", "\n "]),
-        st.sampled_from(["2024-01-02", "2024-02-30", "1999-12-31"]),
-        st.sampled_from(["", "T10:11:12", " 23:59", "T00:00:00"]),
-        st.sampled_from(["", ".5", ".123456", ".1234567"]),
-        st.sampled_from(["", "Z", "z", "+00:00", "-00:00", "+05:30", "-08:00", "+00:00:00.5", "+24:00", "Zz"]),
-        st.sampled_from(["", " ", "\r\n", "x"]),
-    ),
-    st.text(max_size=30),
-)
-
-
-class TestParseTimestamp:
-    @settings(max_examples=300, deadline=None)
-    @given(_timestamp_text)
-    def test_same_as_the_normaliser(self, value):
-        try:
-            want = _reference_timestamp(value)
-        except Exception as exc:  # the fast path must fail the same way
-            with pytest.raises(type(exc)):
-                _parse_timestamp(value)
-            return
-        got = _parse_timestamp(value)
-        assert got == want and got.tzinfo is want.tzinfo
-
-
-_COMMENT_DOCS = [
-    '{"comment_id": "c1", "video_id": "v1", "author_id": "u1", "published_at": "2024-01-01T00:00:00+00:00"}',
-    '{"comment_id": NaN, "video_id": "v1", "author_id": "u1", "published_at": "2024-01-01T00:00:00+00:00"}',
-    "[1]",
-    "5",
-    "null",
-    '"text"',
-    '{"comment_id": "c1"',
-]
-_AFFIXES = [
-    ("", "\n"),
-    ("", ""),
-    ("  ", "\n"),
-    ("\ufeff", "\n"),
-    ("", "\t\n"),
-    ("", "\x0c\n"),
-    ("", "\r\n"),
-    ("", "\r"),
-    ("", "  \n"),
-    ("", ' {"b": 2}\n'),
-    ("", "]\n"),
-]
-
-
-class TestJsonLineDecoding:
-    """A JSON-lines row is the object ``json.loads`` reads from its line, or
-    the error ``json.loads`` raises."""
-
-    @pytest.mark.parametrize("prefix, suffix", _AFFIXES)
-    @pytest.mark.parametrize("doc", _COMMENT_DOCS)
-    def test_same_as_json_loads(self, tmp_path, doc, prefix, suffix):
-        path = tmp_path / "comments.jsonl"
-        path.write_text(prefix + doc + suffix, encoding="utf-8", newline="")
-        line = path.read_text(encoding="utf-8")  # with newlines translated, as rows are read
-        records, report = load_comments(path, [make_video("v1", "A")])
-        try:
-            row = json.loads(line)
-            if not isinstance(row, dict):
-                raise ValueError(f"expected a JSON object, got {type(row).__name__}")
-        except ValueError as exc:
-            assert records == [] and report.errors == (RowError(1, f"malformed row: {exc}"),)
-        else:
-            assert report.errors == () and [c.comment_id for c in records] == [str(row["comment_id"])]
