@@ -13,7 +13,6 @@ from collabmetrics.errors import (
     CollabMetricsError,
     ConfigurationError,
     InfeasibleSpecError,
-    NoBaselineError,
     ValidationError,
 )
 
@@ -21,7 +20,6 @@ __all__ = [
     "CollabMetricsError",
     "ConfigurationError",
     "InfeasibleSpecError",
-    "NoBaselineError",
     "ValidationError",
     "__version__",
 ]

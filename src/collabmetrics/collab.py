@@ -65,7 +65,6 @@ class VideoPartition:
 
     two_way: Mapping[str, str]  # video_id -> the single mentioned guest
     multi_way: frozenset[str]
-    plain: frozenset[str]
 
     def collaboration_videos(self) -> frozenset[str]:
         return frozenset(self.two_way) | self.multi_way
@@ -100,18 +99,8 @@ class HandleIndex:
         return mentioned
 
 
-def classify_dyad(
-    host: str,
-    guest: str,
-    registry: Sequence[ChannelRecord] | Mapping[str, ChannelRecord],
-    attribute_key: str = "gender",
-) -> str:
-    """Dyad-type label: host's attribute value, hyphen, guest's value."""
-    channels = (
-        registry
-        if isinstance(registry, Mapping)
-        else {rec.channel_id: rec for rec in registry}
-    )
+def classify_dyad(host: str, guest: str, channels: Mapping[str, ChannelRecord], attribute_key: str) -> str:
+    """Dyad-type label: host's attribute value, hyphen, guest's value (channels by id)."""
     parts = []
     for channel_id in (host, guest):
         try:
@@ -123,26 +112,21 @@ def classify_dyad(
 
 
 def partition_videos(corpus: Corpus) -> VideoPartition:
-    """Split videos into two-way, multi-way, and plain by distinct mentions."""
+    """Split videos into two-way and multi-way by distinct mentions; the rest are plain."""
     index = HandleIndex(corpus.registry)
     two_way: dict[str, str] = {}
     multi_way: set[str] = set()
-    plain: set[str] = set()
     for video in corpus.videos:
         mentioned = index.scan(video)
         if len(mentioned) == 1:
             two_way[video.video_id] = next(iter(mentioned))
         elif len(mentioned) > 1:
             multi_way.add(video.video_id)
-        else:
-            plain.add(video.video_id)
-    return VideoPartition(two_way, frozenset(multi_way), frozenset(plain))
+    return VideoPartition(two_way, frozenset(multi_way))
 
 
 def detect_collaborations(
-    corpus: Corpus,
-    attribute_key: str = "gender",
-    partition: VideoPartition | None = None,
+    corpus: Corpus, attribute_key: str, partition: VideoPartition
 ) -> tuple[list[CollaborationDyad], CollabShareStats]:
     """Detect two-way collaboration dyads and the corpus share statistics.
 
@@ -152,8 +136,6 @@ def detect_collaborations(
     (mentioned, owner) are distinct dyads; repeat videos between the same
     ordered pair accumulate into one dyad.
     """
-    if partition is None:
-        partition = partition_videos(corpus)
     channels = corpus.channels_by_id()
     owner_of = {v.video_id: v.channel_id for v in corpus.videos}
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from collabmetrics.errors import ConfigurationError, NoBaselineError, ValidationError
+from collabmetrics.errors import ConfigurationError, ValidationError
 
 __all__ = [
     "ChannelRecord",
@@ -45,7 +45,6 @@ __all__ = [
     "write_csv",
     "write_json",
     "write_jsonl",
-    "channel_baseline",
     "exact_median",
     "cap_videos_per_channel",
 ]
@@ -321,12 +320,6 @@ def load_rows(
         yield value
 
 
-def _opt_int(raw: object) -> int | None:
-    if raw is None or raw == "":
-        return None
-    return int(raw)
-
-
 def _text(value: object, what: str) -> str:
     """``value`` itself if it is a string; a JSON-lines row may hold any JSON value."""
     if not isinstance(value, str):
@@ -334,44 +327,57 @@ def _text(value: object, what: str) -> str:
     return value
 
 
+def _count(value: object, what: str) -> int:
+    """``value`` as ``int()`` reads it; a bool, or a float with a fractional part, is no count."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)  # type: ignore[call-overload]
+
+
+def _opt_count(row: Mapping[str, object], key: str) -> int | None:
+    raw = row.get(key)
+    return None if raw is None or raw == "" else _count(raw, key)
+
+
 def _registry_from_row(row: Mapping[str, object]) -> ChannelRecord:
-    if "handles" in row and isinstance(row["handles"], str):
-        handles = tuple(
-            normalize_handle(h) for h in str(row["handles"]).split(_HANDLE_SEP) if h.strip()
-        )
-    else:
-        handles = tuple(normalize_handle(_text(h, "handle")) for h in row.get("handles", ()))  # type: ignore[union-attr]
+    handles = row.get("handles", ())
+    if isinstance(handles, str):  # CSV: one cell of "|"-separated handles
+        handles = handles.split(_HANDLE_SEP)
+    # Blank handles are dropped; any other non-string is a row error.
+    handles = tuple(
+        normalize_handle(_text(h, "handle")) for h in handles if not isinstance(h, str) or h.strip()  # type: ignore[union-attr]
+    )
     if not handles:
         raise ValueError("channel has no handles")
     attributes = row.get("attributes")
     if attributes is None:
         # CSV flattening: every non-fixed column is an attribute.
-        attributes = {k: str(v) for k, v in row.items() if k not in _REGISTRY_FIXED}
+        attributes = {k: v for k, v in row.items() if k not in _REGISTRY_FIXED}
     return ChannelRecord(
-        channel_id=str(row["channel_id"]),
+        channel_id=_text(row["channel_id"], "channel_id"),
         handles=handles,
-        display_name=str(row.get("display_name", "")),
+        display_name=_text(row.get("display_name", ""), "display_name"),
         attributes={k: _text(v, f"attribute {k!r} value") for k, v in dict(attributes).items()},  # type: ignore[call-overload]
-        community=str(row.get("community", "")),
+        community=_text(row.get("community", ""), "community"),
     )
 
 
 def _video_from_row(channels: dict[str, str], row: Mapping[str, object]) -> VideoRecord:
     """A video whose ``channel_id``, when ``channels`` holds it, is that one string."""
-    view_count = int(row["view_count"])  # type: ignore[arg-type]
+    view_count = _count(row["view_count"], "view_count")
     if view_count < 0:
         raise ValueError(f"negative view_count {view_count}")
-    video_id = str(row["video_id"])
-    channel_id = str(row["channel_id"])
+    video_id = _text(row["video_id"], "video_id")
+    channel_id = _text(row["channel_id"], "channel_id")
     return VideoRecord(
         video_id=video_id,
         channel_id=channels.get(channel_id, channel_id),
-        published_at=_parse_timestamp(str(row["published_at"])),
-        title=str(row.get("title", "")),
-        description=str(row.get("description", "")),
+        published_at=_parse_timestamp(_text(row["published_at"], "published_at")),
+        title=_text(row.get("title", ""), "title"),
+        description=_text(row.get("description", ""), "description"),
         view_count=view_count,
-        like_count=_opt_int(row.get("like_count")),
-        comment_count=_opt_int(row.get("comment_count")),
+        like_count=_opt_count(row, "like_count"),
+        comment_count=_opt_count(row, "comment_count"),
     )
 
 
@@ -380,16 +386,16 @@ def _comment_from_row(
 ) -> CommentRecord:
     """A comment whose ids share strings: the ``video_id`` that ``videos`` holds, and the
     first equal ``author_id``, which ``authors`` collects."""
-    comment_id = str(row["comment_id"])
-    video_id = str(row["video_id"])
-    author_id = str(row["author_id"])
+    comment_id = _text(row["comment_id"], "comment_id")
+    video_id = _text(row["video_id"], "video_id")
+    author_id = _text(row["author_id"], "author_id")
     return CommentRecord(
         comment_id=comment_id,
         video_id=videos.get(video_id, video_id),
         author_id=authors.setdefault(author_id, author_id),
-        text=str(row.get("text", "")),
-        published_at=_parse_timestamp(str(row["published_at"])),
-        like_count=_opt_int(row.get("like_count")),
+        text=_text(row.get("text", ""), "text"),
+        published_at=_parse_timestamp(_text(row["published_at"], "published_at")),
+        like_count=_opt_count(row, "like_count"),
     )
 
 
@@ -692,30 +698,6 @@ def exact_median(values: Sequence[int] | Sequence[Fraction]) -> Fraction:
     if n % 2:
         return Fraction(ordered[mid])
     return Fraction(ordered[mid - 1] + ordered[mid], 2)
-
-
-def channel_baseline(
-    channel_id: str,
-    videos: Sequence[VideoRecord],
-    exclude: frozenset[str] | set[str] = frozenset(),
-) -> Fraction:
-    """Median view count of a channel's videos outside ``exclude``.
-
-    The exclusion set normally holds the channel's own collaboration
-    videos so the baseline reflects solo performance. Raises
-    :class:`NoBaselineError` when nothing is left; callers skip the dyad
-    rather than treating the channel as a zero-view baseline.
-    """
-    views = [
-        v.view_count
-        for v in videos
-        if v.channel_id == channel_id and v.video_id not in exclude
-    ]
-    if not views:
-        raise NoBaselineError(
-            f"channel {channel_id!r} has no videos after excluding {len(exclude)} video(s)"
-        )
-    return exact_median(views)
 
 
 def attribute_histogram(registry: Sequence[ChannelRecord], key: str) -> Counter:

@@ -152,27 +152,20 @@ class LexiconSentimentScorer:
 
 
 class KeywordTopicClassifier:
-    """Keyword-count topic classifier over a fixed category schema.
+    """Keyword-count topic classifier over the fixed ``TOPIC_CATEGORIES`` schema.
 
     The highest-scoring category wins; a comment with no keyword hits
     falls to ``other``. Ties break deterministically by schema order
     (gameplay before environment before food before appearance).
     """
 
-    def __init__(
-        self,
-        keywords: Mapping[str, Collection[str]] | None = None,
-        schema: Sequence[str] = TOPIC_CATEGORIES,
-    ):
-        if "other" not in schema:
-            raise ConfigurationError("topic schema must include the 'other' category")
-        self.schema = tuple(schema)
+    def __init__(self, keywords: Mapping[str, Collection[str]] | None = None):
         table = keywords if keywords is not None else _bundled_keywords()
-        unknown = set(table) - set(self.schema)
+        unknown = set(table) - set(TOPIC_CATEGORIES)
         if unknown:
             raise ConfigurationError(f"keyword categories outside schema: {sorted(unknown)}")
-        self.keywords = {cat: frozenset(t.lower() for t in table.get(cat, ())) for cat in self.schema}
-        self._topics = tuple(cat for cat in self.schema if cat != "other")
+        self.keywords = {cat: frozenset(t.lower() for t in table.get(cat, ())) for cat in TOPIC_CATEGORIES}
+        self._topics = tuple(cat for cat in TOPIC_CATEGORIES if cat != "other")
         # Each keyword -> the positions in ``_topics`` of the categories it counts for.
         positions: dict[str, list[int]] = {}
         for i, cat in enumerate(self._topics):

@@ -9,12 +9,8 @@ class ValidationError(CollabMetricsError):
     """Input data violates a structural invariant (duplicates, bad references)."""
 
 
-class NoBaselineError(CollabMetricsError):
-    """A channel has no videos left to compute a viewership baseline from."""
-
-
 class ConfigurationError(CollabMetricsError):
-    """A component was configured inconsistently (e.g. topic schema without 'other')."""
+    """A component was configured inconsistently (e.g. keyword categories outside the topic schema)."""
 
 
 class InfeasibleSpecError(CollabMetricsError):

@@ -33,7 +33,7 @@ from statistics import median
 from typing import Iterable, Mapping, Sequence
 
 from collabmetrics.collab import CollaborationDyad
-from collabmetrics.corpus import ChannelRecord, CommentRecord, VideoRecord
+from collabmetrics.corpus import CommentRecord, VideoRecord
 
 __all__ = [
     "CollabGraph",
@@ -70,9 +70,6 @@ class CollabGraph:
             adj[b].append(a)
         return adj
 
-    def degree(self, node: str) -> int:
-        return sum(1 for pair in self.edges if node in pair)
-
 
 @dataclass(frozen=True)
 class AttentionGraph:
@@ -100,23 +97,15 @@ class CentralitySummary:
 class EntropyDistribution:
     entropy: Mapping[str, float]  # author_id -> bits
 
-    def sorted_values(self) -> list[float]:
-        return sorted(self.entropy.values())
 
-
-def build_collab_graph(
-    dyads: Sequence[CollaborationDyad],
-    registry: Sequence[ChannelRecord] | Iterable[str],
-) -> CollabGraph:
+def build_collab_graph(dyads: Sequence[CollaborationDyad], channel_ids: Iterable[str]) -> CollabGraph:
     """Merge ordered dyads into an undirected weighted graph.
 
     (A, B) and (B, A) collapse into one edge whose weight sums their video
-    counts. The registry defines the node set, so channels without dyads
-    stay as isolated nodes.
+    counts. The registry's channel ids are the node set, so channels
+    without dyads stay as isolated nodes.
     """
-    nodes = frozenset(
-        rec.channel_id if isinstance(rec, ChannelRecord) else rec for rec in registry
-    )
+    nodes = frozenset(channel_ids)
     edges: dict[tuple[str, str], int] = {}
     for dyad in dyads:
         key = (dyad.host, dyad.guest) if dyad.host < dyad.guest else (dyad.guest, dyad.host)
@@ -263,7 +252,7 @@ def entropy_cdf(
     CDF). Fractions are nondecreasing in [0, 1] and reach 1 once the grid
     covers the maximum entropy. An empty distribution yields an empty CDF.
     """
-    values = dist.sorted_values()
+    values = sorted(dist.entropy.values())
     if not values:
         logger.warning("entropy distribution is empty; emitting empty CDF")
         return []

@@ -49,10 +49,11 @@ STAGES = ("ingest", "collabs", "synergy", "network", "entropy", "discourse", "re
 
 
 class RunStageError(CollabMetricsError):
-    """A pipeline stage failed; the manifest records which one."""
+    """A pipeline stage failed; the manifest records which one. ``where``
+    prefixes the cause with the community of a stage that runs per community."""
 
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage!r} failed: {cause}")
+    def __init__(self, stage: str, cause: Exception, where: str = ""):
+        super().__init__(f"stage {stage!r} failed: {where}{cause}")
         self.stage = stage
         self.cause = cause
 
@@ -70,9 +71,6 @@ class RunConfig:
     max_videos_per_channel: int | None = None
     formats: tuple[str, ...] = ("csv",)
     seed: int | None = None  # provenance only: the simulate seed behind the inputs
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "RunConfig":
@@ -138,7 +136,7 @@ class CommunityPipeline:
 
     @cached_property
     def reciprocity(self) -> synergy.ReciprocityStats:
-        return synergy.reciprocity(self.dyads, self.baselines, self.corpus.community)
+        return synergy.reciprocity(self.dyads, self.baselines)
 
     @cached_property
     def attributes(self) -> dict[str, str]:
@@ -147,7 +145,7 @@ class CommunityPipeline:
 
     @cached_property
     def graph(self) -> netmetrics.CollabGraph:
-        return netmetrics.build_collab_graph(self.dyads, self.corpus.registry)
+        return netmetrics.build_collab_graph(self.dyads, (rec.channel_id for rec in self.corpus.registry))
 
     @cached_property
     def centrality(self) -> netmetrics.CentralitySummary:
@@ -230,12 +228,12 @@ def run_report(config: RunConfig) -> ReportBundle:
     inputs: dict[str, dict[str, str]] = {}
     manifest_path = out_dir / "manifest.json"
 
-    def run(stage: str, fn):
+    def run(stage: str, fn, where: str = ""):
         try:
             value = fn()
         except Exception as exc:
-            stage_status[stage] = f"failed: {exc}"
-            raise RunStageError(stage, exc) from exc
+            stage_status[stage] = f"failed: {where}{exc}"
+            raise RunStageError(stage, exc, where) from exc
         stage_status[stage] = "ok"
         return value
 
@@ -259,11 +257,12 @@ def run_report(config: RunConfig) -> ReportBundle:
             pipelines.append(CommunityPipeline(corpus, config))
 
         for p in pipelines:
-            run("collabs", lambda: p.collaborations)
-            run("synergy", lambda: (p.synergy_report, p.reciprocity))
-            run("network", lambda: p.centrality)
-            run("entropy", lambda: p.cdf)
-            run("discourse", lambda: p.discourse_report)
+            where = f"community {p.corpus.community!r}: "
+            run("collabs", lambda: p.collaborations, where)
+            run("synergy", lambda: (p.synergy_report, p.reciprocity), where)
+            run("network", lambda: p.centrality, where)
+            run("entropy", lambda: p.cdf, where)
+            run("discourse", lambda: p.discourse_report, where)
 
         for p in pipelines:
             if p.stats.two_way_videos == 0:
@@ -276,7 +275,7 @@ def run_report(config: RunConfig) -> ReportBundle:
             {
                 "tool": "collabmetrics",
                 "version": __version__,
-                "config": config.to_dict(),
+                "config": dataclasses.asdict(config),
                 "inputs": inputs,
                 "stages": stage_status,
                 "notes": notes,

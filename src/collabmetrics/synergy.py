@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from collabmetrics.collab import CollaborationDyad, VideoPartition, partition_videos
-from collabmetrics.corpus import Corpus, VideoRecord, channel_baseline, exact_median
-from collabmetrics.errors import NoBaselineError
+from collabmetrics.collab import CollaborationDyad, VideoPartition
+from collabmetrics.corpus import Corpus, VideoRecord, exact_median
 
 __all__ = [
     "DyadSynergy",
@@ -99,7 +98,6 @@ class SynergyReport:
 class ReciprocityStats:
     """Per-video comparison of host vs guest baseline popularity."""
 
-    community: str
     videos_counted: int
     host_greater: Fraction
     guest_greater: Fraction
@@ -144,30 +142,25 @@ def dyad_synergy(
 
 
 def channel_baselines(
-    corpus: Corpus,
-    partition: VideoPartition | None = None,
-    mode: str = "solo",
+    corpus: Corpus, partition: VideoPartition, mode: str = "solo"
 ) -> dict[str, Fraction]:
-    """Median viewership baseline per channel.
+    """Median view count per channel (exact, a rational midpoint for even counts).
 
-    ``mode="solo"`` (default) excludes each channel's own collaboration
+    ``mode="solo"`` (default) excludes the ``partition``'s collaboration
     videos so the baseline reflects solo performance; ``mode="all"`` keeps
     every video. Channels with nothing left after exclusion are absent
-    from the result (their dyads get skipped downstream).
+    from the result (their dyads get skipped downstream), never a zero
+    baseline.
     """
     if mode not in ("solo", "all"):
         raise ValueError(f"unknown baseline mode {mode!r}")
-    exclude: frozenset[str] = frozenset()
-    if mode == "solo":
-        if partition is None:
-            partition = partition_videos(corpus)
-        exclude = partition.collaboration_videos()
-    by_channel = corpus.videos_by_channel()
+    exclude = partition.collaboration_videos() if mode == "solo" else frozenset()
     baselines: dict[str, Fraction] = {}
-    for channel_id, channel_videos in by_channel.items():
-        try:
-            baselines[channel_id] = channel_baseline(channel_id, channel_videos, exclude)
-        except NoBaselineError:
+    for channel_id, channel_videos in corpus.videos_by_channel().items():
+        views = [v.view_count for v in channel_videos if v.video_id not in exclude]
+        if views:
+            baselines[channel_id] = exact_median(views)
+        else:
             logger.info("channel %s has no baseline videos; its dyads will be skipped", channel_id)
     return baselines
 
@@ -240,11 +233,7 @@ def aggregate_by_dyad_type(
     return SynergyReport(community=community, statistic=statistic, rows=rows, excluded_dyads=excluded)
 
 
-def reciprocity(
-    dyads: Sequence[CollaborationDyad],
-    baselines: Mapping[str, Fraction],
-    community: str = "",
-) -> ReciprocityStats:
+def reciprocity(dyads: Sequence[CollaborationDyad], baselines: Mapping[str, Fraction]) -> ReciprocityStats:
     """Fractions of collaboration videos where the host or guest side is
     the more popular one (by baseline median), with ties separate.
 
@@ -267,9 +256,8 @@ def reciprocity(
             tied += n
     counted = host_greater + guest_greater + tied
     if counted == 0:
-        return ReciprocityStats(community, 0, Fraction(0), Fraction(0), Fraction(0), skipped)
+        return ReciprocityStats(0, Fraction(0), Fraction(0), Fraction(0), skipped)
     return ReciprocityStats(
-        community=community,
         videos_counted=counted,
         host_greater=Fraction(host_greater, counted),
         guest_greater=Fraction(guest_greater, counted),

@@ -226,7 +226,7 @@ def test_criterion_6_table_structure_three_communities(tmp_path):
 def test_criterion_7_share_statistics_exact():
     spec = preset("valorant", seed=9)  # plants a 0.696 two-way share among 250 collab videos
     corpus, truth = generate(spec)
-    _, stats = collab.detect_collaborations(corpus)
+    _, stats = collab.detect_collaborations(corpus, "gender", collab.partition_videos(corpus))
     measured = Fraction(stats.two_way_videos, stats.two_way_videos + stats.multi_way_videos)
     ok = measured == Fraction("0.696") == truth.two_way_share
     _verdict(7, ok, f"measured two-way share {measured} equals planted 87/125 exactly")

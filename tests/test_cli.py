@@ -14,7 +14,14 @@ from click.testing import CliRunner
 from collabmetrics import discourse
 from collabmetrics.cli import main
 from collabmetrics.corpus import corpus_files
-from collabmetrics.report import ABSENT, RunConfig, RunStageError, format_compact, run_report
+from collabmetrics.report import (
+    ABSENT,
+    CommunityPipeline,
+    RunConfig,
+    RunStageError,
+    format_compact,
+    run_report,
+)
 from collabmetrics.simgen import preset, simulate_to_dir, spec_from_dict
 
 SEVEN_ARTIFACTS = (
@@ -216,6 +223,30 @@ class TestRunReport:
         assert err.value.stage == "ingest"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stages"]["ingest"].startswith("failed")
+
+    def test_failure_names_its_community(self, tmp_path, monkeypatch):
+        """A per-community stage that fails in the second of three communities names that community."""
+        dirs = []
+        for name in ("a", "b", "c"):
+            spec = {"community": name, "n_channels": 4, "attribute_ratios": {"M": 2, "W": 2}, "seed": 3,
+                    "videos_per_channel": 3, "collab_rate": 0.2, "audience_size": 10}
+            simulate_to_dir(spec_from_dict(spec), tmp_path / name)
+            dirs.append(str(tmp_path / name))
+        synergy_report = CommunityPipeline.synergy_report
+
+        def failing(p):
+            if p.corpus.community == "b":
+                raise ValueError("no synergy here")
+            return synergy_report.__get__(p)
+
+        monkeypatch.setattr(CommunityPipeline, "synergy_report", property(failing))
+        out = tmp_path / "rep"
+        with pytest.raises(RunStageError) as err:
+            run_report(RunConfig(community_dirs=tuple(dirs), out_dir=str(out)))
+        assert str(err.value) == "stage 'synergy' failed: community 'b': no synergy here"
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert stages["synergy"] == "failed: community 'b': no synergy here"
+        assert stages["ingest"] == stages["collabs"] == "ok"
 
     def test_cli_exit_code_on_failure(self, tmp_path):
         bad_dir = tmp_path / "missing"

@@ -18,7 +18,6 @@ from collabmetrics.corpus import (
     ChannelRecord,
     RowError,
     cap_videos_per_channel,
-    channel_baseline,
     exact_median,
     load_comments,
     load_registry,
@@ -29,7 +28,7 @@ from collabmetrics.corpus import (
     write_registry,
     write_videos,
 )
-from collabmetrics.errors import ConfigurationError, NoBaselineError, ValidationError
+from collabmetrics.errors import ConfigurationError, ValidationError
 
 from .conftest import make_channel, make_comment, make_video
 
@@ -273,18 +272,13 @@ class TestRoundTrip:
 
 
 class TestBaseline:
+    """The exact median behind every channel baseline."""
+
     def test_odd_median(self):
-        videos = [make_video(f"v{i}", "A", views=v) for i, v in enumerate([100, 300, 200])]
-        assert channel_baseline("A", videos) == 200
+        assert exact_median([100, 300, 200]) == 200
 
     def test_even_median_is_midpoint(self):
-        videos = [make_video(f"v{i}", "A", views=v) for i, v in enumerate([100, 200, 300, 400])]
-        assert channel_baseline("A", videos) == Fraction(250)
-
-    def test_exclusion_empties_raises(self):
-        videos = [make_video("v1", "A", views=100), make_video("v2", "A", views=200)]
-        with pytest.raises(NoBaselineError):
-            channel_baseline("A", videos, exclude={"v1", "v2"})
+        assert exact_median([100, 200, 300, 400]) == Fraction(250)
 
     def test_exact_midpoint_is_rational(self):
         assert exact_median([1, 2]) == Fraction(3, 2)
@@ -292,10 +286,9 @@ class TestBaseline:
     @settings(max_examples=50)
     @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=30), st.randoms())
     def test_permutation_invariant(self, views, rnd):
-        videos = [make_video(f"v{i}", "A", views=v) for i, v in enumerate(views)]
-        shuffled = list(videos)
+        shuffled = list(views)
         rnd.shuffle(shuffled)
-        assert channel_baseline("A", videos) == channel_baseline("A", shuffled)
+        assert exact_median(views) == exact_median(shuffled)
 
     @settings(max_examples=50)
     @given(
@@ -303,9 +296,7 @@ class TestBaseline:
         st.integers(min_value=1, max_value=1000),
     )
     def test_scale_equivariant(self, views, c):
-        videos = [make_video(f"v{i}", "A", views=v) for i, v in enumerate(views)]
-        scaled = [make_video(f"v{i}", "A", views=v * c) for i, v in enumerate(views)]
-        assert channel_baseline("A", scaled) == c * channel_baseline("A", videos)
+        assert exact_median([v * c for v in views]) == c * exact_median(views)
 
 
 class TestLoaderFuzz:
@@ -701,6 +692,90 @@ class TestRegistryJsonValues:
             ValidationError, match=r"^registry\.jsonl:2: attribute 'gender' value 5 is not a string$"
         ):
             load_registry(path)
+
+    @pytest.mark.parametrize("field", ["channel_id", "display_name", "community"])
+    def test_null_text_field(self, tmp_path, field):
+        """``null`` is no string; it used to load as the text "None"."""
+        rows = [registry_row("A", ["a"]), registry_row("B", ["b"])]
+        rows[1][field] = None
+        path = tmp_path / "registry.jsonl"
+        write_jsonl(path, rows)
+        with pytest.raises(ValidationError, match=rf"^registry\.jsonl:2: {field} None is not a string$"):
+            load_registry(path)
+
+    def test_missing_optional_fields_are_empty(self, tmp_path):
+        path = tmp_path / "registry.jsonl"
+        write_jsonl(path, [{"channel_id": "A", "handles": ["a"], "attributes": {"gender": "M"}}])
+        (rec,) = load_registry(path)
+        assert (rec.display_name, rec.community) == ("", "")
+
+    @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
+    def test_blank_handles_are_dropped(self, tmp_path, suffix):
+        """A blank handle is no handle, in a JSON list as in a CSV cell."""
+        path = tmp_path / f"registry.{suffix}"
+        if suffix == "csv":
+            path.write_text(
+                "channel_id,handles,display_name,community,gender\nA,alpha|,A,g,M\nB,beta| ,B,g,W\n",
+                encoding="utf-8",
+            )
+        else:
+            write_jsonl(path, [registry_row("A", ["alpha", ""]), registry_row("B", ["beta", " "])])
+        assert [rec.handles for rec in load_registry(path)] == [("alpha",), ("beta",)]
+
+
+def _video_row(**fields):
+    return {"video_id": "v1", "channel_id": "A", "published_at": "2024-01-01T00:00:00Z", "view_count": 5, **fields}
+
+
+def _comment_row(**fields):
+    return {"comment_id": "c1", "video_id": "v1", "author_id": "u1", "text": "hi",
+            "published_at": "2024-01-01T00:00:00Z", **fields}
+
+
+class TestRowJsonValues:
+    """A JSON-lines video or comment row holds strings where a CSV row does,
+    and whole numbers in its counts; anything else costs that one row."""
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"video_id": None}, "video_id None is not a string"),
+            ({"channel_id": 7}, "channel_id 7 is not a string"),
+            ({"title": None}, "title None is not a string"),
+            ({"view_count": 3.7}, "view_count 3.7 is not an integer"),
+            ({"view_count": True}, "view_count True is not an integer"),
+            ({"like_count": 1.5}, "like_count 1.5 is not an integer"),
+        ],
+    )
+    def test_video_row_error(self, tmp_path, fields, message):
+        path = tmp_path / "videos.jsonl"
+        write_jsonl(path, [_video_row(video_id="v0"), _video_row(**fields)])
+        records, errors = load_videos(path, [make_channel("A", "a")])
+        assert [v.video_id for v in records] == ["v0"]
+        assert errors == [RowError(2, f"malformed row: {message}")]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"author_id": None}, "author_id None is not a string"),
+            ({"text": None}, "text None is not a string"),
+            ({"video_id": None}, "video_id None is not a string"),
+            ({"comment_id": 4}, "comment_id 4 is not a string"),
+            ({"like_count": False}, "like_count False is not an integer"),
+        ],
+    )
+    def test_comment_row_error(self, tmp_path, fields, message):
+        path = tmp_path / "comments.jsonl"
+        write_jsonl(path, [_comment_row(comment_id="c0"), _comment_row(**fields)])
+        records, report = load_comments(path, [make_video("v1", "A")])
+        assert [c.comment_id for c in records] == ["c0"] and report.orphans == ()
+        assert report.errors == (RowError(2, f"malformed row: {message}"),)
+
+    def test_integral_counts_still_load(self, tmp_path):
+        path = tmp_path / "videos.jsonl"
+        write_jsonl(path, [_video_row(view_count=3.0, like_count="12", comment_count=None)])
+        (video,), errors = load_videos(path, [make_channel("A", "a")])
+        assert errors == [] and (video.view_count, video.like_count, video.comment_count) == (3, 12, None)
 
 
 class TestSharedIdStrings:

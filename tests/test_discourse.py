@@ -121,10 +121,6 @@ class TestClassifier:
         )
         assert classifier.classify("beta beta alpha") == "environment"
 
-    def test_schema_without_other_rejected(self):
-        with pytest.raises(ConfigurationError):
-            KeywordTopicClassifier({}, schema=("gameplay", "environment"))
-
     def test_unknown_keyword_category_rejected(self):
         with pytest.raises(ConfigurationError):
             KeywordTopicClassifier({"memes": {"lol"}})
@@ -275,10 +271,10 @@ def reference_score(lexicon, text):
     return max(-1.0, min(1.0, normalized))
 
 
-def reference_classify(keywords, schema, text):
+def reference_classify(keywords, text):
     tokens = reference_tokenize(text)
     best, best_score = "other", 0
-    for cat in schema:
+    for cat in TOPIC_CATEGORIES:
         if cat == "other":
             continue
         score = sum(1 for t in tokens if t in keywords[cat])
@@ -298,9 +294,6 @@ _SHARED_KEYWORDS = {
     "appearance": {"hair"},
 }
 _SHARED_CLASSIFIER = KeywordTopicClassifier(_SHARED_KEYWORDS)
-_REORDERED_CLASSIFIER = KeywordTopicClassifier(
-    _SHARED_KEYWORDS, schema=("food", "other", "environment", "gameplay", "appearance")
-)
 
 _WORDS = sorted(
     NEGATORS
@@ -345,8 +338,8 @@ class TestReferenceEquality:
     @example("aim desk")
     @example("desk ramen aim hair hair")
     def test_labels_equal_reference(self, text):
-        for classifier in (_BUNDLED_CLASSIFIER, _SHARED_CLASSIFIER, _REORDERED_CLASSIFIER):
-            expected = reference_classify(classifier.keywords, classifier.schema, text)
+        for classifier in (_BUNDLED_CLASSIFIER, _SHARED_CLASSIFIER):
+            expected = reference_classify(classifier.keywords, text)
             assert classifier.classify(text) == expected
 
     def test_shared_token_ties_break_by_schema_order(self):
@@ -354,5 +347,4 @@ class TestReferenceEquality:
         assert _SHARED_CLASSIFIER.classify("aim desk") == "environment"  # 1, 2, 1, 0
         assert _SHARED_CLASSIFIER.classify("aim ramen") == "gameplay"  # 1, 1, 1, 0
         assert _SHARED_CLASSIFIER.classify("desk") == "environment"  # 0, 1, 1, 0
-        assert _REORDERED_CLASSIFIER.classify("aim ramen") == "food"
-        assert _REORDERED_CLASSIFIER.classify("aim") == "environment"
+        assert _SHARED_CLASSIFIER.classify("aim") == "gameplay"  # 1, 1, 0, 0

@@ -90,7 +90,7 @@ class TestGenerate:
             audience_size=0,
         )
         corpus, _ = generate(spec)
-        _, stats = collab.detect_collaborations(corpus)
+        _, stats = collab.detect_collaborations(corpus, "gender", collab.partition_videos(corpus))
         assert stats.two_way_share == Fraction("0.0443")
         assert stats.two_way_videos == 443 and stats.total_videos == 10_000
         assert sum(stats.share_by_dyad_type.values()) == stats.two_way_share
@@ -121,7 +121,7 @@ class TestGenerate:
         spec = small_spec(collab_rate=0.25, two_way_share=0.5)
         corpus, truth = generate(spec)
         assert truth.two_way_videos + truth.multi_way_videos == round(0.25 * 48)
-        _, stats = collab.detect_collaborations(corpus)
+        _, stats = collab.detect_collaborations(corpus, "gender", collab.partition_videos(corpus))
         measured = Fraction(stats.two_way_videos, stats.two_way_videos + stats.multi_way_videos)
         assert measured == truth.two_way_share
 
@@ -275,7 +275,7 @@ class TestPresets:
 
     def test_dead_by_daylight_has_no_ww(self):
         corpus, _ = generate(preset("dead-by-daylight", seed=1))
-        dyads, _ = collab.detect_collaborations(corpus)
+        dyads, _ = collab.detect_collaborations(corpus, "gender", collab.partition_videos(corpus))
         assert all(d.dyad_type != "W-W" for d in dyads)
 
     def test_unknown_preset(self):

@@ -107,7 +107,7 @@ class TestComputeSynergies:
 
     def test_all_mode_keeps_collab_videos(self):
         corpus = self._corpus()
-        baselines = channel_baselines(corpus, mode="all")
+        baselines = channel_baselines(corpus, partition_videos(corpus), mode="all")
         assert baselines["A"] == 240  # median of 100, 240, 300
 
     def test_missing_baseline_skips_dyad(self):
@@ -124,6 +124,21 @@ class TestComputeSynergies:
         synergies, diagnostics = compute_synergies(dyads, corpus, baselines)
         assert synergies == []
         assert len(diagnostics.skipped_no_baseline) == 1
+
+
+class TestChannelBaselines:
+    def test_exclusion_empties_leaves_channel_absent(self):
+        """A channel whose every video is a collaboration has no solo baseline, never a zero one."""
+        registry = [make_channel("A", "hosta"), make_channel("B", "guestb")]
+        videos = [
+            make_video("v1", "A", views=100, description="with @guestb"),
+            make_video("v2", "A", views=200, description="again @guestb", offset_hours=1),
+            make_video("b1", "B", views=10),
+        ]
+        corpus = build_corpus(registry, videos, [])
+        partition = partition_videos(corpus)
+        assert channel_baselines(corpus, partition) == {"B": 10}
+        assert channel_baselines(corpus, partition, mode="all") == {"A": 150, "B": 10}
 
 
 class TestAggregate:
