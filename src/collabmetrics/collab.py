@@ -1,11 +1,12 @@
 """Collaboration detection from video descriptions.
 
 A collaboration is a registered creator's handle appearing in another
-registered creator's video description. Matching is case-insensitive on
-normalized handles, tolerates an ``@`` prefix, and requires non-alphanumeric
-characters (or string edges) on both sides so a handle never matches inside
-a longer word. Scanning is left-to-right and non-overlapping, with the
-longest registered handle winning at any position.
+registered creator's video description: ``description.lower()`` holds the
+normalized handle exactly, optionally after one ``@``, with no ``str.isalnum``
+character just before the handle and its ``@`` or just after. ``@alpha!`` and
+``İkit`` mention ``alpha`` and ``kit``; ``éalpha``, ``x@alpha`` and
+``me@alpha.com`` do not. Scanning is left-to-right and non-overlapping, with
+the longest registered handle winning at any position.
 """
 
 from __future__ import annotations
@@ -74,18 +75,14 @@ class HandleIndex:
     """Compiled mention scanner over the registry's normalized handles."""
 
     def __init__(self, registry: Sequence[ChannelRecord]):
-        self._owner_by_handle: dict[str, str] = {}
-        for rec in registry:
-            for handle in rec.handles:
-                self._owner_by_handle[handle] = rec.channel_id
+        self._owner_by_handle = {handle: rec.channel_id for rec in registry for handle in rec.handles}
         if self._owner_by_handle:
             # Longest-first alternation so a longer handle wins at a position.
             alternation = "|".join(
                 re.escape(h) for h in sorted(self._owner_by_handle, key=len, reverse=True)
             )
-            self._pattern = re.compile(
-                rf"(?<![0-9A-Za-z])@?({alternation})(?![0-9A-Za-z])", re.IGNORECASE
-            )
+            # [^\W_] is exactly the code points where str.isalnum() holds.
+            self._pattern = re.compile(rf"(?<![^\W_])(?<![^\W_]@)@?({alternation})(?![^\W_])")
         else:
             self._pattern = None
 
@@ -93,8 +90,7 @@ class HandleIndex:
         """Ids of the registered channels other than the owner that the description mentions."""
         if self._pattern is None or not video.description:
             return set()
-        owner_by_handle = self._owner_by_handle
-        mentioned = {owner_by_handle[m.lower()] for m in self._pattern.findall(video.description)}
+        mentioned = {self._owner_by_handle[m] for m in self._pattern.findall(video.description.lower())}
         mentioned.discard(video.channel_id)  # self-mentions are not collaborations
         return mentioned
 

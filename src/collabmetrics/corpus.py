@@ -136,7 +136,7 @@ class RowError:
 class CommentLoadReport:
     """Side-channel output of comment loading."""
 
-    orphans: tuple[CommentRecord, ...] = ()
+    orphans: tuple[RowError, ...] = ()
     errors: tuple[RowError, ...] = ()
 
 
@@ -343,10 +343,8 @@ def _registry_from_row(row: Mapping[str, object]) -> ChannelRecord:
     handles = row.get("handles", ())
     if isinstance(handles, str):  # CSV: one cell of "|"-separated handles
         handles = handles.split(_HANDLE_SEP)
-    # Blank handles are dropped; any other non-string is a row error.
-    handles = tuple(
-        normalize_handle(_text(h, "handle")) for h in handles if not isinstance(h, str) or h.strip()  # type: ignore[union-attr]
-    )
+    # A handle empty once normalized is dropped; a non-string is a row error.
+    handles = tuple(h for h in (normalize_handle(_text(h, "handle")) for h in handles) if h)
     if not handles:
         raise ValueError("channel has no handles")
     attributes = row.get("attributes")
@@ -476,9 +474,9 @@ def load_comments(
 ) -> tuple[list[CommentRecord], CommentLoadReport]:
     """Load comments line by line (the corpus can be millions of rows).
 
-    Comments pointing at an unknown video are diverted to the orphan
-    report; malformed rows and duplicate comment ids go to the error
-    report. Well-formed, referentially valid rows are always kept. A kept
+    A comment pointing at an unknown video is an orphan, a row error naming
+    its ``video_id``; malformed rows and duplicate comment ids go to the
+    error report. Well-formed, referentially valid rows are always kept. A kept
     comment's ``video_id`` is its video record's string, and equal
     ``author_id`` values are one string, so a comment keeps only the bytes
     of its own id, text and time. ``sha256`` is fed the file's bytes.
@@ -486,7 +484,7 @@ def load_comments(
     path = Path(path)
     known = {v.video_id: v.video_id for v in videos}
     records: list[CommentRecord] = []
-    orphans: list[CommentRecord] = []
+    orphans: list[RowError] = []
     errors: list[RowError] = []
     seen: set[str] = set()
     authors: dict[str, str] = {}
@@ -497,7 +495,10 @@ def load_comments(
             errors.append(RowError(line_no, f"duplicate comment_id {rec.comment_id!r}"))
         else:
             seen.add(rec.comment_id)
-            (records if rec.video_id in known else orphans).append(rec)
+            if rec.video_id in known:
+                records.append(rec)
+            else:
+                orphans.append(RowError(line_no, f"unknown video_id {rec.video_id!r}"))
     return records, CommentLoadReport(tuple(orphans), tuple(errors))
 
 

@@ -19,7 +19,7 @@ from statistics import fmean, pstdev
 from typing import Collection, Iterable, Mapping, Protocol, Sequence
 
 from collabmetrics.collab import CollaborationDyad
-from collabmetrics.corpus import CommentRecord, Corpus, load_rows
+from collabmetrics.corpus import CommentRecord, Corpus, _text, load_rows
 from collabmetrics.errors import ConfigurationError
 
 __all__ = [
@@ -208,7 +208,7 @@ def load_precomputed_labels(path: str | Path) -> dict[str, str]:
     Raises :class:`ValidationError` naming the line of a malformed row.
     """
     return dict(
-        load_rows(path, lambda row: (str(row["comment_id"]), str(row["label"])), tabular=False)
+        load_rows(path, lambda row: (_text(row["comment_id"], "comment_id"), _text(row["label"], "label")), tabular=False)
     )
 
 

@@ -654,7 +654,10 @@ def compute_pipeline_metrics(corpus: Corpus, attribute_key: str = "gender") -> _
 
 
 def _naive_bounded_find(description: str, handle: str) -> bool:
-    """Character-level bounded substring scan (assumes alphanumeric handles)."""
+    """Whether ``handle`` occurs in ``description.lower()``, optionally after one ``@``, with no
+    ``str.isalnum`` character just before it (and its ``@``) or just after it. The pipeline
+    scans all handles at once; it agrees when no handle occurs, bounded, inside another.
+    """
     lowered = description.lower()
     start = 0
     while True:

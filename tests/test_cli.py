@@ -554,13 +554,17 @@ class TestDiscourseSideFiles:
             ("--labels", "labels.jsonl", '{"comment_id": "c1", "label": "food"}\n[1]\n',
              "labels.jsonl:2: expected a JSON object, got list"),
             ("--labels", "labels.jsonl", '{"comment_id": "c1"}\n', "labels.jsonl:1: 'label'"),
+            ("--labels", "labels.jsonl", '{"comment_id": "c1", "label": null}\n',
+             "labels.jsonl:1: label None is not a string"),
+            ("--labels", "labels.jsonl", '{"comment_id": 5, "label": "food"}\n',
+             "labels.jsonl:1: comment_id 5 is not a string"),
             ("--topic-keywords", "kw.csv", "category,token\nmemes,lol\n",
              "keyword categories outside schema: ['memes']"),
             ("--sentiment-lexicon", "lex.csv", "token,valence\ngood,2.0\n\"" + "x" * (csv.field_size_limit() + 1),
              f"lex.csv:3: field larger than field limit ({csv.field_size_limit()})"),
         ],
-        ids=["lexicon-short-row", "keywords-short-row", "labels-not-object", "labels-no-label", "keywords-category",
-             "lexicon-runaway-quote"],
+        ids=["lexicon-short-row", "keywords-short-row", "labels-not-object", "labels-no-label", "labels-null-label",
+             "labels-int-comment-id", "keywords-category", "lexicon-runaway-quote"],
     )
     def test_bad_side_file_is_a_click_error(self, corpus_dir, tmp_path, option, name, text, message):
         path = tmp_path / name

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,12 @@ from collabmetrics.collab import (
     detect_collaborations,
     partition_videos,
 )
-from collabmetrics.corpus import build_corpus
+from collabmetrics.corpus import build_corpus, write_corpus
 from collabmetrics.errors import ValidationError
+from collabmetrics.report import RunConfig, run_report
+from collabmetrics.simgen import _naive_bounded_find
 
-from .conftest import make_channel, make_video
+from .conftest import make_channel, make_comment, make_video
 
 
 def detect(corpus):
@@ -58,6 +61,46 @@ class TestExtractMentions:
     def test_bare_handle_matches(self, registry):
         video = make_video("v1", "OWNER", description="shoutout to guestchan.")
         assert HandleIndex(registry).scan(video) == {"GUEST"}
+
+    @pytest.mark.parametrize(
+        "description, mentioned",
+        [
+            ("éalpha", set()),
+            ("ßalpha", set()),
+            ("x@alpha", set()),
+            ("email me@alpha.com", set()),
+            ("İkit", {"KIT"}),
+            ("@alpha!", {"ALPHA"}),
+        ],
+    )
+    def test_oracle_boundaries(self, description, mentioned):
+        """The lowercased description holds the handle with no ``str.isalnum`` neighbour, as in the oracle."""
+        registry = [make_channel("ALPHA", "alpha"), make_channel("KIT", "kit")]
+        assert HandleIndex(registry).scan(make_video("v1", "OWNER", description=description)) == mentioned
+        assert {c.channel_id for c in registry if _naive_bounded_find(description, c.handles[0])} == mentioned
+
+    def test_case_variant_does_not_abort_report(self, tmp_path):
+        """``ſ`` lowercases to itself, so ``ſs`` is no mention of ``ss`` and no failed lookup."""
+        registry = [make_channel("A", "hosta"), make_channel("S", "ss", gender="W")]
+        videos = [make_video("a1", "A", description="with ſs today"), make_video("s1", "S", offset_hours=1)]
+        write_corpus(build_corpus(registry, videos, [make_comment("c1", "a1", "u1", "hi")]), tmp_path / "in")
+        bundle = run_report(RunConfig(community_dirs=(str(tmp_path / "in"),), out_dir=str(tmp_path / "out")))
+        assert json.loads(bundle.manifest_path.read_text())["stages"]["collabs"] == "ok"
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_scan_matches_oracle(self, data):
+        """On any text, a channel is mentioned exactly when the oracle finds one of its handles."""
+        handle_char = st.one_of(
+            st.sampled_from("abkis0ßé"), st.characters().filter(lambda c: c.isalnum() and c.lower() == c)
+        )
+        handles = data.draw(st.lists(st.text(handle_char, min_size=1, max_size=4), min_size=1, max_size=4, unique=True))
+        piece = st.one_of(st.sampled_from(handles), st.sampled_from(["ſ", "K", "İ", "ß", "é", "@", "_", "\u0307", " "]),
+                          st.text(max_size=3))
+        description = "".join(data.draw(st.lists(piece, max_size=12)))
+        registry = [make_channel(f"C{i}", h) for i, h in enumerate(handles)]
+        expected = {c.channel_id for c in registry if _naive_bounded_find(description, c.handles[0])}
+        assert HandleIndex(registry).scan(make_video("v1", "OWNER", description=description)) == expected
 
 
 class TestClassifyDyad:

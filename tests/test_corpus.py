@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collabmetrics.collab import HandleIndex
 from collabmetrics.corpus import (
     ChannelRecord,
     RowError,
@@ -199,7 +200,7 @@ class TestLoadComments:
         write_jsonl(path, rows)
         records, report = load_comments(path, videos)
         assert len(records) == 4
-        assert len(report.orphans) == 1 and report.orphans[0].comment_id == "c9"
+        assert report.orphans == (RowError(5, "unknown video_id 'nope'"),)
 
     def test_empty_text_is_valid(self, tmp_path):
         videos = [make_video("v1", "A")]
@@ -711,16 +712,24 @@ class TestRegistryJsonValues:
 
     @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
     def test_blank_handles_are_dropped(self, tmp_path, suffix):
-        """A blank handle is no handle, in a JSON list as in a CSV cell."""
+        """A handle empty once normalized is no handle, in a JSON list as in a CSV cell."""
         path = tmp_path / f"registry.{suffix}"
         if suffix == "csv":
             path.write_text(
-                "channel_id,handles,display_name,community,gender\nA,alpha|,A,g,M\nB,beta| ,B,g,W\n",
+                "channel_id,handles,display_name,community,gender\nA,alpha||@,A,g,M\nB,beta| | @ ,B,g,W\n",
                 encoding="utf-8",
             )
         else:
-            write_jsonl(path, [registry_row("A", ["alpha", ""]), registry_row("B", ["beta", " "])])
-        assert [rec.handles for rec in load_registry(path)] == [("alpha",), ("beta",)]
+            write_jsonl(path, [registry_row("A", ["alpha", "", "@"]), registry_row("B", ["beta", " ", " @ "])])
+        registry = load_registry(path)
+        assert [rec.handles for rec in registry] == [("alpha",), ("beta",)]
+        assert HandleIndex(registry).scan(make_video("b1", "B", description="just a solo stream, no guests")) == set()
+
+    def test_channel_of_only_empty_handles_has_none(self, tmp_path):
+        path = tmp_path / "registry.jsonl"
+        write_jsonl(path, [registry_row("A", ["alpha"]), registry_row("B", ["@", " "])])
+        with pytest.raises(ValidationError, match=r"^registry\.jsonl:2: channel has no handles$"):
+            load_registry(path)
 
 
 def _video_row(**fields):
@@ -796,7 +805,7 @@ class TestSharedIdStrings:
         assert len(records) == 24 and len(report.orphans) == 6  # v4 is not a video
         assert all(c.video_id is video_ids[c.video_id] for c in records)
         authors: dict[str, str] = {}
-        for c in [*records, *report.orphans]:
+        for c in records:
             assert authors.setdefault(c.author_id, c.author_id) is c.author_id
         assert len(authors) == 3
 

@@ -1,9 +1,10 @@
-"""Every name a collabmetrics module lists in ``__all__`` exists."""
+"""Every name a collabmetrics module lists in ``__all__`` exists, and the README's library example runs."""
 
 from __future__ import annotations
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +19,10 @@ def test_exported_names_exist(name):
     exported = getattr(module, "__all__", ())
     assert len(set(exported)) == len(exported), "duplicate name in __all__"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_readme_library_use_runs():
+    """The README's "Library use" block runs as written, so its call shapes follow the code."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
