@@ -2,8 +2,10 @@
 
 Three record kinds make up a corpus: a channel registry, a video corpus,
 and a comment corpus. Files are UTF-8 CSV (declared header) or JSON-lines,
-one record per row/line, with ISO-8601 timestamps. Loaded collections are
-validated, immutable, and safe to share across threads.
+one record per row/line, with ISO-8601 timestamps. Channels and videos load
+as records; the comments, by far the most rows, load as one column table.
+Loaded collections are validated, immutable, and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -13,21 +15,22 @@ import hashlib
 import io
 import json
 import logging
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from collabmetrics.errors import ConfigurationError, ValidationError
 
 __all__ = [
     "ChannelRecord",
     "VideoRecord",
-    "CommentRecord",
+    "CommentTable",
     "Corpus",
     "RowError",
     "CommentLoadReport",
@@ -79,6 +82,20 @@ def _format_timestamp(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).isoformat()
 
 
+_UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _epoch_us(dt: datetime) -> int:
+    """An aware ``dt`` as whole microseconds since 1970-01-01 UTC."""
+    return (dt - _UNIX_EPOCH) // _MICROSECOND
+
+
+def _format_epoch_us(us: int) -> str:
+    """``_format_timestamp`` of the UTC time ``us`` microseconds after 1970-01-01."""
+    return (_UNIX_EPOCH + timedelta(microseconds=us)).isoformat()
+
+
 @dataclass(frozen=True, slots=True)
 class ChannelRecord:
     """One creator channel in the analysis registry."""
@@ -112,16 +129,72 @@ class VideoRecord:
     comment_count: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class CommentRecord:
-    """One audience comment below a video."""
+# One comment as :meth:`CommentTable.from_rows` takes it:
+# (comment_id, video_id, author_id, text, published_us, like_count).
+CommentRow = tuple[str, str, str, str, int, int | None]
 
-    comment_id: str
-    video_id: str
-    author_id: str
-    text: str
-    published_at: datetime
-    like_count: int | None = None
+
+def _frozen(column: list) -> tuple:
+    """``column`` as a tuple; the list is emptied, so only one column at a time is held twice."""
+    frozen = tuple(column)
+    column.clear()
+    return frozen
+
+
+@dataclass(frozen=True, slots=True)
+class CommentTable:
+    """The audience comments of a corpus, one column per field.
+
+    Row ``i`` of every column is comment ``i``. The columns are tuples,
+    except ``published_us``: UTC microseconds since 1970-01-01 in a
+    read-only view of an ``array('q')``, 8 bytes a comment. Build a table
+    with :meth:`from_rows`.
+    """
+
+    comment_ids: tuple[str, ...]
+    video_ids: tuple[str, ...]
+    author_ids: tuple[str, ...]
+    texts: tuple[str, ...]
+    published_us: memoryview
+    like_counts: tuple[int | None, ...]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[CommentRow]) -> CommentTable:
+        """The table of ``rows``, in order."""
+        comment_ids: list[str] = []
+        video_ids: list[str] = []
+        author_ids: list[str] = []
+        texts: list[str] = []
+        published_us = array("q")
+        like_counts: list[int | None] = []
+        for comment_id, video_id, author_id, text, us, like_count in rows:
+            comment_ids.append(comment_id)
+            video_ids.append(video_id)
+            author_ids.append(author_id)
+            texts.append(text)
+            published_us.append(us)
+            like_counts.append(like_count)
+        return cls(
+            _frozen(comment_ids),
+            _frozen(video_ids),
+            _frozen(author_ids),
+            _frozen(texts),
+            memoryview(published_us).toreadonly(),
+            _frozen(like_counts),
+        )
+
+    def __len__(self) -> int:
+        return len(self.comment_ids)
+
+    def rows(self) -> Iterator[CommentRow]:
+        """Each comment as :meth:`from_rows` takes it, in order."""
+        return zip(
+            self.comment_ids, self.video_ids, self.author_ids, self.texts, self.published_us, self.like_counts
+        )
+
+    def on_videos(self, video_ids: Container[str]) -> CommentTable:
+        """The comments whose ``video_id`` is in ``video_ids``, in order."""
+        return CommentTable.from_rows(row for row in self.rows() if row[1] in video_ids)
 
 
 @dataclass(frozen=True)
@@ -146,7 +219,7 @@ class Corpus:
 
     registry: tuple[ChannelRecord, ...]
     videos: tuple[VideoRecord, ...]
-    comments: tuple[CommentRecord, ...]
+    comments: CommentTable
     community: str
 
     def channels_by_id(self) -> dict[str, ChannelRecord]:
@@ -165,7 +238,7 @@ class Corpus:
 def build_corpus(
     registry: Sequence[ChannelRecord],
     videos: Sequence[VideoRecord],
-    comments: Sequence[CommentRecord],
+    comments: CommentTable,
     community: str | None = None,
 ) -> Corpus:
     """Assemble a corpus, enforcing referential integrity and a single community."""
@@ -179,10 +252,10 @@ def build_corpus(
         if v.channel_id not in channel_ids:
             raise ValidationError(f"video {v.video_id!r} references unknown channel {v.channel_id!r}")
     video_ids = {v.video_id for v in videos}
-    for c in comments:
-        if c.video_id not in video_ids:
-            raise ValidationError(f"comment {c.comment_id!r} references unknown video {c.video_id!r}")
-    return Corpus(tuple(registry), tuple(videos), tuple(comments), community)
+    for comment_id, video_id in zip(comments.comment_ids, comments.video_ids):
+        if video_id not in video_ids:
+            raise ValidationError(f"comment {comment_id!r} references unknown video {video_id!r}")
+    return Corpus(tuple(registry), tuple(videos), comments, community)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +401,13 @@ def _text(value: object, what: str) -> str:
 
 
 def _count(value: object, what: str) -> int:
-    """``value`` as ``int()`` reads it; a bool, or a float with a fractional part, is no count."""
+    """``value`` as ``int()`` reads it; a bool, a float with a fractional part, or a number below 0 is no count."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{what} {value!r} is not an integer")
-    return int(value)  # type: ignore[call-overload]
+    count = int(value)  # type: ignore[call-overload]
+    if count < 0:
+        raise ValueError(f"negative {what} {count}")
+    return count
 
 
 def _opt_count(row: Mapping[str, object], key: str) -> int | None:
@@ -363,8 +439,6 @@ def _registry_from_row(row: Mapping[str, object]) -> ChannelRecord:
 def _video_from_row(channels: dict[str, str], row: Mapping[str, object]) -> VideoRecord:
     """A video whose ``channel_id``, when ``channels`` holds it, is that one string."""
     view_count = _count(row["view_count"], "view_count")
-    if view_count < 0:
-        raise ValueError(f"negative view_count {view_count}")
     video_id = _text(row["video_id"], "video_id")
     channel_id = _text(row["channel_id"], "channel_id")
     return VideoRecord(
@@ -381,19 +455,19 @@ def _video_from_row(channels: dict[str, str], row: Mapping[str, object]) -> Vide
 
 def _comment_from_row(
     videos: dict[str, str], authors: dict[str, str], row: Mapping[str, object]
-) -> CommentRecord:
+) -> CommentRow:
     """A comment whose ids share strings: the ``video_id`` that ``videos`` holds, and the
     first equal ``author_id``, which ``authors`` collects."""
     comment_id = _text(row["comment_id"], "comment_id")
     video_id = _text(row["video_id"], "video_id")
     author_id = _text(row["author_id"], "author_id")
-    return CommentRecord(
-        comment_id=comment_id,
-        video_id=videos.get(video_id, video_id),
-        author_id=authors.setdefault(author_id, author_id),
-        text=_text(row.get("text", ""), "text"),
-        published_at=_parse_timestamp(_text(row["published_at"], "published_at")),
-        like_count=_opt_count(row, "like_count"),
+    return (
+        comment_id,
+        videos.get(video_id, video_id),
+        authors.setdefault(author_id, author_id),
+        _text(row.get("text", ""), "text"),
+        _epoch_us(_parse_timestamp(_text(row["published_at"], "published_at"))),
+        _opt_count(row, "like_count"),
     )
 
 
@@ -444,8 +518,8 @@ def load_videos(
 ) -> tuple[list[VideoRecord], list[RowError]]:
     """Load videos, keeping well-formed rows and collecting the rest.
 
-    Rows with an unknown channel, a duplicate video id, a negative view
-    count, or a parse failure are diverted into the per-row error report
+    Rows with an unknown channel, a duplicate video id, a negative count,
+    or a parse failure are diverted into the per-row error report
     instead of aborting the load. Returns records sorted by
     ``(channel_id, published_at)``; each record's ``channel_id`` is its
     registry record's string. ``sha256`` is fed the file's bytes.
@@ -471,7 +545,7 @@ def load_videos(
 
 def load_comments(
     path: str | Path, videos: Sequence[VideoRecord], sha256=None
-) -> tuple[list[CommentRecord], CommentLoadReport]:
+) -> tuple[CommentTable, CommentLoadReport]:
     """Load comments line by line (the corpus can be millions of rows).
 
     A comment pointing at an unknown video is an orphan, a row error naming
@@ -479,27 +553,30 @@ def load_comments(
     error report. Well-formed, referentially valid rows are always kept. A kept
     comment's ``video_id`` is its video record's string, and equal
     ``author_id`` values are one string, so a comment keeps only the bytes
-    of its own id, text and time. ``sha256`` is fed the file's bytes.
+    of its own id and text, and 8 for its time. ``sha256`` is fed the file's bytes.
     """
     path = Path(path)
     known = {v.video_id: v.video_id for v in videos}
-    records: list[CommentRecord] = []
     orphans: list[RowError] = []
     errors: list[RowError] = []
     seen: set[str] = set()
     authors: dict[str, str] = {}
-    for line_no, rec in _rows(path, partial(_comment_from_row, known, authors), sha256=sha256):
-        if isinstance(rec, Exception):
-            errors.append(RowError(line_no, f"malformed row: {rec}"))
-        elif rec.comment_id in seen:
-            errors.append(RowError(line_no, f"duplicate comment_id {rec.comment_id!r}"))
-        else:
-            seen.add(rec.comment_id)
-            if rec.video_id in known:
-                records.append(rec)
+
+    def kept() -> Iterator[CommentRow]:
+        for line_no, row in _rows(path, partial(_comment_from_row, known, authors), sha256=sha256):
+            if isinstance(row, Exception):
+                errors.append(RowError(line_no, f"malformed row: {row}"))
+            elif row[0] in seen:
+                errors.append(RowError(line_no, f"duplicate comment_id {row[0]!r}"))
             else:
-                orphans.append(RowError(line_no, f"unknown video_id {rec.video_id!r}"))
-    return records, CommentLoadReport(tuple(orphans), tuple(errors))
+                seen.add(row[0])
+                if row[1] in known:
+                    yield row
+                else:
+                    orphans.append(RowError(line_no, f"unknown video_id {row[1]!r}"))
+
+    comments = CommentTable.from_rows(kept())
+    return comments, CommentLoadReport(tuple(orphans), tuple(errors))
 
 
 def corpus_files(directory: str | Path) -> dict[str, Path]:
@@ -554,7 +631,7 @@ def load_corpus_dir(
 
 
 # ---------------------------------------------------------------------------
-# Writers (inverse of the loaders; round-trip preserves records field-for-field)
+# Writers (inverse of the loaders; round-trip preserves records and tables field-for-field)
 
 
 def _registry_to_row(rec: ChannelRecord) -> dict:
@@ -583,16 +660,17 @@ def _video_to_row(rec: VideoRecord) -> dict:
     return row
 
 
-def _comment_to_row(rec: CommentRecord) -> dict:
+def _comment_to_row(comment: CommentRow) -> dict:
+    comment_id, video_id, author_id, text, published_us, like_count = comment
     row = {
-        "comment_id": rec.comment_id,
-        "video_id": rec.video_id,
-        "author_id": rec.author_id,
-        "text": rec.text,
-        "published_at": _format_timestamp(rec.published_at),
+        "comment_id": comment_id,
+        "video_id": video_id,
+        "author_id": author_id,
+        "text": text,
+        "published_at": _format_epoch_us(published_us),
     }
-    if rec.like_count is not None:
-        row["like_count"] = rec.like_count
+    if like_count is not None:
+        row["like_count"] = like_count
     return row
 
 
@@ -648,7 +726,7 @@ def write_registry(records: Sequence[ChannelRecord], path: str | Path) -> None:
 
 
 def _write_tabular(
-    path: Path, rows: list[dict], header: Sequence[str]
+    path: Path, rows: Iterable[dict], header: Sequence[str]
 ) -> None:
     if _is_csv(path):
         write_csv(path, header, ([row.get(k, "") for k in header] for row in rows))
@@ -664,9 +742,9 @@ def write_videos(records: Sequence[VideoRecord], path: str | Path) -> None:
     _write_tabular(Path(path), [_video_to_row(r) for r in records], header)
 
 
-def write_comments(records: Sequence[CommentRecord], path: str | Path) -> None:
+def write_comments(comments: CommentTable, path: str | Path) -> None:
     header = ["comment_id", "video_id", "author_id", "text", "published_at", "like_count"]
-    _write_tabular(Path(path), [_comment_to_row(r) for r in records], header)
+    _write_tabular(Path(path), map(_comment_to_row, comments.rows()), header)
 
 
 def write_corpus(corpus: Corpus, directory: str | Path, fmt: str = "jsonl") -> dict[str, Path]:

@@ -19,7 +19,7 @@ from statistics import fmean, pstdev
 from typing import Collection, Iterable, Mapping, Protocol, Sequence
 
 from collabmetrics.collab import CollaborationDyad
-from collabmetrics.corpus import CommentRecord, Corpus, _text, load_rows
+from collabmetrics.corpus import CommentTable, Corpus, _text, load_rows
 from collabmetrics.errors import ConfigurationError
 
 __all__ = [
@@ -187,19 +187,19 @@ class KeywordTopicClassifier:
 
 
 def score_comments(
-    comments: Iterable[CommentRecord], scorer: SentimentScorer | None = None
+    comments: Iterable[str], scorer: SentimentScorer | None = None
 ) -> list[float]:
-    """Compound sentiment of each comment, in comment order (default: bundled lexicon)."""
+    """Compound sentiment of each comment text, in order (default: bundled lexicon)."""
     scorer = scorer or LexiconSentimentScorer()
-    return [scorer.score(c.text) for c in comments]
+    return [scorer.score(text) for text in comments]
 
 
 def label_comments(
-    comments: Iterable[CommentRecord], classifier: TopicClassifier | None = None
+    comments: Iterable[str], classifier: TopicClassifier | None = None
 ) -> list[str]:
-    """Topic label of each comment, in comment order (default: bundled keywords)."""
+    """Topic label of each comment text, in order (default: bundled keywords)."""
     classifier = classifier or KeywordTopicClassifier()
-    return [classifier.classify(c.text) for c in comments]
+    return [classifier.classify(text) for text in comments]
 
 
 def load_precomputed_labels(path: str | Path) -> dict[str, str]:
@@ -246,7 +246,7 @@ def _make_row(group: str, scores: list[float], labels: list[str], categories: Se
 
 
 def aggregate_discourse(
-    comments: Sequence[CommentRecord],
+    comments: CommentTable,
     labels: Sequence[str],
     scores: Sequence[float],
     dyads: Sequence[CollaborationDyad],
@@ -279,12 +279,12 @@ def aggregate_discourse(
     grouped_labels: dict[str, list[str]] = {}
     baseline_scores: list[float] = []
     baseline_labels: list[str] = []
-    for comment, score, label in zip(comments, scores, labels, strict=True):
-        dyad_type = dyad_type_of_video.get(comment.video_id)
+    for video_id, score, label in zip(comments.video_ids, scores, labels, strict=True):
+        dyad_type = dyad_type_of_video.get(video_id)
         if dyad_type is not None:
             grouped_scores.setdefault(dyad_type, []).append(score)
             grouped_labels.setdefault(dyad_type, []).append(label)
-        elif comment.video_id not in excluded:
+        elif video_id not in excluded:
             baseline_scores.append(score)
             baseline_labels.append(label)
 

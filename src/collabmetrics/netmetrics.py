@@ -33,7 +33,7 @@ from statistics import median
 from typing import Iterable, Mapping, Sequence
 
 from collabmetrics.collab import CollaborationDyad
-from collabmetrics.corpus import CommentRecord, VideoRecord
+from collabmetrics.corpus import CommentTable, VideoRecord
 
 __all__ = [
     "CollabGraph",
@@ -188,7 +188,7 @@ def closeness(graph: CollabGraph, attributes: Mapping[str, str] | None = None) -
 
 def build_attention_graph(
     videos: Sequence[VideoRecord],
-    comments: Sequence[CommentRecord],
+    comments: CommentTable,
     min_comments: int = 1,
 ) -> AttentionGraph:
     """Bipartite graph of direct commenter-to-channel interactions.
@@ -200,13 +200,13 @@ def build_attention_graph(
     owner = {v.video_id: v.channel_id for v in videos}
     weights: dict[tuple[str, str], int] = {}
     totals: dict[str, int] = {}
-    for comment in comments:
-        channel = owner.get(comment.video_id)
+    for video_id, author_id in zip(comments.video_ids, comments.author_ids):
+        channel = owner.get(video_id)
         if channel is None:
             continue
-        key = (comment.author_id, channel)
+        key = (author_id, channel)
         weights[key] = weights.get(key, 0) + 1
-        totals[comment.author_id] = totals.get(comment.author_id, 0) + 1
+        totals[author_id] = totals.get(author_id, 0) + 1
     if min_comments > 1:
         keep = frozenset(a for a, t in totals.items() if t >= min_comments)
         weights = {k: w for k, w in weights.items() if k[0] in keep}

@@ -165,12 +165,12 @@ class CommunityPipeline:
     @cached_property
     def discourse_report(self) -> discourse.DiscourseReport:
         comments = self.corpus.comments
-        scores = discourse.score_comments(comments, self.scorer)
+        scores = discourse.score_comments(comments.texts, self.scorer)
         if self.labels is None:
-            labels = discourse.label_comments(comments, self.classifier)
+            labels = discourse.label_comments(comments.texts, self.classifier)
         else:
             try:
-                labels = [self.labels[c.comment_id] for c in comments]
+                labels = [self.labels[comment_id] for comment_id in comments.comment_ids]
             except KeyError as exc:
                 raise ValidationError(f"comment {exc.args[0]!r} lacks a topic label") from None
         return discourse.aggregate_discourse(
@@ -204,11 +204,7 @@ def _load(directory: str, config: RunConfig) -> tuple[Corpus, dict[str, str]]:
         return corpus, digests
     videos = cap_videos_per_channel(corpus.videos, config.max_videos_per_channel)
     kept = {v.video_id for v in videos}
-    return dataclasses.replace(
-        corpus,
-        videos=tuple(videos),
-        comments=tuple(c for c in corpus.comments if c.video_id in kept),
-    ), digests
+    return dataclasses.replace(corpus, videos=tuple(videos), comments=corpus.comments.on_videos(kept)), digests
 
 
 def run_report(config: RunConfig) -> ReportBundle:

@@ -22,14 +22,16 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from collabmetrics import report
 from collabmetrics.corpus import (
     ChannelRecord,
-    CommentRecord,
+    CommentRow,
+    CommentTable,
     Corpus,
     VideoRecord,
+    _epoch_us,
     build_corpus,
     write_corpus,
     write_json,
@@ -57,6 +59,7 @@ __all__ = [
 ]
 
 _EPOCH = datetime(2024, 1, 1, tzinfo=timezone.utc)
+_MINUTE_US = 60_000_000
 
 # Generator vocabulary. Sentiment words come from the bundled valence
 # lexicon and topic phrases only hit their own keyword category, so the
@@ -382,11 +385,13 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
             )
 
     # --- comments -----------------------------------------------------------
-    comments: list[CommentRecord] = []
-    if spec.audience_size > 0:
+    def comment_rows() -> Iterator[CommentRow]:
+        if spec.audience_size <= 0:
+            return
         videos_of: dict[str, list[VideoRecord]] = {cid: [] for cid in channel_ids}
         for v in videos:
             videos_of[v.channel_id].append(v)
+        published_us = {v.video_id: _epoch_us(v.published_at) for v in videos}
         popularity = targets / targets.sum()
         home_cdf = _cdf(popularity)
         away_cdfs: dict[int, list[float]] = {}  # home channel -> CDF without its own weight
@@ -412,19 +417,17 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
                 if bucket not in text_draws:
                     text_draws[bucket] = _text_draws(spec.discourse_profiles, bucket)
                 text = _comment_text(*text_draws[bucket], rng_text)
-                comments.append(
-                    CommentRecord(
-                        comment_id=f"{spec.community}-m{comment_seq:07d}",
-                        video_id=video.video_id,
-                        author_id=author,
-                        text=text,
-                        published_at=video.published_at + timedelta(minutes=comment_seq % 600 + 1),
-                        like_count=int(rng_comments.integers(0, 50)),
-                    )
+                yield (
+                    f"{spec.community}-m{comment_seq:07d}",
+                    video.video_id,
+                    author,
+                    text,
+                    published_us[video.video_id] + (comment_seq % 600 + 1) * _MINUTE_US,
+                    int(rng_comments.integers(0, 50)),
                 )
                 comment_seq += 1
 
-    corpus = build_corpus(registry, videos, comments, spec.community)
+    corpus = build_corpus(registry, videos, CommentTable.from_rows(comment_rows()), spec.community)
 
     observed_types = sorted({t for _, _, t, _ in dyad_plan})
     type_multipliers = {t: multipliers.get(t, 1.0) for t in observed_types}
@@ -771,12 +774,12 @@ def compute_oracle_metrics(corpus: Corpus, attribute_key: str = "gender") -> _Me
             closeness[cid] = ((k - 1) / (n - 1)) * ((k - 1) / total)
 
     counts: dict[str, dict[str, int]] = {}
-    for comment in corpus.comments:
-        channel = owner.get(comment.video_id)
+    for video_id, author in zip(corpus.comments.video_ids, corpus.comments.author_ids):
+        channel = owner.get(video_id)
         if channel is None:
             continue
-        counts.setdefault(comment.author_id, {}).setdefault(channel, 0)
-        counts[comment.author_id][channel] += 1
+        counts.setdefault(author, {}).setdefault(channel, 0)
+        counts[author][channel] += 1
     entropy: dict[str, float] = {}
     for author, channel_counts in counts.items():
         total = sum(channel_counts.values())

@@ -6,9 +6,10 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from collabmetrics.corpus import ChannelRecord, CommentRecord, VideoRecord, build_corpus
+from collabmetrics.corpus import ChannelRecord, CommentTable, VideoRecord, build_corpus
 
 T0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
+T0_US = 1_704_067_200_000_000  # T0 in microseconds since 1970-01-01 UTC
 
 
 def make_channel(channel_id, handle=None, gender="M", community="testgame", **attrs):
@@ -34,15 +35,9 @@ def make_video(video_id, channel_id, views=100, description="", offset_hours=0, 
     )
 
 
-def make_comment(comment_id, video_id, author_id, text="", offset_minutes=0, **kwargs):
-    return CommentRecord(
-        comment_id=comment_id,
-        video_id=video_id,
-        author_id=author_id,
-        text=text,
-        published_at=T0 + timedelta(minutes=offset_minutes),
-        **kwargs,
-    )
+def make_comment(comment_id, video_id, author_id, text="", offset_minutes=0, like_count=None):
+    """One comment row, as :meth:`CommentTable.from_rows` takes it."""
+    return (comment_id, video_id, author_id, text, T0_US + offset_minutes * 60_000_000, like_count)
 
 
 @pytest.fixture
@@ -59,9 +54,9 @@ def two_channel_corpus():
         make_video("b1", "B", views=50, offset_hours=0),
         make_video("b2", "B", views=70, offset_hours=1),
     ]
-    comments = [
+    comments = CommentTable.from_rows([
         make_comment("c1", "a3", "u1", "that aim is awesome"),
         make_comment("c2", "a1", "u1", "boring video"),
         make_comment("c3", "b1", "u2", "love the stream setup"),
-    ]
+    ])
     return build_corpus(registry, videos, comments)

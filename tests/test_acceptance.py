@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from collabmetrics import collab, synergy
 from collabmetrics.collab import CollaborationDyad
-from collabmetrics.corpus import Corpus, build_corpus
+from collabmetrics.corpus import CommentTable, Corpus, build_corpus
 from collabmetrics.discourse import aggregate_discourse
 from collabmetrics.netmetrics import (
     AttentionGraph,
@@ -288,9 +288,9 @@ def test_criterion_10_discourse_report_integrity():
         make_video("wm", "C", description="with @hosta", offset_hours=1),
         make_video("solo", "B", offset_hours=2),
     ]
-    comments = [make_comment(f"c{i}", vid, f"u{i}") for i, vid in enumerate(
+    comments = CommentTable.from_rows(make_comment(f"c{i}", vid, f"u{i}") for i, vid in enumerate(
         ["mm", "mm", "wm", "wm", "wm", "wm", "solo", "solo", "solo", "solo"]
-    )]
+    ))
     corpus = build_corpus(registry, videos, comments)
     dyads = [
         CollaborationDyad("A", "B", ("mm",), "M-M"),
@@ -308,8 +308,8 @@ def test_criterion_10_discourse_report_integrity():
     }
     report = aggregate_discourse(
         comments,
-        [labels_by_id[c.comment_id] for c in comments],
-        [injected_scores[c.comment_id] for c in comments],
+        [labels_by_id[comment_id] for comment_id in comments.comment_ids],
+        [injected_scores[comment_id] for comment_id in comments.comment_ids],
         dyads,
         corpus,
     )

@@ -15,7 +15,7 @@ from collabmetrics.collab import (
     detect_collaborations,
     partition_videos,
 )
-from collabmetrics.corpus import build_corpus, write_corpus
+from collabmetrics.corpus import CommentTable, build_corpus, write_corpus
 from collabmetrics.errors import ValidationError
 from collabmetrics.report import RunConfig, run_report
 from collabmetrics.simgen import _naive_bounded_find
@@ -83,7 +83,8 @@ class TestExtractMentions:
         """``ſ`` lowercases to itself, so ``ſs`` is no mention of ``ss`` and no failed lookup."""
         registry = [make_channel("A", "hosta"), make_channel("S", "ss", gender="W")]
         videos = [make_video("a1", "A", description="with ſs today"), make_video("s1", "S", offset_hours=1)]
-        write_corpus(build_corpus(registry, videos, [make_comment("c1", "a1", "u1", "hi")]), tmp_path / "in")
+        comments = CommentTable.from_rows([make_comment("c1", "a1", "u1", "hi")])
+        write_corpus(build_corpus(registry, videos, comments), tmp_path / "in")
         bundle = run_report(RunConfig(community_dirs=(str(tmp_path / "in"),), out_dir=str(tmp_path / "out")))
         assert json.loads(bundle.manifest_path.read_text())["stages"]["collabs"] == "ok"
 
@@ -130,7 +131,7 @@ class TestDetectCollaborations:
             make_video("v2", "OWNER", description="again with @guestchan", offset_hours=1),
             make_video("v3", "OWNER", description="@guestchan and @otherchan", offset_hours=2),
         ] + [make_video(f"s{i}", "OWNER", offset_hours=3 + i) for i in range(7)]
-        corpus = build_corpus(registry, videos, [])
+        corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
         dyads, stats = detect(corpus)
         assert len(dyads) == 1
         (dyad,) = dyads
@@ -144,7 +145,7 @@ class TestDetectCollaborations:
 
     def test_no_collaborations(self, registry):
         videos = [make_video(f"v{i}", "OWNER", offset_hours=i) for i in range(3)]
-        corpus = build_corpus(registry, videos, [])
+        corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
         dyads, stats = detect(corpus)
         assert dyads == []
         assert stats.two_way_videos == 0 and stats.share_by_dyad_type == {}
@@ -154,7 +155,7 @@ class TestDetectCollaborations:
             make_video("v1", "OWNER", description="with @guestchan"),
             make_video("v2", "GUEST", description="with @ownerchan", offset_hours=1),
         ]
-        corpus = build_corpus(registry, videos, [])
+        corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
         dyads, _ = detect(corpus)
         assert {(d.host, d.guest) for d in dyads} == {("OWNER", "GUEST"), ("GUEST", "OWNER")}
 
@@ -162,13 +163,13 @@ class TestDetectCollaborations:
         videos = [
             make_video("v1", "OWNER", description="with @guestchan and @not_registered_person"),
         ]
-        corpus = build_corpus(registry, videos, [])
+        corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
         dyads, stats = detect(corpus)
         assert len(dyads) == 1 and stats.two_way_videos == 1 and stats.multi_way_videos == 0
 
     def test_duplicate_mentions_count_once(self, registry):
         videos = [make_video("v1", "OWNER", description="@guestchan @guestchan @guestchan")]
-        corpus = build_corpus(registry, videos, [])
+        corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
         dyads, stats = detect(corpus)
         assert len(dyads) == 1 and stats.two_way_videos == 1
 
@@ -179,7 +180,7 @@ class TestDetectCollaborations:
             make_video("v3", "OTHER", offset_hours=2),
             make_video("v4", "OTHER", description="@ownerchan @guestchan", offset_hours=3),
         ]
-        corpus = build_corpus(registry, videos, [])
+        corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
         _, stats = detect(corpus)
         assert sum(stats.share_by_dyad_type.values()) == stats.two_way_share
 
@@ -189,7 +190,7 @@ class TestDetectCollaborations:
             make_video("v2", "OWNER", description="@guestchan @otherchan", offset_hours=1),
             make_video("v3", "OWNER", offset_hours=2),
         ]
-        corpus = build_corpus(registry, videos, [])
+        corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
         partition = partition_videos(corpus)
         assert set(partition.two_way) == {"v1"}
         assert partition.multi_way == {"v2"}
@@ -221,7 +222,7 @@ def test_rename_bijection_preserves_structure(data):
         )
         for i, (owner, guests) in enumerate(descriptions)
     ]
-    corpus = build_corpus(registry, videos, [])
+    corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
     dyads, stats = detect(corpus)
 
     rename = {f"C{i}": f"Z{n - i:02d}" for i in range(n)}
@@ -237,7 +238,7 @@ def test_rename_bijection_preserves_structure(data):
         )
         for i, (owner, guests) in enumerate(descriptions)
     ]
-    corpus2 = build_corpus(registry2, videos2, [])
+    corpus2 = build_corpus(registry2, videos2, CommentTable.from_rows([]))
     dyads2, stats2 = detect(corpus2)
 
     mapped = {(rename[d.host], rename[d.guest], d.videos, d.dyad_type) for d in dyads}
@@ -255,7 +256,7 @@ def test_video_in_exactly_one_dyad(registry):
         make_video("v2", "OWNER", description="with @otherchan", offset_hours=1),
         make_video("v3", "OWNER", description="with @guestchan", offset_hours=2),
     ]
-    corpus = build_corpus(registry, videos, [])
+    corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
     dyads, _ = detect(corpus)
     assigned = [vid for d in dyads for vid in d.videos]
     assert sorted(assigned) == ["v1", "v2", "v3"]

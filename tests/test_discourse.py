@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collabmetrics.collab import CollaborationDyad
-from collabmetrics.corpus import build_corpus
+from collabmetrics.corpus import CommentTable, build_corpus
 from collabmetrics.discourse import (
     BOOSTERS,
     BOOSTER_STEP,
@@ -37,13 +37,13 @@ from .conftest import make_channel, make_comment, make_video
 
 def score_sentiment(text):
     """Compound sentiment of one text under the default scorer of :func:`score_comments`."""
-    (score,) = score_comments([make_comment("c1", "v1", "u1", text)])
+    (score,) = score_comments([text])
     return score
 
 
 def tag_topic(text):
     """Topic label of one text under the default classifier of :func:`label_comments`."""
-    (label,) = label_comments([make_comment("c1", "v1", "u1", text)])
+    (label,) = label_comments([text])
     return label
 
 
@@ -152,20 +152,20 @@ class TestAggregate:
             make_video("plain", "A", offset_hours=1),
             make_video("multi", "A", offset_hours=2),
         ]
-        comments = [
+        comments = CommentTable.from_rows([
             make_comment("c1", "collab", "u1"),
             make_comment("c2", "collab", "u2"),
             make_comment("c3", "plain", "u3"),
             make_comment("c4", "multi", "u4"),
-        ]
+        ])
         corpus = build_corpus(registry, videos, comments)
         dyads = [CollaborationDyad("A", "B", ("collab",), "M-M")]
         return corpus, dyads
 
     def _run(self, scores_by_id, labels_by_id, exclude=()):
         corpus, dyads = self._fixture()
-        scores = [scores_by_id[c.comment_id] for c in corpus.comments]
-        labels = [labels_by_id[c.comment_id] for c in corpus.comments]
+        scores = [scores_by_id[comment_id] for comment_id in corpus.comments.comment_ids]
+        labels = [labels_by_id[comment_id] for comment_id in corpus.comments.comment_ids]
         return aggregate_discourse(
             corpus.comments, labels, scores, dyads, corpus, exclude_videos=exclude
         )
@@ -214,7 +214,7 @@ class TestAggregate:
         report = aggregate_discourse(corpus.comments, labels, scores, dyads, corpus)
         assert set(report.by_dyad_type) == {"M-M", "W-M"}
         report2 = aggregate_discourse(
-            [c for c in corpus.comments if c.comment_id != "c3"], labels[1:], scores[1:], dyads, corpus
+            corpus.comments.on_videos({"collab", "multi"}), labels[1:], scores[1:], dyads, corpus
         )
         assert set(report2.by_dyad_type) == {"M-M"}
 
@@ -225,8 +225,8 @@ class TestAggregate:
             (LexiconSentimentScorer({"good": 1.9}), KeywordTopicClassifier({"food": {"ramen"}})),
             (LexiconSentimentScorer({"bad": -2.0}), KeywordTopicClassifier()),
         ):
-            scores = score_comments(corpus.comments, scorer)
-            labels = label_comments(corpus.comments, classifier)
+            scores = score_comments(corpus.comments.texts, scorer)
+            labels = label_comments(corpus.comments.texts, classifier)
             report = aggregate_discourse(corpus.comments, labels, scores, dyads, corpus)
             rows[id(scorer)] = {
                 group: (set(row.topic_proportions), row.comment_count)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from collabmetrics import netmetrics
 from collabmetrics.collab import CollaborationDyad
+from collabmetrics.corpus import CommentTable
 from collabmetrics.netmetrics import (
     AttentionGraph,
     CollabGraph,
@@ -217,12 +218,12 @@ class TestCloseness:
 class TestAttentionGraph:
     def test_counts_raw_comments(self):
         videos = [make_video("v1", "A"), make_video("v2", "A"), make_video("v3", "B")]
-        comments = [
+        comments = CommentTable.from_rows([
             make_comment("c1", "v1", "u1"),
             make_comment("c2", "v2", "u1"),
             make_comment("c3", "v3", "u1"),
             make_comment("c4", "v3", "u2"),
-        ]
+        ])
         graph = build_attention_graph(videos, comments)
         assert graph.weights[("u1", "A")] == 2
         assert graph.weights[("u1", "B")] == 1
@@ -230,14 +231,14 @@ class TestAttentionGraph:
 
     def test_min_comments_threshold(self):
         videos = [make_video("v1", "A")]
-        comments = [make_comment(f"c{i}", "v1", "u1") for i in range(3)]
-        comments.append(make_comment("c9", "v1", "u2"))
-        graph = build_attention_graph(videos, comments, min_comments=2)
+        rows = [make_comment(f"c{i}", "v1", "u1") for i in range(3)]
+        rows.append(make_comment("c9", "v1", "u2"))
+        graph = build_attention_graph(videos, CommentTable.from_rows(rows), min_comments=2)
         assert graph.commenters == {"u1"}
 
     def test_edges_between_partitions_only(self):
         videos = [make_video("v1", "A")]
-        comments = [make_comment("c1", "v1", "u1")]
+        comments = CommentTable.from_rows([make_comment("c1", "v1", "u1")])
         graph = build_attention_graph(videos, comments)
         for author, channel in graph.weights:
             assert author in graph.commenters and channel in graph.channels

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collabmetrics.collab import CollaborationDyad, detect_collaborations, partition_videos
-from collabmetrics.corpus import build_corpus
+from collabmetrics.corpus import CommentTable, build_corpus
 from collabmetrics.synergy import (
     aggregate_by_dyad_type,
     channel_baselines,
@@ -88,7 +88,7 @@ class TestComputeSynergies:
             make_video("c1", "C", views=0),
             make_video("ca", "C", views=10, description="with @hosta", offset_hours=1),
         ]
-        return build_corpus(registry, videos, [])
+        return build_corpus(registry, videos, CommentTable.from_rows([]))
 
     def test_pipeline_and_solo_exclusion(self):
         corpus = self._corpus()
@@ -116,7 +116,7 @@ class TestComputeSynergies:
             make_video("ab", "A", views=100, description="with @guestb"),
             make_video("b1", "B", views=10),
         ]
-        corpus = build_corpus(registry, videos, [])
+        corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
         partition = partition_videos(corpus)
         dyads, _ = detect_collaborations(corpus, "gender", partition)
         baselines = channel_baselines(corpus, partition, mode="solo")
@@ -135,7 +135,7 @@ class TestChannelBaselines:
             make_video("v2", "A", views=200, description="again @guestb", offset_hours=1),
             make_video("b1", "B", views=10),
         ]
-        corpus = build_corpus(registry, videos, [])
+        corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
         partition = partition_videos(corpus)
         assert channel_baselines(corpus, partition) == {"B": 10}
         assert channel_baselines(corpus, partition, mode="all") == {"A": 150, "B": 10}
