@@ -9,6 +9,9 @@ synthetic-community generator for end-to-end validation.
 
 __version__ = "0.1.0"
 
+# The bundled community presets of ``simgen.preset``, here so that naming them imports no generator.
+PRESET_NAMES = ("valorant", "animal-crossing", "dead-by-daylight")
+
 from collabmetrics.errors import (
     CollabMetricsError,
     ConfigurationError,
@@ -21,5 +24,6 @@ __all__ = [
     "ConfigurationError",
     "InfeasibleSpecError",
     "ValidationError",
+    "PRESET_NAMES",
     "__version__",
 ]

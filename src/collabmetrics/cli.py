@@ -16,15 +16,27 @@ from pathlib import Path
 
 import click
 
-from collabmetrics import __version__, discourse, report, simgen
+from collabmetrics import PRESET_NAMES, __version__, discourse, report
 from collabmetrics.corpus import attribute_histogram, load_corpus_dir
-from collabmetrics.errors import CollabMetricsError
+from collabmetrics.errors import CollabMetricsError, ConfigurationError
+from collabmetrics.synergy import BASELINE_MODES, STATISTICS
 
 _CONTEXT = {"auto_envvar_prefix": "COLLABMETRICS", "help_option_names": ["-h", "--help"]}
 
 
 def _echo_json(payload) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
+
+
+def _read_json_object(path: str) -> dict:
+    """The JSON object in the file ``path``; anything else is a one-line error naming the file."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise click.ClickException(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise click.ClickException(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def _load(corpus_dir: str, attribute_key: str):
@@ -97,8 +109,8 @@ def collabs(corpus_dir: str, attribute_key: str, out_dir: str) -> None:
 @main.command("synergy")
 @click.option("--corpus", "corpus_dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--attribute-key", default="gender", show_default=True)
-@click.option("--baseline-mode", type=click.Choice(["solo", "all"]), default="solo", show_default=True)
-@click.option("--statistic", type=click.Choice(["median", "mean"]), default="median", show_default=True)
+@click.option("--baseline-mode", type=click.Choice(BASELINE_MODES), default="solo", show_default=True)
+@click.option("--statistic", type=click.Choice(STATISTICS), default="median", show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def synergy_cmd(corpus_dir: str, attribute_key: str, baseline_mode: str, statistic: str, out_dir: str) -> None:
     """Per-dyad contributions plus per-type aggregates and reciprocity."""
@@ -157,7 +169,7 @@ def discourse_cmd(
 
 
 @main.command()
-@click.option("--preset", "preset_name", type=click.Choice([*simgen.PRESET_NAMES, "custom"]), default="valorant",
+@click.option("--preset", "preset_name", type=click.Choice([*PRESET_NAMES, "custom"]), default="valorant",
               show_default=True)
 @click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Community spec JSON (required with --preset custom).")
@@ -166,11 +178,12 @@ def discourse_cmd(
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default="jsonl", show_default=True)
 def simulate(preset_name: str, spec_path: str | None, seed: int, out_dir: str, fmt: str) -> None:
     """Generate a synthetic community corpus plus its planted-truth file."""
+    from collabmetrics import simgen  # only this command needs the generator and numpy
     try:
         if preset_name == "custom":
             if not spec_path:
                 raise click.ClickException("--preset custom requires --spec")
-            raw = json.loads(Path(spec_path).read_text(encoding="utf-8"))
+            raw = _read_json_object(spec_path)
             raw["seed"] = seed
             spec = simgen.spec_from_dict(raw)
         else:
@@ -190,12 +203,12 @@ def simulate(preset_name: str, spec_path: str | None, seed: int, out_dir: str, f
               help="RunConfig JSON; explicit flags override its fields.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--attribute-key", default=None)
-@click.option("--baseline-mode", type=click.Choice(["solo", "all"]), default=None)
-@click.option("--statistic", type=click.Choice(["median", "mean"]), default=None)
+@click.option("--baseline-mode", type=click.Choice(BASELINE_MODES), default=None)
+@click.option("--statistic", type=click.Choice(STATISTICS), default=None)
 @click.option("--min-comments", type=int, default=None)
 @click.option("--max-videos-per-channel", type=int, default=None,
               help="Optionally cap each channel to its most recent N videos.")
-@click.option("--format", "formats", type=click.Choice(["csv", "json", "table"]), multiple=True)
+@click.option("--format", "formats", type=click.Choice(report.FORMATS), multiple=True)
 def report_cmd(
     corpus_dirs: tuple[str, ...],
     config_path: str | None,
@@ -208,9 +221,7 @@ def report_cmd(
     formats: tuple[str, ...],
 ) -> None:
     """Run the full pipeline and write the report bundle."""
-    raw: dict = {}
-    if config_path:
-        raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    raw = _read_json_object(config_path) if config_path else {}
     overrides = {
         "community_dirs": tuple(corpus_dirs) or None,
         "out_dir": out_dir,
@@ -229,7 +240,7 @@ def report_cmd(
         raise click.ClickException("--out (or config out_dir) is required")
     try:
         config = report.RunConfig.from_dict(raw)
-    except TypeError as exc:
+    except (TypeError, ConfigurationError) as exc:
         raise click.ClickException(f"bad config: {exc}") from exc
     try:
         bundle = report.run_report(config)

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import json.scanner
 import logging
 from array import array
 from collections import Counter
@@ -293,6 +294,26 @@ def _csv_records(lines: Iterator[str]) -> Iterator[tuple[int, list[str] | csv.Er
             yield line_no, record
 
 
+# ``(value, end)`` of the JSON value at an index of a string, in one C call.
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _json_object(line: str) -> dict:
+    """The object on ``line`` as ``json.loads`` reads it; one that ends the line takes one scan."""
+    if line.startswith("{"):
+        try:
+            row, end = _scan_json(line, 0)
+        except StopIteration:
+            pass
+        else:
+            if line[end:] in ("", "\n"):
+                return row
+    row = json.loads(line)
+    if not isinstance(row, dict):
+        raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+    return row
+
+
 class _HashingReader(io.RawIOBase):
     """A binary file that feeds every byte read from it to ``sha256``."""
 
@@ -354,15 +375,13 @@ def _rows(
                 header = bad[0]
                 bad.clear()
         else:
-            records = ((i, text) for i, text in enumerate(checked(fh), 1) if text.strip())
+            records = ((i, text) for i, text in enumerate(checked(fh), 1) if not text.isspace())
         for line_no, raw in records:
             try:
                 if bad:
                     raise bad[0]
                 if isinstance(raw, str):
-                    row = json.loads(raw)
-                    if not isinstance(row, dict):
-                        raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+                    row = _json_object(raw)
                 elif isinstance(raw, Exception):
                     raise raw
                 elif isinstance(header, Exception):
@@ -402,6 +421,8 @@ def _text(value: object, what: str) -> str:
 
 def _count(value: object, what: str) -> int:
     """``value`` as ``int()`` reads it; a bool, a float with a fractional part, or a number below 0 is no count."""
+    if type(value) is int and value >= 0:
+        return value
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{what} {value!r} is not an integer")
     count = int(value)  # type: ignore[call-overload]
@@ -412,6 +433,8 @@ def _count(value: object, what: str) -> int:
 
 def _opt_count(row: Mapping[str, object], key: str) -> int | None:
     raw = row.get(key)
+    if type(raw) is int and raw >= 0:
+        return raw
     return None if raw is None or raw == "" else _count(raw, key)
 
 
@@ -439,14 +462,20 @@ def _registry_from_row(row: Mapping[str, object]) -> ChannelRecord:
 def _video_from_row(channels: dict[str, str], row: Mapping[str, object]) -> VideoRecord:
     """A video whose ``channel_id``, when ``channels`` holds it, is that one string."""
     view_count = _count(row["view_count"], "view_count")
-    video_id = _text(row["video_id"], "video_id")
-    channel_id = _text(row["channel_id"], "channel_id")
+    video_id, channel_id, published_at = row.get("video_id"), row.get("channel_id"), row.get("published_at")
+    title, description = row.get("title", ""), row.get("description", "")
+    if type(video_id) is type(channel_id) is type(published_at) is type(title) is type(description) is str:
+        published = _parse_timestamp(published_at)
+    else:  # one check at a time, so that the row's first fault is the one raised
+        video_id, channel_id, published_at = (_text(row[k], k) for k in ("video_id", "channel_id", "published_at"))
+        published = _parse_timestamp(published_at)
+        title, description = (_text(row.get(k, ""), k) for k in ("title", "description"))
     return VideoRecord(
         video_id=video_id,
         channel_id=channels.get(channel_id, channel_id),
-        published_at=_parse_timestamp(_text(row["published_at"], "published_at")),
-        title=_text(row.get("title", ""), "title"),
-        description=_text(row.get("description", ""), "description"),
+        published_at=published,
+        title=title,
+        description=description,
         view_count=view_count,
         like_count=_opt_count(row, "like_count"),
         comment_count=_opt_count(row, "comment_count"),
@@ -458,15 +487,18 @@ def _comment_from_row(
 ) -> CommentRow:
     """A comment whose ids share strings: the ``video_id`` that ``videos`` holds, and the
     first equal ``author_id``, which ``authors`` collects."""
-    comment_id = _text(row["comment_id"], "comment_id")
-    video_id = _text(row["video_id"], "video_id")
-    author_id = _text(row["author_id"], "author_id")
+    comment_id, video_id, author_id = row.get("comment_id"), row.get("video_id"), row.get("author_id")
+    text, published_at = row.get("text", ""), row.get("published_at")
+    if not (type(comment_id) is type(video_id) is type(author_id) is type(text) is type(published_at) is str):
+        # One check at a time, so that the row's first fault is the one raised.
+        comment_id, video_id, author_id = (_text(row[k], k) for k in ("comment_id", "video_id", "author_id"))
+        text, published_at = _text(row.get("text", ""), "text"), _text(row["published_at"], "published_at")
     return (
         comment_id,
         videos.get(video_id, video_id),
         authors.setdefault(author_id, author_id),
-        _text(row.get("text", ""), "text"),
-        _epoch_us(_parse_timestamp(_text(row["published_at"], "published_at"))),
+        text,
+        _epoch_us(_parse_timestamp(published_at)),
         _opt_count(row, "like_count"),
     )
 

@@ -65,6 +65,9 @@ BOOSTERS = frozenset(
     }
 )
 
+# A lexicon hit with none of these in its window keeps its valence as it is.
+_MODIFIERS = BOOSTERS | NEGATORS
+
 # A token is a maximal run of letters a-z, digits and apostrophes in the
 # lowercased text, with the apostrophes at its ends trimmed; apostrophes
 # alone make no token.
@@ -139,12 +142,13 @@ class LexiconSentimentScorer:
             if valence is None:
                 continue
             window = tokens[max(0, i - CONTEXT_WINDOW):i]
-            boosters = sum(map(BOOSTERS.__contains__, window))
-            sign = 1.0 if valence > 0 else -1.0
-            adjusted = valence + sign * BOOSTER_STEP * boosters
-            if not NEGATORS.isdisjoint(window):
-                adjusted *= NEGATION_SCALAR
-            total += adjusted
+            if not _MODIFIERS.isdisjoint(window):
+                boosters = sum(map(BOOSTERS.__contains__, window))
+                sign = 1.0 if valence > 0 else -1.0
+                valence = valence + sign * BOOSTER_STEP * boosters
+                if not NEGATORS.isdisjoint(window):
+                    valence *= NEGATION_SCALAR
+            total += valence
         if total == 0.0:
             return 0.0
         normalized = total / (total * total + NORMALIZATION_ALPHA) ** 0.5

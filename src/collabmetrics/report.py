@@ -37,15 +37,17 @@ from collabmetrics.corpus import (
     write_json,
     write_jsonl,
 )
-from collabmetrics.errors import CollabMetricsError, ValidationError
+from collabmetrics.errors import CollabMetricsError, ConfigurationError, ValidationError
 
-__all__ = ["RunConfig", "ReportBundle", "RunStageError", "CommunityPipeline", "run_report"]
+__all__ = ["RunConfig", "ReportBundle", "RunStageError", "CommunityPipeline", "run_report", "FORMATS"]
 
 logger = logging.getLogger(__name__)
 
 ABSENT = "—"  # em dash for dyad types a community never produced
 
 STAGES = ("ingest", "collabs", "synergy", "network", "entropy", "discourse", "render")
+
+FORMATS = ("csv", "json", "table")  # the renderings a bundle can hold
 
 
 class RunStageError(CollabMetricsError):
@@ -72,11 +74,22 @@ class RunConfig:
     formats: tuple[str, ...] = ("csv",)
     seed: int | None = None  # provenance only: the simulate seed behind the inputs
 
+    def __post_init__(self) -> None:
+        """Raise :class:`ConfigurationError` on a value no flag could have set."""
+        for key, choices in (("baseline_mode", synergy.BASELINE_MODES), ("statistic", synergy.STATISTICS)):
+            if getattr(self, key) not in choices:
+                raise ConfigurationError(f"{key} must be one of {list(choices)}, got {getattr(self, key)!r}")
+        unknown = [f for f in self.formats if f not in FORMATS]
+        if unknown:
+            raise ConfigurationError(f"formats must be a list of {list(FORMATS)}, got {unknown!r}")
+
     @classmethod
     def from_dict(cls, raw: Mapping) -> "RunConfig":
         data = dict(raw)
         for key in ("community_dirs", "formats"):
             if key in data:
+                if not isinstance(data[key], (list, tuple)):
+                    raise ConfigurationError(f"{key} must be a list, got {data[key]!r}")
                 data[key] = tuple(data[key])
         return cls(**data)
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from collabmetrics import report
+from collabmetrics import PRESET_NAMES, report
 from collabmetrics.corpus import (
     ChannelRecord,
     CommentRow,
@@ -494,9 +494,6 @@ def _comment_text(topic_cdf: list[float] | None, p_positive: float, rng: np.rand
 
 # ---------------------------------------------------------------------------
 # Presets
-
-
-PRESET_NAMES = ("valorant", "animal-crossing", "dead-by-daylight")
 
 
 def preset(name: str, seed: int = 0) -> CommunitySpec:

@@ -34,9 +34,16 @@ __all__ = [
     "aggregate_by_dyad_type",
     "reciprocity",
     "dyad_type_order",
+    "BASELINE_MODES",
+    "STATISTICS",
 ]
 
 logger = logging.getLogger(__name__)
+
+# The ``mode`` values of :func:`channel_baselines` and the ``statistic`` values
+# of :func:`aggregate_by_dyad_type`, defaults first.
+BASELINE_MODES = ("solo", "all")
+STATISTICS = ("median", "mean")
 
 
 @dataclass(frozen=True)
@@ -152,7 +159,7 @@ def channel_baselines(
     from the result (their dyads get skipped downstream), never a zero
     baseline.
     """
-    if mode not in ("solo", "all"):
+    if mode not in BASELINE_MODES:
         raise ValueError(f"unknown baseline mode {mode!r}")
     exclude = partition.collaboration_videos() if mode == "solo" else frozenset()
     baselines: dict[str, Fraction] = {}
@@ -211,7 +218,7 @@ def aggregate_by_dyad_type(
     heavy-tailed viewership these corpora show; the mean is available for
     comparison. Dyads lacking normalized values are excluded and counted.
     """
-    if statistic not in ("median", "mean"):
+    if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
     groups: dict[str, list[DyadSynergy]] = {}
     excluded = 0

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from collabmetrics import discourse
 from collabmetrics.cli import main
 from collabmetrics.corpus import corpus_files
+from collabmetrics.errors import ConfigurationError
 from collabmetrics.report import (
     ABSENT,
     CommunityPipeline,
@@ -309,7 +310,7 @@ class TestRunReport:
         assert stages["collabs"] == "not-run"
 
     def test_report_process_never_imports_numpy(self, corpus_dir, tmp_path):
-        """Only the generator needs numpy, so a report process does not load it."""
+        """Only the generator needs numpy, so a report process loads neither."""
         script = (
             "import sys\n"
             "from collabmetrics.cli import main\n"
@@ -318,6 +319,7 @@ class TestRunReport:
             "except SystemExit as exit:\n"
             "    assert not exit.code, exit.code\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+            "assert 'collabmetrics.simgen' not in sys.modules, 'the simulator was imported'\n"
         )
         args = ["report", "--corpus", str(corpus_dir), "--out", str(tmp_path / "rep"), "--format", "table"]
         done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, timeout=120)
@@ -438,6 +440,60 @@ class TestConfigFileAndEnv:
         assert payload["categories"] == list(
             ("gameplay", "environment", "food", "appearance", "other")
         )
+
+
+class TestBadConfigFiles:
+    """A config or spec file that is not a JSON object, or a config value no
+    flag could set, is a one-line error that names its file or field."""
+
+    def _report(self, corpus_dir, tmp_path, text):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(text, encoding="utf-8")
+        result = run_cli("report", "--config", config_path, "--corpus", corpus_dir, "--out", tmp_path / "rep")
+        assert result.exit_code == 1 and not (tmp_path / "rep").exists()
+        return result.output.replace(str(config_path), "<config>")
+
+    def test_malformed_config(self, corpus_dir, tmp_path):
+        assert self._report(corpus_dir, tmp_path, "{bad") == (
+            "Error: <config>: not valid JSON: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)\n"
+        )
+
+    def test_config_that_is_no_object(self, corpus_dir, tmp_path):
+        assert self._report(corpus_dir, tmp_path, "[1, 2]") == "Error: <config>: expected a JSON object, got list\n"
+
+    def test_malformed_spec(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text("{bad", encoding="utf-8")
+        result = run_cli("simulate", "--preset", "custom", "--spec", spec, "--out", tmp_path / "out")
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: {spec}: not valid JSON: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"formats": ["xml"]}, "formats must be a list of ['csv', 'json', 'table'], got ['xml']"),
+            ({"formats": "csv"}, "formats must be a list, got 'csv'"),
+            ({"community_dirs": "dir"}, "community_dirs must be a list, got 'dir'"),
+            ({"statistic": "mode"}, "statistic must be one of ['median', 'mean'], got 'mode'"),
+            ({"baseline_mode": "none"}, "baseline_mode must be one of ['solo', 'all'], got 'none'"),
+        ],
+    )
+    def test_config_value_outside_the_flag_choices(self, corpus_dir, tmp_path, fields, message):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"out_dir": str(tmp_path / "rep"), "community_dirs": [str(corpus_dir)], **fields}))
+        result = run_cli("report", "--config", config_path)
+        assert (result.exit_code, result.output) == (1, f"Error: bad config: {message}\n")
+        assert not (tmp_path / "rep").exists()
+
+    def test_run_config_checks_its_fields(self):
+        with pytest.raises(ConfigurationError, match=r"^statistic must be one of \['median', 'mean'\], got 'mode'$"):
+            RunConfig(community_dirs=(), out_dir="", statistic="mode")
+        with pytest.raises(ConfigurationError, match=r"^formats must be a list of .*, got \['x'\]$"):
+            RunConfig(community_dirs=(), out_dir="", formats=("csv", "x"))
 
 
 class TestFormatting:

@@ -22,6 +22,7 @@ from collabmetrics.corpus import (
     VideoRecord,
     _format_timestamp,
     _parse_timestamp,
+    _rows,
     cap_videos_per_channel,
     exact_median,
     load_comments,
@@ -820,6 +821,101 @@ class TestRowJsonValues:
         write_jsonl(path, [_video_row(view_count=3.0, like_count="12", comment_count=None)])
         (video,), errors = load_videos(path, [make_channel("A", "a")])
         assert errors == [] and (video.view_count, video.like_count, video.comment_count) == (3, 12, None)
+
+
+class TestFirstFaultOfARow:
+    """A row with two faults is rejected for the one its fields show first."""
+
+    @pytest.mark.parametrize(
+        "fields, drop, message",
+        [
+            ({"view_count": -1, "video_id": 3}, (), "negative view_count -1"),
+            ({"published_at": "yesterday", "title": None}, (), "Invalid isoformat string: 'yesterday'"),
+            ({"channel_id": 7}, ("published_at",), "channel_id 7 is not a string"),
+            ({"description": 1.5, "like_count": -2}, (), "description 1.5 is not a string"),
+            ({"video_id": None}, ("view_count",), "'view_count'"),
+            ({"published_at": 20240101, "description": None}, (), "published_at 20240101 is not a string"),
+            ({"comment_count": 2.5, "like_count": True}, (), "like_count True is not an integer"),
+            ({"title": ["x"]}, ("video_id",), "'video_id'"),
+        ],
+    )
+    def test_video_row(self, tmp_path, fields, drop, message):
+        row = {k: v for k, v in _video_row(**fields).items() if k not in drop}
+        path = tmp_path / "videos.jsonl"
+        write_jsonl(path, [row])
+        assert load_videos(path, [make_channel("A", "a")])[1] == [RowError(1, f"malformed row: {message}")]
+
+    @pytest.mark.parametrize(
+        "fields, drop, message",
+        [
+            ({"comment_id": 5}, ("published_at",), "comment_id 5 is not a string"),
+            ({"text": None}, ("comment_id",), "'comment_id'"),
+            ({"author_id": None, "published_at": "not a time"}, (), "author_id None is not a string"),
+            ({"text": 3, "like_count": -1}, (), "text 3 is not a string"),
+            ({"published_at": "2024-13-01T00:00:00Z", "like_count": -1}, (), "month must be in 1..12"),
+            ({"author_id": 9}, ("video_id",), "'video_id'"),
+            ({"published_at": None, "like_count": 0.5}, (), "published_at None is not a string"),
+        ],
+    )
+    def test_comment_row(self, tmp_path, fields, drop, message):
+        row = {k: v for k, v in _comment_row(**fields).items() if k not in drop}
+        path = tmp_path / "comments.jsonl"
+        write_jsonl(path, [row])
+        assert load_comments(path, [make_video("v1", "A")])[1].errors == (RowError(1, f"malformed row: {message}"),)
+
+
+def _json_line_reference(line):
+    """A JSON-lines row as ``json.loads`` reads it: the object, or the error's type and message."""
+    try:
+        row = json.loads(line)
+        if not isinstance(row, dict):
+            raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return repr(row)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# Any text a file line can hold: no line break and no lone surrogate.
+_line_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=12)
+_json_lines = st.one_of(
+    _line_text,
+    st.sampled_from(["", " ", "\t", "\x0b", "\u3000", "\ufeff"]).flatmap(
+        lambda before: st.tuples(
+            st.just(before),
+            st.one_of(
+                st.dictionaries(st.text(max_size=4), _json_values, max_size=4).map(json.dumps),
+                _json_values.map(json.dumps),
+                st.sampled_from(['{"a": NaN}', '{"a": -Infinity}', '{"a": }', '{"a": [1,', "{", '{"a" 1}']),
+            ),
+            st.sampled_from(["", " ", "\t", "\x0b", "}", "} {}", "{}", "x", ","]),
+        ).map("".join)
+    ),
+)
+
+
+class TestJsonLineDecode:
+    """Each JSON-lines row decodes as ``json.loads`` decodes it, or fails with its error."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.lists(_json_lines, max_size=6), st.booleans())
+    @example(['{"a": 1}', '\ufeff{"a": 1}', ' {"a": 1}', '{"a": 1} ', '{"a": 1}}', '{"a": NaN}', "[1]", "  "], False)
+    def test_rows_match_json_loads(self, tmp_path_factory, lines, final_newline):
+        path = tmp_path_factory.mktemp("lines") / "rows.jsonl"
+        text = "\n".join(lines) + ("\n" if final_newline else "")
+        path.write_bytes(text.encode("utf-8"))
+        read = text.split("\n")
+        read = [line + "\n" for line in read[:-1]] + ([read[-1]] if read[-1] else [])
+        expected = [(i, _json_line_reference(line)) for i, line in enumerate(read, 1) if line.strip()]
+        got = [
+            (i, (type(value), str(value)) if isinstance(value, Exception) else repr(value))
+            for i, value in _rows(path, lambda row: row, tabular=False)
+        ]
+        assert got == expected
 
 
 _UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -239,8 +240,9 @@ class TestAggregate:
 # ---------------------------------------------------------------------------
 # Reference forms of the tokenizer, scorer and classifier: the original
 # strip-and-filter tokenizer, the classifier with one pass per category and
-# the scorer written with generator expressions. The module's forms must
-# give exactly their results.
+# the scorer written with generator expressions, which adds the booster and
+# negator terms to every hit, even with neither in its window. The module's
+# forms must give exactly their results.
 
 _REFERENCE_TOKEN_RE = re.compile(r"[a-z0-9']+")
 
@@ -318,6 +320,18 @@ _TEXTS = st.lists(
 ).map("".join)
 
 
+# Valences whose sum a skipped ``+ 0.0`` or ``* 1`` could change, if any did:
+# signed zeros, infinities, NaN, and values that round when added.
+_SPECIAL_LEXICONS = (
+    {"zero": 0.0, "nil": -0.0, "huge": math.inf, "void": -math.inf, "meh": math.nan},
+    {"zero": -0.0, "nil": 0.1, "huge": 1e308, "void": -2.5, "meh": 5e-324},
+    {"zero": 0.2, "nil": 0.7, "huge": -math.nan, "void": 1e-300, "meh": -0.0},
+)
+_SPECIAL_TEXTS = st.lists(
+    st.sampled_from(sorted({"zero", "nil", "huge", "void", "meh", "and", "but"} | NEGATORS | BOOSTERS)), max_size=12
+).map(" ".join)
+
+
 class TestReferenceEquality:
     @settings(max_examples=400, deadline=None)
     @given(_TEXTS)
@@ -341,6 +355,15 @@ class TestReferenceEquality:
         for classifier in (_BUNDLED_CLASSIFIER, _SHARED_CLASSIFIER):
             expected = reference_classify(classifier.keywords, text)
             assert classifier.classify(text) == expected
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_SPECIAL_TEXTS)
+    @example("meh, not zero")
+    @example("very nil and huge but not void")
+    def test_special_valences_score_bit_for_bit(self, text):
+        for lexicon in _SPECIAL_LEXICONS:
+            got = LexiconSentimentScorer(lexicon).score(text)
+            assert struct.pack("<d", got) == struct.pack("<d", reference_score(lexicon, text))
 
     def test_shared_token_ties_break_by_schema_order(self):
         # Hits per category, gameplay/environment/food/appearance.
