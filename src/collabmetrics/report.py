@@ -82,6 +82,14 @@ class RunConfig:
         unknown = [f for f in self.formats if f not in FORMATS]
         if unknown:
             raise ConfigurationError(f"formats must be a list of {list(FORMATS)}, got {unknown!r}")
+        # A JSON config can hold any value; ``type(...) is int`` also turns a bool away.
+        if type(self.min_comments) is not int:
+            raise ConfigurationError(f"min_comments must be an int, got {self.min_comments!r}")
+        cap = self.max_videos_per_channel
+        if cap is not None and not (type(cap) is int and cap >= 1):
+            raise ConfigurationError(f"max_videos_per_channel must be null or an int >= 1, got {cap!r}")
+        if self.seed is not None and type(self.seed) is not int:
+            raise ConfigurationError(f"seed must be null or an int, got {self.seed!r}")
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "RunConfig":

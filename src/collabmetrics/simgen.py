@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
@@ -205,7 +206,7 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
     rng_videos = np.random.default_rng(streams[1])
     rng_pairs = np.random.default_rng(streams[2])
     rng_comments = np.random.default_rng(streams[3])
-    rng_text = np.random.default_rng(streams[4])
+    text = _Draws(np.random.default_rng(streams[4]))
 
     # --- channels: labels, popularity ranks, baseline targets -------------
     label_counts = _apportion(spec.n_channels, spec.attribute_ratios)
@@ -313,11 +314,12 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
     if n_multi:
         if spec.n_channels < 3:
             raise InfeasibleSpecError("multi-way collaborations need >= 3 channels")
+        pairs = _Draws(rng_pairs)
         for _ in range(n_multi):
             eligible_hosts = np.flatnonzero(host_load + 1 <= host_capacity)
             if not len(eligible_hosts):
                 raise InfeasibleSpecError("hosts out of capacity for multi-way videos")
-            host = int(eligible_hosts[int(rng_pairs.integers(len(eligible_hosts)))])
+            host = int(eligible_hosts[pairs.below(len(eligible_hosts))])
             # guests are drawn among the other channels: index k skips the host
             pick = rng_pairs.choice(spec.n_channels - 1, size=2, replace=False)
             g1, g2 = (k + (k >= host) for k in map(int, pick))
@@ -342,7 +344,7 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
             slot = take_slot(host)
             views = max(0, round(mult * gm * math.exp(rng_videos.normal(0.0, spec.synergy_noise))))
             collab_videos[(host, slot)] = ("two-way", dyad_type, views)
-            template = _COLLAB_TEMPLATES[int(rng_text.integers(len(_COLLAB_TEMPLATES)))]
+            template = _COLLAB_TEMPLATES[text.below(len(_COLLAB_TEMPLATES))]
             descriptions[(host, slot)] = template.format(guest=handles[guest])
             realized.setdefault((host, guest), []).append(views / gm if gm else 0.0)
     for host, g1, g2 in multi_plan:
@@ -350,7 +352,7 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
         gm = math.sqrt(baseline_targets[host] * baseline_targets[g1])
         views = max(0, round(gm * math.exp(rng_videos.normal(0.0, spec.synergy_noise))))
         collab_videos[(host, slot)] = ("multi-way", "", views)
-        template = _MULTI_TEMPLATES[int(rng_text.integers(len(_MULTI_TEMPLATES)))]
+        template = _MULTI_TEMPLATES[text.below(len(_MULTI_TEMPLATES))]
         descriptions[(host, slot)] = template.format(g1=handles[g1], g2=handles[g2])
 
     videos: list[VideoRecord] = []
@@ -397,33 +399,34 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
         away_cdfs: dict[int, list[float]] = {}  # home channel -> CDF without its own weight
         text_draws: dict[str, tuple[list[float] | None, float]] = {}  # video bucket -> _text_draws
         lam = max(0.0, spec.comments_per_commenter - 1.0)
+        comments = _Draws(rng_comments)
+        random, below = comments.random, comments.below
         comment_seq = 0
         for j in range(spec.audience_size):
             author = f"user{j:05d}"
-            home = bisect_right(home_cdf, rng_comments.random())
+            home = bisect_right(home_cdf, random())
             n_comments = 1 + int(rng_comments.poisson(lam))
             for _ in range(n_comments):
-                if spec.n_channels > 1 and rng_comments.random() >= spec.loyalty:
+                if spec.n_channels > 1 and random() >= spec.loyalty:
                     if home not in away_cdfs:
                         away = popularity.copy()
                         away[home] = 0.0
                         away_cdfs[home] = _cdf(away / away.sum())
-                    target = bisect_right(away_cdfs[home], rng_comments.random())
+                    target = bisect_right(away_cdfs[home], random())
                 else:
                     target = home
                 target_videos = videos_of[channel_ids[target]]
-                video = target_videos[int(rng_comments.integers(len(target_videos)))]
+                video = target_videos[below(len(target_videos))]
                 bucket = video_bucket[video.video_id]
                 if bucket not in text_draws:
                     text_draws[bucket] = _text_draws(spec.discourse_profiles, bucket)
-                text = _comment_text(*text_draws[bucket], rng_text)
                 yield (
                     f"{spec.community}-m{comment_seq:07d}",
                     video.video_id,
                     author,
-                    text,
+                    _comment_text(*text_draws[bucket], text),
                     published_us[video.video_id] + (comment_seq % 600 + 1) * _MINUTE_US,
-                    int(rng_comments.integers(0, 50)),
+                    below(50),
                 )
                 comment_seq += 1
 
@@ -448,6 +451,52 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
         baseline_targets=baseline_targets,
     )
     return corpus, truth
+
+
+class _Draws:
+    """Scalar draws that read a ``Generator``'s bit generator directly.
+
+    ``below(n)`` returns what ``rng.integers(n)`` would and ``random()``
+    what ``rng.random()`` would, value for value, and each leaves the bit
+    generator in the same state, so draws made here and draws made on
+    ``rng`` itself (``poisson``, ``choice``, ...) interleave into one
+    stream. They exist because the generator makes several scalar draws
+    per comment, and most of the cost of ``Generator.integers`` is its
+    Python-level argument handling.
+
+    ``below`` is numpy's bounded draw for a range that fits 32 bits
+    (Lemire, "Fast Random Integer Generation in an Interval", 2019): one
+    ``next_uint32`` times ``n``, redrawn while its low 32 bits fall below
+    ``(2**32 - n) % n``, and the high 32 bits returned. ``next_uint32`` is
+    the bit generator's own, so a buffered half of a 64-bit output (PCG64
+    ``has_uint32``) is used and kept just as ``integers`` would.
+
+    The calls bypass the lock that ``Generator`` methods take, which is
+    safe only because ``generate`` draws from one thread.
+    """
+
+    __slots__ = ("_bit_generator", "random", "_next_uint32")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        # The ctypes interface holds raw addresses only; this reference keeps
+        # the state they point into alive.
+        self._bit_generator = rng.bit_generator
+        native = self._bit_generator.ctypes
+        self.random = partial(native.next_double, native.state_address)
+        self._next_uint32 = partial(native.next_uint32, native.state_address)
+
+    def below(self, n: int) -> int:
+        """A uniform int in ``[0, n)``, as ``rng.integers(n)``; ``1 <= n <= 2**32``."""
+        if n == 1:  # integers(1) is 0 and draws nothing
+            return 0
+        if not 1 < n <= 1 << 32:
+            raise ValueError(f"below() needs 1 <= n <= 2**32, got {n}")
+        m = self._next_uint32() * n
+        if m & 0xFFFFFFFF < n:  # (2**32 - n) % n < n: no other low word is rejected
+            threshold = ((1 << 32) - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next_uint32() * n
+        return m >> 32
 
 
 def _cdf(p: Sequence[float] | np.ndarray) -> list[float]:
@@ -477,14 +526,14 @@ def _text_draws(profiles: Mapping[str, DiscourseProfile], bucket: str) -> tuple[
     return topic_cdf, p_positive
 
 
-def _comment_text(topic_cdf: list[float] | None, p_positive: float, rng: np.random.Generator) -> str:
-    topic = "other" if topic_cdf is None else _TOPICS[bisect_right(topic_cdf, rng.random())]
-    phrase = _TOPIC_PHRASES[topic][int(rng.integers(len(_TOPIC_PHRASES[topic])))]
-    if rng.random() < p_positive:
-        word = _POSITIVE_WORDS[int(rng.integers(len(_POSITIVE_WORDS)))]
+def _comment_text(topic_cdf: list[float] | None, p_positive: float, draws: _Draws) -> str:
+    topic = "other" if topic_cdf is None else _TOPICS[bisect_right(topic_cdf, draws.random())]
+    phrase = _TOPIC_PHRASES[topic][draws.below(len(_TOPIC_PHRASES[topic]))]
+    if draws.random() < p_positive:
+        word = _POSITIVE_WORDS[draws.below(len(_POSITIVE_WORDS))]
     else:
-        word = _NEGATIVE_WORDS[int(rng.integers(len(_NEGATIVE_WORDS)))]
-    shape = int(rng.integers(3))
+        word = _NEGATIVE_WORDS[draws.below(len(_NEGATIVE_WORDS))]
+    shape = draws.below(3)
     if shape == 0:
         return f"{phrase} is {word}"
     if shape == 1:
@@ -570,13 +619,36 @@ def preset(name: str, seed: int = 0) -> CommunitySpec:
 
 
 def spec_from_dict(raw: Mapping) -> CommunitySpec:
-    """Build a spec from parsed JSON (profiles as nested objects)."""
+    """Build a spec from parsed JSON (profiles as nested objects).
+
+    Raises :class:`InfeasibleSpecError` naming the missing or unknown fields
+    of the spec or of a profile, or a profile that is not an object.
+    """
     data = dict(raw)
-    profiles = {
-        key: DiscourseProfile(float(p["mean_sentiment"]), dict(p["topic_weights"]))
-        for key, p in data.pop("discourse_profiles", {}).items()
-    }
+    _check_fields("spec", data, CommunitySpec)
+    raw_profiles = data.pop("discourse_profiles", {})
+    if not isinstance(raw_profiles, Mapping):
+        raise InfeasibleSpecError(f"discourse_profiles must be an object, got {raw_profiles!r}")
+    profiles = {}
+    for key, p in raw_profiles.items():
+        where = f"discourse_profiles[{key!r}]"
+        if not isinstance(p, Mapping):
+            raise InfeasibleSpecError(f"{where} must be an object, got {p!r}")
+        _check_fields(where, p, DiscourseProfile)
+        profiles[key] = DiscourseProfile(float(p["mean_sentiment"]), dict(p["topic_weights"]))
     return CommunitySpec(discourse_profiles=profiles, **data)
+
+
+def _check_fields(where: str, data: Mapping, cls: type) -> None:
+    """Raise :class:`InfeasibleSpecError` unless ``data`` names each required
+    field of dataclass ``cls`` and no other."""
+    known = fields(cls)
+    required = {f.name for f in known if f.default is MISSING and f.default_factory is MISSING}
+    missing = sorted(required - data.keys())
+    unknown = sorted(data.keys() - {f.name for f in known})
+    problems = [f"{what} fields {', '.join(names)}" for what, names in (("missing", missing), ("unknown", unknown)) if names]
+    if problems:
+        raise InfeasibleSpecError(f"{where}: {'; '.join(problems)}")
 
 
 def write_truth(truth: PlantedTruth, path: str | Path) -> None:

@@ -298,16 +298,14 @@ class TestRunReport:
         assert shares[1] == "20"  # 10 channels x capped 2 videos
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
-    def test_max_videos_cap_below_one_fails_at_ingest(self, corpus_dir, tmp_path, cap):
+    def test_max_videos_cap_below_one_is_a_bad_config(self, corpus_dir, tmp_path, cap):
         out = tmp_path / "rep"
-        result = CliRunner().invoke(
-            main, ["report", "--corpus", str(corpus_dir), "--out", str(out), "--max-videos-per-channel", cap]
+        result = run_cli("report", "--corpus", corpus_dir, "--out", out, "--max-videos-per-channel", cap)
+        assert (result.exit_code, result.output) == (
+            1,
+            f"Error: bad config: max_videos_per_channel must be null or an int >= 1, got {cap}\n",
         )
-        assert result.exit_code == 1
-        assert "stage 'ingest' failed" in result.output
-        stages = json.loads((out / "manifest.json").read_text())["stages"]
-        assert stages["ingest"] == f"failed: max videos per channel must be at least 1, got {cap}"
-        assert stages["collabs"] == "not-run"
+        assert not out.exists()  # refused before any stage ran
 
     def test_report_process_never_imports_numpy(self, corpus_dir, tmp_path):
         """Only the generator needs numpy, so a report process loads neither."""
@@ -480,6 +478,14 @@ class TestBadConfigFiles:
             ({"community_dirs": "dir"}, "community_dirs must be a list, got 'dir'"),
             ({"statistic": "mode"}, "statistic must be one of ['median', 'mean'], got 'mode'"),
             ({"baseline_mode": "none"}, "baseline_mode must be one of ['solo', 'all'], got 'none'"),
+            ({"min_comments": "2"}, "min_comments must be an int, got '2'"),
+            ({"min_comments": True}, "min_comments must be an int, got True"),
+            ({"min_comments": 2.0}, "min_comments must be an int, got 2.0"),
+            ({"max_videos_per_channel": "3"}, "max_videos_per_channel must be null or an int >= 1, got '3'"),
+            ({"max_videos_per_channel": True}, "max_videos_per_channel must be null or an int >= 1, got True"),
+            ({"max_videos_per_channel": 0}, "max_videos_per_channel must be null or an int >= 1, got 0"),
+            ({"seed": "7"}, "seed must be null or an int, got '7'"),
+            ({"seed": False}, "seed must be null or an int, got False"),
         ],
     )
     def test_config_value_outside_the_flag_choices(self, corpus_dir, tmp_path, fields, message):
@@ -494,6 +500,45 @@ class TestBadConfigFiles:
             RunConfig(community_dirs=(), out_dir="", statistic="mode")
         with pytest.raises(ConfigurationError, match=r"^formats must be a list of .*, got \['x'\]$"):
             RunConfig(community_dirs=(), out_dir="", formats=("csv", "x"))
+        with pytest.raises(ConfigurationError, match=r"^max_videos_per_channel must be null or an int >= 1, got -3$"):
+            RunConfig(community_dirs=(), out_dir="", max_videos_per_channel=-3)
+        config = RunConfig(community_dirs=(), out_dir="", min_comments=0, max_videos_per_channel=1, seed=-1)
+        assert (config.min_comments, config.max_videos_per_channel, config.seed) == (0, 1, -1)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({}, "spec: missing fields attribute_ratios, community, n_channels"),
+            (
+                {"community": "x", "n_channels": 5, "attribute_ratios": {"M": 1}, "bogus": 1},
+                "spec: unknown fields bogus",
+            ),
+            ({"community": "x", "bogus": 1}, "spec: missing fields attribute_ratios, n_channels; unknown fields bogus"),
+            (
+                {"community": "x", "n_channels": 5, "attribute_ratios": {"M": 1}, "discourse_profiles": {"M-M": 3}},
+                "discourse_profiles['M-M'] must be an object, got 3",
+            ),
+            (
+                {"community": "x", "n_channels": 5, "attribute_ratios": {"M": 1}, "discourse_profiles": [1]},
+                "discourse_profiles must be an object, got [1]",
+            ),
+            (
+                {
+                    "community": "x",
+                    "n_channels": 5,
+                    "attribute_ratios": {"M": 1},
+                    "discourse_profiles": {"baseline": {"mean_sentiment": 0.1, "topics": {}}},
+                },
+                "discourse_profiles['baseline']: missing fields topic_weights; unknown fields topics",
+            ),
+        ],
+    )
+    def test_spec_with_bad_fields(self, tmp_path, spec, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        result = run_cli("simulate", "--preset", "custom", "--spec", spec_path, "--out", tmp_path / "out")
+        assert (result.exit_code, result.output) == (1, f"Error: {message}\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestFormatting:

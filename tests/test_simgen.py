@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from collabmetrics.simgen import (
     CommunitySpec,
     DiscourseProfile,
     _cdf,
+    _Draws,
     compare_metrics,
     compute_oracle_metrics,
     compute_pipeline_metrics,
@@ -222,6 +225,99 @@ class TestWeightedDraw:
     def test_negative_probability_is_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             _cdf([-1.0, 2.0])
+
+
+_BOUNDS = (1, 2, 3, 50, 600, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32)
+
+
+class TestDraws:
+    """``_Draws`` gives what ``Generator.random``/``integers`` give, value for
+    value, and leaves the bit generator where they leave it, so its draws and
+    the Generator's own methods interleave into one stream."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        ops=st.lists(st.sampled_from(("random", "poisson", *_BOUNDS)), max_size=60),
+    )
+    @example(seed=0, ops=[3 * 2**30] * 40)  # about one draw in four is rejected
+    @example(seed=1, ops=[2**31 + 1] * 41 + ["poisson"])  # about one in two; odd uint32 count
+    @example(seed=2, ops=[50, "poisson", 50, "random", 1, 2**32, 2**32 - 1])
+    def test_same_values_and_state_as_the_generator(self, seed, ops):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = _Draws(ours)
+        for op in ops:
+            if op == "random":
+                assert draws.random() == numpys.random()
+            elif op == "poisson":
+                assert ours.poisson(3.5) == numpys.poisson(3.5)
+            else:
+                assert draws.below(op) == int(numpys.integers(op))
+        # the whole state, with PCG64's buffered half-word (has_uint32, uinteger)
+        assert ours.bit_generator.state == numpys.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
+    def test_bound_outside_32_bits_raises(self, n):
+        with pytest.raises(ValueError, match=r"below\(\) needs 1 <= n <= 2\*\*32"):
+            _Draws(np.random.default_rng(0)).below(n)
+
+    def test_keeps_its_bit_generator_alive(self):
+        draws = _Draws(np.random.default_rng(9))  # the only reference to that Generator
+        gc.collect()
+        numpys = np.random.default_rng(9)
+        assert [draws.below(600) for _ in range(50)] == [int(numpys.integers(600)) for _ in range(50)]
+
+
+# SHA-256 of every file ``simulate_to_dir`` writes for each preset at seed 0.
+PINNED_SHA256 = {
+    ("animal-crossing", "csv"): {
+        "comments.csv": "01d3cd32de83d3254d9e315f87587fb51be26498bd1a540703e9fe50877b65dc",
+        "registry.csv": "078fe02d1ac4cb9066f6ae5803f6421e7d5cbdf0f3f28d09ca25bd69b37a15bf",
+        "truth.json": "b322cc7b79d744de7f01d5df63c730447f23ea02e5f128f755aea9173c93a22a",
+        "videos.csv": "5d92e750e57c651cc1822b9e477d7156e3d03da9802a94f69db2e859ff4aa696",
+    },
+    ("animal-crossing", "jsonl"): {
+        "comments.jsonl": "2a00ec26c975f9c1acec52a4be211c7da812e38158e0e7803e5bf92cdb5414e3",
+        "registry.jsonl": "8d12f078956cc6bf5ea48057b3cb3e8ef95182162d1e2436506353cde5564493",
+        "truth.json": "b322cc7b79d744de7f01d5df63c730447f23ea02e5f128f755aea9173c93a22a",
+        "videos.jsonl": "97e36228d1b70ed738f7e89e239f9831d724cb7ccfe5806539299299523a4b1d",
+    },
+    ("dead-by-daylight", "csv"): {
+        "comments.csv": "27b757edea94be653b485a5d4cae13cfb953f63f29ad86e1f01a99d4c1f81ab5",
+        "registry.csv": "57c907eb69247df981c5cfe3b400d05f6681d578091784edd081dcb70e89d8a0",
+        "truth.json": "04a02feae771bb5a5c691aa6d82324c45bcc736b341b256f1f1722bfebe35678",
+        "videos.csv": "7e393fc898f2c2de1f5addd73b7caf1ed8c32aa89aaed79d8e8085cda92d2e84",
+    },
+    ("dead-by-daylight", "jsonl"): {
+        "comments.jsonl": "821063888e4707087bc0943696143513779c3f69667f4b4a8ba6643697fdc189",
+        "registry.jsonl": "b36027e39207cd49ba2e84eae7e8b817aed6fccf6acbf661a494b56c7a5aded2",
+        "truth.json": "04a02feae771bb5a5c691aa6d82324c45bcc736b341b256f1f1722bfebe35678",
+        "videos.jsonl": "b56eddd2ab4af0ab4f2ade740cbc81859ddaa790f75e07380f615630d11ec643",
+    },
+    ("valorant", "csv"): {
+        "comments.csv": "0bd5cf199bf64be2a7c15583f1eb805e5e31ec3fd7e26871b285d3502436a72b",
+        "registry.csv": "3e7ae99a7daf15c8bedb7f1ab2efc2b6c0663472d536808d287785f476d6a88f",
+        "truth.json": "65c768fdb15ac7414cd1d48c19f7e1d01c7ad851b2c13a9f922a9d9f2d9718f9",
+        "videos.csv": "904a94699d0b9ae1f6bf8c8bd6bef5b4029dfad2a29e29b1582289c3b7b9771e",
+    },
+    ("valorant", "jsonl"): {
+        "comments.jsonl": "8fe7dbe364f96eefafce613aed20570e48e1dbf44596ffb1c2f9ac361efb0c2f",
+        "registry.jsonl": "a9f349e6e6d394381a652bc535d238011b41ff0bfe6dd5bcca764f44ddfae368",
+        "truth.json": "65c768fdb15ac7414cd1d48c19f7e1d01c7ad851b2c13a9f922a9d9f2d9718f9",
+        "videos.jsonl": "11db23b9de14c56d7374b449095d8964d9cdc013189956e4548110cf304845f7",
+    },
+}
+
+
+class TestPinnedOutput:
+    """A change to any byte the generator or the corpus writers produce fails
+    here, by file; two runs of the same code cannot show it."""
+
+    @pytest.mark.parametrize("name, fmt", sorted(PINNED_SHA256))
+    def test_preset_files_at_seed_0(self, tmp_path, name, fmt):
+        paths = simulate_to_dir(preset(name, seed=0), tmp_path, fmt=fmt)
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths.values()}
+        assert digests == PINNED_SHA256[name, fmt]
 
 
 class TestOracle:
