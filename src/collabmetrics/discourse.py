@@ -1,8 +1,13 @@
 """Comment sentiment scoring and topic tagging, aggregated by dyad type.
 
-Both stages sit behind small interfaces so an external pipeline (a heavier
-sentiment model, a neural topic classifier, or labels precomputed
-out-of-band) can be plugged in without touching the aggregation. The
+The unit of this layer is one comment's token list: the lowercased text's
+maximal runs of letters a-z, digits and inner apostrophes. A report
+tokenises each comment once, a chunk of ``CHUNK`` comments at a time
+(:func:`score_and_label`), and hands the same lists to the sentiment
+scorer and the topic classifier, so no stage holds every comment's tokens
+at once. Both stages sit behind small token-level interfaces, so another
+scorer or classifier over the same tokens, or labels precomputed
+out-of-band, can be plugged in without touching the aggregation. The
 bundled defaults are deterministic: a valence-lexicon scorer with
 negation/booster rules and a keyword-rule topic classifier over the fixed
 five-category schema.
@@ -11,9 +16,12 @@ five-category schema.
 from __future__ import annotations
 
 import re
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import compress
 from pathlib import Path
 from statistics import fmean, pstdev
 from typing import Collection, Iterable, Mapping, Protocol, Sequence
@@ -32,6 +40,8 @@ __all__ = [
     "KeywordTopicClassifier",
     "score_comments",
     "label_comments",
+    "score_and_label",
+    "tokenize",
     "load_sentiment_lexicon",
     "load_topic_keywords",
     "load_precomputed_labels",
@@ -46,6 +56,10 @@ NEGATION_SCALAR = -0.74
 BOOSTER_STEP = 0.293
 NORMALIZATION_ALPHA = 15.0
 CONTEXT_WINDOW = 3
+
+# Comments tokenised at a time by :func:`score_and_label`: their token lists
+# (about 360 bytes a comment) are the only ones alive at once.
+CHUNK = 256
 
 NEGATORS = frozenset(
     {
@@ -74,16 +88,17 @@ _MODIFIERS = BOOSTERS | NEGATORS
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:'+[a-z0-9]+)*")
 
 
-def _tokenize(text: str) -> list[str]:
+def tokenize(text: str) -> list[str]:
+    """One comment's tokens, as the scorer and the classifier take them."""
     return _TOKEN_RE.findall(text.lower())
 
 
 class SentimentScorer(Protocol):
-    def score(self, text: str) -> float: ...
+    def score(self, tokens: Sequence[str]) -> float: ...
 
 
 class TopicClassifier(Protocol):
-    def classify(self, text: str) -> str: ...
+    def classify(self, tokens: Sequence[str]) -> str: ...
 
 
 def load_sentiment_lexicon(path: str | Path) -> dict[str, float]:
@@ -121,37 +136,45 @@ def _bundled_keywords() -> dict[str, frozenset[str]]:
 
 
 class LexiconSentimentScorer:
-    """Deterministic valence-lexicon scorer.
+    """Deterministic valence-lexicon scorer over one comment's tokens.
 
-    For each lexicon token: boosters within the 3 preceding tokens add
-    0.293 toward the token's valence sign (each booster once), then any
-    negator within the same window multiplies the result by -0.74. Token
-    contributions are summed and squashed to (-1, 1) via
-    ``s / sqrt(s^2 + 15)``; text with no lexicon hits scores 0.
+    For each lexicon token: each booster token among the 3 preceding
+    tokens adds 0.293 toward the token's valence sign (so "very very good"
+    adds two steps), then any negator within the same window multiplies
+    the result by -0.74. Token contributions are summed and squashed to
+    (-1, 1) via ``s / sqrt(s^2 + 15)``; tokens with no lexicon hits score 0.
     """
 
     def __init__(self, lexicon: Mapping[str, float] | None = None):
         self.lexicon = dict(lexicon) if lexicon is not None else _bundled_lexicon()
 
-    def score(self, text: str) -> float:
-        if not text:
+    def score(self, tokens: Sequence[str]) -> float:
+        lexicon = self.lexicon
+        if lexicon.keys().isdisjoint(tokens):
             return 0.0
-        tokens = _tokenize(text)
         total = 0.0
-        for i, valence in enumerate(map(self.lexicon.get, tokens)):
-            if valence is None:
-                continue
-            window = tokens[max(0, i - CONTEXT_WINDOW):i]
-            if not _MODIFIERS.isdisjoint(window):
-                boosters = sum(map(BOOSTERS.__contains__, window))
-                sign = 1.0 if valence > 0 else -1.0
-                valence = valence + sign * BOOSTER_STEP * boosters
-                if not NEGATORS.isdisjoint(window):
-                    valence *= NEGATION_SCALAR
-            total += valence
+        if _MODIFIERS.isdisjoint(tokens):
+            for valence in map(lexicon.get, tokens):
+                if valence is not None:
+                    total += valence
+        else:
+            for i, valence in enumerate(map(lexicon.get, tokens)):
+                if valence is None:
+                    continue
+                window = tokens[max(0, i - CONTEXT_WINDOW):i]
+                if not _MODIFIERS.isdisjoint(window):
+                    boosters = sum(map(BOOSTERS.__contains__, window))
+                    sign = 1.0 if valence > 0 else -1.0
+                    valence = valence + sign * BOOSTER_STEP * boosters
+                    if not NEGATORS.isdisjoint(window):
+                        valence *= NEGATION_SCALAR
+                total += valence
         if total == 0.0:
             return 0.0
         normalized = total / (total * total + NORMALIZATION_ALPHA) ** 0.5
+        if -1.0 <= normalized <= 1.0:
+            return normalized
+        # Out of range, or NaN (which ``min`` turns into 1.0).
         return max(-1.0, min(1.0, normalized))
 
 
@@ -177,33 +200,59 @@ class KeywordTopicClassifier:
                 positions.setdefault(token, []).append(i)
         self._positions = {token: tuple(ids) for token, ids in positions.items()}
 
-    def classify(self, text: str) -> str:
+    def classify(self, tokens: Sequence[str]) -> str:
+        found = list(filter(None, map(self._positions.get, tokens)))
+        if not found:
+            return "other"
+        if len(found) == 1 and len(found[0]) == 1:  # one keyword, of one category
+            return self._topics[found[0][0]]
         hits = [0] * len(self._topics)
-        for ids in map(self._positions.get, _tokenize(text)):
-            if ids is not None:
-                for i in ids:
-                    hits[i] += 1
-        best, best_score = "other", 0
-        for cat, score in zip(self._topics, hits):
-            if score > best_score:
-                best, best_score = cat, score
-        return best
+        for ids in found:
+            for i in ids:
+                hits[i] += 1
+        # ``max`` keeps the first of equal counts, so ties go by schema order.
+        return self._topics[max(range(len(hits)), key=hits.__getitem__)]
 
 
 def score_comments(
-    comments: Iterable[str], scorer: SentimentScorer | None = None
-) -> list[float]:
-    """Compound sentiment of each comment text, in order (default: bundled lexicon)."""
-    scorer = scorer or LexiconSentimentScorer()
-    return [scorer.score(text) for text in comments]
+    comments: Iterable[Sequence[str]], scorer: SentimentScorer | None = None
+) -> array:
+    """Compound sentiment of each comment's tokens, in order (default: bundled lexicon)."""
+    return array("d", map((scorer or LexiconSentimentScorer()).score, comments))
 
 
 def label_comments(
-    comments: Iterable[str], classifier: TopicClassifier | None = None
+    comments: Iterable[Sequence[str]], classifier: TopicClassifier | None = None
 ) -> list[str]:
-    """Topic label of each comment text, in order (default: bundled keywords)."""
-    classifier = classifier or KeywordTopicClassifier()
-    return [classifier.classify(text) for text in comments]
+    """Topic label of each comment's tokens, in order (default: bundled keywords)."""
+    return list(map((classifier or KeywordTopicClassifier()).classify, comments))
+
+
+def score_and_label(
+    texts: Sequence[str],
+    scorer: SentimentScorer | None = None,
+    classifier: TopicClassifier | None = None,
+    label: bool = True,
+) -> tuple[array, list[str]]:
+    """Scores and (if ``label``) topic labels of ``texts``, in order.
+
+    Each text is tokenised once, ``CHUNK`` texts at a time, and the chunk's
+    token lists go to :func:`score_comments` and :func:`label_comments`.
+    Without ``label`` the classifier never runs and the labels list is
+    empty. An empty ``texts`` still calls each function once, on no comments.
+    """
+    scorer = scorer or LexiconSentimentScorer()
+    if label:
+        classifier = classifier or KeywordTopicClassifier()
+    scores = array("d")
+    labels: list[str] = []
+    for start in range(0, len(texts) or 1, CHUNK):
+        # ``tokenize`` of each text, without a Python call per text
+        tokens = list(map(_TOKEN_RE.findall, map(str.lower, texts[start:start + CHUNK])))
+        scores.extend(score_comments(tokens, scorer))
+        if label:
+            labels.extend(label_comments(tokens, classifier))
+    return scores, labels
 
 
 def load_precomputed_labels(path: str | Path) -> dict[str, str]:
@@ -235,17 +284,14 @@ class DiscourseReport:
     baseline: DiscourseRow | None
 
 
-def _make_row(group: str, scores: list[float], labels: list[str], categories: Sequence[str]) -> DiscourseRow:
-    counts = {cat: 0 for cat in categories}
-    for label in labels:
-        counts[label] += 1
-    n = len(labels)
+def _make_row(group: str, scores: array, counts: Mapping[str, int], categories: Sequence[str]) -> DiscourseRow:
+    n = len(scores)
     return DiscourseRow(
         group=group,
         comment_count=n,
         mean_sentiment=fmean(scores),
         stdev_sentiment=pstdev(scores) if n > 1 else 0.0,
-        topic_proportions={cat: counts[cat] / n for cat in categories},
+        topic_proportions={cat: counts.get(cat, 0) / n for cat in categories},
     )
 
 
@@ -266,44 +312,49 @@ def aggregate_discourse(
     baseline. Aggregation weights each comment equally. Dyad types with
     zero comments are omitted rather than zero-filled.
     """
-    dyad_type_of_video: dict[str, str] = {}
+    # A comment's group is its video's dyad type, or None under an excluded
+    # video; a comment whose video has no group is in the baseline. Most
+    # comments are, so the loop visits only the others and copies the
+    # baseline scores between them a run at a time; baseline topic counts
+    # are all counts minus theirs.
+    group_of_video: dict[str, str | None] = dict.fromkeys(exclude_videos)
     for dyad in dyads:
         for video_id in dyad.videos:
-            dyad_type_of_video[video_id] = dyad.dyad_type
+            group_of_video[video_id] = dyad.dyad_type
+    video_ids = comments.video_ids
+    if not len(video_ids) == len(scores) == len(labels):
+        raise ValueError(f"{len(video_ids)} comments but {len(scores)} scores and {len(labels)} labels")
 
-    observed = set(labels)
+    grouped: dict[str | None, tuple[array, Counter]] = {}
+    baseline_scores = array("d")
+    start = 0
+    for i in compress(range(len(video_ids)), map(group_of_video.__contains__, video_ids)):
+        baseline_scores.extend(scores[start:i])
+        start = i + 1
+        group = group_of_video[video_ids[i]]
+        if group not in grouped:
+            grouped[group] = (array("d"), Counter())
+        values, counts = grouped[group]
+        values.append(scores[i])
+        counts[labels[i]] += 1
+    baseline_scores.extend(scores[start:])
+    baseline_counts = Counter(labels)
+    observed = set(baseline_counts)
+    for _, counts in grouped.values():
+        baseline_counts.subtract(counts)
+
     categories = (
         TOPIC_CATEGORIES
         if observed <= set(TOPIC_CATEGORIES)
         else tuple(sorted(observed | set(TOPIC_CATEGORIES)))
     )
 
-    excluded = set(exclude_videos)
-    grouped_scores: dict[str, list[float]] = {}
-    grouped_labels: dict[str, list[str]] = {}
-    baseline_scores: list[float] = []
-    baseline_labels: list[str] = []
-    for video_id, score, label in zip(comments.video_ids, scores, labels, strict=True):
-        dyad_type = dyad_type_of_video.get(video_id)
-        if dyad_type is not None:
-            grouped_scores.setdefault(dyad_type, []).append(score)
-            grouped_labels.setdefault(dyad_type, []).append(label)
-        elif video_id not in excluded:
-            baseline_scores.append(score)
-            baseline_labels.append(label)
-
-    by_dyad_type = {
-        dyad_type: _make_row(dyad_type, grouped_scores[dyad_type], grouped_labels[dyad_type], categories)
-        for dyad_type in sorted(grouped_scores)
-    }
-    baseline = (
-        _make_row("baseline", baseline_scores, baseline_labels, categories)
-        if baseline_scores
-        else None
-    )
     return DiscourseReport(
         community=corpus.community,
         categories=categories,
-        by_dyad_type=by_dyad_type,
-        baseline=baseline,
+        by_dyad_type={
+            dyad_type: _make_row(dyad_type, *grouped[dyad_type], categories)
+            for dyad_type in sorted(group for group in grouped if group is not None)
+        },
+        baseline=_make_row("baseline", baseline_scores, baseline_counts, categories) if baseline_scores else None,
     )

@@ -186,10 +186,10 @@ class CommunityPipeline:
     @cached_property
     def discourse_report(self) -> discourse.DiscourseReport:
         comments = self.corpus.comments
-        scores = discourse.score_comments(comments.texts, self.scorer)
-        if self.labels is None:
-            labels = discourse.label_comments(comments.texts, self.classifier)
-        else:
+        scores, labels = discourse.score_and_label(
+            comments.texts, self.scorer, self.classifier, label=self.labels is None
+        )
+        if self.labels is not None:
             try:
                 labels = [self.labels[comment_id] for comment_id in comments.comment_ids]
             except KeyError as exc:

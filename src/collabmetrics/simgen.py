@@ -121,7 +121,7 @@ class CommunitySpec:
     attribute_key: str = "gender"
     videos_per_channel: int = 20
     viewership_exponent: float = 0.8  # rank-size (Zipf) slope of channel baselines
-    viewership_scale: int = 50_000
+    viewership_scale: float = 50_000
     viewership_noise: float = 0.25  # lognormal sigma on solo video views
     collab_rate: float = 0.05  # fraction of all videos that are collaborations
     two_way_share: float = 1.0  # fraction of collaboration videos with one guest
@@ -622,7 +622,8 @@ def spec_from_dict(raw: Mapping) -> CommunitySpec:
     """Build a spec from parsed JSON (profiles as nested objects).
 
     Raises :class:`InfeasibleSpecError` naming the missing or unknown fields
-    of the spec or of a profile, or a profile that is not an object.
+    of the spec or of a profile, a field whose value has the wrong type, or
+    a profile that is not an object.
     """
     data = dict(raw)
     _check_fields("spec", data, CommunitySpec)
@@ -639,9 +640,27 @@ def spec_from_dict(raw: Mapping) -> CommunitySpec:
     return CommunitySpec(discourse_profiles=profiles, **data)
 
 
+def _is_number(value: object) -> bool:
+    return type(value) in (int, float)  # a JSON true or false is no number
+
+
+def _is_weights(value: object) -> bool:
+    return isinstance(value, Mapping) and all(map(_is_number, value.values()))
+
+
+# What a JSON value must be, by the annotation of the field it fills.
+_FIELD_TYPES = {
+    "str": (lambda v: type(v) is str, "a string"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (_is_number, "a number"),
+    "Mapping[str, float]": (_is_weights, "an object of numbers"),
+    "Mapping[str, float] | None": (lambda v: v is None or _is_weights(v), "null or an object of numbers"),
+}
+
+
 def _check_fields(where: str, data: Mapping, cls: type) -> None:
     """Raise :class:`InfeasibleSpecError` unless ``data`` names each required
-    field of dataclass ``cls`` and no other."""
+    field of dataclass ``cls`` and no other, each with a value of its type."""
     known = fields(cls)
     required = {f.name for f in known if f.default is MISSING and f.default_factory is MISSING}
     missing = sorted(required - data.keys())
@@ -649,6 +668,10 @@ def _check_fields(where: str, data: Mapping, cls: type) -> None:
     problems = [f"{what} fields {', '.join(names)}" for what, names in (("missing", missing), ("unknown", unknown)) if names]
     if problems:
         raise InfeasibleSpecError(f"{where}: {'; '.join(problems)}")
+    for f in known:
+        check = _FIELD_TYPES.get(f.type)  # profiles are checked one by one
+        if check is not None and f.name in data and not check[0](data[f.name]):
+            raise InfeasibleSpecError(f"{where}: {f.name} must be {check[1]}, got {data[f.name]!r}")
 
 
 def write_truth(truth: PlantedTruth, path: str | Path) -> None:

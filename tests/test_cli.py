@@ -531,6 +531,32 @@ class TestBadConfigFiles:
                 },
                 "discourse_profiles['baseline']: missing fields topic_weights; unknown fields topics",
             ),
+            (
+                {"community": "x", "n_channels": "5", "attribute_ratios": {"M": 1}},
+                "spec: n_channels must be an integer, got '5'",
+            ),
+            (
+                {
+                    "community": "x",
+                    "n_channels": 5,
+                    "attribute_ratios": {"M": 1},
+                    "discourse_profiles": {"baseline": {"mean_sentiment": "hi", "topic_weights": {"other": 1}}},
+                },
+                "discourse_profiles['baseline']: mean_sentiment must be a number, got 'hi'",
+            ),
+            (
+                {"community": "x", "n_channels": 5, "attribute_ratios": {"M": "1"}},
+                "spec: attribute_ratios must be an object of numbers, got {'M': '1'}",
+            ),
+            (
+                {
+                    "community": "x",
+                    "n_channels": 5,
+                    "attribute_ratios": {"M": 1},
+                    "discourse_profiles": {"baseline": {"mean_sentiment": 0.1, "topic_weights": ["other"]}},
+                },
+                "discourse_profiles['baseline']: topic_weights must be an object of numbers, got ['other']",
+            ),
         ],
     )
     def test_spec_with_bad_fields(self, tmp_path, spec, message):

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
 import struct
+import tracemalloc
+from statistics import fmean, pstdev
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from collabmetrics import discourse
 from collabmetrics.collab import CollaborationDyad
 from collabmetrics.corpus import CommentTable, build_corpus
 from collabmetrics.discourse import (
     BOOSTERS,
     BOOSTER_STEP,
+    CHUNK,
     CONTEXT_WINDOW,
     NEGATION_SCALAR,
     NEGATORS,
@@ -23,7 +28,7 @@ from collabmetrics.discourse import (
     TOPIC_CATEGORIES,
     KeywordTopicClassifier,
     LexiconSentimentScorer,
-    _tokenize,
+    tokenize,
     aggregate_discourse,
     label_comments,
     load_precomputed_labels,
@@ -32,19 +37,20 @@ from collabmetrics.discourse import (
     score_comments,
 )
 from collabmetrics.errors import ConfigurationError
+from collabmetrics.report import CommunityPipeline, RunConfig
 
 from .conftest import make_channel, make_comment, make_video
 
 
 def score_sentiment(text):
     """Compound sentiment of one text under the default scorer of :func:`score_comments`."""
-    (score,) = score_comments([text])
+    (score,) = score_comments([tokenize(text)])
     return score
 
 
 def tag_topic(text):
     """Topic label of one text under the default classifier of :func:`label_comments`."""
-    (label,) = label_comments([text])
+    (label,) = label_comments([tokenize(text)])
     return label
 
 
@@ -54,29 +60,29 @@ class TestScorer:
 
     def test_single_token_normalization(self):
         scorer = LexiconSentimentScorer({"solid": 2.0})
-        assert scorer.score("solid") == pytest.approx(2 / math.sqrt(19), abs=1e-12)
+        assert scorer.score(tokenize("solid")) == pytest.approx(2 / math.sqrt(19), abs=1e-12)
 
     def test_negation_flips_and_damps(self):
         scorer = LexiconSentimentScorer({"good": 1.9})
         expected = (1.9 * -0.74) / math.sqrt((1.9 * 0.74) ** 2 + 15)
-        assert scorer.score("not good") == pytest.approx(expected, abs=1e-9)
-        assert scorer.score("not good") == pytest.approx(-0.341, abs=5e-4)
+        assert scorer.score(tokenize("not good")) == pytest.approx(expected, abs=1e-9)
+        assert scorer.score(tokenize("not good")) == pytest.approx(-0.341, abs=5e-4)
 
     def test_negation_window_is_three_tokens(self):
         scorer = LexiconSentimentScorer({"good": 1.9})
-        assert scorer.score("not really that good") < 0  # negator 3 tokens back
-        assert scorer.score("not a b c good") > 0  # negator out of window
+        assert scorer.score(tokenize("not really that good")) < 0  # negator 3 tokens back
+        assert scorer.score(tokenize("not a b c good")) > 0  # negator out of window
 
     def test_booster_steps_toward_sign(self):
         scorer = LexiconSentimentScorer({"good": 1.9, "bad": -1.9})
-        plain = scorer.score("good")
-        assert scorer.score("very good") > plain
-        assert scorer.score("very bad") < scorer.score("bad")
+        plain = scorer.score(tokenize("good"))
+        assert scorer.score(tokenize("very good")) > plain
+        assert scorer.score(tokenize("very bad")) < scorer.score(tokenize("bad"))
 
     def test_bounded_open_interval(self):
         scorer = LexiconSentimentScorer({"love": 3.2})
         text = "love " * 60
-        assert -1.0 < scorer.score(text) < 1.0
+        assert -1.0 < scorer.score(tokenize(text)) < 1.0
 
     def test_no_hits_scores_zero(self):
         assert score_sentiment("the quick brown fox") == 0.0
@@ -89,7 +95,7 @@ class TestScorer:
         path = tmp_path / "lex.csv"
         path.write_text("token,valence\nzork,2.0\n", encoding="utf-8")
         scorer = LexiconSentimentScorer(load_sentiment_lexicon(path))
-        assert scorer.score("zork") == pytest.approx(2 / math.sqrt(19))
+        assert scorer.score(tokenize("zork")) == pytest.approx(2 / math.sqrt(19))
 
     def test_bundled_good_value(self):
         # 'good' carries valence 1.9 in the bundled lexicon
@@ -110,17 +116,17 @@ class TestClassifier:
         classifier = KeywordTopicClassifier(
             {"gameplay": {"alpha"}, "environment": {"beta"}, "food": set(), "appearance": set()}
         )
-        assert classifier.classify("alpha beta") == "gameplay"
+        assert classifier.classify(tokenize("alpha beta")) == "gameplay"
         classifier = KeywordTopicClassifier(
             {"gameplay": set(), "environment": {"beta"}, "food": {"gamma"}, "appearance": set()}
         )
-        assert classifier.classify("gamma beta") == "environment"
+        assert classifier.classify(tokenize("gamma beta")) == "environment"
 
     def test_highest_count_wins(self):
         classifier = KeywordTopicClassifier(
             {"gameplay": {"alpha"}, "environment": {"beta"}}
         )
-        assert classifier.classify("beta beta alpha") == "environment"
+        assert classifier.classify(tokenize("beta beta alpha")) == "environment"
 
     def test_unknown_keyword_category_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -130,7 +136,7 @@ class TestClassifier:
         path = tmp_path / "kw.csv"
         path.write_text("category,token\nfood,zorp\n", encoding="utf-8")
         classifier = KeywordTopicClassifier(load_topic_keywords(path))
-        assert classifier.classify("zorp!") == "food"
+        assert classifier.classify(tokenize("zorp!")) == "food"
 
     def test_precomputed_labels_round_trip(self, tmp_path):
         path = tmp_path / "labels.jsonl"
@@ -226,8 +232,9 @@ class TestAggregate:
             (LexiconSentimentScorer({"good": 1.9}), KeywordTopicClassifier({"food": {"ramen"}})),
             (LexiconSentimentScorer({"bad": -2.0}), KeywordTopicClassifier()),
         ):
-            scores = score_comments(corpus.comments.texts, scorer)
-            labels = label_comments(corpus.comments.texts, classifier)
+            tokens = list(map(tokenize, corpus.comments.texts))
+            scores = score_comments(tokens, scorer)
+            labels = label_comments(tokens, classifier)
             report = aggregate_discourse(corpus.comments, labels, scores, dyads, corpus)
             rows[id(scorer)] = {
                 group: (set(row.topic_proportions), row.comment_count)
@@ -247,14 +254,14 @@ class TestAggregate:
 _REFERENCE_TOKEN_RE = re.compile(r"[a-z0-9']+")
 
 
-def reference_tokenize(text):
+def referencetokenize(text):
     return [t for t in (tok.strip("'") for tok in _REFERENCE_TOKEN_RE.findall(text.lower())) if t]
 
 
 def reference_score(lexicon, text):
     if not text:
         return 0.0
-    tokens = reference_tokenize(text)
+    tokens = referencetokenize(text)
     total = 0.0
     for i, token in enumerate(tokens):
         valence = lexicon.get(token)
@@ -274,7 +281,7 @@ def reference_score(lexicon, text):
 
 
 def reference_classify(keywords, text):
-    tokens = reference_tokenize(text)
+    tokens = referencetokenize(text)
     best, best_score = "other", 0
     for cat in TOPIC_CATEGORIES:
         if cat == "other":
@@ -339,13 +346,13 @@ class TestReferenceEquality:
     @example("''")
     @example("don't 'not' ''very'' good''s İstanbul ß 'n' rock'n'roll")
     def test_tokens_equal_reference(self, text):
-        assert _tokenize(text) == reference_tokenize(text)
+        assert tokenize(text) == referencetokenize(text)
 
     @settings(max_examples=400, deadline=None)
     @given(_TEXTS)
     @example("not so very 'really' good, can't be bad")
     def test_scores_equal_reference(self, text):
-        assert repr(_BUNDLED_SCORER.score(text)) == repr(reference_score(_BUNDLED_SCORER.lexicon, text))
+        assert repr(_BUNDLED_SCORER.score(tokenize(text))) == repr(reference_score(_BUNDLED_SCORER.lexicon, text))
 
     @settings(max_examples=400, deadline=None)
     @given(_TEXTS)
@@ -354,7 +361,7 @@ class TestReferenceEquality:
     def test_labels_equal_reference(self, text):
         for classifier in (_BUNDLED_CLASSIFIER, _SHARED_CLASSIFIER):
             expected = reference_classify(classifier.keywords, text)
-            assert classifier.classify(text) == expected
+            assert classifier.classify(tokenize(text)) == expected
 
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(_SPECIAL_TEXTS)
@@ -362,12 +369,165 @@ class TestReferenceEquality:
     @example("very nil and huge but not void")
     def test_special_valences_score_bit_for_bit(self, text):
         for lexicon in _SPECIAL_LEXICONS:
-            got = LexiconSentimentScorer(lexicon).score(text)
+            got = LexiconSentimentScorer(lexicon).score(tokenize(text))
             assert struct.pack("<d", got) == struct.pack("<d", reference_score(lexicon, text))
 
     def test_shared_token_ties_break_by_schema_order(self):
         # Hits per category, gameplay/environment/food/appearance.
-        assert _SHARED_CLASSIFIER.classify("aim desk") == "environment"  # 1, 2, 1, 0
-        assert _SHARED_CLASSIFIER.classify("aim ramen") == "gameplay"  # 1, 1, 1, 0
-        assert _SHARED_CLASSIFIER.classify("desk") == "environment"  # 0, 1, 1, 0
-        assert _SHARED_CLASSIFIER.classify("aim") == "gameplay"  # 1, 1, 0, 0
+        assert _SHARED_CLASSIFIER.classify(tokenize("aim desk")) == "environment"  # 1, 2, 1, 0
+        assert _SHARED_CLASSIFIER.classify(tokenize("aim ramen")) == "gameplay"  # 1, 1, 1, 0
+        assert _SHARED_CLASSIFIER.classify(tokenize("desk")) == "environment"  # 0, 1, 1, 0
+        assert _SHARED_CLASSIFIER.classify(tokenize("aim")) == "gameplay"  # 1, 1, 0, 0
+
+
+# ---------------------------------------------------------------------------
+# The report path: one tokenisation per comment, a chunk at a time.
+
+
+def _chunked_corpus(n_comments, texts):
+    """Host A (W) with a W-M collab with B, C (M) hosting A, a three-way video
+    and solo videos; ``n_comments`` comments cycle over the videos and ``texts``."""
+    registry = [
+        make_channel("A", "alpha", gender="W"),
+        make_channel("B", "bravo", gender="M"),
+        make_channel("C", "charlie", gender="M"),
+    ]
+    videos = [
+        make_video("wm", "A", description="duo with @bravo"),
+        make_video("mw", "C", description="with @alpha today", offset_hours=1),
+        make_video("multi", "B", description="@alpha and @charlie", offset_hours=2),
+        make_video("solo-a", "A", offset_hours=3),
+        make_video("solo-b", "B", offset_hours=4),
+        make_video("solo-c", "C", offset_hours=5),
+        make_video("solo-d", "C", offset_hours=6),
+    ]
+    comments = CommentTable.from_rows(
+        make_comment(f"c{i:05d}", videos[(i * 3) % len(videos)].video_id, f"u{i % 97}", texts[i % len(texts)], i)
+        for i in range(n_comments)
+    )
+    return build_corpus(registry, videos, comments)
+
+
+def _pipeline(corpus, **plugins):
+    return CommunityPipeline(corpus, RunConfig(community_dirs=(), out_dir="unused"), **plugins)
+
+
+def _reference_report(pipeline, labels):
+    """The discourse report from per-text reference scores, grouped in lists."""
+    corpus = pipeline.corpus
+    scores = [reference_score(_BUNDLED_SCORER.lexicon, text) for text in corpus.comments.texts]
+    dyad_type_of_video = {v: d.dyad_type for d in pipeline.dyads for v in d.videos}
+    groups = {}
+    for video_id, score, label in zip(corpus.comments.video_ids, scores, labels):
+        group = dyad_type_of_video.get(video_id)
+        if group is None and video_id in pipeline.partition.multi_way:
+            continue
+        groups.setdefault(group or "baseline", []).append((score, label))
+    rows = {}
+    for group, pairs in groups.items():
+        values = [score for score, _ in pairs]
+        rows[group] = discourse.DiscourseRow(
+            group=group,
+            comment_count=len(pairs),
+            mean_sentiment=fmean(values),
+            stdev_sentiment=pstdev(values) if len(values) > 1 else 0.0,
+            topic_proportions={cat: sum(label == cat for _, label in pairs) / len(pairs) for cat in TOPIC_CATEGORIES},
+        )
+    baseline = rows.pop("baseline", None)
+    return discourse.DiscourseReport(corpus.community, TOPIC_CATEGORIES, dict(sorted(rows.items())), baseline)
+
+
+# Empty and apostrophe-only texts, letters whose lowercase changes length or
+# leaves ASCII, and texts with and without boosters and negators.
+_CHUNK_TEXTS = (
+    "",
+    "'",
+    "'' ''",
+    "İstanbul ramen is awesome",
+    "ßo very good, not bad",
+    "honestly that aim is so great",
+    "toxic, the stream setup",
+    "your hair is lovely",
+    "don't 'not' ''very'' good''s",
+    "the upload",
+    "not so very really terrible",
+    "ÉPIC clutch play, wow",
+)
+
+
+def _record_calls(monkeypatch):
+    """Wrap ``score_comments`` and ``label_comments``; return the (name, tokens) of each call."""
+    calls = []
+    for name in ("score_comments", "label_comments"):
+
+        def spy(tokens, plugin=None, original=getattr(discourse, name), name=name):
+            calls.append((name, tokens))
+            return original(tokens, plugin)
+
+        monkeypatch.setattr(discourse, name, spy)
+    return calls
+
+
+class TestChunkedReport:
+    def test_report_equals_per_text_reference(self, monkeypatch):
+        corpus = _chunked_corpus(2 * CHUNK + 1, _CHUNK_TEXTS)
+        pipeline = _pipeline(corpus)
+        calls = _record_calls(monkeypatch)
+        got = pipeline.discourse_report
+        labels = [reference_classify(_BUNDLED_CLASSIFIER.keywords, text) for text in corpus.comments.texts]
+        expected = _reference_report(pipeline, labels)
+        assert set(got.by_dyad_type) == {"W-M", "M-W"}
+        assert repr(got) == repr(expected)
+        # Three chunks, each tokenised once: both functions see the same lists.
+        scored = [tokens for name, tokens in calls if name == "score_comments"]
+        labelled = [tokens for name, tokens in calls if name == "label_comments"]
+        assert [len(tokens) for tokens in scored] == [CHUNK, CHUNK, 1]
+        assert all(a is b for a, b in zip(scored, labelled, strict=True))
+
+    def test_labels_given_never_call_the_classifier(self, monkeypatch):
+        corpus = _chunked_corpus(2 * CHUNK + 1, _CHUNK_TEXTS)
+        given_labels = {cid: TOPIC_CATEGORIES[i % 5] for i, cid in enumerate(corpus.comments.comment_ids)}
+        calls = _record_calls(monkeypatch)
+        pipeline = _pipeline(corpus, labels=given_labels)
+        got = pipeline.discourse_report
+        expected = _reference_report(pipeline, [given_labels[cid] for cid in corpus.comments.comment_ids])
+        assert repr(got) == repr(expected)
+        assert {name for name, _ in calls} == {"score_comments"}
+
+    def test_empty_corpus_still_calls_both_functions(self, monkeypatch):
+        calls = _record_calls(monkeypatch)
+        scores, labels = discourse.score_and_label(())
+        assert (len(scores), labels) == (0, [])
+        assert [name for name, _ in calls] == ["score_comments", "label_comments"]
+
+
+def test_discourse_peak_bytes_per_comment():
+    """Scoring and labelling 4,000 comments holds one chunk of token lists, not all of them.
+
+    The traced peak of ``discourse_report`` above the loaded corpus, on
+    simulator-shaped texts, is about 70 bytes a comment on Python 3.11, most
+    of it fixed: one chunk's token lists and the default classifier's tables.
+    (With every score a float object in a list and no chunks it was about 60
+    bytes here; at 50,000 comments it is about 25 bytes against 57.) Token
+    lists kept for every comment would add about 358 bytes a comment.
+    """
+    texts = (
+        "the ranked match is terrible",
+        "awesome, your desk",
+        "honestly that clutch play is so great",
+        "your coffee is bland",
+    )
+    corpus = _chunked_corpus(4_000, texts)
+    pipeline = _pipeline(corpus)
+    pipeline.dyads, pipeline.partition  # computed before, so only discourse is measured
+    LexiconSentimentScorer(), KeywordTopicClassifier()  # the bundled tables, cached once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = pipeline.discourse_report
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.baseline.comment_count > 0
+    assert peak / len(corpus.comments) <= 100
