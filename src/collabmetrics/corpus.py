@@ -2,8 +2,9 @@
 
 Three record kinds make up a corpus: a channel registry, a video corpus,
 and a comment corpus. Files are UTF-8 CSV (declared header) or JSON-lines,
-one record per row/line, with ISO-8601 timestamps. Channels and videos load
-as records; the comments, by far the most rows, load as one column table.
+one record per row/line, with ISO-8601 timestamps, which load as whole
+microseconds since 1970-01-01 UTC. Channels and videos load as records; the
+comments, by far the most rows, load as one column table.
 Loaded collections are validated, immutable, and safe to share across
 threads.
 """
@@ -68,32 +69,26 @@ def normalize_handle(handle: str) -> str:
     return h.lower()
 
 
-def _parse_timestamp(value: str) -> datetime:
-    """Parse an ISO-8601 timestamp; naive values are taken as UTC."""
+_UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _parse_timestamp(value: str) -> int:
+    """An ISO-8601 timestamp as whole microseconds since 1970-01-01 UTC; naive values are taken as UTC.
+
+    A time whose UTC falls outside years 1-9999 raises ``OverflowError``.
+    """
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     dt = datetime.fromisoformat(text)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
-
-
-def _format_timestamp(dt: datetime) -> str:
-    return dt.astimezone(timezone.utc).isoformat()
-
-
-_UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_MICROSECOND = timedelta(microseconds=1)
-
-
-def _epoch_us(dt: datetime) -> int:
-    """An aware ``dt`` as whole microseconds since 1970-01-01 UTC."""
-    return (dt - _UNIX_EPOCH) // _MICROSECOND
+    return (dt.astimezone(timezone.utc) - _UNIX_EPOCH) // _MICROSECOND
 
 
 def _format_epoch_us(us: int) -> str:
-    """``_format_timestamp`` of the UTC time ``us`` microseconds after 1970-01-01."""
+    """The ISO-8601 form, offset ``+00:00``, of the UTC time ``us`` microseconds after 1970-01-01."""
     return (_UNIX_EPOCH + timedelta(microseconds=us)).isoformat()
 
 
@@ -118,11 +113,11 @@ class ChannelRecord:
 
 @dataclass(frozen=True, slots=True)
 class VideoRecord:
-    """One published video with its engagement metadata."""
+    """One published video with its engagement metadata; ``published_us`` is UTC microseconds since 1970-01-01."""
 
     video_id: str
     channel_id: str
-    published_at: datetime
+    published_us: int
     title: str
     description: str
     view_count: int
@@ -439,22 +434,26 @@ def _opt_count(row: Mapping[str, object], key: str) -> int | None:
 
 
 def _registry_from_row(row: Mapping[str, object]) -> ChannelRecord:
-    handles = row.get("handles", ())
-    if isinstance(handles, str):  # CSV: one cell of "|"-separated handles
+    handles = row.get("handles", [])
+    if isinstance(handles, str):  # a CSV cell, or a JSON string, of "|"-separated handles
         handles = handles.split(_HANDLE_SEP)
+    elif not isinstance(handles, list):
+        raise ValueError(f"handles {handles!r} is not a list or a string")
     # A handle empty once normalized is dropped; a non-string is a row error.
     handles = tuple(h for h in (normalize_handle(_text(h, "handle")) for h in handles) if h)
     if not handles:
         raise ValueError("channel has no handles")
     attributes = row.get("attributes")
-    if attributes is None:
+    if attributes is None and "attributes" not in row:
         # CSV flattening: every non-fixed column is an attribute.
         attributes = {k: v for k, v in row.items() if k not in _REGISTRY_FIXED}
+    elif not isinstance(attributes, dict):
+        raise ValueError(f"attributes {attributes!r} is not an object")
     return ChannelRecord(
         channel_id=_text(row["channel_id"], "channel_id"),
         handles=handles,
         display_name=_text(row.get("display_name", ""), "display_name"),
-        attributes={k: _text(v, f"attribute {k!r} value") for k, v in dict(attributes).items()},  # type: ignore[call-overload]
+        attributes={k: _text(v, f"attribute {k!r} value") for k, v in attributes.items()},
         community=_text(row.get("community", ""), "community"),
     )
 
@@ -473,7 +472,7 @@ def _video_from_row(channels: dict[str, str], row: Mapping[str, object]) -> Vide
     return VideoRecord(
         video_id=video_id,
         channel_id=channels.get(channel_id, channel_id),
-        published_at=published,
+        published_us=published,
         title=title,
         description=description,
         view_count=view_count,
@@ -498,7 +497,7 @@ def _comment_from_row(
         videos.get(video_id, video_id),
         authors.setdefault(author_id, author_id),
         text,
-        _epoch_us(_parse_timestamp(published_at)),
+        _parse_timestamp(published_at),
         _opt_count(row, "like_count"),
     )
 
@@ -553,7 +552,7 @@ def load_videos(
     Rows with an unknown channel, a duplicate video id, a negative count,
     or a parse failure are diverted into the per-row error report
     instead of aborting the load. Returns records sorted by
-    ``(channel_id, published_at)``; each record's ``channel_id`` is its
+    ``(channel_id, published_us)``; each record's ``channel_id`` is its
     registry record's string. ``sha256`` is fed the file's bytes.
     """
     path = Path(path)
@@ -571,7 +570,7 @@ def load_videos(
         else:
             seen.add(rec.video_id)
             records.append(rec)
-    records.sort(key=lambda v: (v.channel_id, v.published_at))
+    records.sort(key=lambda v: (v.channel_id, v.published_us))
     return records, errors
 
 
@@ -680,7 +679,7 @@ def _video_to_row(rec: VideoRecord) -> dict:
     row = {
         "video_id": rec.video_id,
         "channel_id": rec.channel_id,
-        "published_at": _format_timestamp(rec.published_at),
+        "published_at": _format_epoch_us(rec.published_us),
         "title": rec.title,
         "description": rec.description,
         "view_count": rec.view_count,
@@ -827,7 +826,7 @@ def cap_videos_per_channel(videos: Sequence[VideoRecord], cap: int) -> list[Vide
         by_channel.setdefault(v.channel_id, []).append(v)
     kept: list[VideoRecord] = []
     for channel_videos in by_channel.values():
-        channel_videos.sort(key=lambda v: v.published_at)
+        channel_videos.sort(key=lambda v: v.published_us)
         kept.extend(channel_videos[-cap:])
-    kept.sort(key=lambda v: (v.channel_id, v.published_at))
+    kept.sort(key=lambda v: (v.channel_id, v.published_us))
     return kept

@@ -40,7 +40,6 @@ __all__ = [
     "AttentionGraph",
     "CentralitySummary",
     "AttributeCentrality",
-    "EntropyDistribution",
     "build_collab_graph",
     "closeness",
     "build_attention_graph",
@@ -76,13 +75,11 @@ class AttentionGraph:
     """Bipartite commenter-to-channel graph weighted by comment count."""
 
     commenters: frozenset[str]
-    channels: frozenset[str]
     weights: Mapping[tuple[str, str], int]  # (author_id, channel_id) -> comments
 
 
 @dataclass(frozen=True)
 class AttributeCentrality:
-    attribute_value: str
     median: float
     values: tuple[float, ...]
 
@@ -91,11 +88,6 @@ class AttributeCentrality:
 class CentralitySummary:
     closeness: Mapping[str, float]
     by_attribute: Mapping[str, AttributeCentrality]
-
-
-@dataclass(frozen=True)
-class EntropyDistribution:
-    entropy: Mapping[str, float]  # author_id -> bits
 
 
 def build_collab_graph(dyads: Sequence[CollaborationDyad], channel_ids: Iterable[str]) -> CollabGraph:
@@ -180,7 +172,7 @@ def closeness(graph: CollabGraph, attributes: Mapping[str, str] | None = None) -
             if attr is not None:
                 grouped.setdefault(attr, []).append(value)
         by_attribute = {
-            attr: AttributeCentrality(attr, float(median(vals)), tuple(sorted(vals)))
+            attr: AttributeCentrality(float(median(vals)), tuple(sorted(vals)))
             for attr, vals in sorted(grouped.items())
         }
     return CentralitySummary(closeness=values, by_attribute=by_attribute)
@@ -212,15 +204,11 @@ def build_attention_graph(
         weights = {k: w for k, w in weights.items() if k[0] in keep}
     else:
         keep = frozenset(totals)
-    return AttentionGraph(
-        commenters=keep,
-        channels=frozenset(ch for _, ch in weights),
-        weights=weights,
-    )
+    return AttentionGraph(commenters=keep, weights=weights)
 
 
-def commenter_entropy(attention: AttentionGraph) -> EntropyDistribution:
-    """Shannon entropy (bits) of each commenter's attention distribution.
+def commenter_entropy(attention: AttentionGraph) -> dict[str, float]:
+    """Shannon entropy in bits of each commenter's attention distribution, by ``author_id``.
 
     p(x) is the commenter's comment share toward channel x; H = -sum p log2 p
     with the 0 log 0 := 0 convention. A commenter loyal to one channel
@@ -240,11 +228,11 @@ def commenter_entropy(attention: AttentionGraph) -> EntropyDistribution:
             p = w / total
             h -= p * math.log2(p)
         entropy[author] = max(h, 0.0)
-    return EntropyDistribution(entropy=entropy)
+    return entropy
 
 
 def entropy_cdf(
-    dist: EntropyDistribution, grid: Sequence[float] | None = None
+    entropy: Mapping[str, float], grid: Sequence[float] | None = None
 ) -> list[tuple[float, float]]:
     """Cumulative fraction of commenters with entropy <= each threshold.
 
@@ -252,7 +240,7 @@ def entropy_cdf(
     CDF). Fractions are nondecreasing in [0, 1] and reach 1 once the grid
     covers the maximum entropy. An empty distribution yields an empty CDF.
     """
-    values = sorted(dist.entropy.values())
+    values = sorted(entropy.values())
     if not values:
         logger.warning("entropy distribution is empty; emitting empty CDF")
         return []

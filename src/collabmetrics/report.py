@@ -76,6 +76,12 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         """Raise :class:`ConfigurationError` on a value no flag could have set."""
+        for key in ("out_dir", "attribute_key"):
+            if not isinstance(getattr(self, key), str):
+                raise ConfigurationError(f"{key} must be a string, got {getattr(self, key)!r}")
+        not_strings = [d for d in self.community_dirs if not isinstance(d, str)]
+        if not_strings:
+            raise ConfigurationError(f"community_dirs must be a list of strings, got {not_strings!r}")
         for key, choices in (("baseline_mode", synergy.BASELINE_MODES), ("statistic", synergy.STATISTICS)):
             if getattr(self, key) not in choices:
                 raise ConfigurationError(f"{key} must be one of {list(choices)}, got {getattr(self, key)!r}")
@@ -173,7 +179,7 @@ class CommunityPipeline:
         return netmetrics.closeness(self.graph, self.attributes)
 
     @cached_property
-    def entropy(self) -> netmetrics.EntropyDistribution:
+    def entropy(self) -> dict[str, float]:
         attention = netmetrics.build_attention_graph(
             self.corpus.videos, self.corpus.comments, min_comments=self.config.min_comments
         )
@@ -624,7 +630,7 @@ def write_network(p: CommunityPipeline, out: Path) -> str:
 
 
 def write_entropy(p: CommunityPipeline, out: Path) -> str:
-    entropy = p.entropy.entropy
+    entropy = p.entropy
     write_csv(
         out / "commenter_entropy.csv",
         ["author_id", "entropy_bits"],

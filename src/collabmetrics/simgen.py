@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields
-from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -32,7 +31,6 @@ from collabmetrics.corpus import (
     CommentTable,
     Corpus,
     VideoRecord,
-    _epoch_us,
     build_corpus,
     write_corpus,
     write_json,
@@ -59,8 +57,9 @@ __all__ = [
     "spec_from_dict",
 ]
 
-_EPOCH = datetime(2024, 1, 1, tzinfo=timezone.utc)
+_EPOCH_US = 1_704_067_200_000_000  # 2024-01-01 UTC, in microseconds since 1970-01-01
 _MINUTE_US = 60_000_000
+_HOUR_US = 60 * _MINUTE_US
 
 # Generator vocabulary. Sentiment words come from the bundled valence
 # lexicon and topic phrases only hit their own keyword category, so the
@@ -361,7 +360,7 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
     for i, cid in enumerate(channel_ids):
         for slot in range(spec.videos_per_channel):
             video_id = f"{spec.community}-v{i:03d}-{slot:04d}"
-            published = _EPOCH + timedelta(hours=counter)
+            published_us = _EPOCH_US + counter * _HOUR_US
             counter += 1
             if (cid, slot) in collab_videos:
                 kind, dyad_type, views = collab_videos[(cid, slot)]
@@ -377,7 +376,7 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
                 VideoRecord(
                     video_id=video_id,
                     channel_id=cid,
-                    published_at=published,
+                    published_us=published_us,
                     title=title,
                     description=description,
                     view_count=views,
@@ -393,7 +392,6 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
         videos_of: dict[str, list[VideoRecord]] = {cid: [] for cid in channel_ids}
         for v in videos:
             videos_of[v.channel_id].append(v)
-        published_us = {v.video_id: _epoch_us(v.published_at) for v in videos}
         popularity = targets / targets.sum()
         home_cdf = _cdf(popularity)
         away_cdfs: dict[int, list[float]] = {}  # home channel -> CDF without its own weight
@@ -425,7 +423,7 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
                     video.video_id,
                     author,
                     _comment_text(*text_draws[bucket], text),
-                    published_us[video.video_id] + (comment_seq % 600 + 1) * _MINUTE_US,
+                    video.published_us + (comment_seq % 600 + 1) * _MINUTE_US,
                     below(50),
                 )
                 comment_seq += 1
@@ -744,7 +742,7 @@ def compute_pipeline_metrics(corpus: Corpus, attribute_key: str = "gender") -> _
         shapn={(s.dyad.host, s.dyad.guest): (s.shapn_host, s.shapn_guest) for s in synergies},
         share=(stats.total_videos, stats.two_way_videos, stats.multi_way_videos),
         closeness=dict(pipeline.centrality.closeness),
-        entropy=dict(pipeline.entropy.entropy),
+        entropy=dict(pipeline.entropy),
     )
 
 

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from datetime import datetime, timedelta, timezone
-
 import pytest
 
 from collabmetrics.corpus import ChannelRecord, CommentTable, VideoRecord, build_corpus
 
-T0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
-T0_US = 1_704_067_200_000_000  # T0 in microseconds since 1970-01-01 UTC
+T0_US = 1_704_067_200_000_000  # 2024-01-01 UTC in microseconds since 1970-01-01
 
 
 def make_channel(channel_id, handle=None, gender="M", community="testgame", **attrs):
@@ -27,7 +24,7 @@ def make_video(video_id, channel_id, views=100, description="", offset_hours=0, 
     return VideoRecord(
         video_id=video_id,
         channel_id=channel_id,
-        published_at=T0 + timedelta(hours=offset_hours),
+        published_us=T0_US + offset_hours * 3_600_000_000,
         title=f"video {video_id}",
         description=description,
         view_count=views,

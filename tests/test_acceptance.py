@@ -103,10 +103,9 @@ def test_criterion_3_entropy_identities():
     def entropy_of(weights):
         graph = AttentionGraph(
             commenters=frozenset({"u"}),
-            channels=frozenset(f"c{i}" for i in range(len(weights))),
             weights={("u", f"c{i}"): w for i, w in enumerate(weights)},
         )
-        return commenter_entropy(graph).entropy["u"]
+        return commenter_entropy(graph)["u"]
 
     ok = entropy_of([5]) == 0.0
     for k in (2, 4, 8, 16):

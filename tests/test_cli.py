@@ -486,6 +486,9 @@ class TestBadConfigFiles:
             ({"max_videos_per_channel": 0}, "max_videos_per_channel must be null or an int >= 1, got 0"),
             ({"seed": "7"}, "seed must be null or an int, got '7'"),
             ({"seed": False}, "seed must be null or an int, got False"),
+            ({"out_dir": 5}, "out_dir must be a string, got 5"),
+            ({"attribute_key": 5}, "attribute_key must be a string, got 5"),
+            ({"community_dirs": [5]}, "community_dirs must be a list of strings, got [5]"),
         ],
     )
     def test_config_value_outside_the_flag_choices(self, corpus_dir, tmp_path, fields, message):

@@ -8,7 +8,7 @@ import gc
 import json
 import re
 import tracemalloc
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta
 from fractions import Fraction
 
 import pytest
@@ -20,8 +20,6 @@ from collabmetrics.corpus import (
     CommentTable,
     RowError,
     VideoRecord,
-    _format_timestamp,
-    _parse_timestamp,
     _rows,
     cap_videos_per_channel,
     exact_median,
@@ -737,6 +735,30 @@ class TestRegistryJsonValues:
         with pytest.raises(ValidationError, match=rf"^registry\.jsonl:2: {field} None is not a string$"):
             load_registry(path)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("handles", {"alpha": 1, "beta": 2}, "handles {'alpha': 1, 'beta': 2} is not a list or a string"),
+            ("attributes", [["gender", "M"]], "attributes [['gender', 'M']] is not an object"),
+            ("attributes", None, "attributes None is not an object"),
+        ],
+    )
+    def test_field_of_the_wrong_json_type(self, tmp_path, field, value, message):
+        """An object of handles used to load its keys, and a list of pairs to load as attributes;
+        null attributes were read as a CSV row's columns, the field itself among them."""
+        rows = [registry_row("A", ["a"]), registry_row("B", ["b"])]
+        rows[1][field] = value
+        path = tmp_path / "registry.jsonl"
+        write_jsonl(path, rows)
+        with pytest.raises(ValidationError, match=rf"^registry\.jsonl:2: {re.escape(message)}$"):
+            load_registry(path)
+
+    def test_handles_string_in_json(self, tmp_path):
+        path = tmp_path / "registry.jsonl"
+        write_jsonl(path, [registry_row("A", "alpha|@Beta")])
+        (rec,) = load_registry(path)
+        assert rec.handles == ("alpha", "beta")
+
     def test_missing_optional_fields_are_empty(self, tmp_path):
         path = tmp_path / "registry.jsonl"
         write_jsonl(path, [{"channel_id": "A", "handles": ["a"], "attributes": {"gender": "M"}}])
@@ -918,9 +940,6 @@ class TestJsonLineDecode:
         assert got == expected
 
 
-_UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-
-
 def _utc_offset(minutes):
     sign = "-" if minutes < 0 else "+"
     return f"{sign}{abs(minutes) // 60:02d}:{abs(minutes) % 60:02d}"
@@ -934,47 +953,81 @@ _iso_times = st.builds(
     st.one_of(st.just(""), st.sampled_from(["Z", "z"]), st.integers(-23 * 60 - 59, 23 * 60 + 59).map(_utc_offset)),
 )
 
+_ISO_TIME = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)(?:\.(\d{6}))?(?:[Zz]|([+-])(\d\d):(\d\d))?")
+_NAIVE_EPOCH = datetime(1970, 1, 1)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _utc_us(stamp):
+    """The microseconds since 1970-01-01 UTC that an ``_iso_times`` stamp names, by calendar
+    arithmetic; None when that UTC time falls outside years 1-9999."""
+    year, month, day, hour, minute, second, fraction, sign, off_hours, off_minutes = _ISO_TIME.fullmatch(stamp).groups()
+    days = (date(int(year), int(month), int(day)) - _NAIVE_EPOCH.date()).days
+    seconds = ((days * 24 + int(hour)) * 60 + int(minute)) * 60 + int(second)
+    if sign:
+        seconds -= int(sign + "1") * (int(off_hours) * 60 + int(off_minutes)) * 60
+    us = seconds * 1_000_000 + int(fraction or 0)
+    in_range = (datetime.min - _NAIVE_EPOCH) // _MICROSECOND <= us <= (datetime.max - _NAIVE_EPOCH) // _MICROSECOND
+    return us if in_range else None
+
+
+def _timed_row(kind, i, stamp):
+    if kind == "videos":
+        return _video_row(video_id=f"r{i}", published_at=stamp)
+    return _comment_row(comment_id=f"r{i}", published_at=stamp)
+
+
+def _load_timed(kind, path):
+    """The loaded videos or comments of ``path``, their times by id, and the lines of the rows it rejected."""
+    if kind == "videos":
+        videos, errors = load_videos(path, [make_channel("A")])
+        return videos, {v.video_id: v.published_us for v in videos}, [e.line for e in errors]
+    comments, report = load_comments(path, [make_video("v1", "A")])
+    return comments, dict(zip(comments.comment_ids, comments.published_us)), [e.line for e in report.errors]
+
+
+_WRITE_TIMED = {"videos": write_videos, "comments": write_comments}
+_TIMED_KINDS = pytest.mark.parametrize("kind", ["videos", "comments"])
+
 
 class TestTimeColumn:
-    """A comment's time is kept as exact UTC microseconds since 1970 and written back unchanged."""
+    """A video's or comment's time is kept as exact UTC microseconds since 1970 and written back unchanged."""
 
+    @_TIMED_KINDS
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.lists(_iso_times, min_size=1, max_size=8))
     @example(["1969-12-31T23:59:59.999999", "0001-01-01T00:00:00Z", "9999-12-31T23:59:59.999999z", "0001-01-01T00:00:00+00:01"])
     @example(["1970-01-01T00:30:00+01:00", "0001-01-01T23:00:00.000001-00:59", "1900-03-01T12:00:00.500000+05:30"])
-    def test_load_and_round_trip(self, tmp_path_factory, stamps):
+    def test_load_and_round_trip(self, tmp_path_factory, kind, stamps):
         tmp_path = tmp_path_factory.mktemp("times")
-        rows = [_comment_row(comment_id=f"c{i}", published_at=stamp) for i, stamp in enumerate(stamps)]
-        write_jsonl(tmp_path / "in.jsonl", rows)
-        comments, report = load_comments(tmp_path / "in.jsonl", [make_video("v1", "A")])
+        write_jsonl(tmp_path / "in.jsonl", [_timed_row(kind, i, stamp) for i, stamp in enumerate(stamps)])
+        loaded, times, error_lines = _load_timed(kind, tmp_path / "in.jsonl")
 
-        expected, overflowing = [], []
-        for line, stamp in enumerate(stamps, 1):
-            try:
-                expected.append((_parse_timestamp(stamp) - _UNIX_EPOCH) // timedelta(microseconds=1))
-            except OverflowError:  # UTC falls outside years 1-9999
-                overflowing.append(line)
-        assert list(comments.published_us) == expected
-        assert [e.line for e in report.errors] == overflowing
+        expected = {f"r{i}": _utc_us(stamp) for i, stamp in enumerate(stamps)}
+        assert times == {key: us for key, us in expected.items() if us is not None}
+        assert error_lines == [line for line, us in enumerate(expected.values(), 1) if us is None]
 
         for suffix in ("jsonl", "csv"):
             first, second = tmp_path / f"first.{suffix}", tmp_path / f"second.{suffix}"
-            write_comments(comments, first)
-            again, _ = load_comments(first, [make_video("v1", "A")])
-            write_comments(again, second)
-            assert again == comments
+            _WRITE_TIMED[kind](loaded, first)
+            again, _, _ = _load_timed(kind, first)
+            _WRITE_TIMED[kind](again, second)
+            assert again == loaded
             assert first.read_bytes() == second.read_bytes()
-        written = [json.loads(line)["published_at"] for line in (tmp_path / "first.jsonl").read_text().splitlines()]
-        kept = [stamp for line, stamp in enumerate(stamps, 1) if line not in overflowing]
-        assert written == [_format_timestamp(_parse_timestamp(stamp)) for stamp in kept]
+        id_key = "video_id" if kind == "videos" else "comment_id"
+        rows = [json.loads(line) for line in (tmp_path / "first.jsonl").read_text().splitlines()]
+        assert {row[id_key]: row["published_at"] for row in rows} == {
+            key: (_NAIVE_EPOCH + us * _MICROSECOND).isoformat() + "+00:00" for key, us in times.items()
+        }
 
+    @_TIMED_KINDS
     @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"])
-    def test_time_outside_utc_range_is_a_row_error(self, tmp_path, stamp):
-        path = tmp_path / "comments.jsonl"
-        write_jsonl(path, [_comment_row(comment_id="c0"), _comment_row(published_at=stamp)])
-        comments, report = load_comments(path, [make_video("v1", "A")])
-        assert list(comments.comment_ids) == ["c0"]
-        assert [e.line for e in report.errors] == [2]
+    def test_time_outside_utc_range_is_a_row_error(self, tmp_path, kind, stamp):
+        path = tmp_path / "in.jsonl"
+        write_jsonl(path, [_timed_row(kind, 0, "2024-01-01T00:00:00Z"), _timed_row(kind, 1, stamp)])
+        _, times, error_lines = _load_timed(kind, path)
+        assert list(times) == ["r0"]
+        assert error_lines == [2]
 
 
 class TestSharedIdStrings:

@@ -240,18 +240,18 @@ class TestAttentionGraph:
         videos = [make_video("v1", "A")]
         comments = CommentTable.from_rows([make_comment("c1", "v1", "u1")])
         graph = build_attention_graph(videos, comments)
+        channels = {v.channel_id for v in videos}
         for author, channel in graph.weights:
-            assert author in graph.commenters and channel in graph.channels
+            assert author in graph.commenters and channel in channels
 
 
 class TestEntropy:
     def entropy_of(self, weights):
         graph = AttentionGraph(
             commenters=frozenset({"u"}),
-            channels=frozenset(f"ch{i}" for i in range(len(weights))),
             weights={("u", f"ch{i}"): w for i, w in enumerate(weights)},
         )
-        return commenter_entropy(graph).entropy["u"]
+        return commenter_entropy(graph)["u"]
 
     def test_loyal_commenter_zero(self):
         assert self.entropy_of([7]) == 0.0
@@ -308,23 +308,13 @@ class TestEntropy:
                         p = per_commenter[author][channel] / total
                         h -= p * math.log2(p)
                 want[author] = max(h, 0.0)
-        graph = AttentionGraph(
-            commenters=frozenset(per_commenter), channels=frozenset(c for _, c in weights), weights=weights
-        )
-        got = commenter_entropy(graph).entropy
+        got = commenter_entropy(AttentionGraph(commenters=frozenset(per_commenter), weights=weights))
         assert list(got.items()) == list(want.items())
 
 
 class TestEntropyCdf:
     def dist_of(self, values):
-        graph = AttentionGraph(
-            commenters=frozenset(f"u{i}" for i in range(len(values))),
-            channels=frozenset({"a", "b"}),
-            weights={},
-        )
-        from collabmetrics.netmetrics import EntropyDistribution
-
-        return EntropyDistribution(entropy={f"u{i}": v for i, v in enumerate(values)})
+        return {f"u{i}": v for i, v in enumerate(values)}
 
     def test_point_mass(self):
         assert entropy_cdf(self.dist_of([0.0])) == [(0.0, 1.0)]

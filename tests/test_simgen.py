@@ -388,7 +388,7 @@ def test_loyalty_monotone_in_mean_entropy():
             small_spec(seed=seed, audience_size=120, comments_per_commenter=4.0, loyalty=loyalty)
         )
         att = netmetrics.build_attention_graph(corpus.videos, corpus.comments)
-        values = list(netmetrics.commenter_entropy(att).entropy.values())
+        values = list(netmetrics.commenter_entropy(att).values())
         return sum(values) / len(values)
 
     for seed in range(5):
