@@ -24,10 +24,6 @@ from collabmetrics.synergy import BASELINE_MODES, STATISTICS
 _CONTEXT = {"auto_envvar_prefix": "COLLABMETRICS", "help_option_names": ["-h", "--help"]}
 
 
-def _echo_json(payload) -> None:
-    click.echo(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
-
-
 def _read_json_object(path: str) -> dict:
     """The JSON object in the file ``path``; anything else is a one-line error naming the file."""
     try:
@@ -39,35 +35,31 @@ def _read_json_object(path: str) -> dict:
     return raw
 
 
-def _load(corpus_dir: str, attribute_key: str):
-    """:func:`load_corpus_dir`, with a failure as a one-line error.
-
-    Returns the corpus, its drop counts and its files' digests.
-    """
-    try:
-        return load_corpus_dir(corpus_dir, attribute_key=attribute_key)
-    except (CollabMetricsError, FileNotFoundError) as exc:
-        raise click.ClickException(str(exc)) from exc
-
-
 def _run_stage(write, corpus_dir: str, attribute_key: str, out_dir: str, *inputs, **settings) -> None:
     """Print the summary of ``write``, one stage's file writer, run on one corpus.
 
     ``inputs`` are the pipeline's discourse scorer, classifier and labels;
     ``settings`` are :class:`RunConfig` fields.
     """
-    corpus, _, _ = _load(corpus_dir, attribute_key)
+    corpus, _, _ = load_corpus_dir(corpus_dir, attribute_key=attribute_key)
     config = report.RunConfig(community_dirs=(corpus_dir,), out_dir=out_dir, attribute_key=attribute_key, **settings)
     pipeline = report.CommunityPipeline(corpus, config, *inputs)
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    try:
-        summary = write(pipeline, Path(out_dir))
-    except CollabMetricsError as exc:
-        raise click.ClickException(str(exc)) from exc
-    click.echo(summary)
+    click.echo(write(pipeline, Path(out_dir)))
 
 
-@click.group(context_settings=_CONTEXT)
+class _Main(click.Group):
+    """The command group; a toolkit error or a missing input file in any
+    subcommand ends the run with a one-line ``Error:`` and exit status 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (CollabMetricsError, FileNotFoundError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main, context_settings=_CONTEXT)
 @click.version_option(version=__version__, prog_name="collabmetrics")
 @click.option("-v", "--verbose", is_flag=True, help="Enable debug logging.")
 def main(verbose: bool) -> None:
@@ -83,18 +75,16 @@ def main(verbose: bool) -> None:
 @click.option("--attribute-key", default="gender", show_default=True)
 def ingest(corpus_dir: str, attribute_key: str) -> None:
     """Load and validate a corpus directory as ``report`` does; print a summary with drop counts."""
-    corpus, dropped, _ = _load(corpus_dir, attribute_key)
-    histogram = attribute_histogram(corpus.registry, attribute_key)
-    _echo_json(
-        {
-            "community": corpus.community,
-            "channels": len(corpus.registry),
-            "videos": len(corpus.videos),
-            "comments": len(corpus.comments),
-            "attribute_histogram": dict(sorted(histogram.items())),
-            **dropped,
-        }
-    )
+    corpus, dropped, _ = load_corpus_dir(corpus_dir, attribute_key=attribute_key)
+    summary = {
+        "community": corpus.community,
+        "channels": len(corpus.registry),
+        "videos": len(corpus.videos),
+        "comments": len(corpus.comments),
+        "attribute_histogram": dict(sorted(attribute_histogram(corpus.registry, attribute_key).items())),
+        **dropped,
+    }
+    click.echo(json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False))
 
 
 @main.command()
@@ -156,15 +146,12 @@ def discourse_cmd(
     if labels_path and topic_keywords:
         raise click.UsageError("--labels and --topic-keywords are mutually exclusive: labels replace the classifier")
     scorer = classifier = labels = None
-    try:
-        if sentiment_lexicon:
-            scorer = discourse.LexiconSentimentScorer(discourse.load_sentiment_lexicon(sentiment_lexicon))
-        if labels_path:
-            labels = discourse.load_precomputed_labels(labels_path)
-        elif topic_keywords:
-            classifier = discourse.KeywordTopicClassifier(discourse.load_topic_keywords(topic_keywords))
-    except CollabMetricsError as exc:
-        raise click.ClickException(str(exc)) from exc
+    if sentiment_lexicon:
+        scorer = discourse.LexiconSentimentScorer(discourse.load_sentiment_lexicon(sentiment_lexicon))
+    if labels_path:
+        labels = discourse.load_precomputed_labels(labels_path)
+    elif topic_keywords:
+        classifier = discourse.KeywordTopicClassifier(discourse.load_topic_keywords(topic_keywords))
     _run_stage(report.write_discourse, corpus_dir, attribute_key, out_dir, scorer, classifier, labels)
 
 
@@ -179,18 +166,13 @@ def discourse_cmd(
 def simulate(preset_name: str, spec_path: str | None, seed: int, out_dir: str, fmt: str) -> None:
     """Generate a synthetic community corpus plus its planted-truth file."""
     from collabmetrics import simgen  # only this command needs the generator and numpy
-    try:
-        if preset_name == "custom":
-            if not spec_path:
-                raise click.ClickException("--preset custom requires --spec")
-            raw = _read_json_object(spec_path)
-            raw["seed"] = seed
-            spec = simgen.spec_from_dict(raw)
-        else:
-            spec = simgen.preset(preset_name, seed=seed)
-        paths = simgen.simulate_to_dir(spec, out_dir, fmt=fmt)
-    except CollabMetricsError as exc:
-        raise click.ClickException(str(exc)) from exc
+    if preset_name == "custom":
+        if not spec_path:
+            raise click.ClickException("--preset custom requires --spec")
+        spec = simgen.spec_from_dict({**_read_json_object(spec_path), "seed": seed})
+    else:
+        spec = simgen.preset(preset_name, seed=seed)
+    paths = simgen.simulate_to_dir(spec, out_dir, fmt=fmt)
     for name, path in sorted(paths.items()):
         click.echo(f"{name}: {path}")
 
@@ -233,14 +215,13 @@ def report_cmd(
         "formats": tuple(formats) or None,
     }
     raw.update({k: v for k, v in overrides.items() if v is not None})
-    raw.setdefault("formats", ("csv",))
     if not raw.get("community_dirs"):
         raise click.ClickException("at least one --corpus directory (or config community_dirs) is required")
     if not raw.get("out_dir"):
         raise click.ClickException("--out (or config out_dir) is required")
     try:
         config = report.RunConfig.from_dict(raw)
-    except (TypeError, ConfigurationError) as exc:
+    except ConfigurationError as exc:
         raise click.ClickException(f"bad config: {exc}") from exc
     try:
         bundle = report.run_report(config)

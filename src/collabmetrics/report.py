@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -39,7 +39,7 @@ from collabmetrics.corpus import (
 )
 from collabmetrics.errors import CollabMetricsError, ConfigurationError, ValidationError
 
-__all__ = ["RunConfig", "ReportBundle", "RunStageError", "CommunityPipeline", "run_report", "FORMATS"]
+__all__ = ["RunConfig", "ReportBundle", "RunStageError", "CommunityPipeline", "run_report", "check_fields", "FORMATS"]
 
 logger = logging.getLogger(__name__)
 
@@ -60,6 +60,48 @@ class RunStageError(CollabMetricsError):
         self.cause = cause
 
 
+def _is_number(value: object) -> bool:
+    return type(value) in (int, float)  # a JSON true or false is no number
+
+
+def _is_weights(value: object) -> bool:
+    return isinstance(value, Mapping) and all(map(_is_number, value.values()))
+
+
+# What a JSON value must be, by the annotation of the dataclass field it fills.
+# ``type(v) is int`` also turns a bool away.
+_FIELD_TYPES = {
+    "str": (lambda v: type(v) is str, "a string"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "int | None": (lambda v: v is None or type(v) is int, "null or an integer"),
+    "float": (_is_number, "a number"),
+    "tuple[str, ...]": (lambda v: isinstance(v, (list, tuple)) and all(type(s) is str for s in v), "a list of strings"),
+    "Mapping[str, float]": (_is_weights, "an object of numbers"),
+    "Mapping[str, float] | None": (lambda v: v is None or _is_weights(v), "null or an object of numbers"),
+}
+
+
+def check_fields(where: str, data: Mapping, cls: type) -> None:
+    """Raise :class:`ConfigurationError` unless ``data`` names each required
+    field of dataclass ``cls`` and no other, each with a value of its type.
+
+    A nonempty ``where`` prefixes the message. A field whose annotation is
+    not in the type table (a spec's discourse profiles) is its caller's to check.
+    """
+    known = dataclasses.fields(cls)
+    required = {f.name for f in known if f.default is MISSING and f.default_factory is MISSING}
+    missing = sorted(required - data.keys())
+    unknown = sorted(data.keys() - {f.name for f in known})
+    prefix = f"{where}: " if where else ""
+    problems = [f"{what} fields {', '.join(names)}" for what, names in (("missing", missing), ("unknown", unknown)) if names]
+    if problems:
+        raise ConfigurationError(prefix + "; ".join(problems))
+    for f in known:
+        check = _FIELD_TYPES.get(f.type)
+        if check is not None and f.name in data and not check[0](data[f.name]):
+            raise ConfigurationError(f"{prefix}{f.name} must be {check[1]}, got {data[f.name]!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a report run depends on; serialized into the manifest."""
@@ -76,36 +118,22 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         """Raise :class:`ConfigurationError` on a value no flag could have set."""
-        for key in ("out_dir", "attribute_key"):
-            if not isinstance(getattr(self, key), str):
-                raise ConfigurationError(f"{key} must be a string, got {getattr(self, key)!r}")
-        not_strings = [d for d in self.community_dirs if not isinstance(d, str)]
-        if not_strings:
-            raise ConfigurationError(f"community_dirs must be a list of strings, got {not_strings!r}")
+        check_fields("", vars(self), type(self))
         for key, choices in (("baseline_mode", synergy.BASELINE_MODES), ("statistic", synergy.STATISTICS)):
             if getattr(self, key) not in choices:
                 raise ConfigurationError(f"{key} must be one of {list(choices)}, got {getattr(self, key)!r}")
         unknown = [f for f in self.formats if f not in FORMATS]
         if unknown:
             raise ConfigurationError(f"formats must be a list of {list(FORMATS)}, got {unknown!r}")
-        # A JSON config can hold any value; ``type(...) is int`` also turns a bool away.
-        if type(self.min_comments) is not int:
-            raise ConfigurationError(f"min_comments must be an int, got {self.min_comments!r}")
         cap = self.max_videos_per_channel
-        if cap is not None and not (type(cap) is int and cap >= 1):
-            raise ConfigurationError(f"max_videos_per_channel must be null or an int >= 1, got {cap!r}")
-        if self.seed is not None and type(self.seed) is not int:
-            raise ConfigurationError(f"seed must be null or an int, got {self.seed!r}")
+        if cap is not None and cap < 1:
+            raise ConfigurationError(f"max_videos_per_channel must be null or an integer >= 1, got {cap!r}")
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "RunConfig":
-        data = dict(raw)
-        for key in ("community_dirs", "formats"):
-            if key in data:
-                if not isinstance(data[key], (list, tuple)):
-                    raise ConfigurationError(f"{key} must be a list, got {data[key]!r}")
-                data[key] = tuple(data[key])
-        return cls(**data)
+        """The config that ``raw``, a parsed JSON object, describes; its lists become tuples."""
+        check_fields("", raw, cls)
+        return cls(**{key: tuple(value) if isinstance(value, list) else value for key, value in raw.items()})
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -35,7 +35,7 @@ from collabmetrics.corpus import (
     write_corpus,
     write_json,
 )
-from collabmetrics.errors import InfeasibleSpecError
+from collabmetrics.errors import ConfigurationError, InfeasibleSpecError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -619,57 +619,23 @@ def preset(name: str, seed: int = 0) -> CommunitySpec:
 def spec_from_dict(raw: Mapping) -> CommunitySpec:
     """Build a spec from parsed JSON (profiles as nested objects).
 
-    Raises :class:`InfeasibleSpecError` naming the missing or unknown fields
+    Raises :class:`ConfigurationError` naming the missing or unknown fields
     of the spec or of a profile, a field whose value has the wrong type, or
     a profile that is not an object.
     """
     data = dict(raw)
-    _check_fields("spec", data, CommunitySpec)
+    report.check_fields("spec", data, CommunitySpec)
     raw_profiles = data.pop("discourse_profiles", {})
     if not isinstance(raw_profiles, Mapping):
-        raise InfeasibleSpecError(f"discourse_profiles must be an object, got {raw_profiles!r}")
+        raise ConfigurationError(f"discourse_profiles must be an object, got {raw_profiles!r}")
     profiles = {}
     for key, p in raw_profiles.items():
         where = f"discourse_profiles[{key!r}]"
         if not isinstance(p, Mapping):
-            raise InfeasibleSpecError(f"{where} must be an object, got {p!r}")
-        _check_fields(where, p, DiscourseProfile)
+            raise ConfigurationError(f"{where} must be an object, got {p!r}")
+        report.check_fields(where, p, DiscourseProfile)
         profiles[key] = DiscourseProfile(float(p["mean_sentiment"]), dict(p["topic_weights"]))
     return CommunitySpec(discourse_profiles=profiles, **data)
-
-
-def _is_number(value: object) -> bool:
-    return type(value) in (int, float)  # a JSON true or false is no number
-
-
-def _is_weights(value: object) -> bool:
-    return isinstance(value, Mapping) and all(map(_is_number, value.values()))
-
-
-# What a JSON value must be, by the annotation of the field it fills.
-_FIELD_TYPES = {
-    "str": (lambda v: type(v) is str, "a string"),
-    "int": (lambda v: type(v) is int, "an integer"),
-    "float": (_is_number, "a number"),
-    "Mapping[str, float]": (_is_weights, "an object of numbers"),
-    "Mapping[str, float] | None": (lambda v: v is None or _is_weights(v), "null or an object of numbers"),
-}
-
-
-def _check_fields(where: str, data: Mapping, cls: type) -> None:
-    """Raise :class:`InfeasibleSpecError` unless ``data`` names each required
-    field of dataclass ``cls`` and no other, each with a value of its type."""
-    known = fields(cls)
-    required = {f.name for f in known if f.default is MISSING and f.default_factory is MISSING}
-    missing = sorted(required - data.keys())
-    unknown = sorted(data.keys() - {f.name for f in known})
-    problems = [f"{what} fields {', '.join(names)}" for what, names in (("missing", missing), ("unknown", unknown)) if names]
-    if problems:
-        raise InfeasibleSpecError(f"{where}: {'; '.join(problems)}")
-    for f in known:
-        check = _FIELD_TYPES.get(f.type)  # profiles are checked one by one
-        if check is not None and f.name in data and not check[0](data[f.name]):
-            raise InfeasibleSpecError(f"{where}: {f.name} must be {check[1]}, got {data[f.name]!r}")
 
 
 def write_truth(truth: PlantedTruth, path: str | Path) -> None:

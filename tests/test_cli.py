@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -17,13 +19,16 @@ from collabmetrics.corpus import corpus_files
 from collabmetrics.errors import ConfigurationError
 from collabmetrics.report import (
     ABSENT,
+    _FIELD_TYPES,
     CommunityPipeline,
     RunConfig,
     RunStageError,
     format_compact,
     run_report,
 )
-from collabmetrics.simgen import preset, simulate_to_dir, spec_from_dict
+from collabmetrics.simgen import CommunitySpec, DiscourseProfile, preset, simulate_to_dir, spec_from_dict
+
+from .test_simgen import PINNED_SHA256
 
 SEVEN_ARTIFACTS = (
     "shares.csv",
@@ -173,6 +178,14 @@ class TestSubcommands:
         assert result.exit_code == 1
         assert result.output == "Error: viewership_scale must be positive\n"
 
+    def test_simulate_preset_writes_the_pinned_files(self, tmp_path):
+        out = tmp_path / "valorant"
+        result = run_cli("simulate", "--preset", "valorant", "--seed", 0, "--out", out)
+        pinned = PINNED_SHA256["valorant", "jsonl"]
+        assert result.exit_code == 0
+        assert result.output == "".join(f"{name.split('.')[0]}: {out / name}\n" for name in sorted(pinned))
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == pinned
+
     def test_report_cli(self, corpus_dir, tmp_path):
         result = run_cli("report", "--corpus", corpus_dir, "--out", tmp_path / "rep")
         assert result.exit_code == 0
@@ -303,7 +316,7 @@ class TestRunReport:
         result = run_cli("report", "--corpus", corpus_dir, "--out", out, "--max-videos-per-channel", cap)
         assert (result.exit_code, result.output) == (
             1,
-            f"Error: bad config: max_videos_per_channel must be null or an int >= 1, got {cap}\n",
+            f"Error: bad config: max_videos_per_channel must be null or an integer >= 1, got {cap}\n",
         )
         assert not out.exists()  # refused before any stage ran
 
@@ -474,21 +487,22 @@ class TestBadConfigFiles:
         "fields, message",
         [
             ({"formats": ["xml"]}, "formats must be a list of ['csv', 'json', 'table'], got ['xml']"),
-            ({"formats": "csv"}, "formats must be a list, got 'csv'"),
-            ({"community_dirs": "dir"}, "community_dirs must be a list, got 'dir'"),
+            ({"formats": "csv"}, "formats must be a list of strings, got 'csv'"),
+            ({"community_dirs": "dir"}, "community_dirs must be a list of strings, got 'dir'"),
             ({"statistic": "mode"}, "statistic must be one of ['median', 'mean'], got 'mode'"),
             ({"baseline_mode": "none"}, "baseline_mode must be one of ['solo', 'all'], got 'none'"),
-            ({"min_comments": "2"}, "min_comments must be an int, got '2'"),
-            ({"min_comments": True}, "min_comments must be an int, got True"),
-            ({"min_comments": 2.0}, "min_comments must be an int, got 2.0"),
-            ({"max_videos_per_channel": "3"}, "max_videos_per_channel must be null or an int >= 1, got '3'"),
-            ({"max_videos_per_channel": True}, "max_videos_per_channel must be null or an int >= 1, got True"),
-            ({"max_videos_per_channel": 0}, "max_videos_per_channel must be null or an int >= 1, got 0"),
-            ({"seed": "7"}, "seed must be null or an int, got '7'"),
-            ({"seed": False}, "seed must be null or an int, got False"),
+            ({"min_comments": "2"}, "min_comments must be an integer, got '2'"),
+            ({"min_comments": True}, "min_comments must be an integer, got True"),
+            ({"min_comments": 2.0}, "min_comments must be an integer, got 2.0"),
+            ({"max_videos_per_channel": "3"}, "max_videos_per_channel must be null or an integer, got '3'"),
+            ({"max_videos_per_channel": True}, "max_videos_per_channel must be null or an integer, got True"),
+            ({"max_videos_per_channel": 0}, "max_videos_per_channel must be null or an integer >= 1, got 0"),
+            ({"seed": "7"}, "seed must be null or an integer, got '7'"),
+            ({"seed": False}, "seed must be null or an integer, got False"),
             ({"out_dir": 5}, "out_dir must be a string, got 5"),
             ({"attribute_key": 5}, "attribute_key must be a string, got 5"),
             ({"community_dirs": [5]}, "community_dirs must be a list of strings, got [5]"),
+            ({"zeta": 1, "alpha": 2}, "unknown fields alpha, zeta"),
         ],
     )
     def test_config_value_outside_the_flag_choices(self, corpus_dir, tmp_path, fields, message):
@@ -503,7 +517,7 @@ class TestBadConfigFiles:
             RunConfig(community_dirs=(), out_dir="", statistic="mode")
         with pytest.raises(ConfigurationError, match=r"^formats must be a list of .*, got \['x'\]$"):
             RunConfig(community_dirs=(), out_dir="", formats=("csv", "x"))
-        with pytest.raises(ConfigurationError, match=r"^max_videos_per_channel must be null or an int >= 1, got -3$"):
+        with pytest.raises(ConfigurationError, match=r"^max_videos_per_channel must be null or an integer >= 1, got -3$"):
             RunConfig(community_dirs=(), out_dir="", max_videos_per_channel=-3)
         config = RunConfig(community_dirs=(), out_dir="", min_comments=0, max_videos_per_channel=1, seed=-1)
         assert (config.min_comments, config.max_videos_per_channel, config.seed) == (0, 1, -1)
@@ -560,6 +574,10 @@ class TestBadConfigFiles:
                 },
                 "discourse_profiles['baseline']: topic_weights must be an object of numbers, got ['other']",
             ),
+            (
+                {"community": "x", "n_channels": 5, "attribute_ratios": {"M": 1}, "zeta": 1, "alpha": 2},
+                "spec: unknown fields alpha, zeta",
+            ),
         ],
     )
     def test_spec_with_bad_fields(self, tmp_path, spec, message):
@@ -568,6 +586,14 @@ class TestBadConfigFiles:
         result = run_cli("simulate", "--preset", "custom", "--spec", spec_path, "--out", tmp_path / "out")
         assert (result.exit_code, result.output) == (1, f"Error: {message}\n")
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("cls", [RunConfig, CommunitySpec, DiscourseProfile], ids=lambda cls: cls.__name__)
+    def test_every_field_has_a_type_check(self, cls):
+        """The field checker passes over a field whose annotation has no type
+        entry; only a spec's discourse profiles are checked one at a time."""
+        unchecked = [f.name for f in dataclasses.fields(cls) if f.type not in _FIELD_TYPES]
+        assert unchecked == (["discourse_profiles"] if cls is CommunitySpec else [])
 
 
 class TestFormatting:

@@ -215,15 +215,27 @@ class TestLoadComments:
         assert records.texts == ("",)
         assert report.errors == ()
 
-    def test_duplicate_comment_id_rejected(self, tmp_path):
-        videos = [make_video("v1", "A")]
-        row = {"comment_id": "c1", "video_id": "v1", "author_id": "u1",
-               "text": "x", "published_at": "2024-01-01T00:00:00Z"}
-        path = tmp_path / "comments.jsonl"
+    @pytest.mark.parametrize(
+        "kind, row, message",
+        [
+            ("videos", {"video_id": "v1", "channel_id": "A", "published_at": "2024-01-01T00:00:00Z", "view_count": 1},
+             "duplicate video_id 'v1'"),
+            ("comments", {"comment_id": "c1", "video_id": "v1", "author_id": "u1",
+                          "text": "x", "published_at": "2024-01-01T00:00:00Z"}, "duplicate comment_id 'c1'"),
+        ],
+        ids=["videos", "comments"],
+    )
+    def test_duplicate_comment_id_rejected(self, tmp_path, kind, row, message):
+        """The second row with an id already seen is a row error naming its line; the first is kept."""
+        path = tmp_path / f"{kind}.jsonl"
         write_jsonl(path, [row, row])
-        records, report = load_comments(path, videos)
+        if kind == "videos":
+            records, errors = load_videos(path, [make_channel("A", "a")])
+        else:
+            records, report = load_comments(path, [make_video("v1", "A")])
+            errors = report.errors
         assert len(records) == 1
-        assert len(report.errors) == 1
+        assert list(errors) == [RowError(2, message)]
 
 
     def test_truncated_and_non_object_lines_are_row_errors(self, tmp_path):

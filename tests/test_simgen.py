@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 from bisect import bisect_right
@@ -332,16 +333,27 @@ class TestOracle:
         assert report.ok
 
     def test_mutated_pipeline_detected(self):
-        corpus, _ = generate(small_spec(seed=3))
+        """Each corrupted number is one mismatch that names its metric and key."""
+        corpus, truth = generate(small_spec(seed=3))
         pipeline = compute_pipeline_metrics(corpus)
         oracle = compute_oracle_metrics(corpus)
         assert compare_metrics(pipeline, oracle).ok
-        # off-by-one corruption of one baseline median
         channel = sorted(pipeline.baselines)[0]
-        pipeline.baselines[channel] += 1
-        report = compare_metrics(pipeline, oracle)
-        assert not report.ok
-        assert any(m.metric == "baseline" and channel in m.key for m in report.mismatches)
+        author = sorted(pipeline.entropy)[0]
+        total, two, multi = pipeline.share
+        mutations = [
+            # off-by-one corruption of one baseline median
+            ("baseline", channel, {"baselines": {**pipeline.baselines, channel: pipeline.baselines[channel] + 1}}),
+            ("closeness", channel, {"closeness": {**pipeline.closeness, channel: pipeline.closeness[channel] + 0.5}}),
+            ("entropy", author, {"entropy": {**pipeline.entropy, author: pipeline.entropy[author] + 0.5}}),
+            ("share", "corpus", {"share": (total, two + 1, multi)}),
+        ]
+        for metric, key, change in mutations:
+            report = compare_metrics(dataclasses.replace(pipeline, **change), oracle)
+            assert [(m.metric, m.key) for m in report.mismatches] == [(metric, key)]
+        wrong_truth = dataclasses.replace(truth, two_way_share=truth.two_way_share + 1)
+        report = oracle_check(corpus, wrong_truth)
+        assert [(m.metric, m.key) for m in report.mismatches] == [("two_way_share", "corpus")]
 
     def test_share_check_against_truth(self):
         corpus, truth = generate(small_spec(seed=6, collab_rate=0.2, two_way_share=0.75))
