@@ -1,7 +1,9 @@
 """End-to-end report bundles.
 
 A run loads one corpus directory per community, executes every analysis
-stage, and renders seven plot-ready artifacts plus a provenance manifest:
+stage, and renders the formats its config names (``csv``: seven plot-ready
+tables; ``json``: report.json; ``table``: report.txt) plus a provenance
+manifest:
 
     shares.csv        collaboration share per dyad type, rows per community
     synergy_host.csv  aggregated normalized host contributions (dyad-type columns)
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 from dataclasses import MISSING, dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -61,7 +64,8 @@ class RunStageError(CollabMetricsError):
 
 
 def _is_number(value: object) -> bool:
-    return type(value) in (int, float)  # a JSON true or false is no number
+    # A JSON true or false is no number, nor is the NaN or Infinity that Python's json reads.
+    return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
 def _is_weights(value: object) -> bool:
@@ -125,6 +129,8 @@ class RunConfig:
         unknown = [f for f in self.formats if f not in FORMATS]
         if unknown:
             raise ConfigurationError(f"formats must be a list of {list(FORMATS)}, got {unknown!r}")
+        if not self.formats:
+            raise ConfigurationError(f"formats must name at least one of {list(FORMATS)}")
         cap = self.max_videos_per_channel
         if cap is not None and cap < 1:
             raise ConfigurationError(f"max_videos_per_channel must be null or an integer >= 1, got {cap!r}")
@@ -490,9 +496,10 @@ def _render(
     pipelines: Sequence[CommunityPipeline], config: RunConfig, out_dir: Path
 ) -> dict[str, Path]:
     artifacts: dict[str, Path] = {}
-    for name, table in _REPORT_TABLES.items():
-        artifacts[name] = out_dir / f"{name}.csv"
-        write_csv(artifacts[name], *table(pipelines))
+    if "csv" in config.formats:
+        for name, table in _REPORT_TABLES.items():
+            artifacts[name] = out_dir / f"{name}.csv"
+            write_csv(artifacts[name], *table(pipelines))
     if "json" in config.formats:
         artifacts["report_json"] = out_dir / "report.json"
         write_json(artifacts["report_json"], _json_payload(pipelines))

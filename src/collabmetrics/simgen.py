@@ -152,6 +152,8 @@ class CommunitySpec:
             raise InfeasibleSpecError("two_way_share must lie in [0, 1]")
         if not self.viewership_scale > 0:
             raise InfeasibleSpecError("viewership_scale must be positive")
+        if not (self.viewership_noise >= 0 and self.synergy_noise >= 0):
+            raise InfeasibleSpecError("viewership_noise and synergy_noise must be >= 0")
         if self.videos_per_channel < 1 or self.videos_per_dyad < 1:
             raise InfeasibleSpecError("videos_per_channel and videos_per_dyad must be >= 1")
         if self.synergy_multipliers and any(m <= 0 for m in self.synergy_multipliers.values()):
@@ -188,11 +190,6 @@ def _apportion(total: int, weights: Mapping[str, float]) -> dict[str, int]:
     return counts
 
 
-def _split_type(dyad_type: str) -> tuple[str, str]:
-    host_label, _, guest_label = dyad_type.partition("-")
-    return host_label, guest_label
-
-
 def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
     """Generate a corpus plus its planted truth, deterministically from the seed."""
     # numpy is imported here, not at module level, so that commands which
@@ -207,41 +204,38 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
     rng_comments = np.random.default_rng(streams[3])
     text = _Draws(np.random.default_rng(streams[4]))
 
-    # --- channels: labels, popularity ranks, baseline targets -------------
+    # --- channels, by index: labels, popularity ranks, baseline targets ----
     label_counts = _apportion(spec.n_channels, spec.attribute_ratios)
-    labels: list[str] = []
-    for label in sorted(label_counts):
-        labels.extend([label] * label_counts[label])
-    labels_arr = np.array(labels, dtype=object)
-    rng_channels.shuffle(labels_arr)
-    ranks = rng_channels.permutation(spec.n_channels) + 1
+    labels = np.array([label for label in sorted(label_counts) for _ in range(label_counts[label])], dtype=object)
+    rng_channels.shuffle(labels)
+    ranks = (rng_channels.permutation(spec.n_channels) + 1).tolist()
+    targets = [spec.viewership_scale * float(rank) ** (-spec.viewership_exponent) for rank in ranks]
 
     channel_ids = [f"{spec.community}-c{i:03d}" for i in range(spec.n_channels)]
-    handles = {cid: f"creator{i:03d}" for i, cid in enumerate(channel_ids)}
-    baseline_targets = {
-        cid: spec.viewership_scale * float(ranks[i]) ** (-spec.viewership_exponent)
-        for i, cid in enumerate(channel_ids)
-    }
-    label_of = {cid: str(labels_arr[i]) for i, cid in enumerate(channel_ids)}
+    handles = [f"creator{i:03d}" for i in range(spec.n_channels)]
+    baseline_targets = dict(zip(channel_ids, targets))
     registry = [
         ChannelRecord(
             channel_id=cid,
-            handles=(handles[cid],),
+            handles=(handles[i],),
             display_name=f"Creator {i:03d}",
-            attributes={spec.attribute_key: label_of[cid]},
+            attributes={spec.attribute_key: labels[i]},
             community=spec.community,
         )
         for i, cid in enumerate(channel_ids)
     ]
 
-    # --- video slots, initially all solo -----------------------------------
-    total_videos = spec.n_channels * spec.videos_per_channel
-    slot_views: dict[str, list[int]] = {}
-    for cid in channel_ids:
+    # --- video slots, initially all solo: slots[i][s] = (bucket, views, title, description)
+    slots: list[list[tuple[str, int, str, str]]] = []
+    for i, target in enumerate(targets):
         noise = np.exp(rng_videos.normal(0.0, spec.viewership_noise, spec.videos_per_channel))
-        slot_views[cid] = [max(0, round(baseline_targets[cid] * f)) for f in noise]
+        slots.append([
+            ("baseline", max(0, round(target * f)), f"Session {s}", _SOLO_DESCRIPTIONS[(i + s) % len(_SOLO_DESCRIPTIONS)])
+            for s, f in enumerate(noise.tolist())
+        ])
 
-    # --- collaboration plan -------------------------------------------------
+    # --- collaboration plan: each picked slot is written at once -----------
+    total_videos = spec.n_channels * spec.videos_per_channel
     n_collab = round(spec.collab_rate * total_videos)
     n_two = round(spec.two_way_share * n_collab)
     n_multi = n_collab - n_two
@@ -254,21 +248,23 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
     multipliers = dict(spec.synergy_multipliers or {})
 
     type_videos = _apportion(n_two, propensity) if n_two and propensity else {}
-    channel_labels = labels_arr.astype(str)
+    type_videos = {t: n for t, n in type_videos.items() if n}
+    # A host's collaboration videos fill its slots from the last one down, so
+    # its load is also the count of slots it has used.
     host_capacity = spec.videos_per_channel - 1  # always keep >= 1 solo video
-    host_load = np.zeros(spec.n_channels, dtype=np.int64)  # by channel index
-    targets = np.array([baseline_targets[cid] for cid in channel_ids])
+    host_load = np.zeros(spec.n_channels, dtype=np.int64)
+    target_arr = np.array(targets)
     if type_videos:  # only pair weights take logs; a zero target is fine without pairs
-        log_targets = np.array([math.log(t) for t in targets.tolist()])
+        log_targets = np.array([math.log(t) for t in targets])
+    channels_of = {label: np.flatnonzero(labels == label) for label in label_counts}
+    no_channels = np.zeros(0, dtype=np.intp)  # for a label that no channel has
 
-    dyad_plan: list[tuple[str, str, str, int]] = []  # (host, guest, dyad_type, n_videos)
+    realized: dict[tuple[str, str], list[float]] = {}  # (host id, guest id) -> views / gm
     for dyad_type in sorted(type_videos):
         videos_wanted = type_videos[dyad_type]
-        if videos_wanted == 0:
-            continue
-        host_label, guest_label = _split_type(dyad_type)
-        hosts = np.flatnonzero(channel_labels == host_label)
-        guests = np.flatnonzero(channel_labels == guest_label)
+        host_label, _, guest_label = dyad_type.partition("-")
+        hosts = channels_of.get(host_label, no_channels)
+        guests = channels_of.get(guest_label, no_channels)
         # ordered pairs (h, g), h != g, host-major, as channel indices
         pair_host = np.repeat(hosts, len(guests))
         pair_guest = np.tile(guests, len(hosts))
@@ -287,8 +283,9 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
         # pair weights: similar-popularity affinity plus host-popularity bias
         # (1 + bias for a less popular host, 1 - bias for a more popular one)
         gaps = np.abs(log_targets[pair_host] - log_targets[pair_guest])
-        bias = 1.0 - spec.upstream_bias * np.sign(targets[pair_host] - targets[pair_guest])
+        bias = 1.0 - spec.upstream_bias * np.sign(target_arr[pair_host] - target_arr[pair_guest])
         base_weights = np.exp(-4.0 * spec.pair_rank_affinity * gaps) * bias
+        mult = multipliers.get(dyad_type, 1.0)
         available = np.ones(ceiling, dtype=bool)
         for load in loads:
             eligible = available & (host_load[pair_host] + load <= host_capacity)
@@ -305,11 +302,17 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
             idx = int(rng_pairs.choice(ceiling, p=weights / weights_sum))
             host, guest = int(pair_host[idx]), int(pair_guest[idx])
             available[idx] = False
-            host_load[host] += load
-            dyad_plan.append((channel_ids[host], channel_ids[guest], dyad_type, load))
+            gm = math.sqrt(targets[host] * targets[guest])
+            ratios = realized[channel_ids[host], channel_ids[guest]] = []
+            for _ in range(load):
+                views = max(0, round(mult * gm * math.exp(rng_videos.normal(0.0, spec.synergy_noise))))
+                description = _COLLAB_TEMPLATES[text.below(len(_COLLAB_TEMPLATES))].format(guest=handles[guest])
+                slot = host_capacity - int(host_load[host])
+                slots[host][slot] = (dyad_type, views, f"Collab session {slot}", description)
+                host_load[host] += 1
+                ratios.append(views / gm if gm else 0.0)
 
-    # --- multi-way plan -----------------------------------------------------
-    multi_plan: list[tuple[str, str, str]] = []  # (host, guest1, guest2)
+    # --- multi-way plan: one video each, counted in the baseline bucket ------
     if n_multi:
         if spec.n_channels < 3:
             raise InfeasibleSpecError("multi-way collaborations need >= 3 channels")
@@ -322,77 +325,34 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
             # guests are drawn among the other channels: index k skips the host
             pick = rng_pairs.choice(spec.n_channels - 1, size=2, replace=False)
             g1, g2 = (k + (k >= host) for k in map(int, pick))
-            multi_plan.append((channel_ids[host], channel_ids[g1], channel_ids[g2]))
+            gm = math.sqrt(targets[host] * targets[g1])
+            views = max(0, round(gm * math.exp(rng_videos.normal(0.0, spec.synergy_noise))))
+            description = _MULTI_TEMPLATES[text.below(len(_MULTI_TEMPLATES))].format(g1=handles[g1], g2=handles[g2])
+            slot = host_capacity - int(host_load[host])
+            slots[host][slot] = ("baseline", views, f"Collab session {slot}", description)
             host_load[host] += 1
 
-    # --- assemble videos ----------------------------------------------------
-    next_slot = {cid: spec.videos_per_channel - 1 for cid in channel_ids}
-
-    def take_slot(cid: str) -> int:
-        slot = next_slot[cid]
-        next_slot[cid] -= 1
-        return slot
-
-    collab_videos: dict[tuple[str, int], tuple[str, str, int]] = {}  # (host, slot) -> (kind, dyad_type|'', views)
-    descriptions: dict[tuple[str, int], str] = {}
-    realized: dict[tuple[str, str], list[float]] = {}
-    for host, guest, dyad_type, load in dyad_plan:
-        gm = math.sqrt(baseline_targets[host] * baseline_targets[guest])
-        mult = multipliers.get(dyad_type, 1.0)
-        for _ in range(load):
-            slot = take_slot(host)
-            views = max(0, round(mult * gm * math.exp(rng_videos.normal(0.0, spec.synergy_noise))))
-            collab_videos[(host, slot)] = ("two-way", dyad_type, views)
-            template = _COLLAB_TEMPLATES[text.below(len(_COLLAB_TEMPLATES))]
-            descriptions[(host, slot)] = template.format(guest=handles[guest])
-            realized.setdefault((host, guest), []).append(views / gm if gm else 0.0)
-    for host, g1, g2 in multi_plan:
-        slot = take_slot(host)
-        gm = math.sqrt(baseline_targets[host] * baseline_targets[g1])
-        views = max(0, round(gm * math.exp(rng_videos.normal(0.0, spec.synergy_noise))))
-        collab_videos[(host, slot)] = ("multi-way", "", views)
-        template = _MULTI_TEMPLATES[text.below(len(_MULTI_TEMPLATES))]
-        descriptions[(host, slot)] = template.format(g1=handles[g1], g2=handles[g2])
-
-    videos: list[VideoRecord] = []
-    counter = 0
-    video_bucket: dict[str, str] = {}  # video_id -> dyad_type or "baseline"
-    for i, cid in enumerate(channel_ids):
-        for slot in range(spec.videos_per_channel):
-            video_id = f"{spec.community}-v{i:03d}-{slot:04d}"
-            published_us = _EPOCH_US + counter * _HOUR_US
-            counter += 1
-            if (cid, slot) in collab_videos:
-                kind, dyad_type, views = collab_videos[(cid, slot)]
-                description = descriptions[(cid, slot)]
-                title = f"Collab session {slot}"
-                video_bucket[video_id] = dyad_type if kind == "two-way" else "baseline"
-            else:
-                views = slot_views[cid][slot]
-                description = _SOLO_DESCRIPTIONS[(i + slot) % len(_SOLO_DESCRIPTIONS)]
-                title = f"Session {slot}"
-                video_bucket[video_id] = "baseline"
-            videos.append(
-                VideoRecord(
-                    video_id=video_id,
-                    channel_id=cid,
-                    published_us=published_us,
-                    title=title,
-                    description=description,
-                    view_count=views,
-                    like_count=views // 100,
-                    comment_count=0,
-                )
-            )
+    # --- videos, channel-major: channel i's slot s is videos[i * videos_per_channel + s]
+    videos = [
+        VideoRecord(
+            video_id=f"{spec.community}-v{i:03d}-{s:04d}",
+            channel_id=cid,
+            published_us=_EPOCH_US + (i * spec.videos_per_channel + s) * _HOUR_US,
+            title=title,
+            description=description,
+            view_count=views,
+            like_count=views // 100,
+            comment_count=0,
+        )
+        for i, cid in enumerate(channel_ids)
+        for s, (_, views, title, description) in enumerate(slots[i])
+    ]
 
     # --- comments -----------------------------------------------------------
     def comment_rows() -> Iterator[CommentRow]:
         if spec.audience_size <= 0:
             return
-        videos_of: dict[str, list[VideoRecord]] = {cid: [] for cid in channel_ids}
-        for v in videos:
-            videos_of[v.channel_id].append(v)
-        popularity = targets / targets.sum()
+        popularity = target_arr / target_arr.sum()
         home_cdf = _cdf(popularity)
         away_cdfs: dict[int, list[float]] = {}  # home channel -> CDF without its own weight
         text_draws: dict[str, tuple[list[float] | None, float]] = {}  # video bucket -> _text_draws
@@ -405,7 +365,7 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
             home = bisect_right(home_cdf, random())
             n_comments = 1 + int(rng_comments.poisson(lam))
             for _ in range(n_comments):
-                if spec.n_channels > 1 and random() >= spec.loyalty:
+                if random() >= spec.loyalty:
                     if home not in away_cdfs:
                         away = popularity.copy()
                         away[home] = 0.0
@@ -413,9 +373,9 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
                     target = bisect_right(away_cdfs[home], random())
                 else:
                     target = home
-                target_videos = videos_of[channel_ids[target]]
-                video = target_videos[below(len(target_videos))]
-                bucket = video_bucket[video.video_id]
+                slot = below(spec.videos_per_channel)
+                video = videos[target * spec.videos_per_channel + slot]
+                bucket = slots[target][slot][0]
                 if bucket not in text_draws:
                     text_draws[bucket] = _text_draws(spec.discourse_profiles, bucket)
                 yield (
@@ -430,8 +390,7 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
 
     corpus = build_corpus(registry, videos, CommentTable.from_rows(comment_rows()), spec.community)
 
-    observed_types = sorted({t for _, _, t, _ in dyad_plan})
-    type_multipliers = {t: multipliers.get(t, 1.0) for t in observed_types}
+    type_multipliers = {t: multipliers.get(t, 1.0) for t in sorted(type_videos)}
     ranking = tuple(sorted(type_multipliers, key=lambda t: (-type_multipliers[t], t)))
     per_dyad = {
         pair: math.exp(sum(math.log(m) for m in ms) / len(ms)) if all(m > 0 for m in ms) else 0.0

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +58,9 @@ def corpus_dir(tmp_path_factory):
     )
     simulate_to_dir(spec, out)
     return out
+
+
+_SPEC = {"community": "x", "n_channels": 5, "attribute_ratios": {"M": 1}}  # a valid spec
 
 
 def run_cli(*args):
@@ -191,6 +195,13 @@ class TestSubcommands:
         assert result.exit_code == 0
         for name in SEVEN_ARTIFACTS:
             assert (tmp_path / "rep" / name).exists()
+
+    def test_report_cli_json_only_writes_no_tables(self, corpus_dir, tmp_path):
+        out = tmp_path / "rep"
+        result = run_cli("report", "--corpus", corpus_dir, "--out", out, "--format", "json")
+        assert result.exit_code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.json"]
+        assert result.output == f"report_json: {out / 'report.json'}\nmanifest: {out / 'manifest.json'}\n"
 
 
 class TestRunReport:
@@ -503,6 +514,7 @@ class TestBadConfigFiles:
             ({"attribute_key": 5}, "attribute_key must be a string, got 5"),
             ({"community_dirs": [5]}, "community_dirs must be a list of strings, got [5]"),
             ({"zeta": 1, "alpha": 2}, "unknown fields alpha, zeta"),
+            ({"formats": []}, "formats must name at least one of ['csv', 'json', 'table']"),
         ],
     )
     def test_config_value_outside_the_flag_choices(self, corpus_dir, tmp_path, fields, message):
@@ -577,6 +589,19 @@ class TestBadConfigFiles:
             (
                 {"community": "x", "n_channels": 5, "attribute_ratios": {"M": 1}, "zeta": 1, "alpha": 2},
                 "spec: unknown fields alpha, zeta",
+            ),
+            ({**_SPEC, "viewership_noise": -0.5}, "viewership_noise and synergy_noise must be >= 0"),
+            ({**_SPEC, "synergy_noise": -1}, "viewership_noise and synergy_noise must be >= 0"),
+            ({**_SPEC, "viewership_exponent": math.nan}, "spec: viewership_exponent must be a number, got nan"),
+            ({**_SPEC, "viewership_scale": math.inf}, "spec: viewership_scale must be a number, got inf"),
+            ({**_SPEC, "pair_rank_affinity": math.nan}, "spec: pair_rank_affinity must be a number, got nan"),
+            (
+                {**_SPEC, "attribute_ratios": {"M": math.inf}},
+                "spec: attribute_ratios must be an object of numbers, got {'M': inf}",
+            ),
+            (
+                {**_SPEC, "discourse_profiles": {"baseline": {"mean_sentiment": -math.inf, "topic_weights": {}}}},
+                "discourse_profiles['baseline']: mean_sentiment must be a number, got -inf",
             ),
         ],
     )

@@ -156,6 +156,18 @@ class TestGenerate:
         with pytest.raises(InfeasibleSpecError):
             generate(spec)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(n_channels=2, videos_per_channel=10), "multi-way collaborations need >= 3 channels"),
+            (dict(n_channels=3, videos_per_channel=2, collab_rate=1.0), "hosts out of capacity for multi-way videos"),
+        ],
+    )
+    def test_infeasible_multi_way(self, overrides, message):
+        spec = small_spec(**{"collab_rate": 0.5, "two_way_share": 0.0, **overrides})
+        with pytest.raises(InfeasibleSpecError, match=f"^{message}$"):
+            generate(spec)
+
     def test_invalid_loyalty_rejected(self):
         with pytest.raises(InfeasibleSpecError):
             generate(small_spec(loyalty=1.5))
@@ -269,7 +281,33 @@ class TestDraws:
         assert [draws.below(600) for _ in range(50)] == [int(numpys.integers(600)) for _ in range(50)]
 
 
-# SHA-256 of every file ``simulate_to_dir`` writes for each preset at seed 0.
+# Specs for paths no preset takes: six labels under another attribute key with
+# one video per dyad and a multi-way share; pair weights that all underflow to
+# 0, so every pair is drawn from the uniform fallback; and a corpus with no
+# collaborations and no comments.
+PINNED_SPECS = {
+    "regions": CommunitySpec(
+        community="regions",
+        n_channels=60,
+        attribute_ratios={f"r{k}": 1 for k in range(6)},
+        attribute_key="region",
+        videos_per_channel=10,
+        collab_rate=0.15,
+        two_way_share=0.9,
+        videos_per_dyad=1,
+        pair_rank_affinity=0.0,
+        audience_size=200,
+    ),
+    "flat": CommunitySpec(
+        community="flat", n_channels=12, attribute_ratios={"M": 1, "W": 1}, collab_rate=0.2, pair_rank_affinity=1e6
+    ),
+    "quiet": CommunitySpec(
+        community="quiet", n_channels=5, attribute_ratios={"M": 3, "W": 2}, collab_rate=0.0, audience_size=0
+    ),
+}
+
+# SHA-256 of every file ``simulate_to_dir`` writes for each preset and each
+# of ``PINNED_SPECS`` at seed 0.
 PINNED_SHA256 = {
     ("animal-crossing", "csv"): {
         "comments.csv": "01d3cd32de83d3254d9e315f87587fb51be26498bd1a540703e9fe50877b65dc",
@@ -307,6 +345,42 @@ PINNED_SHA256 = {
         "truth.json": "65c768fdb15ac7414cd1d48c19f7e1d01c7ad851b2c13a9f922a9d9f2d9718f9",
         "videos.jsonl": "11db23b9de14c56d7374b449095d8964d9cdc013189956e4548110cf304845f7",
     },
+    ("flat", "csv"): {
+        "comments.csv": "b45cbdb6b26833da331050cfa7416a95ce5e40f1bf62442822967f775f08a7c5",
+        "registry.csv": "06fc5ccaa3103542191659ada216cfc8d9db96b09085aefcdb26985441dde348",
+        "truth.json": "d4b4f3e4d00ff973d30e012b19fda674e745dd81726606669c46ce5ce661296c",
+        "videos.csv": "66c5d7136a93ebf88b03c9e3dacaf0b8b6b1b0b76c1a324d531d94e384365dd6",
+    },
+    ("flat", "jsonl"): {
+        "comments.jsonl": "f7ff76157998d752b2d9726406e0f8abc62feddd7e1223ac5a53756430ffcccd",
+        "registry.jsonl": "6f8b34171daf6307ab3a16d07681132e8ee2529a57c80646357e4363eb9fcf5b",
+        "truth.json": "d4b4f3e4d00ff973d30e012b19fda674e745dd81726606669c46ce5ce661296c",
+        "videos.jsonl": "dc09ca1fedd64a549ce3e9a84101cf55b516ef92e90e28cd69822fa5f6221718",
+    },
+    ("quiet", "csv"): {
+        "comments.csv": "e46b31c6261779052af4c4d57fd2059231c430cfbf5f4051f497a47b99027c88",
+        "registry.csv": "885eaaeb18f8dfbb54eb96ba18250be2e965b99657afe9f07212660d770a5c48",
+        "truth.json": "89dc46419e37a5d9c7456f110004a5f0617411ace1dcb5defa31c40197ef7345",
+        "videos.csv": "e24f192a54176584606966691b9db176116a2a3be319050daa9fdf4b688c2613",
+    },
+    ("quiet", "jsonl"): {
+        "comments.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "registry.jsonl": "2934055340447c890890c48049c0a19cc1b53e6c6ef64c9e23b9cc9080f729de",
+        "truth.json": "89dc46419e37a5d9c7456f110004a5f0617411ace1dcb5defa31c40197ef7345",
+        "videos.jsonl": "d245fb14bfdd1d33c2102f6721dacf376b02e831578888ad3e72f87ae0bbc627",
+    },
+    ("regions", "csv"): {
+        "comments.csv": "4cef1dc66e21877aa2ee0fb3e959be3557b25eb1fa96eb5bc6449defd246f85e",
+        "registry.csv": "899736d25d47b3cb67dbacd5209e68bb8751ae3479e20736eca36c9c5fc1de16",
+        "truth.json": "5410f3426b212cd9fd6e3cc36dde24ca9b75bc9592aba0bd27802e4259058895",
+        "videos.csv": "e8097219e3003a562a4ddddcd9f69f4674d8527d47a26abccb94f84f12f5b1f9",
+    },
+    ("regions", "jsonl"): {
+        "comments.jsonl": "513f3d67193fa9cd1947c51d94b0566c7156a1f20baa854254d0ae559be0eaef",
+        "registry.jsonl": "efca6107e0fef74fefbb6da3a264f274102cb5c8a4f6b34e360fcb23c8b20d81",
+        "truth.json": "5410f3426b212cd9fd6e3cc36dde24ca9b75bc9592aba0bd27802e4259058895",
+        "videos.jsonl": "537c564221373791f18ec371462400c72eb3a673794839ba347a90f760fe3240",
+    },
 }
 
 
@@ -314,11 +388,18 @@ class TestPinnedOutput:
     """A change to any byte the generator or the corpus writers produce fails
     here, by file; two runs of the same code cannot show it."""
 
-    @pytest.mark.parametrize("name, fmt", sorted(PINNED_SHA256))
+    @staticmethod
+    def _digests(spec, tmp_path, fmt):
+        paths = simulate_to_dir(spec, tmp_path, fmt=fmt)
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths.values()}
+
+    @pytest.mark.parametrize("name, fmt", sorted(k for k in PINNED_SHA256 if k[0] not in PINNED_SPECS))
     def test_preset_files_at_seed_0(self, tmp_path, name, fmt):
-        paths = simulate_to_dir(preset(name, seed=0), tmp_path, fmt=fmt)
-        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths.values()}
-        assert digests == PINNED_SHA256[name, fmt]
+        assert self._digests(preset(name, seed=0), tmp_path, fmt) == PINNED_SHA256[name, fmt]
+
+    @pytest.mark.parametrize("name, fmt", sorted(k for k in PINNED_SHA256 if k[0] in PINNED_SPECS))
+    def test_spec_files_at_seed_0(self, tmp_path, name, fmt):
+        assert self._digests(PINNED_SPECS[name], tmp_path, fmt) == PINNED_SHA256[name, fmt]
 
 
 class TestOracle:
