@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import sys
 from pathlib import Path
 
 import click
@@ -226,8 +225,7 @@ def report_cmd(
     try:
         bundle = report.run_report(config)
     except report.RunStageError as exc:
-        click.echo(f"error: {exc} (manifest records the failure)", err=True)
-        sys.exit(1)
+        raise click.ClickException(f"{exc} (manifest records the failure)") from exc
     for name, path in sorted(bundle.artifacts.items()):
         click.echo(f"{name}: {path}")
     click.echo(f"manifest: {bundle.manifest_path}")

@@ -42,7 +42,7 @@ from collabmetrics.corpus import (
 )
 from collabmetrics.errors import CollabMetricsError, ConfigurationError, ValidationError
 
-__all__ = ["RunConfig", "ReportBundle", "RunStageError", "CommunityPipeline", "run_report", "check_fields", "FORMATS"]
+__all__ = ["RunConfig", "ReportBundle", "RunStageError", "CommunityPipeline", "CommunityResult", "run_report", "check_fields", "FORMATS"]
 
 logger = logging.getLogger(__name__)
 
@@ -64,8 +64,12 @@ class RunStageError(CollabMetricsError):
 
 
 def _is_number(value: object) -> bool:
-    # A JSON true or false is no number, nor is the NaN or Infinity that Python's json reads.
-    return type(value) is int or (type(value) is float and math.isfinite(value))
+    # A JSON true or false is no number, nor is the NaN or Infinity that Python's
+    # json reads, nor an integer beyond the float range.
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is_weights(value: object) -> bool:
@@ -153,10 +157,11 @@ class ReportBundle:
 class CommunityPipeline:
     """Every analysis result for one community, each computed on first use.
 
-    Report artifacts and stage files read the results they show and so
-    compute only what they need: writing the ``network`` files never
-    scores a comment. ``scorer``, ``classifier`` and precomputed ``labels``
-    (topic label by comment id) replace the bundled discourse defaults.
+    Stage files read the results they show and so compute only what they
+    need: writing the ``network`` files never scores a comment. A report
+    keeps only the pipeline's :class:`CommunityResult`. ``scorer``,
+    ``classifier`` and precomputed ``labels`` (topic label by comment id)
+    replace the bundled discourse defaults.
     """
 
     corpus: Corpus
@@ -164,6 +169,10 @@ class CommunityPipeline:
     scorer: discourse.SentimentScorer | None = None
     classifier: discourse.TopicClassifier | None = None
     labels: Mapping[str, str] | None = None
+
+    @property
+    def community(self) -> str:
+        return self.corpus.community
 
     @cached_property
     def partition(self) -> collab.VideoPartition:
@@ -239,6 +248,24 @@ class CommunityPipeline:
         )
 
 
+@dataclass(frozen=True)
+class CommunityResult:
+    """What the report tables read of one community, without its corpus. A
+    :class:`CommunityPipeline` has the same names, so stage files render from it."""
+
+    community: str
+    attributes: Mapping[str, str]
+    stats: collab.CollabShareStats
+    synergy_report: synergy.SynergyReport
+    reciprocity: synergy.ReciprocityStats
+    centrality: netmetrics.CentralitySummary
+    cdf: list[tuple[float, float]]
+    discourse_report: discourse.DiscourseReport
+
+
+Communities = Sequence[CommunityResult | CommunityPipeline]
+
+
 def _num(value: Fraction | float | None, missing: str = "") -> str:
     """Full-precision machine rendering; ``missing`` for None."""
     if value is None:
@@ -271,8 +298,12 @@ def _load(directory: str, config: RunConfig) -> tuple[Corpus, dict[str, str]]:
 def run_report(config: RunConfig) -> ReportBundle:
     """Run the full pipeline and write the report bundle.
 
-    The manifest is always written, even when a stage fails; on failure a
-    :class:`RunStageError` propagates after the manifest records the stage.
+    Each directory is ingested and runs its five per-community stages, and
+    only its :class:`CommunityResult` is kept before the next one loads: the
+    run peaks at about its largest community, and a bad later directory
+    fails after the earlier communities' stages ran. The manifest is always
+    written; on failure a :class:`RunStageError` propagates after the
+    manifest records the stage.
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -307,25 +338,24 @@ def run_report(config: RunConfig) -> ReportBundle:
         inputs[corpus.community] = digests
         return corpus
 
+    def community(directory: str) -> CommunityResult:
+        # The pipeline, and with it the corpus, lives only in this call.
+        p = CommunityPipeline(run("ingest", lambda: ingest(directory)), config)
+        where = f"community {p.community!r}: "
+        run("collabs", lambda: p.collaborations, where)
+        run("synergy", lambda: (p.synergy_report, p.reciprocity), where)
+        run("network", lambda: p.centrality, where)
+        run("entropy", lambda: p.cdf, where)
+        run("discourse", lambda: p.discourse_report, where)
+        return CommunityResult(**{f.name: getattr(p, f.name) for f in dataclasses.fields(CommunityResult)})
+
     try:
-        pipelines: list[CommunityPipeline] = []
-        for directory in config.community_dirs:
-            corpus = run("ingest", lambda: ingest(directory))
-            pipelines.append(CommunityPipeline(corpus, config))
+        results = [community(directory) for directory in config.community_dirs]
+        for r in results:
+            if r.stats.two_way_videos == 0:
+                notes.append(f"no collaborations detected in community {r.community!r}")
 
-        for p in pipelines:
-            where = f"community {p.corpus.community!r}: "
-            run("collabs", lambda: p.collaborations, where)
-            run("synergy", lambda: (p.synergy_report, p.reciprocity), where)
-            run("network", lambda: p.centrality, where)
-            run("entropy", lambda: p.cdf, where)
-            run("discourse", lambda: p.discourse_report, where)
-
-        for p in pipelines:
-            if p.stats.two_way_videos == 0:
-                notes.append(f"no collaborations detected in community {p.corpus.community!r}")
-
-        artifacts = run("render", lambda: _render(pipelines, config, out_dir))
+        artifacts = run("render", lambda: _render(results, config, out_dir))
     finally:
         write_json(
             manifest_path,
@@ -349,60 +379,54 @@ def run_report(config: RunConfig) -> ReportBundle:
 Table = tuple[list[str], list[list]]
 
 
-def _type_columns(pipelines: Sequence[CommunityPipeline]) -> list[str]:
-    labels = {
-        rec.attributes[p.config.attribute_key]
-        for p in pipelines
-        for rec in p.corpus.registry
-        if p.config.attribute_key in rec.attributes
-    }
-    return synergy.dyad_type_order(sorted(labels))
+def _type_columns(results: Communities) -> list[str]:
+    return synergy.dyad_type_order(sorted({label for r in results for label in r.attributes.values()}))
 
 
-def _shares_table(pipelines: Sequence[CommunityPipeline]) -> Table:
-    type_cols = _type_columns(pipelines)
+def _shares_table(results: Communities) -> Table:
+    type_cols = _type_columns(results)
     header = ["community", "total_videos", "two_way_videos", "multi_way_videos", "two_way_share"]
     rows = [
         [
-            p.corpus.community,
-            p.stats.total_videos,
-            p.stats.two_way_videos,
-            p.stats.multi_way_videos,
-            _num(p.stats.two_way_share),
-            *(_num(p.stats.share_by_dyad_type.get(t), ABSENT) for t in type_cols),
+            r.community,
+            r.stats.total_videos,
+            r.stats.two_way_videos,
+            r.stats.multi_way_videos,
+            _num(r.stats.two_way_share),
+            *(_num(r.stats.share_by_dyad_type.get(t), ABSENT) for t in type_cols),
         ]
-        for p in pipelines
+        for r in results
     ]
     return header + [f"share_{t}" for t in type_cols], rows
 
 
-def _synergy_table(pipelines: Sequence[CommunityPipeline], side: str) -> Table:
-    type_cols = _type_columns(pipelines)
+def _synergy_table(results: Communities, side: str) -> Table:
+    type_cols = _type_columns(results)
     rows = []
-    for p in pipelines:
-        aggs = [p.synergy_report.rows.get(t) for t in type_cols]
+    for r in results:
+        aggs = [r.synergy_report.rows.get(t) for t in type_cols]
         cells = [ABSENT if a is None else _num(a.shapn_host if side == "host" else a.shapn_guest) for a in aggs]
-        rows.append([p.corpus.community, p.synergy_report.statistic, *cells])
+        rows.append([r.community, r.synergy_report.statistic, *cells])
     return ["community", "statistic", *type_cols], rows
 
 
-def _reciprocity_table(pipelines: Sequence[CommunityPipeline]) -> Table:
+def _reciprocity_table(results: Communities) -> Table:
     header = ["community", "videos_counted", "host_greater", "guest_greater", "tied", "skipped_videos"]
     rows = [
         [
-            p.corpus.community,
-            p.reciprocity.videos_counted,
-            _num(p.reciprocity.host_greater),
-            _num(p.reciprocity.guest_greater),
-            _num(p.reciprocity.tied),
-            p.reciprocity.skipped_videos,
+            r.community,
+            r.reciprocity.videos_counted,
+            _num(r.reciprocity.host_greater),
+            _num(r.reciprocity.guest_greater),
+            _num(r.reciprocity.tied),
+            r.reciprocity.skipped_videos,
         ]
-        for p in pipelines
+        for r in results
     ]
     return header, rows
 
 
-def _centrality_table(pipelines: Sequence[CommunityPipeline]) -> Table:
+def _centrality_table(results: Communities) -> Table:
     """Closeness distribution summary per attribute value."""
     header = [
         "community", "attribute_value", "n_channels",
@@ -410,7 +434,7 @@ def _centrality_table(pipelines: Sequence[CommunityPipeline]) -> Table:
     ]
     rows = [
         [
-            p.corpus.community,
+            r.community,
             attr,
             len(summary.values),
             _num(summary.median),
@@ -418,8 +442,8 @@ def _centrality_table(pipelines: Sequence[CommunityPipeline]) -> Table:
             _num(min(summary.values)),
             _num(max(summary.values)),
         ]
-        for p in pipelines
-        for attr, summary in p.centrality.by_attribute.items()
+        for r in results
+        for attr, summary in r.centrality.by_attribute.items()
     ]
     return header, rows
 
@@ -429,33 +453,33 @@ def _discourse_groups(report: discourse.DiscourseReport) -> list[discourse.Disco
     return [*report.by_dyad_type.values(), *([report.baseline] if report.baseline is not None else [])]
 
 
-def _discourse_table(pipelines: Sequence[CommunityPipeline]) -> Table:
-    categories = pipelines[0].discourse_report.categories if pipelines else discourse.TOPIC_CATEGORIES
+def _discourse_table(results: Communities) -> Table:
+    categories = results[0].discourse_report.categories if results else discourse.TOPIC_CATEGORIES
     header = ["community", "group", "comment_count", "mean_sentiment", "stdev_sentiment"]
     rows = [
         [
-            p.corpus.community,
+            r.community,
             row.group,
             row.comment_count,
             _num(row.mean_sentiment),
             _num(row.stdev_sentiment),
             *(_num(row.topic_proportions.get(cat, 0.0)) for cat in categories),
         ]
-        for p in pipelines
-        for row in _discourse_groups(p.discourse_report)
+        for r in results
+        for row in _discourse_groups(r.discourse_report)
     ]
     return header + [f"prop_{cat}" for cat in categories], rows
 
 
-def _entropy_cdf_table(pipelines: Sequence[CommunityPipeline]) -> Table:
-    rows = [[p.corpus.community, _num(t), _num(f)] for p in pipelines for t, f in p.cdf]
+def _entropy_cdf_table(results: Communities) -> Table:
+    rows = [[r.community, _num(t), _num(f)] for r in results for t, f in r.cdf]
     return ["community", "threshold", "cumulative_fraction"], rows
 
 
-_REPORT_TABLES: dict[str, Callable[[Sequence[CommunityPipeline]], Table]] = {
+_REPORT_TABLES: dict[str, Callable[[Communities], Table]] = {
     "shares": _shares_table,
-    "synergy_host": lambda pipelines: _synergy_table(pipelines, "host"),
-    "synergy_guest": lambda pipelines: _synergy_table(pipelines, "guest"),
+    "synergy_host": lambda results: _synergy_table(results, "host"),
+    "synergy_guest": lambda results: _synergy_table(results, "guest"),
     "reciprocity": _reciprocity_table,
     "centrality": _centrality_table,
     "discourse": _discourse_table,
@@ -492,46 +516,44 @@ def _discourse_rows(report: discourse.DiscourseReport) -> dict:
     }
 
 
-def _render(
-    pipelines: Sequence[CommunityPipeline], config: RunConfig, out_dir: Path
-) -> dict[str, Path]:
+def _render(results: Communities, config: RunConfig, out_dir: Path) -> dict[str, Path]:
     artifacts: dict[str, Path] = {}
     if "csv" in config.formats:
         for name, table in _REPORT_TABLES.items():
             artifacts[name] = out_dir / f"{name}.csv"
-            write_csv(artifacts[name], *table(pipelines))
+            write_csv(artifacts[name], *table(results))
     if "json" in config.formats:
         artifacts["report_json"] = out_dir / "report.json"
-        write_json(artifacts["report_json"], _json_payload(pipelines))
+        write_json(artifacts["report_json"], _json_payload(results))
     if "table" in config.formats:
         artifacts["report_table"] = out_dir / "report.txt"
-        artifacts["report_table"].write_text(_text_tables(pipelines), encoding="utf-8")
+        artifacts["report_table"].write_text(_text_tables(results), encoding="utf-8")
     return artifacts
 
 
-def _json_payload(pipelines: Sequence[CommunityPipeline]) -> dict:
+def _json_payload(results: Communities) -> dict:
     payload: dict = {"communities": {}}
-    for p in pipelines:
-        payload["communities"][p.corpus.community] = {
+    for r in results:
+        payload["communities"][r.community] = {
             "shares": {
-                "total_videos": p.stats.total_videos,
-                "two_way_videos": p.stats.two_way_videos,
-                "multi_way_videos": p.stats.multi_way_videos,
-                "by_dyad_type": {t: float(f) for t, f in p.stats.share_by_dyad_type.items()},
+                "total_videos": r.stats.total_videos,
+                "two_way_videos": r.stats.two_way_videos,
+                "multi_way_videos": r.stats.multi_way_videos,
+                "by_dyad_type": {t: float(f) for t, f in r.stats.share_by_dyad_type.items()},
             },
-            "synergy": {"statistic": p.synergy_report.statistic, "rows": _synergy_rows(p.synergy_report)},
+            "synergy": {"statistic": r.synergy_report.statistic, "rows": _synergy_rows(r.synergy_report)},
             "reciprocity": {
-                "videos_counted": p.reciprocity.videos_counted,
-                "host_greater": float(p.reciprocity.host_greater),
-                "guest_greater": float(p.reciprocity.guest_greater),
-                "tied": float(p.reciprocity.tied),
+                "videos_counted": r.reciprocity.videos_counted,
+                "host_greater": float(r.reciprocity.host_greater),
+                "guest_greater": float(r.reciprocity.guest_greater),
+                "tied": float(r.reciprocity.tied),
             },
             "centrality": {
                 attr: {"median": s.median, "values": list(s.values)}
-                for attr, s in p.centrality.by_attribute.items()
+                for attr, s in r.centrality.by_attribute.items()
             },
-            "entropy_cdf": [[t, f] for t, f in p.cdf],
-            "discourse": _discourse_rows(p.discourse_report),
+            "entropy_cdf": [[t, f] for t, f in r.cdf],
+            "discourse": _discourse_rows(r.discourse_report),
         }
     return payload
 
@@ -541,7 +563,7 @@ def _compact(cell: str) -> str:
     return cell if cell == ABSENT else format_compact(float(cell))
 
 
-def _text_tables(pipelines: Sequence[CommunityPipeline]) -> str:
+def _text_tables(results: Communities) -> str:
     """Aligned text tables with compact numbers (three significant decimals)."""
     lines: list[str] = []
 
@@ -554,19 +576,19 @@ def _text_tables(pipelines: Sequence[CommunityPipeline]) -> str:
         lines.append("")
 
     for side in ("host", "guest"):
-        header, rows = _synergy_table(pipelines, side)
+        header, rows = _synergy_table(results, side)
         table(
             f"Normalized contribution ({side} side)",
             [header[0], *header[2:]],
             [[row[0], *map(_compact, row[2:])] for row in rows],
         )
-    _, rows = _shares_table(pipelines)
+    _, rows = _shares_table(results)
     table(
         "Collaboration shares",
         ["community", "two_way_share", "two_way", "multi_way"],
         [[row[0], _compact(row[4]), str(row[2]), str(row[3])] for row in rows],
     )
-    _, rows = _centrality_table(pipelines)
+    _, rows = _centrality_table(results)
     table(
         "Median closeness by attribute",
         ["community", "attribute", "median"],

@@ -255,6 +255,11 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
     host_load = np.zeros(spec.n_channels, dtype=np.int64)
     target_arr = np.array(targets)
     if type_videos:  # only pair weights take logs; a zero target is fine without pairs
+        if min(targets) == 0.0:
+            raise InfeasibleSpecError(
+                f"viewership_exponent {spec.viewership_exponent} underflows a baseline target to 0; "
+                "two-way collaborations need every target positive"
+            )
         log_targets = np.array([math.log(t) for t in targets])
     channels_of = {label: np.flatnonzero(labels == label) for label in label_counts}
     no_channels = np.zeros(0, dtype=np.intp)  # for a label that no channel has

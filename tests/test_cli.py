@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from collabmetrics import discourse
+from collabmetrics import collab, discourse, report
 from collabmetrics.cli import main
 from collabmetrics.corpus import corpus_files
 from collabmetrics.errors import ConfigurationError
@@ -27,7 +30,7 @@ from collabmetrics.report import (
     format_compact,
     run_report,
 )
-from collabmetrics.simgen import CommunitySpec, DiscourseProfile, preset, simulate_to_dir, spec_from_dict
+from collabmetrics.simgen import PRESET_NAMES, CommunitySpec, DiscourseProfile, preset, simulate_to_dir, spec_from_dict
 
 from .test_simgen import PINNED_SHA256
 
@@ -61,6 +64,15 @@ def corpus_dir(tmp_path_factory):
 
 
 _SPEC = {"community": "x", "n_channels": 5, "attribute_ratios": {"M": 1}}  # a valid spec
+
+
+@pytest.fixture(scope="module")
+def trio_dirs(tmp_path_factory):
+    """The three paper presets, one corpus directory each."""
+    root = tmp_path_factory.mktemp("trio")
+    for name in PRESET_NAMES:
+        simulate_to_dir(preset(name, seed=7), root / name)
+    return [str(root / name) for name in PRESET_NAMES]
 
 
 def run_cli(*args):
@@ -280,6 +292,9 @@ class TestRunReport:
             main, ["report", "--corpus", str(bad_dir), "--out", str(tmp_path / "rep")]
         )
         assert result.exit_code == 1
+        # One line, worded like every other command-line error.
+        assert result.output.startswith("Error: stage 'ingest' failed: ")
+        assert result.output.endswith(" (manifest records the failure)\n") and result.output.count("\n") == 1
 
     def test_duplicate_community_fails_ingest(self, corpus_dir, tmp_path):
         """Two directories of one community would share one manifest entry
@@ -299,8 +314,54 @@ class TestRunReport:
         assert message in result.output
         stages = json.loads((out / "manifest.json").read_text())["stages"]
         assert stages["ingest"] == f"failed: {message}"
-        assert stages["collabs"] == "not-run"
+        # The first community ran its stages before the second directory loaded.
+        assert [stages[s] for s in ("collabs", "synergy", "network", "entropy", "discourse", "render")] == [
+            "ok", "ok", "ok", "ok", "ok", "not-run"
+        ]
         assert not (out / "shares.csv").exists()
+
+    def test_one_community_in_memory_at_a_time(self, trio_dirs, tmp_path, monkeypatch):
+        """When a community's stages start, every earlier community's corpus
+        and comment table are already freed."""
+        refs = {}  # community -> weak references to its corpus and its comment time column
+        load, detect = report._load, collab.detect_collaborations
+
+        def recording_load(directory, config):
+            corpus, digests = load(directory, config)
+            refs[corpus.community] = (weakref.ref(corpus), weakref.ref(corpus.comments.published_us))
+            return corpus, digests
+
+        alive = []  # (community, earlier communities whose corpus or comments are still reachable)
+
+        def checking_detect(corpus, *args):
+            earlier = [c for c, pair in refs.items() if c != corpus.community and any(ref() is not None for ref in pair)]
+            alive.append((corpus.community, earlier))
+            return detect(corpus, *args)
+
+        monkeypatch.setattr(report, "_load", recording_load)
+        monkeypatch.setattr(collab, "detect_collaborations", checking_detect)
+        run_report(RunConfig(community_dirs=tuple(trio_dirs), out_dir=str(tmp_path / "rep")))
+        assert alive == [(name, []) for name in PRESET_NAMES]
+
+    def test_report_peak_is_about_its_largest_community(self, trio_dirs, tmp_path):
+        """The traced peak of a three-community report stays within 15% of
+        its largest community's own. With all three corpora held until the
+        tables were written, it was about 2.6 times as large."""
+
+        def peak(dirs):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run_report(RunConfig(community_dirs=tuple(dirs), out_dir=str(tmp_path / "rep"),
+                                     formats=("csv", "json", "table")))
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        peak(trio_dirs[:1])  # fills the run-wide caches (lexicon, keyword tables) before measuring
+        largest = max(peak([d]) for d in trio_dirs)
+        assert peak(trio_dirs) <= 1.15 * largest
 
     def test_rerun_byte_identical(self, corpus_dir, tmp_path):
         out = tmp_path / "rep"
@@ -603,6 +664,22 @@ class TestBadConfigFiles:
                 {**_SPEC, "discourse_profiles": {"baseline": {"mean_sentiment": -math.inf, "topic_weights": {}}}},
                 "discourse_profiles['baseline']: mean_sentiment must be a number, got -inf",
             ),
+            pytest.param(
+                {**_SPEC, "n_channels": 8, "viewership_exponent": 2000, "collab_rate": 0.2},
+                "viewership_exponent 2000 underflows a baseline target to 0; "
+                "two-way collaborations need every target positive",
+                id="zero-baseline-target",
+            ),
+            pytest.param(
+                {**_SPEC, "viewership_scale": 10**400},
+                f"spec: viewership_scale must be a number, got {10**400}",
+                id="integer-beyond-float-range",
+            ),
+            pytest.param(
+                {**_SPEC, "attribute_ratios": {"M": -(10**400)}},
+                f"spec: attribute_ratios must be an object of numbers, got {{'M': {-(10**400)}}}",
+                id="weight-beyond-float-range",
+            ),
         ],
     )
     def test_spec_with_bad_fields(self, tmp_path, spec, message):
@@ -612,6 +689,11 @@ class TestBadConfigFiles:
         assert (result.exit_code, result.output) == (1, f"Error: {message}\n")
         assert not (tmp_path / "out").exists()
 
+
+    def test_spec_integer_in_float_range_is_a_number(self):
+        """A float field takes an integer as long as a float can hold it."""
+        spec = spec_from_dict({**_SPEC, "viewership_scale": 10**308, "attribute_ratios": {"M": 10**308}})
+        assert (spec.viewership_scale, spec.attribute_ratios) == (10**308, {"M": 10**308})
 
     @pytest.mark.parametrize("cls", [RunConfig, CommunitySpec, DiscourseProfile], ids=lambda cls: cls.__name__)
     def test_every_field_has_a_type_check(self, cls):
