@@ -17,21 +17,26 @@ import io
 import json
 import json.scanner
 import logging
+import operator
 from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate, chain, islice
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Container, Iterable, Iterator, Mapping, TypeVar
 
 from collabmetrics.errors import ConfigurationError, ValidationError
 
 __all__ = [
     "ChannelRecord",
     "VideoRecord",
+    "CHUNK",
+    "PackedStrings",
     "CommentTable",
     "Corpus",
     "RowError",
@@ -137,50 +142,120 @@ def _frozen(column: list) -> tuple:
     return frozen
 
 
+# Strings packed into one ``str`` by :class:`PackedStrings`, and comments
+# tokenised together by ``discourse.score_and_label``: one slice of a packed
+# column is one tokenising step.
+CHUNK = 256
+
+
+class PackedStrings(Sequence[str]):
+    """A read-only sequence of strings, ``CHUNK`` of them joined into one ``str``.
+
+    Each string's end within its chunk is kept in an ``array('I')``, so a
+    string costs its characters and 4 bytes rather than a ``str`` object
+    and a tuple slot. CPython stores a chunk as wide as its widest
+    character: non-ASCII text widens only its own chunk. A slice is a list
+    of strings. The sequence equals any sequence, other than a ``str``,
+    that holds the same strings.
+    """
+
+    __slots__ = ("_chunks", "_ends")
+
+    def __init__(self, strings: Iterable[str] = ()) -> None:
+        self._chunks: list[str] = []
+        self._ends = array("I")
+        strings = iter(strings)
+        while chunk := list(islice(strings, CHUNK)):
+            self._pack(chunk)
+
+    def _pack(self, strings: Sequence[str]) -> None:
+        """Append the next chunk: ``CHUNK`` strings, or fewer for the last one."""
+        self._chunks.append("".join(strings))
+        self._ends.extend(accumulate(map(len, strings)))
+
+    def _run(self, start: int, stop: int) -> list[str]:
+        """Strings ``start`` to ``stop - 1``, all of one chunk."""
+        chunk, ends = self._chunks[start // CHUNK], self._ends[start:stop]
+        starts = self._ends[start - 1:stop - 1] if start % CHUNK else chain((0,), ends)
+        return [chunk[i:j] for i, j in zip(starts, ends)]
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def __getitem__(self, index: int | slice) -> str | list[str]:
+        indices = range(len(self._ends))[index]  # checked and made positive as a tuple does it
+        if isinstance(indices, int):
+            start = self._ends[indices - 1] if indices % CHUNK else 0
+            return self._chunks[indices // CHUNK][start:self._ends[indices]]
+        if indices.step != 1 or not indices:
+            return [self[i] for i in indices]
+        # Cut at the chunk boundaries inside the slice: one run per chunk.
+        start, stop = indices.start, indices.stop
+        cuts = [start, *range(start - start % CHUNK + CHUNK, stop, CHUNK), stop]
+        return list(chain.from_iterable(map(self._run, cuts, cuts[1:])))
+
+    def __iter__(self) -> Iterator[str]:
+        n = len(self._ends)
+        return chain.from_iterable(self._run(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PackedStrings):
+            return self._ends == other._ends and self._chunks == other._chunks
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PackedStrings({list(self)!r})"
+
+
 @dataclass(frozen=True, slots=True)
 class CommentTable:
     """The audience comments of a corpus, one column per field.
 
-    Row ``i`` of every column is comment ``i``. The columns are tuples,
-    except ``published_us``: UTC microseconds since 1970-01-01 in a
-    read-only view of an ``array('q')``, 8 bytes a comment. Build a table
-    with :meth:`from_rows`.
+    Row ``i`` of every column is comment ``i``. ``comment_ids`` and
+    ``texts`` are :class:`PackedStrings`; ``published_us`` is UTC
+    microseconds since 1970-01-01 in a read-only view of an
+    ``array('q')``, 8 bytes a comment; the other columns are tuples. Build
+    a table with :meth:`from_rows`.
     """
 
-    comment_ids: tuple[str, ...]
+    comment_ids: PackedStrings
     video_ids: tuple[str, ...]
     author_ids: tuple[str, ...]
-    texts: tuple[str, ...]
+    texts: PackedStrings
     published_us: memoryview
     like_counts: tuple[int | None, ...]
 
     @classmethod
     def from_rows(cls, rows: Iterable[CommentRow]) -> CommentTable:
         """The table of ``rows``, in order."""
-        comment_ids: list[str] = []
+        comment_ids, texts = PackedStrings(), PackedStrings()
         video_ids: list[str] = []
         author_ids: list[str] = []
-        texts: list[str] = []
         published_us = array("q")
         like_counts: list[int | None] = []
-        for comment_id, video_id, author_id, text, us, like_count in rows:
-            comment_ids.append(comment_id)
-            video_ids.append(video_id)
-            author_ids.append(author_id)
-            texts.append(text)
-            published_us.append(us)
-            like_counts.append(like_count)
+        rows = iter(rows)
+        # ``CHUNK`` rows at a time, turned into columns by ``zip``: no Python code here runs per row.
+        while chunk := list(islice(rows, CHUNK)):
+            chunk_ids, chunk_videos, chunk_authors, chunk_texts, chunk_us, chunk_likes = zip(*chunk)
+            comment_ids._pack(chunk_ids)
+            video_ids += chunk_videos
+            author_ids += chunk_authors
+            texts._pack(chunk_texts)
+            published_us.extend(chunk_us)
+            like_counts += chunk_likes
         return cls(
-            _frozen(comment_ids),
+            comment_ids,
             _frozen(video_ids),
             _frozen(author_ids),
-            _frozen(texts),
+            texts,
             memoryview(published_us).toreadonly(),
             _frozen(like_counts),
         )
 
     def __len__(self) -> int:
-        return len(self.comment_ids)
+        return len(self.video_ids)
 
     def rows(self) -> Iterator[CommentRow]:
         """Each comment as :meth:`from_rows` takes it, in order."""
@@ -248,9 +323,9 @@ def build_corpus(
         if v.channel_id not in channel_ids:
             raise ValidationError(f"video {v.video_id!r} references unknown channel {v.channel_id!r}")
     video_ids = {v.video_id for v in videos}
-    for comment_id, video_id in zip(comments.comment_ids, comments.video_ids):
+    for i, video_id in enumerate(comments.video_ids):
         if video_id not in video_ids:
-            raise ValidationError(f"comment {comment_id!r} references unknown video {video_id!r}")
+            raise ValidationError(f"comment {comments.comment_ids[i]!r} references unknown video {video_id!r}")
     return Corpus(tuple(registry), tuple(videos), comments, community)
 
 
@@ -583,8 +658,10 @@ def load_comments(
     its ``video_id``; malformed rows and duplicate comment ids go to the
     error report. Well-formed, referentially valid rows are always kept. A kept
     comment's ``video_id`` is its video record's string, and equal
-    ``author_id`` values are one string, so a comment keeps only the bytes
-    of its own id and text, and 8 for its time. ``sha256`` is fed the file's bytes.
+    ``author_id`` values are one string, so a comment keeps only the
+    characters of its own id and text (packed, with 4 bytes each for their
+    ends), 8 bytes for its time and three tuple slots. ``sha256`` is fed the
+    file's bytes.
     """
     path = Path(path)
     known = {v.video_id: v.video_id for v in videos}

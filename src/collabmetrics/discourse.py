@@ -15,7 +15,9 @@ five-category schema.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ from statistics import fmean, pstdev
 from typing import Collection, Iterable, Mapping, Protocol, Sequence
 
 from collabmetrics.collab import CollaborationDyad
-from collabmetrics.corpus import CommentTable, Corpus, _text, load_rows
+from collabmetrics.corpus import CHUNK, CommentTable, Corpus, _text, load_rows
 from collabmetrics.errors import ConfigurationError
 
 __all__ = [
@@ -56,10 +58,6 @@ NEGATION_SCALAR = -0.74
 BOOSTER_STEP = 0.293
 NORMALIZATION_ALPHA = 15.0
 CONTEXT_WINDOW = 3
-
-# Comments tokenised at a time by :func:`score_and_label`: their token lists
-# (about 360 bytes a comment) are the only ones alive at once.
-CHUNK = 256
 
 NEGATORS = frozenset(
     {
@@ -237,7 +235,9 @@ def score_and_label(
     """Scores and (if ``label``) topic labels of ``texts``, in order.
 
     Each text is tokenised once, ``CHUNK`` texts at a time, and the chunk's
-    token lists go to :func:`score_comments` and :func:`label_comments`.
+    token lists go to :func:`score_comments` and :func:`label_comments`;
+    they (about 360 bytes a comment) are the only token lists alive at
+    once. A table's packed ``texts`` hand over each chunk in one slice.
     Without ``label`` the classifier never runs and the labels list is
     empty. An empty ``texts`` still calls each function once, on no comments.
     """
@@ -284,13 +284,57 @@ class DiscourseReport:
     baseline: DiscourseRow | None
 
 
+def _sqrt_of_ratio(num: int, den: int) -> float:
+    """The square root of ``num / den`` (``num >= 0 < den``, in lowest terms), rounded as ``statistics.pstdev`` rounds it.
+
+    Python 3.10 rounds the ratio to a float and takes ``math.sqrt``. Later
+    versions round the exact root once: the integer root of the ratio over
+    ``4**q``, about 55 bits, gets its last bit set when inexact (round to
+    odd), and only scaling it by ``2**q`` rounds it to a float.
+    """
+    if sys.version_info < (3, 11):
+        return math.sqrt(num / den)
+    q = (num.bit_length() - den.bit_length() - 2 * sys.float_info.mant_dig - 3) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
+def _pstdev(scores: array) -> float:
+    """``statistics.pstdev(scores)``, bit for bit, from exact sums over the distinct values.
+
+    Scores take few distinct values, so summing each value's count times
+    the value, and times its square, as integers over one power-of-two
+    denominator costs far less than ``pstdev``'s sum of every score.
+    """
+    counts = Counter(scores)
+    if not all(map(math.isfinite, counts)):
+        return pstdev(scores)
+    ratios = [(value.as_integer_ratio(), count) for value, count in counts.items()]
+    scale = max(den for (_, den), _ in ratios)  # a power of two that every denominator divides
+    sx = sxx = 0
+    for (num, den), count in ratios:
+        x = num * (scale // den)
+        sx += count * x
+        sxx += count * x * x
+    # The population variance is (n * sxx - sx**2) / (n * scale)**2.
+    n = len(scores)
+    num, den = n * sxx - sx * sx, (n * scale) ** 2
+    g = math.gcd(num, den)
+    return _sqrt_of_ratio(num // g, den // g)
+
+
 def _make_row(group: str, scores: array, counts: Mapping[str, int], categories: Sequence[str]) -> DiscourseRow:
     n = len(scores)
     return DiscourseRow(
         group=group,
         comment_count=n,
         mean_sentiment=fmean(scores),
-        stdev_sentiment=pstdev(scores) if n > 1 else 0.0,
+        stdev_sentiment=_pstdev(scores) if n > 1 else 0.0,
         topic_proportions={cat: counts.get(cat, 0) / n for cat in categories},
     )
 

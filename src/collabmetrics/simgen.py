@@ -190,6 +190,16 @@ def _apportion(total: int, weights: Mapping[str, float]) -> dict[str, int]:
     return counts
 
 
+def _view_count(views: float) -> int:
+    """A drawn view count, rounded and at least 0; one beyond the float range makes the spec infeasible."""
+    try:
+        return max(0, round(views))
+    except OverflowError:
+        raise InfeasibleSpecError(
+            "a drawn view count is beyond the float range; lower viewership_scale, the noise or the synergy multipliers"
+        ) from None
+
+
 def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
     """Generate a corpus plus its planted truth, deterministically from the seed."""
     # numpy is imported here, not at module level, so that commands which
@@ -209,7 +219,16 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
     labels = np.array([label for label in sorted(label_counts) for _ in range(label_counts[label])], dtype=object)
     rng_channels.shuffle(labels)
     ranks = (rng_channels.permutation(spec.n_channels) + 1).tolist()
-    targets = [spec.viewership_scale * float(rank) ** (-spec.viewership_exponent) for rank in ranks]
+    try:
+        targets = [spec.viewership_scale * float(rank) ** (-spec.viewership_exponent) for rank in ranks]
+        in_range = math.isfinite(sum(targets))  # the comment popularity divides by the sum
+    except OverflowError:  # a power beyond the float range
+        in_range = False
+    if not in_range:
+        raise InfeasibleSpecError(
+            f"viewership_scale {spec.viewership_scale:g} and viewership_exponent {spec.viewership_exponent:g} "
+            "put the baseline targets beyond the float range"
+        )
 
     channel_ids = [f"{spec.community}-c{i:03d}" for i in range(spec.n_channels)]
     handles = [f"creator{i:03d}" for i in range(spec.n_channels)]
@@ -230,7 +249,7 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
     for i, target in enumerate(targets):
         noise = np.exp(rng_videos.normal(0.0, spec.viewership_noise, spec.videos_per_channel))
         slots.append([
-            ("baseline", max(0, round(target * f)), f"Session {s}", _SOLO_DESCRIPTIONS[(i + s) % len(_SOLO_DESCRIPTIONS)])
+            ("baseline", _view_count(target * f), f"Session {s}", _SOLO_DESCRIPTIONS[(i + s) % len(_SOLO_DESCRIPTIONS)])
             for s, f in enumerate(noise.tolist())
         ])
 
@@ -310,7 +329,7 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
             gm = math.sqrt(targets[host] * targets[guest])
             ratios = realized[channel_ids[host], channel_ids[guest]] = []
             for _ in range(load):
-                views = max(0, round(mult * gm * math.exp(rng_videos.normal(0.0, spec.synergy_noise))))
+                views = _view_count(mult * gm * math.exp(rng_videos.normal(0.0, spec.synergy_noise)))
                 description = _COLLAB_TEMPLATES[text.below(len(_COLLAB_TEMPLATES))].format(guest=handles[guest])
                 slot = host_capacity - int(host_load[host])
                 slots[host][slot] = (dyad_type, views, f"Collab session {slot}", description)
@@ -331,7 +350,7 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
             pick = rng_pairs.choice(spec.n_channels - 1, size=2, replace=False)
             g1, g2 = (k + (k >= host) for k in map(int, pick))
             gm = math.sqrt(targets[host] * targets[g1])
-            views = max(0, round(gm * math.exp(rng_videos.normal(0.0, spec.synergy_noise))))
+            views = _view_count(gm * math.exp(rng_videos.normal(0.0, spec.synergy_noise)))
             description = _MULTI_TEMPLATES[text.below(len(_MULTI_TEMPLATES))].format(g1=handles[g1], g2=handles[g2])
             slot = host_capacity - int(host_load[host])
             slots[host][slot] = ("baseline", views, f"Collab session {slot}", description)

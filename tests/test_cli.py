@@ -671,6 +671,21 @@ class TestBadConfigFiles:
                 id="zero-baseline-target",
             ),
             pytest.param(
+                {**_SPEC, "n_channels": 8, "viewership_exponent": -2000},
+                "viewership_scale 50000 and viewership_exponent -2000 put the baseline targets beyond the float range",
+                id="baseline-target-overflows",
+            ),
+            pytest.param(
+                {**_SPEC, "viewership_scale": 10**308},
+                "viewership_scale 1e+308 and viewership_exponent 0.8 put the baseline targets beyond the float range",
+                id="baseline-targets-sum-overflows",
+            ),
+            pytest.param(
+                {**_SPEC, "viewership_scale": 1e307, "viewership_noise": 3},
+                "a drawn view count is beyond the float range; lower viewership_scale, the noise or the synergy multipliers",
+                id="view-count-overflows",
+            ),
+            pytest.param(
                 {**_SPEC, "viewership_scale": 10**400},
                 f"spec: viewership_scale must be a number, got {10**400}",
                 id="integer-beyond-float-range",

@@ -5,10 +5,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import gc
+import io
 import json
 import re
 import tracemalloc
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, timedelta, timezone
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 
 from collabmetrics.collab import HandleIndex
 from collabmetrics.corpus import (
+    CHUNK,
     CommentTable,
+    PackedStrings,
     RowError,
     VideoRecord,
     _rows,
@@ -1065,16 +1068,9 @@ class TestSharedIdStrings:
         assert len(authors) == 3
 
 
-def test_bytes_kept_per_comment(tmp_path):
-    """A loaded comment keeps its own id and text, 8 bytes of time and five column slots.
-
-    4,000 comments on 250 videos by 1,000 authors, shaped like the
-    simulator's, keep about 197 bytes each on Python 3.11. Each used to keep
-    about 400 bytes, 125 of them in copies of its video and author ids, and
-    then about 284 in a record and a ``datetime`` of its own.
-    """
+def _simulator_shaped_comments(path):
+    """4,000 JSON-lines comments on 250 videos by 1,000 authors, shaped like the simulator's; returns the videos."""
     videos = [make_video(f"game-v{i // 10:03d}-{i % 10:04d}", "A") for i in range(250)]
-    path = tmp_path / "comments.jsonl"
     with path.open("w", encoding="utf-8") as fh:
         for i in range(4_000):
             row = {
@@ -1086,14 +1082,136 @@ def test_bytes_kept_per_comment(tmp_path):
                 "video_id": videos[(i * 13) % 250].video_id,
             }
             fh.write(json.dumps(row) + "\n")
+    return videos
+
+
+def _traced_load(path, videos):
+    """``load_comments`` of ``path``, with the bytes per comment it kept and its traced peak above the start."""
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         records, report = load_comments(path, videos)
+        peak = tracemalloc.get_traced_memory()[1] - base
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
     assert len(records) == 4_000 and not report.errors
-    assert kept / len(records) <= 210
+    return records, kept / len(records), peak / len(records)
+
+
+def test_bytes_kept_per_comment(tmp_path):
+    """A loaded comment keeps the characters of its id and text, 4 bytes for
+    each one's end, 8 bytes of time and three column slots.
+
+    The simulator-shaped comments keep about 92 bytes each on Python 3.11
+    (90 on 3.12). Each used to keep about 400 bytes, 125 of them in copies
+    of its video and author ids, then about 284 in a record and a
+    ``datetime`` of its own, and then about 197 with an id and a text
+    ``str`` each in tuple columns.
+    """
+    path = tmp_path / "comments.jsonl"
+    _, kept, _ = _traced_load(path, _simulator_shaped_comments(path))
+    assert kept <= 95
+
+
+def test_load_peak_per_comment(tmp_path):
+    """Loading peaks at about 228 bytes a comment on Python 3.11 (231 on
+    3.10, 217 on 3.12), most of it the duplicate-id set and the id strings
+    it holds; with tuple columns of id and text strings it peaked at about
+    247 (251 on 3.10)."""
+    path = tmp_path / "comments.jsonl"
+    _, _, peak = _traced_load(path, _simulator_shaped_comments(path))
+    assert peak <= 235
+
+
+# Texts that CPython stores at each width, and the characters a reader may
+# meet: NUL, line breaks, a non-BMP emoji and lone surrogates, which a
+# ``surrogateescape`` decode makes of undecodable bytes.
+_ODD_TEXTS = ("", "\0", "\n", "\r", "\r\n", "plain", "café", "ŝĉ€", "\U0001f600 emoji", "\udc80", "a\udcffb")
+_odd_text = st.one_of(
+    st.sampled_from(_ODD_TEXTS),
+    st.text(st.one_of(st.characters(), st.sampled_from("\0\n\r\udc80\udcff\U0001f600")), max_size=12),
+)
+
+
+class TestPackedStrings:
+    """The packed column against the list of the same strings."""
+
+    @staticmethod
+    def _check(strings):
+        packed = PackedStrings(strings)
+        assert len(packed) == len(strings)
+        assert list(packed) == strings
+        assert [packed[i] for i in range(len(strings))] == strings
+        assert [packed[i] for i in range(-len(strings), 0)] == strings
+        n = len(strings)
+        for start, stop in [(0, n), (0, CHUNK), (CHUNK, 2 * CHUNK), (1, CHUNK + 1), (CHUNK - 1, n), (n, 0), (-3, None)]:
+            assert packed[start:stop] == strings[start:stop]
+        assert packed[::7] == strings[::7] and packed[::-1] == strings[::-1]
+        assert packed == strings and strings == packed and packed == tuple(strings) and tuple(strings) == packed
+        assert packed == PackedStrings(strings)
+        return packed
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_odd_text, min_size=1, max_size=20), st.sampled_from([0, 1, 255, 256, 257, 513]), st.integers(0, 19))
+    @example(pool=list(_ODD_TEXTS), size=513, offset=0)
+    def test_round_trip(self, pool, size, offset):
+        strings = [pool[(offset + i) % len(pool)] for i in range(size)]
+        self._check(strings)
+        rows = [make_comment(f"c{i}", "v1", "u1", text, i) for i, text in enumerate(strings)]
+        table = CommentTable.from_rows(rows)
+        assert list(table.rows()) == rows
+        assert table.texts == strings and list(table.comment_ids) == [row[0] for row in rows]
+
+    @pytest.mark.parametrize("size", [0, 1, 255, 256, 257, 513])
+    def test_table_sizes(self, size):
+        strings = [f"text {i}" + "é" * (i // CHUNK == 1) for i in range(size)]
+        packed = self._check(strings)
+        if size:
+            assert packed[-1] == strings[-1]
+        rows = [make_comment(f"c{i:03d}", f"v{i % 3}", f"u{i % 5}", text, i, i % 4 or None)
+                for i, text in enumerate(strings)]
+        table = CommentTable.from_rows(rows)
+        assert len(table) == size and list(table.rows()) == rows
+        kept = table.on_videos({"v1"})
+        assert list(kept.rows()) == [row for row in rows if row[1] == "v1"]
+
+    def test_equality(self):
+        packed = PackedStrings(["a", "b"])
+        assert packed == ["a", "b"] and packed == ("a", "b") and packed != ["a", "c"] and packed != ["a"]
+        assert packed != PackedStrings(["ab", ""]) and packed != PackedStrings(["a", "b", ""])
+        assert packed != "ab" and PackedStrings() == [] and PackedStrings([""]) != PackedStrings()
+        with pytest.raises(TypeError):
+            hash(packed)
+
+    def test_bad_index(self):
+        packed = PackedStrings(["a", "b"])
+        for index in (2, -3):
+            with pytest.raises(IndexError):
+                packed[index]
+        with pytest.raises(TypeError):
+            packed["a"]
+
+    @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
+    def test_write_comments_bytes(self, tmp_path, suffix):
+        """The table writes its rows in order, whatever chunk a row is in."""
+        texts = ('say "hi", ok', "é\nline", "")
+        rows = [make_comment(f"c{i:03d}", "v1", "u1", texts[i % 3], i, i % 2 or None) for i in range(2 * CHUNK + 1)]
+        path = tmp_path / f"comments.{suffix}"
+        write_comments(CommentTable.from_rows(rows), path)
+        header = ["comment_id", "video_id", "author_id", "text", "published_at", "like_count"]
+        cells = [
+            [*row[:4], (datetime(2024, 1, 1, tzinfo=timezone.utc) + timedelta(minutes=i)).isoformat(), row[5]]
+            for i, row in enumerate(rows)
+        ]
+        if suffix == "csv":
+            expected = io.StringIO()
+            csv.writer(expected, lineterminator="\n").writerows([header, *([c if c is not None else "" for c in r] for r in cells)])
+        else:
+            expected = io.StringIO("".join(
+                json.dumps({k: v for k, v in zip(header, r) if v is not None}, ensure_ascii=False, sort_keys=True) + "\n"
+                for r in cells
+            ))
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")

@@ -8,6 +8,7 @@ import math
 import re
 import struct
 import tracemalloc
+from array import array
 from statistics import fmean, pstdev
 
 import pytest
@@ -242,6 +243,45 @@ class TestAggregate:
             }
         first, second = rows.values()
         assert first == second  # structure (groups, categories, counts) is plugin-independent
+
+
+def _outcome(function, scores):
+    """The bits of ``function(scores)``, or the type of the exception it raises."""
+    try:
+        return struct.pack("<d", function(scores))
+    except (OverflowError, AttributeError) as exc:  # 3.11+ ``pstdev`` of a non-finite score: AttributeError
+        return type(exc)
+
+
+# Distinct values as a scorer gives them, and odd ones: zeros of either
+# sign, subnormals, values near the float limits, infinities and NaN.
+_score_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.0, 0.1, 5e-324, 2.2250738585072014e-308, 1e308, -1.7e308]),
+    st.floats(-1.0, 1.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestExactPstdev:
+    """``_make_row``'s standard deviation is ``statistics.pstdev``'s, bit for bit, on this Python."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_score_values, min_size=1, max_size=8), st.lists(st.integers(0, 7), min_size=2, max_size=80))
+    @example(values=[0.5], picks=[0, 0, 0])
+    @example(values=[-0.0, 0.0], picks=[0, 1])
+    @example(values=[0.1, 0.2, 0.7], picks=[0, 1, 2, 2, 1])
+    @example(values=[5e-324, 0.0], picks=[0, 1, 1])
+    @example(values=[1e308, -1.7e308], picks=[0, 1])
+    @example(values=[math.inf, 0.5], picks=[0, 1])
+    @example(values=[math.nan, 0.5], picks=[0, 1])
+    def test_matches_statistics(self, values, picks):
+        scores = array("d", (values[i % len(values)] for i in picks))
+        assert _outcome(discourse._pstdev, scores) == _outcome(pstdev, scores)
+
+    def test_row_of_a_scorer_like_spread(self):
+        scores = array("d", [0.3713906763541037] * 1000 + [-0.45374260648651504] * 377 + [0.0] * 2048)
+        row = discourse._make_row("baseline", scores, {"other": len(scores)}, TOPIC_CATEGORIES)
+        assert struct.pack("<d", row.stdev_sentiment) == struct.pack("<d", pstdev(scores))
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +533,22 @@ class TestChunkedReport:
         expected = _reference_report(pipeline, [given_labels[cid] for cid in corpus.comments.comment_ids])
         assert repr(got) == repr(expected)
         assert {name for name, _ in calls} == {"score_comments"}
+
+    def test_labels_join_in_comment_order(self, monkeypatch):
+        """Given labels reach the aggregation in the order of the comments, across chunks."""
+        n = 2 * CHUNK + 1
+        corpus = _chunked_corpus(n, _CHUNK_TEXTS)
+        given_labels = {f"c{i:05d}": TOPIC_CATEGORIES[(i * 3) % 5] for i in range(n)}
+        joined = []
+        original = discourse.aggregate_discourse
+
+        def spy(comments, labels, *args, **kwargs):
+            joined.append(list(labels))
+            return original(comments, labels, *args, **kwargs)
+
+        monkeypatch.setattr(discourse, "aggregate_discourse", spy)
+        _pipeline(corpus, labels=given_labels).discourse_report
+        assert joined == [[given_labels[f"c{i:05d}"] for i in range(n)]]
 
     def test_empty_corpus_still_calls_both_functions(self, monkeypatch):
         calls = _record_calls(monkeypatch)
