@@ -18,14 +18,16 @@ import json
 import json.scanner
 import logging
 import operator
+import os
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, compress, count, islice
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Container, Iterable, Iterator, Mapping, TypeVar
@@ -83,13 +85,16 @@ def _parse_timestamp(value: str) -> int:
 
     A time whose UTC falls outside years 1-9999 raises ``OverflowError``.
     """
-    text = value.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    dt = datetime.fromisoformat(text)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return (dt.astimezone(timezone.utc) - _UNIX_EPOCH) // _MICROSECOND
+    try:
+        dt = datetime.fromisoformat(value)
+    except ValueError:  # surrounding space, or a "Z" that Python before 3.11 does not read
+        text = value.strip()
+        if text.endswith(("Z", "z")):
+            text = text[:-1] + "+00:00"
+        dt = datetime.fromisoformat(text)
+    if dt.tzinfo is not timezone.utc:
+        dt = dt.replace(tzinfo=timezone.utc) if dt.tzinfo is None else dt.astimezone(timezone.utc)
+    return (dt - _UNIX_EPOCH) // _MICROSECOND
 
 
 def _format_epoch_us(us: int) -> str:
@@ -445,12 +450,14 @@ def _rows(
                 header = bad[0]
                 bad.clear()
         else:
-            records = ((i, text) for i, text in enumerate(checked(fh), 1) if not text.isspace())
+            records = enumerate(checked(fh), 1)
         for line_no, raw in records:
             try:
                 if bad:
                     raise bad[0]
                 if isinstance(raw, str):
+                    if raw.isspace():  # a blank line holds no row
+                        continue
                     row = _json_object(raw)
                 elif isinstance(raw, Exception):
                     raise raw
@@ -463,7 +470,7 @@ def _rows(
                 value = parse(row)
             except _ROW_ERRORS as exc:
                 value = exc
-            bad.clear()
+                bad.clear()  # a row read with ``bad`` set always raises
             yield line_no, value
 
 
@@ -649,6 +656,11 @@ def load_videos(
     return records, errors
 
 
+# The hash of a comment id in the duplicate check of :func:`load_comments`;
+# a module name only so that a test can make every id collide.
+_id_hash = hash
+
+
 def load_comments(
     path: str | Path, videos: Sequence[VideoRecord], sha256=None
 ) -> tuple[CommentTable, CommentLoadReport]:
@@ -662,28 +674,78 @@ def load_comments(
     characters of its own id and text (packed, with 4 bytes each for their
     ends), 8 bytes for its time and three tuple slots. ``sha256`` is fed the
     file's bytes.
+
+    The duplicate check keeps no id strings. While the file loads, a
+    comment costs 8 bytes for its id's hash, and a bit map of one bit per
+    4 bytes of file marks the hashes seen. A row whose bit is set already
+    is kept for now; after the load its id is compared with those of the
+    earlier rows of equal hash, and only a true repeat leaves the table.
     """
     path = Path(path)
     known = {v.video_id: v.video_id for v in videos}
     orphans: list[RowError] = []
     errors: list[RowError] = []
-    seen: set[str] = set()
     authors: dict[str, str] = {}
+    # Position p is the p-th row that is not malformed: the orphan
+    # orphan_ids[k] if orphan_at[k] == p, else table row p - k, where k
+    # orphans come before it. hashes[p] is its id's hash.
+    orphan_at: list[int] = []
+    orphan_ids: list[str] = []
+    hashes = array("q")
+    n_bits = max(os.stat(path).st_size // 4, 64)
+    bits = bytearray(n_bits // 8 + 1)
+    candidates: list[tuple[int, int]] = []  # (position, line) of each row whose bit was set
 
     def kept() -> Iterator[CommentRow]:
         for line_no, row in _rows(path, partial(_comment_from_row, known, authors), sha256=sha256):
             if isinstance(row, Exception):
                 errors.append(RowError(line_no, f"malformed row: {row}"))
-            elif row[0] in seen:
-                errors.append(RowError(line_no, f"duplicate comment_id {row[0]!r}"))
+                continue
+            h = _id_hash(row[0])
+            i = h % n_bits
+            bit = 1 << (i & 7)
+            i >>= 3
+            if bits[i] & bit:
+                candidates.append((len(hashes), line_no))
             else:
-                seen.add(row[0])
-                if row[1] in known:
-                    yield row
-                else:
-                    orphans.append(RowError(line_no, f"unknown video_id {row[1]!r}"))
+                bits[i] |= bit
+            hashes.append(h)
+            if row[1] in known:
+                yield row
+            else:
+                orphans.append(RowError(line_no, f"unknown video_id {row[1]!r}"))
+                orphan_at.append(len(hashes) - 1)
+                orphan_ids.append(row[0])
 
     comments = CommentTable.from_rows(kept())
+    del bits  # freed before the repeats are sought
+    # Every repeat is a candidate. Group the positions that share a
+    # candidate's hash; only a group of two or more reads its ids.
+    groups: dict[int, list[int]] = {}
+    if candidates:
+        wanted = set(map(hashes.__getitem__, map(operator.itemgetter(0), candidates)))
+        for p in compress(count(), map(wanted.__contains__, hashes)):
+            groups.setdefault(hashes[p], []).append(p)
+    repeats: list[tuple[int, str]] = []  # (position, comment_id) of each row whose id an earlier row has
+    for group in groups.values():
+        if len(group) == 1:
+            continue  # a candidate whose bit an unequal hash had set
+        firsts: list[str] = []
+        for p in group:
+            k = bisect_left(orphan_at, p)
+            comment_id = orphan_ids[k] if k < len(orphan_at) and orphan_at[k] == p else comments.comment_ids[p - k]
+            if comment_id in firsts:
+                repeats.append((p, comment_id))
+            else:
+                firsts.append(comment_id)
+    if repeats:
+        lines = dict(candidates)
+        duplicates = [RowError(lines[p], f"duplicate comment_id {comment_id!r}") for p, comment_id in repeats]
+        errors = sorted(errors + duplicates, key=operator.attrgetter("line"))
+        dropped = {p for p, _ in repeats}
+        table_rows = {p - bisect_left(orphan_at, p) for p in dropped.difference(orphan_at)}
+        comments = CommentTable.from_rows(row for k, row in enumerate(comments.rows()) if k not in table_rows)
+        orphans = [orphan for orphan, p in zip(orphans, orphan_at) if p not in dropped]
     return comments, CommentLoadReport(tuple(orphans), tuple(errors))
 
 

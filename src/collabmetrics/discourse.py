@@ -23,14 +23,14 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import compress
+from itertools import compress, filterfalse
 from pathlib import Path
 from statistics import fmean, pstdev
 from typing import Collection, Iterable, Mapping, Protocol, Sequence
 
 from collabmetrics.collab import CollaborationDyad
 from collabmetrics.corpus import CHUNK, CommentTable, Corpus, _text, load_rows
-from collabmetrics.errors import ConfigurationError
+from collabmetrics.errors import ConfigurationError, ValidationError
 
 __all__ = [
     "TOPIC_CATEGORIES",
@@ -215,8 +215,16 @@ class KeywordTopicClassifier:
 def score_comments(
     comments: Iterable[Sequence[str]], scorer: SentimentScorer | None = None
 ) -> array:
-    """Compound sentiment of each comment's tokens, in order (default: bundled lexicon)."""
-    return array("d", map((scorer or LexiconSentimentScorer()).score, comments))
+    """Compound sentiment of each comment's tokens, in order (default: bundled lexicon).
+
+    A score that is infinite or NaN raises :class:`ValidationError` naming the scorer.
+    """
+    scorer = scorer or LexiconSentimentScorer()
+    scores = array("d", map(scorer.score, comments))
+    bad = next(filterfalse(math.isfinite, scores), None)  # one C-level pass over the chunk
+    if bad is not None:
+        raise ValidationError(f"sentiment scorer {type(scorer).__name__} returned {bad!r}; scores must be finite")
+    return scores
 
 
 def label_comments(

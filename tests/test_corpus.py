@@ -7,22 +7,31 @@ import dataclasses
 import gc
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from collabmetrics import corpus
 from collabmetrics.collab import HandleIndex
 from collabmetrics.corpus import (
     CHUNK,
+    CommentLoadReport,
     CommentTable,
     PackedStrings,
     RowError,
     VideoRecord,
+    _comment_from_row,
     _rows,
     cap_videos_per_channel,
     exact_median,
@@ -425,6 +434,48 @@ def _fuzz_file(draw, path, rows, header):
     return len(rows)
 
 
+def _reference_load_comments(path, videos):
+    """:func:`load_comments` as a set of the ids seen does it, row by row.
+
+    The first row with an id is kept; a later one is a ``duplicate
+    comment_id`` row error. An orphan's id counts as seen, a malformed
+    row's does not.
+    """
+    known = {v.video_id for v in videos}
+    rows, orphans, errors, seen = [], [], [], set()
+    for line, row in _rows(Path(path), partial(_comment_from_row, {}, {})):
+        if isinstance(row, Exception):
+            errors.append(RowError(line, f"malformed row: {row}"))
+        elif row[0] in seen:
+            errors.append(RowError(line, f"duplicate comment_id {row[0]!r}"))
+        else:
+            seen.add(row[0])
+            if row[1] in known:
+                rows.append(row)
+            else:
+                orphans.append(RowError(line, f"unknown video_id {row[1]!r}"))
+    return CommentTable.from_rows(rows), CommentLoadReport(tuple(orphans), tuple(errors))
+
+
+def _assert_same_load(got, expected):
+    """Two ``(table, report)`` loads hold the same rows and the same row errors, line, order and message."""
+    assert list(got[0].rows()) == list(expected[0].rows())
+    assert got[1] == expected[1]
+
+
+_ID_VIDEOS = [make_video("v1", "A"), make_video("v2", "A")]
+
+
+def _checked_load(path):
+    """``load_comments`` of ``path`` on ``_ID_VIDEOS``, checked equal to the reference
+    loader's and to a load in which every id hashes alike."""
+    loaded = load_comments(path, _ID_VIDEOS)
+    _assert_same_load(loaded, _reference_load_comments(path, _ID_VIDEOS))
+    with mock.patch.object(corpus, "_id_hash", lambda comment_id: 0):
+        _assert_same_load(load_comments(path, _ID_VIDEOS), loaded)
+    return loaded
+
+
 class TestRowConservation:
     """Every data row is accepted, rejected with a reason, or orphaned."""
 
@@ -441,8 +492,74 @@ class TestRowConservation:
     def test_comment_rows(self, tmp_path_factory, suffix, rows, data):
         path = tmp_path_factory.mktemp("rows") / f"comments.{suffix}"
         n_rows = _fuzz_file(data.draw, path, rows, _COMMENT_HEADER)
-        records, report = load_comments(path, [make_video("v1", "A"), make_video("v2", "A")])
+        records, report = _checked_load(path)
         assert len(records) + len(report.errors) + len(report.orphans) == n_rows
+
+
+def _write_id_rows(path, rows):
+    """Write ``(comment_id, video_id, malformed)`` rows; a malformed row's time is no timestamp."""
+    cells = [
+        {"comment_id": comment_id, "video_id": video_id, "author_id": "u1", "text": f"row {i}",
+         "published_at": "soon" if malformed else "2024-01-01T00:00:00+00:00"}
+        for i, (comment_id, video_id, malformed) in enumerate(rows)
+    ]
+    if path.suffix == ".csv":
+        write_csv(path, _COMMENT_HEADER, ([row.get(k, "") for k in _COMMENT_HEADER] for row in cells))
+    else:
+        write_jsonl(path, cells)
+
+
+class TestDuplicateIds:
+    """The duplicate check keeps no id strings, yet reports what a set of the ids seen reports."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["csv", "jsonl"]),
+        st.lists(st.tuples(st.sampled_from(["c1", "c2", "c3"]), st.sampled_from(["v1", "v2", "gone"]), st.booleans()),
+                 max_size=12),
+    )
+    @example("jsonl", [("c1", "gone", False), ("c1", "gone", False)])  # a duplicate of an orphan
+    @example("jsonl", [("c1", "gone", False), ("c1", "v1", False)])  # an orphan's id, then a good row
+    @example("csv", [("c1", "v1", True), ("c1", "v1", False)])  # a malformed row's id is not seen
+    @example("csv", [("c1", "v1", False), ("c1", "v2", False), ("c1", "v1", False)])  # an id three times
+    def test_equals_reference_loader(self, tmp_path_factory, suffix, rows):
+        path = tmp_path_factory.mktemp("ids") / f"comments.{suffix}"
+        _write_id_rows(path, rows)
+        _checked_load(path)
+
+    @staticmethod
+    def _repeated_ids(path):
+        """Three chunks of rows over 300 ids: orphans, malformed rows and repeats in every chunk."""
+        rows = [(f"c{i % 300:03d}", ("v1", "v2", "gone")[i % 7 % 3], i % 11 == 5) for i in range(3 * CHUNK)]
+        _write_id_rows(path, rows)
+
+    @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
+    def test_repeats_in_every_chunk(self, tmp_path, suffix):
+        """Repeats that leave the table from every chunk, also when every id hashes alike."""
+        path = tmp_path / f"comments.{suffix}"
+        self._repeated_ids(path)
+        table, report = _checked_load(path)
+        assert len(table) + len(report.orphans) == 300 and len(report.errors) == 3 * CHUNK - 300
+
+    def test_independent_of_the_hash_seed(self, tmp_path):
+        """String hashes differ with ``PYTHONHASHSEED``; what a load reports does not."""
+        path = tmp_path / "comments.jsonl"
+        self._repeated_ids(path)
+        script = (
+            "import sys\n"
+            "from collabmetrics.corpus import VideoRecord, load_comments\n"
+            "videos = [VideoRecord(v, 'A', 0, '', '', 1) for v in ('v1', 'v2')]\n"
+            "table, report = load_comments(sys.argv[1], videos)\n"
+            "print(list(table.rows()), report)\n"
+        )
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            done = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        table, report = load_comments(path, _ID_VIDEOS)
+        assert outputs[0] == outputs[1] == f"{list(table.rows())} {report}\n"
 
 
 class TestUndecodableBytes:
@@ -1117,13 +1234,14 @@ def test_bytes_kept_per_comment(tmp_path):
 
 
 def test_load_peak_per_comment(tmp_path):
-    """Loading peaks at about 228 bytes a comment on Python 3.11 (231 on
-    3.10, 217 on 3.12), most of it the duplicate-id set and the id strings
-    it holds; with tuple columns of id and text strings it peaked at about
-    247 (251 on 3.10)."""
+    """Loading peaks at about 158 bytes a comment on Python 3.11 (165 on
+    3.10, 154 on 3.12): the table, and 8 bytes of id hash and about 6 of
+    bit map for the duplicate check. With a set of the ids seen it peaked
+    at about 228 (234 on 3.10), most of it the set and the id strings it
+    held; with tuple columns of id and text strings at about 247."""
     path = tmp_path / "comments.jsonl"
     _, _, peak = _traced_load(path, _simulator_shaped_comments(path))
-    assert peak <= 235
+    assert peak <= 170
 
 
 # Texts that CPython stores at each width, and the characters a reader may

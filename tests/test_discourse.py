@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import math
@@ -37,8 +38,9 @@ from collabmetrics.discourse import (
     load_topic_keywords,
     score_comments,
 )
-from collabmetrics.errors import ConfigurationError
-from collabmetrics.report import CommunityPipeline, RunConfig
+from collabmetrics.corpus import write_corpus
+from collabmetrics.errors import ConfigurationError, ValidationError
+from collabmetrics.report import CommunityPipeline, RunConfig, RunStageError, run_report
 
 from .conftest import make_channel, make_comment, make_video
 
@@ -587,3 +589,37 @@ def test_discourse_peak_bytes_per_comment():
         tracemalloc.stop()
     assert report.baseline.comment_count > 0
     assert peak / len(corpus.comments) <= 100
+
+
+class _ConstantScorer:
+    """A plug-in scorer that gives every comment after the first ``value``."""
+
+    def __init__(self, value):
+        self.value, self.calls = value, 0
+
+    def score(self, tokens):
+        self.calls += 1
+        return 0.5 if self.calls == 1 else self.value
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+class TestNonFiniteScore:
+    """A plug-in score that is not finite is refused when scored, with one line naming the scorer."""
+
+    def test_pipeline_refuses_it(self, value):
+        pipeline = _pipeline(_chunked_corpus(2 * CHUNK + 1, ("good", "bad")), scorer=_ConstantScorer(value))
+        with pytest.raises(ValidationError) as err:
+            pipeline.discourse_report
+        assert str(err.value) == f"sentiment scorer _ConstantScorer returned {value!r}; scores must be finite"
+
+    def test_report_names_the_discourse_stage(self, value, tmp_path, monkeypatch):
+        write_corpus(_chunked_corpus(40, ("good", "bad")), tmp_path / "corpus")
+        plugged = functools.partial(CommunityPipeline, scorer=_ConstantScorer(value))
+        monkeypatch.setattr("collabmetrics.report.CommunityPipeline", plugged)
+        with pytest.raises(RunStageError) as err:
+            run_report(RunConfig(community_dirs=(str(tmp_path / "corpus"),), out_dir=str(tmp_path / "rep")))
+        assert err.value.stage == "discourse" and isinstance(err.value.cause, ValidationError)
+        assert str(err.value) == (
+            f"stage 'discourse' failed: community 'testgame': "
+            f"sentiment scorer _ConstantScorer returned {value!r}; scores must be finite"
+        )
