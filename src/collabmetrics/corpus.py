@@ -783,10 +783,10 @@ def load_corpus_dir(
     videos, video_errors = load_videos(files["videos"], registry, sha256=hashes["videos"])
     comments, comment_report = load_comments(files["comments"], videos, sha256=hashes["comments"])
     if video_errors:
-        logger.warning("%s: dropped %d malformed video row(s)", directory, len(video_errors))
+        logger.warning("%s: dropped %d video row(s) with errors", directory, len(video_errors))
     if comment_report.errors or comment_report.orphans:
         logger.warning(
-            "%s: dropped %d malformed and %d orphan comment row(s)",
+            "%s: dropped %d comment row(s) with errors and %d orphan comment row(s)",
             directory,
             len(comment_report.errors),
             len(comment_report.orphans),

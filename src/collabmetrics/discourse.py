@@ -19,13 +19,12 @@ import math
 import re
 import sys
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import compress, filterfalse
+from itertools import filterfalse, repeat
 from pathlib import Path
-from statistics import fmean, pstdev
 from typing import Collection, Iterable, Mapping, Protocol, Sequence
 
 from collabmetrics.collab import CollaborationDyad
@@ -312,38 +311,36 @@ def _sqrt_of_ratio(num: int, den: int) -> float:
     return float(root << q) if q >= 0 else root / (1 << -q)
 
 
-def _pstdev(scores: array) -> float:
-    """``statistics.pstdev(scores)``, bit for bit, from exact sums over the distinct values.
+def _make_row(group: str, scores: Mapping[float, int], labels: Mapping[str, int], categories: Sequence[str]) -> DiscourseRow:
+    """A group's row from the counts of its distinct scores and of its labels.
 
-    Scores take few distinct values, so summing each value's count times
-    the value, and times its square, as integers over one power-of-two
-    denominator costs far less than ``pstdev``'s sum of every score.
+    Exact integer sums over one power-of-two denominator give
+    ``statistics.pstdev`` and ``statistics.fmean`` bit for bit: the mean
+    ``sx / scale / n`` is ``fsum(data) / n``, as an int/int division rounds
+    correctly. Only where ``fsum`` overflows on the way to a sum in range
+    (``[1e308, 1e308, -1.7e308]``) does ``fmean`` raise and this mean not.
+    An infinite or NaN score raises :class:`ValidationError`.
     """
-    counts = Counter(scores)
-    if not all(map(math.isfinite, counts)):
-        return pstdev(scores)
-    ratios = [(value.as_integer_ratio(), count) for value, count in counts.items()]
+    bad = next(filterfalse(math.isfinite, scores), None)
+    if bad is not None:
+        raise ValidationError(f"sentiment score {bad!r} given to aggregate_discourse; scores must be finite")
+    ratios = [(value.as_integer_ratio(), count) for value, count in scores.items()]
     scale = max(den for (_, den), _ in ratios)  # a power of two that every denominator divides
-    sx = sxx = 0
+    n = sx = sxx = 0
     for (num, den), count in ratios:
         x = num * (scale // den)
+        n += count
         sx += count * x
         sxx += count * x * x
     # The population variance is (n * sxx - sx**2) / (n * scale)**2.
-    n = len(scores)
     num, den = n * sxx - sx * sx, (n * scale) ** 2
     g = math.gcd(num, den)
-    return _sqrt_of_ratio(num // g, den // g)
-
-
-def _make_row(group: str, scores: array, counts: Mapping[str, int], categories: Sequence[str]) -> DiscourseRow:
-    n = len(scores)
     return DiscourseRow(
         group=group,
         comment_count=n,
-        mean_sentiment=fmean(scores),
-        stdev_sentiment=_pstdev(scores) if n > 1 else 0.0,
-        topic_proportions={cat: counts.get(cat, 0) / n for cat in categories},
+        mean_sentiment=sx / scale / n,
+        stdev_sentiment=_sqrt_of_ratio(num // g, den // g),
+        topic_proportions={cat: labels.get(cat, 0) / n for cat in categories},
     )
 
 
@@ -363,12 +360,12 @@ def aggregate_discourse(
     for multi-party collaboration videos) feed the non-collaboration
     baseline. Aggregation weights each comment equally. Dyad types with
     zero comments are omitted rather than zero-filled.
+
+    Each comment is counted, not visited: one ``Counter`` over the zipped
+    group, score and label columns, in C, gives every group's row.
     """
-    # A comment's group is its video's dyad type, or None under an excluded
-    # video; a comment whose video has no group is in the baseline. Most
-    # comments are, so the loop visits only the others and copies the
-    # baseline scores between them a run at a time; baseline topic counts
-    # are all counts minus theirs.
+    # A comment's group is its video's dyad type, None under an excluded
+    # video, or "baseline" under any other; a dyad type always holds a hyphen.
     group_of_video: dict[str, str | None] = dict.fromkeys(exclude_videos)
     for dyad in dyads:
         for video_id in dyad.videos:
@@ -377,23 +374,13 @@ def aggregate_discourse(
     if not len(video_ids) == len(scores) == len(labels):
         raise ValueError(f"{len(video_ids)} comments but {len(scores)} scores and {len(labels)} labels")
 
-    grouped: dict[str | None, tuple[array, Counter]] = {}
-    baseline_scores = array("d")
-    start = 0
-    for i in compress(range(len(video_ids)), map(group_of_video.__contains__, video_ids)):
-        baseline_scores.extend(scores[start:i])
-        start = i + 1
-        group = group_of_video[video_ids[i]]
-        if group not in grouped:
-            grouped[group] = (array("d"), Counter())
-        values, counts = grouped[group]
-        values.append(scores[i])
-        counts[labels[i]] += 1
-    baseline_scores.extend(scores[start:])
-    baseline_counts = Counter(labels)
-    observed = set(baseline_counts)
-    for _, counts in grouped.values():
-        baseline_counts.subtract(counts)
+    scores_of: defaultdict[str | None, Counter] = defaultdict(Counter)
+    labels_of: defaultdict[str | None, Counter] = defaultdict(Counter)
+    groups = map(group_of_video.get, video_ids, repeat("baseline"))
+    for (group, score, label), count in Counter(zip(groups, scores, labels)).items():
+        scores_of[group][score] += count
+        labels_of[group][label] += count
+    observed = set().union(*labels_of.values())
 
     categories = (
         TOPIC_CATEGORIES
@@ -405,8 +392,8 @@ def aggregate_discourse(
         community=corpus.community,
         categories=categories,
         by_dyad_type={
-            dyad_type: _make_row(dyad_type, *grouped[dyad_type], categories)
-            for dyad_type in sorted(group for group in grouped if group is not None)
+            group: _make_row(group, scores_of[group], labels_of[group], categories)
+            for group in sorted(scores_of.keys() - {None, "baseline"})
         },
-        baseline=_make_row("baseline", baseline_scores, baseline_counts, categories) if baseline_scores else None,
+        baseline=_make_row("baseline", scores_of["baseline"], labels_of["baseline"], categories) if "baseline" in scores_of else None,
     )

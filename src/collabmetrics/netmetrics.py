@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import compress, groupby
 from operator import itemgetter
 from statistics import median
 from typing import Iterable, Mapping, Sequence
@@ -185,25 +187,23 @@ def build_attention_graph(
 ) -> AttentionGraph:
     """Bipartite graph of direct commenter-to-channel interactions.
 
-    Every comment counts (raw comment frequency, not distinct videos).
-    ``min_comments`` optionally drops low-activity commenters; the default
-    keeps everyone.
+    Every comment counts (raw comment frequency, not distinct videos); a
+    comment on a video missing from ``videos`` counts nowhere. Each
+    comment on a known video is counted as its ``(author, channel)`` pair
+    by one ``Counter`` over the zipped columns, in C. ``min_comments``
+    optionally drops low-activity commenters; the default keeps everyone.
     """
     owner = {v.video_id: v.channel_id for v in videos}
-    weights: dict[tuple[str, str], int] = {}
-    totals: dict[str, int] = {}
-    for video_id, author_id in zip(comments.video_ids, comments.author_ids):
-        channel = owner.get(video_id)
-        if channel is None:
-            continue
-        key = (author_id, channel)
-        weights[key] = weights.get(key, 0) + 1
-        totals[author_id] = totals.get(author_id, 0) + 1
+    video_ids, author_ids = comments.video_ids, comments.author_ids
+    weights: Mapping[tuple[str, str], int] = Counter(
+        compress(zip(author_ids, map(owner.get, video_ids)), map(owner.__contains__, video_ids))
+    )
     if min_comments > 1:
+        totals = Counter(compress(author_ids, map(owner.__contains__, video_ids)))
         keep = frozenset(a for a, t in totals.items() if t >= min_comments)
         weights = {k: w for k, w in weights.items() if k[0] in keep}
     else:
-        keep = frozenset(totals)
+        keep = frozenset(map(itemgetter(0), weights))
     return AttentionGraph(commenters=keep, weights=weights)
 
 
@@ -245,11 +245,4 @@ def entropy_cdf(
         logger.warning("entropy distribution is empty; emitting empty CDF")
         return []
     thresholds = sorted(set(grid)) if grid is not None else sorted(set(values))
-    n = len(values)
-    points: list[tuple[float, float]] = []
-    idx = 0
-    for t in thresholds:
-        while idx < n and values[idx] <= t:
-            idx += 1
-        points.append((t, idx / n))
-    return points
+    return [(t, bisect_right(values, t) / len(values)) for t in thresholds]

@@ -562,6 +562,45 @@ class TestDuplicateIds:
         assert outputs[0] == outputs[1] == f"{list(table.rows())} {report}\n"
 
 
+class TestCorpusDirWarnings:
+    """``load_corpus_dir`` logs how many rows it dropped, and claims no reason for them."""
+
+    @staticmethod
+    def _write_corpus(directory, video_rows):
+        directory.mkdir()
+        (directory / "registry.jsonl").write_text(
+            '{"channel_id": "A", "handles": ["a"], "attributes": {"gender": "W"}, "community": "ids"}\n'
+        )
+        write_jsonl(directory / "videos.jsonl", video_rows)
+        # Seven rows: c1 and o1 three times each, o1 first on a missing video, and c2 once,
+        # so four repeated ids and one orphan.
+        write_jsonl(directory / "comments.jsonl", [
+            {"comment_id": cid, "video_id": vid, "author_id": "u", "published_at": "2024-01-02T00:00:00Z"}
+            for cid, vid in (("c1", "v1"), ("c1", "v1"), ("o1", "gone"), ("o1", "v1"), ("c2", "v1"), ("o1", "gone"), ("c1", "gone"))
+        ])
+
+    def test_repeated_ids_are_row_errors_not_malformed(self, tmp_path, caplog):
+        directory = tmp_path / "ids"
+        self._write_corpus(directory, [{"video_id": "v1", "channel_id": "A", "published_at": "2024-01-01T00:00:00Z", "view_count": 1}])
+        with caplog.at_level("WARNING", logger="collabmetrics.corpus"):
+            loaded, dropped, _ = corpus.load_corpus_dir(directory)
+        assert dropped == {"video_row_errors": 0, "comment_row_errors": 4, "orphan_comments": 1}
+        assert len(loaded.comments) == 2
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"{directory}: dropped 4 comment row(s) with errors and 1 orphan comment row(s)"
+        ]
+
+    def test_video_row_errors(self, tmp_path, caplog):
+        directory = tmp_path / "ids"
+        self._write_corpus(directory, [
+            {"video_id": "v1", "channel_id": "A", "published_at": "2024-01-01T00:00:00Z", "view_count": 1},
+            {"video_id": "v2", "channel_id": "A", "published_at": "2024-01-01T00:00:00Z", "view_count": -5},
+        ])
+        with caplog.at_level("WARNING", logger="collabmetrics.corpus"):
+            corpus.load_corpus_dir(directory)
+        assert [rec.getMessage() for rec in caplog.records][0] == f"{directory}: dropped 1 video row(s) with errors"
+
+
 class TestUndecodableBytes:
     """A byte that is not UTF-8 rejects its own row; the rest of the file loads."""
 

@@ -10,6 +10,9 @@ import re
 import struct
 import tracemalloc
 from array import array
+from collections import Counter
+from fractions import Fraction
+from itertools import compress
 from statistics import fmean, pstdev
 
 import pytest
@@ -247,12 +250,17 @@ class TestAggregate:
         assert first == second  # structure (groups, categories, counts) is plugin-independent
 
 
-def _outcome(function, scores):
-    """The bits of ``function(scores)``, or the type of the exception it raises."""
+def _outcome(function, *args):
+    """The bits of ``function(*args)``, or ``OverflowError`` if it raises that."""
     try:
-        return struct.pack("<d", function(scores))
-    except (OverflowError, AttributeError) as exc:  # 3.11+ ``pstdev`` of a non-finite score: AttributeError
+        return struct.pack("<d", function(*args))
+    except OverflowError as exc:
         return type(exc)
+
+
+def _row_of(scores, labels=None, categories=()):
+    """``_make_row`` of the counts of ``scores`` (and of ``labels``, if given)."""
+    return discourse._make_row("g", Counter(scores), Counter(labels or ()), categories)
 
 
 # Distinct values as a scorer gives them, and odd ones: zeros of either
@@ -265,25 +273,205 @@ _score_values = st.one_of(
 
 
 class TestExactPstdev:
-    """``_make_row``'s standard deviation is ``statistics.pstdev``'s, bit for bit, on this Python."""
+    """``_make_row`` takes a group's count, mean and standard deviation from the
+    counts of its scores: ``len``'s, ``statistics.fmean``'s and
+    ``statistics.pstdev``'s, bit for bit, on this Python."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(_score_values, min_size=1, max_size=8), st.lists(st.integers(0, 7), min_size=2, max_size=80))
+    @given(st.lists(_score_values, min_size=1, max_size=8), st.lists(st.integers(0, 7), min_size=1, max_size=80))
     @example(values=[0.5], picks=[0, 0, 0])
+    @example(values=[0.5], picks=[0])
     @example(values=[-0.0, 0.0], picks=[0, 1])
+    @example(values=[-0.0], picks=[0, 0])
     @example(values=[0.1, 0.2, 0.7], picks=[0, 1, 2, 2, 1])
     @example(values=[5e-324, 0.0], picks=[0, 1, 1])
     @example(values=[1e308, -1.7e308], picks=[0, 1])
+    @example(values=[1e308, -1.7e308], picks=[0, 0, 1])  # ``fsum`` overflows in between; the exact sum does not
+    @example(values=[1e308], picks=[0, 0])  # the sum itself overflows
     @example(values=[math.inf, 0.5], picks=[0, 1])
     @example(values=[math.nan, 0.5], picks=[0, 1])
     def test_matches_statistics(self, values, picks):
         scores = array("d", (values[i % len(values)] for i in picks))
-        assert _outcome(discourse._pstdev, scores) == _outcome(pstdev, scores)
+        if not all(map(math.isfinite, scores)):
+            with pytest.raises(ValidationError, match=r"^sentiment score .* given to aggregate_discourse; scores must be finite$"):
+                _row_of(scores)
+            return
+        # ``fmean`` is ``fsum(scores) / n``, and ``fsum`` is the exact sum
+        # rounded once, unless it overflows on the way to a sum in range.
+        mean = _outcome(lambda: float(sum(map(Fraction, scores))) / len(scores))
+        assert _outcome(fmean, scores) in (mean, OverflowError)
+        stdev = _outcome(pstdev, scores)
+        if OverflowError in (mean, stdev):
+            with pytest.raises(OverflowError):
+                _row_of(scores)
+            return
+        row = _row_of(scores)
+        assert row.comment_count == len(scores)
+        assert (_outcome(float, row.mean_sentiment), _outcome(float, row.stdev_sentiment)) == (mean, stdev)
+
+    def test_mean_where_fsum_overflows_in_between(self):
+        """The one difference from ``fmean``: its ``fsum`` overflows on the way, the exact sum is in range."""
+        scores = [1e308, 1e308, -1.7e308]
+        with pytest.raises(OverflowError):
+            fmean(scores)
+        row = _row_of(scores)
+        assert row.mean_sentiment == float(sum(map(Fraction, scores))) / 3
+        assert struct.pack("<d", row.stdev_sentiment) == _outcome(pstdev, scores)
 
     def test_row_of_a_scorer_like_spread(self):
         scores = array("d", [0.3713906763541037] * 1000 + [-0.45374260648651504] * 377 + [0.0] * 2048)
-        row = discourse._make_row("baseline", scores, {"other": len(scores)}, TOPIC_CATEGORIES)
-        assert struct.pack("<d", row.stdev_sentiment) == struct.pack("<d", pstdev(scores))
+        labels = ["other"] * 3000 + ["food"] * 425
+        row = _row_of(scores, labels, TOPIC_CATEGORIES)
+        assert row.comment_count == len(scores)
+        assert struct.pack("<dd", row.mean_sentiment, row.stdev_sentiment) == struct.pack("<dd", fmean(scores), pstdev(scores))
+        assert row.topic_proportions == {cat: labels.count(cat) / len(labels) for cat in TOPIC_CATEGORIES}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_aggregate_refuses_a_non_finite_score(value):
+    """A score that is not finite, given straight to the aggregation, is one ``ValidationError`` line."""
+    corpus = _chunked_corpus(14, ("good",))
+    scores = [0.5] * 13 + [value]
+    with pytest.raises(ValidationError) as err:
+        aggregate_discourse(corpus.comments, ["other"] * 14, scores, [], corpus)
+    assert str(err.value) == f"sentiment score {value!r} given to aggregate_discourse; scores must be finite"
+
+
+# ---------------------------------------------------------------------------
+# The per-comment walk that ``aggregate_discourse`` replaced by counting:
+# baseline scores copied between the other groups' comments a run at a
+# time, a score array per group and baseline topic counts by subtraction.
+# The counted form must give exactly its reports.
+
+
+def reference_aggregate_discourse(comments, labels, scores, dyads, corpus, exclude_videos=()):
+    group_of_video = dict.fromkeys(exclude_videos)
+    for dyad in dyads:
+        for video_id in dyad.videos:
+            group_of_video[video_id] = dyad.dyad_type
+    video_ids = comments.video_ids
+    grouped = {}
+    baseline_scores = array("d")
+    start = 0
+    for i in compress(range(len(video_ids)), map(group_of_video.__contains__, video_ids)):
+        baseline_scores.extend(scores[start:i])
+        start = i + 1
+        group = group_of_video[video_ids[i]]
+        if group not in grouped:
+            grouped[group] = (array("d"), Counter())
+        values, counts = grouped[group]
+        values.append(scores[i])
+        counts[labels[i]] += 1
+    baseline_scores.extend(scores[start:])
+    baseline_counts = Counter(labels)
+    observed = set(baseline_counts)
+    for _, counts in grouped.values():
+        baseline_counts.subtract(counts)
+    categories = (
+        TOPIC_CATEGORIES
+        if observed <= set(TOPIC_CATEGORIES)
+        else tuple(sorted(observed | set(TOPIC_CATEGORIES)))
+    )
+
+    def make_row(group, scores, counts):
+        n = len(scores)
+        return discourse.DiscourseRow(
+            group=group,
+            comment_count=n,
+            mean_sentiment=fmean(scores),
+            stdev_sentiment=pstdev(scores) if n > 1 else 0.0,
+            topic_proportions={cat: counts.get(cat, 0) / n for cat in categories},
+        )
+
+    return discourse.DiscourseReport(
+        community=corpus.community,
+        categories=categories,
+        by_dyad_type={
+            dyad_type: make_row(dyad_type, *grouped[dyad_type])
+            for dyad_type in sorted(group for group in grouped if group is not None)
+        },
+        baseline=make_row("baseline", baseline_scores, baseline_counts) if baseline_scores else None,
+    )
+
+
+def _packed_row(row):
+    if row is None:
+        return None
+    return (
+        row.group,
+        row.comment_count,
+        struct.pack("<dd", row.mean_sentiment, row.stdev_sentiment),
+        [(cat, struct.pack("<d", p)) for cat, p in row.topic_proportions.items()],
+    )
+
+
+def _packed_report(report):
+    """A report with every float as its bits, and every mapping in its order."""
+    return (
+        report.community,
+        report.categories,
+        [(group, _packed_row(row)) for group, row in report.by_dyad_type.items()],
+        _packed_row(report.baseline),
+    )
+
+
+_VIDEOS = ("v0", "v1", "v2", "v3", "v4")
+
+
+@st.composite
+def discourse_tables(draw):
+    """Comments on five videos and on one video that is not in the corpus
+    (``gone``), dyads over some of the videos (a video in two dyads goes to
+    the last), excluded multi-way videos, scorer-like scores and labels
+    inside and outside the schema."""
+    dyads = [
+        CollaborationDyad("A", "B", tuple(draw(st.sets(st.sampled_from(_VIDEOS), max_size=3))), dyad_type)
+        for dyad_type in draw(st.lists(st.sampled_from(["W-M", "M-W", "M-M"]), max_size=4))
+    ]
+    exclude = draw(st.sets(st.sampled_from(_VIDEOS), max_size=2))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_VIDEOS + ("gone",)),
+                st.sampled_from([0.0, 0.5, -0.25, 0.3713906763541037, -0.45374260648651504]) | st.floats(-1.0, 1.0),
+                st.sampled_from(TOPIC_CATEGORIES + ("meta", "aaa")),
+            ),
+            max_size=40,
+        )
+    )
+    return dyads, exclude, rows
+
+
+_TABLE_CORPUS = build_corpus(
+    [make_channel("A", "alpha", gender="W"), make_channel("B", "bravo")],
+    [make_video(v, "A", offset_hours=i) for i, v in enumerate(_VIDEOS)],
+    CommentTable.from_rows([]),
+)
+
+
+class TestCountedAggregation:
+    """``aggregate_discourse`` gives the per-comment walk's reports, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(discourse_tables())
+    @example(([], set(), []))  # no comments: no rows, and no baseline
+    @example(([CollaborationDyad("A", "B", ("v0",), "W-M")], set(), [("v0", 0.25, "food")]))  # a group of one
+    @example(([CollaborationDyad("A", "B", ("v0",), "W-M")], {"v0", "v1"}, [("v0", 0.5, "meta"), ("v1", 0.5, "gone"), ("gone", 0.1, "food")]))
+    def test_equals_per_comment_walk(self, table):
+        dyads, exclude, rows = table
+        comments = CommentTable.from_rows(make_comment(f"c{i}", video, "u") for i, (video, _, _) in enumerate(rows))
+        scores = array("d", (score for _, score, _ in rows))
+        labels = [label for _, _, label in rows]
+        args = (comments, labels, scores, dyads, _TABLE_CORPUS)
+        got = aggregate_discourse(*args, exclude_videos=exclude)
+        assert _packed_report(got) == _packed_report(reference_aggregate_discourse(*args, exclude_videos=exclude))
+        if not rows:
+            assert got.baseline is None and got.by_dyad_type == {}
+
+    def test_misaligned_inputs_raise(self):
+        comments = CommentTable.from_rows([make_comment("c0", "v0", "u"), make_comment("c1", "v1", "u")])
+        with pytest.raises(ValueError, match="2 comments but 1 scores and 2 labels"):
+            aggregate_discourse(comments, ["other", "food"], [0.5], [], _TABLE_CORPUS)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,67 @@ class TestAttentionGraph:
             assert author in graph.commenters and channel in channels
 
 
+def reference_attention_graph(videos, comments, min_comments=1):
+    """The per-comment walk that ``build_attention_graph`` replaced by counting."""
+    owner = {v.video_id: v.channel_id for v in videos}
+    weights = {}
+    totals = {}
+    for video_id, author_id in zip(comments.video_ids, comments.author_ids):
+        channel = owner.get(video_id)
+        if channel is None:
+            continue
+        key = (author_id, channel)
+        weights[key] = weights.get(key, 0) + 1
+        totals[author_id] = totals.get(author_id, 0) + 1
+    if min_comments > 1:
+        keep = frozenset(a for a, t in totals.items() if t >= min_comments)
+        weights = {k: w for k, w in weights.items() if k[0] in keep}
+    else:
+        keep = frozenset(totals)
+    return AttentionGraph(commenters=keep, weights=weights)
+
+
+@st.composite
+def attention_tables(draw):
+    """Videos owned by three channels, and comments by five authors on them
+    and on a video missing from ``videos`` (``gone``)."""
+    owners = draw(st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=5))
+    videos = [make_video(f"v{i}", channel) for i, channel in enumerate(owners)]
+    rows = draw(
+        st.lists(
+            st.tuples(st.sampled_from([v.video_id for v in videos] + ["gone"]), st.sampled_from(["u0", "u1", "u2", "u3", "u4"])),
+            max_size=40,
+        )
+    )
+    return videos, CommentTable.from_rows(make_comment(f"c{i}", video, author) for i, (video, author) in enumerate(rows))
+
+
+class TestCountedAttentionGraph:
+    """``build_attention_graph`` gives the per-comment walk's graph: the same
+    commenters, and the same weights in the same order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(attention_tables(), st.sampled_from([1, 2, 3]))
+    def test_equals_per_comment_walk(self, table, min_comments):
+        videos, comments = table
+        got = build_attention_graph(videos, comments, min_comments=min_comments)
+        want = reference_attention_graph(videos, comments, min_comments=min_comments)
+        assert got.commenters == want.commenters
+        assert list(got.weights.items()) == list(want.weights.items())
+        assert commenter_entropy(got) == commenter_entropy(want)
+
+    def test_comment_on_a_missing_video_counts_nowhere(self):
+        videos = [make_video("v1", "A")]
+        comments = CommentTable.from_rows([make_comment("c1", "v1", "u1"), make_comment("c2", "gone", "u2")])
+        graph = build_attention_graph(videos, comments)
+        assert graph.commenters == {"u1"}
+        assert dict(graph.weights) == {("u1", "A"): 1}
+
+    def test_empty_table(self):
+        graph = build_attention_graph([make_video("v1", "A")], CommentTable.from_rows([]))
+        assert graph.commenters == frozenset() and dict(graph.weights) == {}
+
+
 class TestEntropy:
     def entropy_of(self, weights):
         graph = AttentionGraph(
@@ -312,6 +373,20 @@ class TestEntropy:
         assert list(got.items()) == list(want.items())
 
 
+def reference_entropy_cdf(entropy, grid=None):
+    """The threshold walk that ``entropy_cdf`` replaced by a bisection."""
+    values = sorted(entropy.values())
+    thresholds = sorted(set(grid)) if grid is not None else sorted(set(values))
+    n = len(values)
+    points = []
+    idx = 0
+    for t in thresholds:
+        while idx < n and values[idx] <= t:
+            idx += 1
+        points.append((t, idx / n))
+    return points
+
+
 class TestEntropyCdf:
     def dist_of(self, values):
         return {f"u{i}": v for i, v in enumerate(values)}
@@ -337,3 +412,12 @@ class TestEntropyCdf:
         with caplog.at_level("WARNING"):
             assert entropy_cdf(self.dist_of([])) == []
         assert any("empty" in rec.message for rec in caplog.records)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.584962500721156]) | st.floats(0.0, 8.0), min_size=1, max_size=30),
+        st.none() | st.lists(st.floats(-1.0, 9.0), max_size=10),
+    )
+    def test_equals_threshold_walk(self, values, grid):
+        entropy = self.dist_of(values)
+        assert entropy_cdf(entropy, grid) == reference_entropy_cdf(entropy, grid)
