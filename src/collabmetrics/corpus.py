@@ -23,7 +23,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from functools import partial
@@ -148,8 +148,8 @@ def _frozen(column: list) -> tuple:
 
 
 # Strings packed into one ``str`` by :class:`PackedStrings`, and comments
-# tokenised together by ``discourse.score_and_label``: one slice of a packed
-# column is one tokenising step.
+# tokenised together by ``discourse.aggregate_discourse``: one slice of a
+# packed column is one tokenising step.
 CHUNK = 256
 
 
@@ -264,13 +264,28 @@ class CommentTable:
 
     def rows(self) -> Iterator[CommentRow]:
         """Each comment as :meth:`from_rows` takes it, in order."""
-        return zip(
-            self.comment_ids, self.video_ids, self.author_ids, self.texts, self.published_us, self.like_counts
-        )
+        return zip(*self.columns())
 
     def on_videos(self, video_ids: Container[str]) -> CommentTable:
         """The comments whose ``video_id`` is in ``video_ids``, in order."""
-        return CommentTable.from_rows(row for row in self.rows() if row[1] in video_ids)
+        return CommentTable.kept(self.columns(), bytes(map(video_ids.__contains__, self.video_ids)))
+
+    def columns(self) -> list:
+        """The table's columns, in field order, in a new list."""
+        return [getattr(self, field.name) for field in fields(self)]
+
+    @classmethod
+    def kept(cls, columns: list, keep: Sequence[int]) -> CommentTable:
+        """The table of the rows ``i`` of ``columns`` (as :meth:`columns` gives them) where ``keep[i]`` is true.
+
+        Each entry of ``columns`` is replaced by its kept rows as soon as
+        they are built, so a caller that holds no other reference to a table
+        frees its columns one at a time and never holds two whole tables.
+        """
+        for i, column in enumerate(columns):
+            rows = compress(column, keep)  # a tuple or a PackedStrings is rebuilt by its own type
+            columns[i] = memoryview(array("q", rows)).toreadonly() if isinstance(column, memoryview) else type(column)(rows)
+        return cls(*columns)
 
 
 @dataclass(frozen=True)
@@ -442,7 +457,8 @@ def _rows(
             yield line
 
     binary = io.BufferedReader(_HashingReader(path, hashlib.sha256() if sha256 is None else sha256))
-    with io.TextIOWrapper(binary, encoding="utf-8", errors="surrogateescape", newline="" if tabular else None) as fh:
+    encoding = "utf-8-sig" if tabular else "utf-8"  # a CSV file's leading byte order mark is no part of its header
+    with io.TextIOWrapper(binary, encoding=encoding, errors="surrogateescape", newline="" if tabular else None) as fh:
         if tabular:
             records = _csv_records(checked(fh))
             _, header = next(records, (0, []))
@@ -743,8 +759,12 @@ def load_comments(
         duplicates = [RowError(lines[p], f"duplicate comment_id {comment_id!r}") for p, comment_id in repeats]
         errors = sorted(errors + duplicates, key=operator.attrgetter("line"))
         dropped = {p for p, _ in repeats}
-        table_rows = {p - bisect_left(orphan_at, p) for p in dropped.difference(orphan_at)}
-        comments = CommentTable.from_rows(row for k, row in enumerate(comments.rows()) if k not in table_rows)
+        keep = bytearray(b"\1") * len(comments)
+        for p in dropped.difference(orphan_at):
+            keep[p - bisect_left(orphan_at, p)] = 0
+        columns = comments.columns()
+        del comments  # so that each old column is freed once its kept copy is built
+        comments = CommentTable.kept(columns, keep)
         orphans = [orphan for orphan, p in zip(orphans, orphan_at) if p not in dropped]
     return comments, CommentLoadReport(tuple(orphans), tuple(errors))
 

@@ -3,11 +3,12 @@
 The unit of this layer is one comment's token list: the lowercased text's
 maximal runs of letters a-z, digits and inner apostrophes. A report
 tokenises each comment once, a chunk of ``CHUNK`` comments at a time
-(:func:`score_and_label`), and hands the same lists to the sentiment
-scorer and the topic classifier, so no stage holds every comment's tokens
-at once. Both stages sit behind small token-level interfaces, so another
-scorer or classifier over the same tokens, or labels precomputed
-out-of-band, can be plugged in without touching the aggregation. The
+(:func:`aggregate_discourse`), hands the same lists to the sentiment
+scorer and the topic classifier, and keeps only counts, so no stage holds
+every comment's tokens, score or label. Both stages sit behind small
+token-level interfaces, so another scorer or classifier over the same
+tokens, or labels precomputed out-of-band, can be plugged in without
+touching the aggregation. The
 bundled defaults are deterministic: a valence-lexicon scorer with
 negation/booster rules and a keyword-rule topic classifier over the fixed
 five-category schema.
@@ -41,7 +42,6 @@ __all__ = [
     "KeywordTopicClassifier",
     "score_comments",
     "label_comments",
-    "score_and_label",
     "tokenize",
     "load_sentiment_lexicon",
     "load_topic_keywords",
@@ -233,35 +233,6 @@ def label_comments(
     return list(map((classifier or KeywordTopicClassifier()).classify, comments))
 
 
-def score_and_label(
-    texts: Sequence[str],
-    scorer: SentimentScorer | None = None,
-    classifier: TopicClassifier | None = None,
-    label: bool = True,
-) -> tuple[array, list[str]]:
-    """Scores and (if ``label``) topic labels of ``texts``, in order.
-
-    Each text is tokenised once, ``CHUNK`` texts at a time, and the chunk's
-    token lists go to :func:`score_comments` and :func:`label_comments`;
-    they (about 360 bytes a comment) are the only token lists alive at
-    once. A table's packed ``texts`` hand over each chunk in one slice.
-    Without ``label`` the classifier never runs and the labels list is
-    empty. An empty ``texts`` still calls each function once, on no comments.
-    """
-    scorer = scorer or LexiconSentimentScorer()
-    if label:
-        classifier = classifier or KeywordTopicClassifier()
-    scores = array("d")
-    labels: list[str] = []
-    for start in range(0, len(texts) or 1, CHUNK):
-        # ``tokenize`` of each text, without a Python call per text
-        tokens = list(map(_TOKEN_RE.findall, map(str.lower, texts[start:start + CHUNK])))
-        scores.extend(score_comments(tokens, scorer))
-        if label:
-            labels.extend(label_comments(tokens, classifier))
-    return scores, labels
-
-
 def load_precomputed_labels(path: str | Path) -> dict[str, str]:
     """Externally computed topic labels by comment id (JSON-lines: comment_id, label).
 
@@ -319,11 +290,8 @@ def _make_row(group: str, scores: Mapping[float, int], labels: Mapping[str, int]
     ``sx / scale / n`` is ``fsum(data) / n``, as an int/int division rounds
     correctly. Only where ``fsum`` overflows on the way to a sum in range
     (``[1e308, 1e308, -1.7e308]``) does ``fmean`` raise and this mean not.
-    An infinite or NaN score raises :class:`ValidationError`.
+    Every score is finite: :func:`score_comments` refuses any other.
     """
-    bad = next(filterfalse(math.isfinite, scores), None)
-    if bad is not None:
-        raise ValidationError(f"sentiment score {bad!r} given to aggregate_discourse; scores must be finite")
     ratios = [(value.as_integer_ratio(), count) for value, count in scores.items()]
     scale = max(den for (_, den), _ in ratios)  # a power of two that every denominator divides
     n = sx = sxx = 0
@@ -346,23 +314,28 @@ def _make_row(group: str, scores: Mapping[float, int], labels: Mapping[str, int]
 
 def aggregate_discourse(
     comments: CommentTable,
-    labels: Sequence[str],
-    scores: Sequence[float],
     dyads: Sequence[CollaborationDyad],
     corpus: Corpus,
     exclude_videos: Collection[str] = (),
+    scorer: SentimentScorer | None = None,
+    classifier: TopicClassifier | None = None,
+    labels: Mapping[str, str] | None = None,
 ) -> DiscourseReport:
-    """Aggregate per-comment sentiment and topics by dyad type.
+    """Score, label and aggregate the comments' sentiment and topics by dyad type.
 
-    ``labels`` and ``scores`` hold one entry per comment, in comment order.
     Comments under a dyad's videos feed that dyad type; comments under
     videos in no dyad (and not in ``exclude_videos``, which callers use
     for multi-party collaboration videos) feed the non-collaboration
     baseline. Aggregation weights each comment equally. Dyad types with
     zero comments are omitted rather than zero-filled.
 
-    Each comment is counted, not visited: one ``Counter`` over the zipped
-    group, score and label columns, in C, gives every group's row.
+    The comments are read ``CHUNK`` at a time. Each chunk's texts are
+    tokenised once, and the token lists go to :func:`score_comments` and
+    :func:`label_comments` (default: the bundled scorer and classifier).
+    Precomputed ``labels`` (topic label by comment id) replace the
+    classifier; a comment they lack raises :class:`ValidationError`. One
+    ``Counter`` counts each chunk's (group, score, label) triples in C. An
+    empty table still calls each function once.
     """
     # A comment's group is its video's dyad type, None under an excluded
     # video, or "baseline" under any other; a dyad type always holds a hyphen.
@@ -370,14 +343,28 @@ def aggregate_discourse(
     for dyad in dyads:
         for video_id in dyad.videos:
             group_of_video[video_id] = dyad.dyad_type
-    video_ids = comments.video_ids
-    if not len(video_ids) == len(scores) == len(labels):
-        raise ValueError(f"{len(video_ids)} comments but {len(scores)} scores and {len(labels)} labels")
+    if labels is None:
+        classifier = classifier or KeywordTopicClassifier()
+
+    counts: Counter = Counter()
+    for start in range(0, len(comments) or 1, CHUNK):
+        stop = start + CHUNK
+        # ``tokenize`` of each text, without a Python call per text
+        tokens = list(map(_TOKEN_RE.findall, map(str.lower, comments.texts[start:stop])))
+        scores = score_comments(tokens, scorer)
+        if labels is None:
+            chunk_labels = label_comments(tokens, classifier)
+        else:
+            try:
+                chunk_labels = list(map(labels.__getitem__, comments.comment_ids[start:stop]))
+            except KeyError as exc:
+                raise ValidationError(f"comment {exc.args[0]!r} lacks a topic label") from None
+        groups = map(group_of_video.get, comments.video_ids[start:stop], repeat("baseline"))
+        counts.update(zip(groups, scores, chunk_labels))
 
     scores_of: defaultdict[str | None, Counter] = defaultdict(Counter)
     labels_of: defaultdict[str | None, Counter] = defaultdict(Counter)
-    groups = map(group_of_video.get, video_ids, repeat("baseline"))
-    for (group, score, label), count in Counter(zip(groups, scores, labels)).items():
+    for (group, score, label), count in counts.items():
         scores_of[group][score] += count
         labels_of[group][label] += count
     observed = set().union(*labels_of.values())

@@ -234,17 +234,8 @@ class CommunityPipeline:
 
     @cached_property
     def discourse_report(self) -> discourse.DiscourseReport:
-        comments = self.corpus.comments
-        scores, labels = discourse.score_and_label(
-            comments.texts, self.scorer, self.classifier, label=self.labels is None
-        )
-        if self.labels is not None:
-            try:
-                labels = [self.labels[comment_id] for comment_id in comments.comment_ids]
-            except KeyError as exc:
-                raise ValidationError(f"comment {exc.args[0]!r} lacks a topic label") from None
         return discourse.aggregate_discourse(
-            comments, labels, scores, self.dyads, self.corpus, exclude_videos=self.partition.multi_way
+            self.corpus.comments, self.dyads, self.corpus, self.partition.multi_way, self.scorer, self.classifier, self.labels
         )
 
 

@@ -37,6 +37,17 @@ def make_comment(comment_id, video_id, author_id, text="", offset_minutes=0, lik
     return (comment_id, video_id, author_id, text, T0_US + offset_minutes * 60_000_000, like_count)
 
 
+class KeyedScorer:
+    """A plug-in sentiment scorer that gives a comment the score of its one token, its own text."""
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def score(self, tokens):
+        (token,) = tokens
+        return self.scores[token]
+
+
 @pytest.fixture
 def two_channel_corpus():
     """Host A with one collab video mentioning B, plus solo videos each."""

@@ -34,7 +34,7 @@ from collabmetrics.simgen import (
     simulate_to_dir,
 )
 
-from .conftest import make_channel, make_comment, make_video
+from .conftest import KeyedScorer, make_channel, make_comment, make_video
 
 
 def _verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -287,7 +287,8 @@ def test_criterion_10_discourse_report_integrity():
         make_video("wm", "C", description="with @hosta", offset_hours=1),
         make_video("solo", "B", offset_hours=2),
     ]
-    comments = CommentTable.from_rows(make_comment(f"c{i}", vid, f"u{i}") for i, vid in enumerate(
+    # Each comment's text is its id, which the scorer below keys its score by.
+    comments = CommentTable.from_rows(make_comment(f"c{i}", vid, f"u{i}", f"c{i}") for i, vid in enumerate(
         ["mm", "mm", "wm", "wm", "wm", "wm", "solo", "solo", "solo", "solo"]
     ))
     corpus = build_corpus(registry, videos, comments)
@@ -305,13 +306,7 @@ def test_criterion_10_discourse_report_integrity():
         "c2": "gameplay", "c3": "food", "c4": "environment", "c5": "other",
         "c6": "other", "c7": "other", "c8": "gameplay", "c9": "food",
     }
-    report = aggregate_discourse(
-        comments,
-        [labels_by_id[comment_id] for comment_id in comments.comment_ids],
-        [injected_scores[comment_id] for comment_id in comments.comment_ids],
-        dyads,
-        corpus,
-    )
+    report = aggregate_discourse(comments, dyads, corpus, scorer=KeyedScorer(injected_scores), labels=labels_by_id)
     ok = (
         report.by_dyad_type["M-M"].mean_sentiment == 0.5
         and report.by_dyad_type["W-M"].mean_sentiment == 0.5

@@ -45,7 +45,7 @@ from collabmetrics.corpus import write_corpus
 from collabmetrics.errors import ConfigurationError, ValidationError
 from collabmetrics.report import CommunityPipeline, RunConfig, RunStageError, run_report
 
-from .conftest import make_channel, make_comment, make_video
+from .conftest import KeyedScorer, make_channel, make_comment, make_video
 
 
 def score_sentiment(text):
@@ -166,21 +166,20 @@ class TestAggregate:
             make_video("multi", "A", offset_hours=2),
         ]
         comments = CommentTable.from_rows([
-            make_comment("c1", "collab", "u1"),
-            make_comment("c2", "collab", "u2"),
-            make_comment("c3", "plain", "u3"),
-            make_comment("c4", "multi", "u4"),
+            make_comment("c1", "collab", "u1", "c1"),
+            make_comment("c2", "collab", "u2", "c2"),
+            make_comment("c3", "plain", "u3", "c3"),
+            make_comment("c4", "multi", "u4", "c4"),
         ])
         corpus = build_corpus(registry, videos, comments)
         dyads = [CollaborationDyad("A", "B", ("collab",), "M-M")]
         return corpus, dyads
 
     def _run(self, scores_by_id, labels_by_id, exclude=()):
+        """The report with each comment's score and label injected; a comment's text is its id."""
         corpus, dyads = self._fixture()
-        scores = [scores_by_id[comment_id] for comment_id in corpus.comments.comment_ids]
-        labels = [labels_by_id[comment_id] for comment_id in corpus.comments.comment_ids]
         return aggregate_discourse(
-            corpus.comments, labels, scores, dyads, corpus, exclude_videos=exclude
+            corpus.comments, dyads, corpus, exclude, scorer=KeyedScorer(scores_by_id), labels=labels_by_id
         )
 
     def test_hand_computed_means(self):
@@ -222,13 +221,9 @@ class TestAggregate:
         corpus, dyads = self._fixture()
         dyads = dyads + [CollaborationDyad("B", "A", ("plain",), "W-M")]
         # no comments under any W-M video? c3 sits on 'plain' which is now W-M
-        scores = [0.0] * len(corpus.comments)
-        labels = ["other"] * len(corpus.comments)
-        report = aggregate_discourse(corpus.comments, labels, scores, dyads, corpus)
+        report = aggregate_discourse(corpus.comments, dyads, corpus)
         assert set(report.by_dyad_type) == {"M-M", "W-M"}
-        report2 = aggregate_discourse(
-            corpus.comments.on_videos({"collab", "multi"}), labels[1:], scores[1:], dyads, corpus
-        )
+        report2 = aggregate_discourse(corpus.comments.on_videos({"collab", "multi"}), dyads, corpus)
         assert set(report2.by_dyad_type) == {"M-M"}
 
     def test_report_structure_stable_across_plugins(self):
@@ -238,10 +233,7 @@ class TestAggregate:
             (LexiconSentimentScorer({"good": 1.9}), KeywordTopicClassifier({"food": {"ramen"}})),
             (LexiconSentimentScorer({"bad": -2.0}), KeywordTopicClassifier()),
         ):
-            tokens = list(map(tokenize, corpus.comments.texts))
-            scores = score_comments(tokens, scorer)
-            labels = label_comments(tokens, classifier)
-            report = aggregate_discourse(corpus.comments, labels, scores, dyads, corpus)
+            report = aggregate_discourse(corpus.comments, dyads, corpus, scorer=scorer, classifier=classifier)
             rows[id(scorer)] = {
                 group: (set(row.topic_proportions), row.comment_count)
                 for group, row in report.by_dyad_type.items()
@@ -264,11 +256,12 @@ def _row_of(scores, labels=None, categories=()):
 
 
 # Distinct values as a scorer gives them, and odd ones: zeros of either
-# sign, subnormals, values near the float limits, infinities and NaN.
+# sign, subnormals and values near the float limits. ``score_comments``
+# lets no other score through.
 _score_values = st.one_of(
     st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.0, 0.1, 5e-324, 2.2250738585072014e-308, 1e308, -1.7e308]),
     st.floats(-1.0, 1.0),
-    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 
 
@@ -288,14 +281,8 @@ class TestExactPstdev:
     @example(values=[1e308, -1.7e308], picks=[0, 1])
     @example(values=[1e308, -1.7e308], picks=[0, 0, 1])  # ``fsum`` overflows in between; the exact sum does not
     @example(values=[1e308], picks=[0, 0])  # the sum itself overflows
-    @example(values=[math.inf, 0.5], picks=[0, 1])
-    @example(values=[math.nan, 0.5], picks=[0, 1])
     def test_matches_statistics(self, values, picks):
         scores = array("d", (values[i % len(values)] for i in picks))
-        if not all(map(math.isfinite, scores)):
-            with pytest.raises(ValidationError, match=r"^sentiment score .* given to aggregate_discourse; scores must be finite$"):
-                _row_of(scores)
-            return
         # ``fmean`` is ``fsum(scores) / n``, and ``fsum`` is the exact sum
         # rounded once, unless it overflows on the way to a sum in range.
         mean = _outcome(lambda: float(sum(map(Fraction, scores))) / len(scores))
@@ -329,12 +316,11 @@ class TestExactPstdev:
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
 def test_aggregate_refuses_a_non_finite_score(value):
-    """A score that is not finite, given straight to the aggregation, is one ``ValidationError`` line."""
+    """A plug-in score that is not finite stops the aggregation with ``score_comments``' one line."""
     corpus = _chunked_corpus(14, ("good",))
-    scores = [0.5] * 13 + [value]
     with pytest.raises(ValidationError) as err:
-        aggregate_discourse(corpus.comments, ["other"] * 14, scores, [], corpus)
-    assert str(err.value) == f"sentiment score {value!r} given to aggregate_discourse; scores must be finite"
+        aggregate_discourse(corpus.comments, [], corpus, scorer=_ConstantScorer(value))
+    assert str(err.value) == f"sentiment scorer _ConstantScorer returned {value!r}; scores must be finite"
 
 
 # ---------------------------------------------------------------------------
@@ -457,21 +443,24 @@ class TestCountedAggregation:
     @example(([], set(), []))  # no comments: no rows, and no baseline
     @example(([CollaborationDyad("A", "B", ("v0",), "W-M")], set(), [("v0", 0.25, "food")]))  # a group of one
     @example(([CollaborationDyad("A", "B", ("v0",), "W-M")], {"v0", "v1"}, [("v0", 0.5, "meta"), ("v1", 0.5, "gone"), ("gone", 0.1, "food")]))
+    @example((  # three chunks
+        [CollaborationDyad("A", "B", ("v0", "v1"), "W-M"), CollaborationDyad("B", "A", ("v3",), "M-W")],
+        {"v2"},
+        [((("gone",) + _VIDEOS)[i % 6], (i % 9) / 8 - 0.5, (TOPIC_CATEGORIES + ("meta",))[i // 2 % 6]) for i in range(2 * CHUNK + 3)],
+    ))
     def test_equals_per_comment_walk(self, table):
+        """Each comment's score (its text ``t<i>`` keyed) and label (by its id) injected."""
         dyads, exclude, rows = table
-        comments = CommentTable.from_rows(make_comment(f"c{i}", video, "u") for i, (video, _, _) in enumerate(rows))
-        scores = array("d", (score for _, score, _ in rows))
-        labels = [label for _, _, label in rows]
-        args = (comments, labels, scores, dyads, _TABLE_CORPUS)
-        got = aggregate_discourse(*args, exclude_videos=exclude)
-        assert _packed_report(got) == _packed_report(reference_aggregate_discourse(*args, exclude_videos=exclude))
+        comments = CommentTable.from_rows(make_comment(f"c{i}", video, "u", f"t{i}") for i, (video, _, _) in enumerate(rows))
+        scorer = KeyedScorer({f"t{i}": score for i, (_, score, _) in enumerate(rows)})
+        labels = {f"c{i}": label for i, (_, _, label) in enumerate(rows)}
+        got = aggregate_discourse(comments, dyads, _TABLE_CORPUS, exclude, scorer=scorer, labels=labels)
+        expected = reference_aggregate_discourse(
+            comments, list(labels.values()), [score for _, score, _ in rows], dyads, _TABLE_CORPUS, exclude_videos=exclude
+        )
+        assert _packed_report(got) == _packed_report(expected)
         if not rows:
             assert got.baseline is None and got.by_dyad_type == {}
-
-    def test_misaligned_inputs_raise(self):
-        comments = CommentTable.from_rows([make_comment("c0", "v0", "u"), make_comment("c1", "v1", "u")])
-        with pytest.raises(ValueError, match="2 comments but 1 scores and 2 labels"):
-            aggregate_discourse(comments, ["other", "food"], [0.5], [], _TABLE_CORPUS)
 
 
 # ---------------------------------------------------------------------------
@@ -724,47 +713,49 @@ class TestChunkedReport:
         assert repr(got) == repr(expected)
         assert {name for name, _ in calls} == {"score_comments"}
 
-    def test_labels_join_in_comment_order(self, monkeypatch):
-        """Given labels reach the aggregation in the order of the comments, across chunks."""
-        n = 2 * CHUNK + 1
-        corpus = _chunked_corpus(n, _CHUNK_TEXTS)
-        given_labels = {f"c{i:05d}": TOPIC_CATEGORIES[(i * 3) % 5] for i in range(n)}
-        joined = []
-        original = discourse.aggregate_discourse
+    def test_labels_join_in_comment_order(self):
+        """Given labels join their own comments, across chunks: labelled with its
+        video, each comment adds to its own group's share of that video."""
+        corpus = _chunked_corpus(2 * CHUNK + 1, _CHUNK_TEXTS)
+        comments = corpus.comments
+        given_labels = dict(zip(comments.comment_ids, comments.video_ids))
+        got = _pipeline(corpus, labels=given_labels).discourse_report
+        assert got.categories == tuple(sorted({*comments.video_ids, *TOPIC_CATEGORIES}))
+        solo = [video_id for video_id in comments.video_ids if video_id.startswith("solo-")]
+        expected = {
+            "W-M": Counter(wm=comments.video_ids.count("wm")),
+            "M-W": Counter(mw=comments.video_ids.count("mw")),
+            "baseline": Counter(solo),
+        }
+        for row in (*got.by_dyad_type.values(), got.baseline):
+            counts = expected[row.group]
+            assert row.comment_count == counts.total()
+            assert row.topic_proportions == {cat: counts[cat] / counts.total() for cat in got.categories}
 
-        def spy(comments, labels, *args, **kwargs):
-            joined.append(list(labels))
-            return original(comments, labels, *args, **kwargs)
-
-        monkeypatch.setattr(discourse, "aggregate_discourse", spy)
-        _pipeline(corpus, labels=given_labels).discourse_report
-        assert joined == [[given_labels[f"c{i:05d}"] for i in range(n)]]
+    def test_label_missing_in_the_last_chunk_raises(self):
+        corpus = _chunked_corpus(2 * CHUNK + 1, _CHUNK_TEXTS)
+        *labelled, last = corpus.comments.comment_ids
+        pipeline = _pipeline(corpus, labels=dict.fromkeys(labelled, "food"))
+        with pytest.raises(ValidationError) as err:
+            pipeline.discourse_report
+        assert str(err.value) == f"comment {last!r} lacks a topic label"
 
     def test_empty_corpus_still_calls_both_functions(self, monkeypatch):
         calls = _record_calls(monkeypatch)
-        scores, labels = discourse.score_and_label(())
-        assert (len(scores), labels) == (0, [])
-        assert [name for name, _ in calls] == ["score_comments", "label_comments"]
+        report = aggregate_discourse(CommentTable.from_rows([]), [], _TABLE_CORPUS)
+        assert (report.by_dyad_type, report.baseline) == ({}, None)
+        assert calls == [("score_comments", []), ("label_comments", [])]
 
 
-def test_discourse_peak_bytes_per_comment():
-    """Scoring and labelling 4,000 comments holds one chunk of token lists, not all of them.
-
-    The traced peak of ``discourse_report`` above the loaded corpus, on
-    simulator-shaped texts, is about 70 bytes a comment on Python 3.11, most
-    of it fixed: one chunk's token lists and the default classifier's tables.
-    (With every score a float object in a list and no chunks it was about 60
-    bytes here; at 50,000 comments it is about 25 bytes against 57.) Token
-    lists kept for every comment would add about 358 bytes a comment.
-    """
+def _discourse_peak(n_comments):
+    """The report of ``n_comments`` simulator-shaped comments, and the traced peak of ``discourse_report`` above the loaded corpus."""
     texts = (
         "the ranked match is terrible",
         "awesome, your desk",
         "honestly that clutch play is so great",
         "your coffee is bland",
     )
-    corpus = _chunked_corpus(4_000, texts)
-    pipeline = _pipeline(corpus)
+    pipeline = _pipeline(_chunked_corpus(n_comments, texts))
     pipeline.dyads, pipeline.partition  # computed before, so only discourse is measured
     LexiconSentimentScorer(), KeywordTopicClassifier()  # the bundled tables, cached once
     gc.collect()
@@ -776,7 +767,23 @@ def test_discourse_peak_bytes_per_comment():
     finally:
         tracemalloc.stop()
     assert report.baseline.comment_count > 0
-    assert peak / len(corpus.comments) <= 100
+    return peak
+
+
+def test_discourse_peak_bytes_per_comment():
+    """The discourse stage holds one chunk of token lists and the counts of
+    distinct (group, score, label) triples, not a score or a label per comment.
+
+    Its traced peak, about 250 KB on Python 3.11, is nearly all fixed: one
+    chunk's token lists and the default classifier's tables. So it is about
+    63 bytes a comment at 4,000 comments and does not grow with their
+    count. With a score ``array`` and a labels list for every comment it
+    grew about 17.7 bytes a comment, to 1.34 MB at 64,000 comments, and
+    token lists kept for every comment would add about 358 bytes a comment.
+    """
+    small = _discourse_peak(4_000)
+    assert small / 4_000 <= 100
+    assert _discourse_peak(64_000) <= 1.1 * small
 
 
 class _ConstantScorer:
