@@ -14,6 +14,7 @@ import tracemalloc
 import weakref
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -437,6 +438,74 @@ class TestGoldenHeaders:
         run_report(RunConfig(community_dirs=(str(corpus_dir),), out_dir=str(out)))
         for name, header in self.EXPECTED.items():
             assert (out / name).read_text().splitlines()[0] == header, name
+
+
+SUBCOMMANDS = ("ingest", "collabs", "synergy", "network", "entropy", "discourse", "simulate", "report")
+GOLDEN_HELP = Path(__file__).with_name("golden") / "cli_help.txt"
+
+
+def cli_surface() -> str:
+    """The ``--help`` text of the group and of every subcommand at 80
+    columns, then each option's environment variable, as click derives it
+    from ``auto_envvar_prefix`` and the option's parameter name."""
+    parts = []
+    for args in (["--help"], *([name, "--help"] for name in SUBCOMMANDS)):
+        result = CliRunner().invoke(main, args, prog_name="collabmetrics", terminal_width=80, catch_exceptions=False)
+        assert result.exit_code == 0, args
+        parts.append(f"$ collabmetrics {' '.join(args)}\n{result.output}")
+    group = click.Context(main, info_name="collabmetrics", **main.context_settings)
+    for command, ctx in [(main, group)] + [
+        (main.commands[name], click.Context(main.commands[name], parent=group, info_name=name)) for name in SUBCOMMANDS
+    ]:
+        for param in command.params:
+            if isinstance(param, click.Option) and param.allow_from_autoenv:
+                parts.append(f"{ctx.auto_envvar_prefix}_{param.name.upper()} {ctx.command_path} {'/'.join(param.opts)}\n")
+    return "".join(parts)
+
+
+class TestCliSurface:
+    """The options, their help and their environment variables stay as declared."""
+
+    def test_help_and_environment_variables_pinned(self):
+        # Regenerate with: python -c 'from tests.test_cli import *; GOLDEN_HELP.write_text(cli_surface())'
+        assert cli_surface() == GOLDEN_HELP.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        ("command", "flag", "variable", "value"),
+        [
+            ("ingest", "--corpus", "CORPUS_DIR", "corpus"),
+            ("collabs", "--out", "OUT_DIR", "out"),
+            ("synergy", "--statistic", "STATISTIC", "mean"),
+            ("network", "--corpus", "CORPUS_DIR", "corpus"),
+            ("entropy", "--min-comments", "MIN_COMMENTS", "2"),
+            ("discourse", "--sentiment-lexicon", "SENTIMENT_LEXICON", "lexicon"),
+        ],
+    )
+    def test_stage_option_from_environment(self, corpus_dir, tmp_path, command, flag, variable, value):
+        """``COLLABMETRICS_<COMMAND>_<OPTION>`` sets a stage option as its flag does."""
+        lexicon = tmp_path / "lexicon.csv"
+        lexicon.write_text("token,valence\ngg,2.5\nlag,-1.5\n", encoding="utf-8")
+        given = {"corpus": str(corpus_dir), "lexicon": str(lexicon)}.get(value, value)
+        written = {}
+        for how in ("flag", "env", "default"):
+            out = tmp_path / how
+            args = {"--corpus": str(corpus_dir), "--out": str(out)}
+            if command == "ingest":
+                del args["--out"]
+            setting = str(out) if value == "out" else given
+            env = {}
+            if how == "flag":
+                args[flag] = setting
+            elif how == "env":
+                args.pop(flag, None)
+                env = {f"COLLABMETRICS_{command.upper()}_{variable}": setting}
+            result = CliRunner().invoke(main, [command, *(s for pair in args.items() for s in pair)], env=env)
+            assert result.exit_code == 0, result.output
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+            written[how] = files or result.output
+        assert written["env"] == written["flag"]
+        if value not in ("corpus", "out"):  # the option changes what is written
+            assert written["flag"] != written["default"]
 
 
 class TestConfigFileAndEnv:

@@ -871,6 +871,18 @@ def test_cap_videos_keeps_most_recent():
     assert ids == {"v4", "v5", "w0"}
 
 
+@pytest.mark.parametrize(
+    ("cap", "expected"),
+    [(2, ["a1", "a4", "b1", "b2"]), (3, ["a2", "a1", "a4", "b1", "b2"]), (10, ["a3", "a2", "a1", "a4", "b1", "b2"])],
+)
+def test_cap_videos_keeps_input_order_of_equal_times(cap, expected):
+    # Channels come out in id order, each by time; videos published at the
+    # same time keep their input order, and the cap keeps the later ones.
+    rows = [("b1", "B", 0), ("a2", "A", 1), ("a1", "A", 1), ("b2", "B", 0), ("a3", "A", 0), ("a4", "A", 1)]
+    videos = [make_video(video_id, channel, offset_hours=hours) for video_id, channel, hours in rows]
+    assert [v.video_id for v in cap_videos_per_channel(videos, cap=cap)] == expected
+
+
 @pytest.mark.parametrize("cap", [0, -3])
 def test_cap_below_one_rejected(cap):
     videos = [make_video(f"v{i}", "A", offset_hours=i) for i in range(4)]
