@@ -3,8 +3,8 @@
 Subcommands mirror the pipeline stages (``ingest``, ``collabs``,
 ``synergy``, ``network``, ``entropy``, ``discourse``), plus ``simulate``
 for synthetic communities and ``report`` for the end-to-end bundle. Every
-option can also be set through a ``COLLABMETRICS_``-prefixed environment
-variable.
+option can also be set through ``COLLABMETRICS_<COMMAND>_<NAME>``, ``NAME``
+being its parameter name in capitals (``--out`` is ``OUT_DIR``).
 """
 
 from __future__ import annotations
@@ -34,17 +34,17 @@ def _read_json_object(path: str) -> dict:
     return raw
 
 
-def _run_stage(write, corpus_dir: str, attribute_key: str, out_dir: str, *inputs, **settings) -> None:
+def _run_stage(write, *inputs, corpus_dir: str, **settings) -> None:
     """Print the summary of ``write``, one stage's file writer, run on one corpus.
 
     ``inputs`` are the pipeline's discourse scorer, classifier and labels;
     ``settings`` are :class:`RunConfig` fields.
     """
-    corpus, _, _ = load_corpus_dir(corpus_dir, attribute_key=attribute_key)
-    config = report.RunConfig(community_dirs=(corpus_dir,), out_dir=out_dir, attribute_key=attribute_key, **settings)
+    corpus, _, _ = load_corpus_dir(corpus_dir, attribute_key=settings["attribute_key"])
+    config = report.RunConfig(community_dirs=(corpus_dir,), **settings)
     pipeline = report.CommunityPipeline(corpus, config, *inputs)
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    click.echo(write(pipeline, Path(out_dir)))
+    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    click.echo(write(pipeline, Path(config.out_dir)))
 
 
 class _Main(click.Group):
@@ -69,9 +69,25 @@ def main(verbose: bool) -> None:
     )
 
 
+_CORPUS = click.option("--corpus", "corpus_dir", required=True, type=click.Path(exists=True, file_okay=False))
+_ATTRIBUTE_KEY = click.option("--attribute-key", default="gender", show_default=True)
+_OUT = click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
+
+
+def _stage(name: str, *options):
+    """Declare the stage subcommand ``name``: ``--corpus``, ``--attribute-key``, its own ``options``, ``--out``."""
+
+    def declare(command):
+        for option in reversed((_CORPUS, _ATTRIBUTE_KEY, *options, _OUT)):
+            command = option(command)
+        return main.command(name)(command)
+
+    return declare
+
+
 @main.command()
-@click.option("--corpus", "corpus_dir", required=True, type=click.Path(exists=True, file_okay=False))
-@click.option("--attribute-key", default="gender", show_default=True)
+@_CORPUS
+@_ATTRIBUTE_KEY
 def ingest(corpus_dir: str, attribute_key: str) -> None:
     """Load and validate a corpus directory as ``report`` does; print a summary with drop counts."""
     corpus, dropped, _ = load_corpus_dir(corpus_dir, attribute_key=attribute_key)
@@ -86,61 +102,46 @@ def ingest(corpus_dir: str, attribute_key: str) -> None:
     click.echo(json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False))
 
 
-@main.command()
-@click.option("--corpus", "corpus_dir", required=True, type=click.Path(exists=True, file_okay=False))
-@click.option("--attribute-key", default="gender", show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-def collabs(corpus_dir: str, attribute_key: str, out_dir: str) -> None:
+@_stage("collabs")
+def collabs(**options) -> None:
     """Detect collaboration dyads; write dyads.jsonl and shares.csv."""
-    _run_stage(report.write_collabs, corpus_dir, attribute_key, out_dir)
+    _run_stage(report.write_collabs, **options)
 
 
-@main.command("synergy")
-@click.option("--corpus", "corpus_dir", required=True, type=click.Path(exists=True, file_okay=False))
-@click.option("--attribute-key", default="gender", show_default=True)
-@click.option("--baseline-mode", type=click.Choice(BASELINE_MODES), default="solo", show_default=True)
-@click.option("--statistic", type=click.Choice(STATISTICS), default="median", show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-def synergy_cmd(corpus_dir: str, attribute_key: str, baseline_mode: str, statistic: str, out_dir: str) -> None:
+@_stage(
+    "synergy",
+    click.option("--baseline-mode", type=click.Choice(BASELINE_MODES), default="solo", show_default=True),
+    click.option("--statistic", type=click.Choice(STATISTICS), default="median", show_default=True),
+)
+def synergy_cmd(**options) -> None:
     """Per-dyad contributions plus per-type aggregates and reciprocity."""
-    _run_stage(report.write_synergy, corpus_dir, attribute_key, out_dir, baseline_mode=baseline_mode, statistic=statistic)
+    _run_stage(report.write_synergy, **options)
 
 
-@main.command()
-@click.option("--corpus", "corpus_dir", required=True, type=click.Path(exists=True, file_okay=False))
-@click.option("--attribute-key", default="gender", show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-def network(corpus_dir: str, attribute_key: str, out_dir: str) -> None:
+@_stage("network")
+def network(**options) -> None:
     """Collaboration-graph closeness per channel and per attribute value."""
-    _run_stage(report.write_network, corpus_dir, attribute_key, out_dir)
+    _run_stage(report.write_network, **options)
 
 
-@main.command()
-@click.option("--corpus", "corpus_dir", required=True, type=click.Path(exists=True, file_okay=False))
-@click.option("--attribute-key", default="gender", show_default=True)
-@click.option("--min-comments", default=1, show_default=True, help="Drop commenters below this activity.")
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-def entropy(corpus_dir: str, attribute_key: str, min_comments: int, out_dir: str) -> None:
+@_stage(
+    "entropy",
+    click.option("--min-comments", default=1, show_default=True, help="Drop commenters below this activity."),
+)
+def entropy(**options) -> None:
     """Commenter attention entropy and its CDF."""
-    _run_stage(report.write_entropy, corpus_dir, attribute_key, out_dir, min_comments=min_comments)
+    _run_stage(report.write_entropy, **options)
 
 
-@main.command("discourse")
-@click.option("--corpus", "corpus_dir", required=True, type=click.Path(exists=True, file_okay=False))
-@click.option("--attribute-key", default="gender", show_default=True)
-@click.option("--labels", "labels_path", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Precomputed topic labels (JSON-lines: comment_id, label).")
-@click.option("--sentiment-lexicon", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--topic-keywords", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-def discourse_cmd(
-    corpus_dir: str,
-    attribute_key: str,
-    labels_path: str | None,
-    sentiment_lexicon: str | None,
-    topic_keywords: str | None,
-    out_dir: str,
-) -> None:
+@_stage(
+    "discourse",
+    click.option("--labels", "labels_path", type=click.Path(exists=True, dir_okay=False), default=None,
+                 help="Precomputed topic labels (JSON-lines: comment_id, label)."),
+    click.option("--sentiment-lexicon", type=click.Path(exists=True, dir_okay=False), default=None),
+    click.option("--topic-keywords", type=click.Path(exists=True, dir_okay=False), default=None),
+)
+def discourse_cmd(labels_path: str | None, sentiment_lexicon: str | None, topic_keywords: str | None,
+                  **options) -> None:
     """Sentiment and topic aggregation by dyad type."""
     if labels_path and topic_keywords:
         raise click.UsageError("--labels and --topic-keywords are mutually exclusive: labels replace the classifier")
@@ -151,7 +152,7 @@ def discourse_cmd(
         labels = discourse.load_precomputed_labels(labels_path)
     elif topic_keywords:
         classifier = discourse.KeywordTopicClassifier(discourse.load_topic_keywords(topic_keywords))
-    _run_stage(report.write_discourse, corpus_dir, attribute_key, out_dir, scorer, classifier, labels)
+    _run_stage(report.write_discourse, scorer, classifier, labels, **options)
 
 
 @main.command()
@@ -190,30 +191,11 @@ def simulate(preset_name: str, spec_path: str | None, seed: int, out_dir: str, f
 @click.option("--max-videos-per-channel", type=int, default=None,
               help="Optionally cap each channel to its most recent N videos.")
 @click.option("--format", "formats", type=click.Choice(report.FORMATS), multiple=True)
-def report_cmd(
-    corpus_dirs: tuple[str, ...],
-    config_path: str | None,
-    out_dir: str | None,
-    attribute_key: str | None,
-    baseline_mode: str | None,
-    statistic: str | None,
-    min_comments: int | None,
-    max_videos_per_channel: int | None,
-    formats: tuple[str, ...],
-) -> None:
+def report_cmd(config_path: str | None, corpus_dirs: tuple[str, ...], **flags) -> None:
     """Run the full pipeline and write the report bundle."""
     raw = _read_json_object(config_path) if config_path else {}
-    overrides = {
-        "community_dirs": tuple(corpus_dirs) or None,
-        "out_dir": out_dir,
-        "attribute_key": attribute_key,
-        "baseline_mode": baseline_mode,
-        "statistic": statistic,
-        "min_comments": min_comments,
-        "max_videos_per_channel": max_videos_per_channel,
-        "formats": tuple(formats) or None,
-    }
-    raw.update({k: v for k, v in overrides.items() if v is not None})
+    flags["community_dirs"] = corpus_dirs  # each other flag is named after its RunConfig field
+    raw.update({field: value for field, value in flags.items() if value not in (None, ())})
     if not raw.get("community_dirs"):
         raise click.ClickException("at least one --corpus directory (or config community_dirs) is required")
     if not raw.get("out_dir"):

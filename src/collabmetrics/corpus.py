@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, compress, count, islice
+from itertools import accumulate, chain, compress, count, groupby, islice
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Container, Iterable, Iterator, Mapping, TypeVar
@@ -432,8 +432,8 @@ def _rows(
 
     The file is CSV when ``tabular`` is true, JSON-lines when it is false,
     and by default CSV exactly when its suffix is ``.csv``. It is opened and
-    read once; a ``hashlib`` object ``sha256`` is fed its bytes as they are
-    read. A physical line holding a byte that is not UTF-8 makes its row a
+    read once; a ``hashlib`` object ``sha256``, if given, is fed its bytes
+    as they are read. A physical line holding a byte that is not UTF-8 makes its row a
     ``UnicodeDecodeError``. Bad JSON, a CSV record that ``csv`` cannot read
     or that has more cells than its header, and a row that ``parse``
     rejects are that row's error. A CSV row is numbered by its first
@@ -456,7 +456,7 @@ def _rows(
                         bad.append(exc)
             yield line
 
-    binary = io.BufferedReader(_HashingReader(path, hashlib.sha256() if sha256 is None else sha256))
+    binary = path.open("rb") if sha256 is None else io.BufferedReader(_HashingReader(path, sha256))
     encoding = "utf-8-sig" if tabular else "utf-8"  # a CSV file's leading byte order mark is no part of its header
     with io.TextIOWrapper(binary, encoding=encoding, errors="surrogateescape", newline="" if tabular else None) as fh:
         if tabular:
@@ -976,16 +976,11 @@ def attribute_histogram(registry: Sequence[ChannelRecord], key: str) -> Counter:
 def cap_videos_per_channel(videos: Sequence[VideoRecord], cap: int) -> list[VideoRecord]:
     """Keep at most ``cap`` most recent videos per channel (platform-style cap).
 
-    Raises :class:`ConfigurationError` when ``cap`` is below 1.
+    The videos come out by channel id, each channel's by time; videos
+    published at the same time keep their input order. Raises
+    :class:`ConfigurationError` when ``cap`` is below 1.
     """
     if cap < 1:
         raise ConfigurationError(f"max videos per channel must be at least 1, got {cap}")
-    by_channel: dict[str, list[VideoRecord]] = {}
-    for v in videos:
-        by_channel.setdefault(v.channel_id, []).append(v)
-    kept: list[VideoRecord] = []
-    for channel_videos in by_channel.values():
-        channel_videos.sort(key=lambda v: v.published_us)
-        kept.extend(channel_videos[-cap:])
-    kept.sort(key=lambda v: (v.channel_id, v.published_us))
-    return kept
+    by_channel = groupby(sorted(videos, key=lambda v: (v.channel_id, v.published_us)), operator.attrgetter("channel_id"))
+    return [v for _, channel_videos in by_channel for v in list(channel_videos)[-cap:]]

@@ -60,6 +60,7 @@ __all__ = [
 _EPOCH_US = 1_704_067_200_000_000  # 2024-01-01 UTC, in microseconds since 1970-01-01
 _MINUTE_US = 60_000_000
 _HOUR_US = 60 * _MINUTE_US
+_FLOAT_TOL = 1e-9  # how far the pipeline's closeness and entropy may stray from the oracle's
 
 # Generator vocabulary. Sentiment words come from the bundled valence
 # lexicon and topic phrases only hit their own keyword category, so the
@@ -838,9 +839,7 @@ def compute_oracle_metrics(corpus: Corpus, attribute_key: str = "gender") -> _Me
     )
 
 
-def compare_metrics(
-    pipeline: _Metrics, oracle: _Metrics, float_tol: float = 1e-9
-) -> OracleReport:
+def compare_metrics(pipeline: _Metrics, oracle: _Metrics) -> OracleReport:
     mismatches: list[Mismatch] = []
     checks = 0
 
@@ -857,7 +856,7 @@ def compare_metrics(
         for key in sorted(set(a) | set(b)):
             checks += 1
             va, vb = a.get(key), b.get(key)
-            if va is None or vb is None or abs(va - vb) > float_tol:
+            if va is None or vb is None or abs(va - vb) > _FLOAT_TOL:
                 mismatches.append(Mismatch(metric, key, repr(va), repr(vb)))
 
     check_exact("baseline", pipeline.baselines, oracle.baselines)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import hashlib
 import json
 import math
 import re
@@ -152,6 +153,21 @@ class TestClassifier:
         ]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
         assert load_precomputed_labels(path) == {"c1": "food", "c2": "other"}
+
+    def test_side_files_are_not_hashed(self, tmp_path, monkeypatch):
+        # Only corpus files have digests in the manifest; a labels file is as long as the comments.
+        labels, lexicon, keywords = tmp_path / "labels.jsonl", tmp_path / "lex.csv", tmp_path / "kw.csv"
+        labels.write_text('{"comment_id": "c1", "label": "food"}\n', encoding="utf-8")
+        lexicon.write_text("token,valence\nzorp,2.0\n", encoding="utf-8")
+        keywords.write_text("category,token\nfood,zorp\n", encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a side file was hashed")
+
+        monkeypatch.setattr(hashlib, "sha256", refuse)
+        assert load_precomputed_labels(labels) == {"c1": "food"}
+        assert load_sentiment_lexicon(lexicon) == {"zorp": 2.0}
+        assert load_topic_keywords(keywords) == {"food": frozenset({"zorp"})}
 
 
 class TestAggregate:
