@@ -47,9 +47,21 @@ def _run_stage(write, *inputs, corpus_dir: str, **settings) -> None:
     click.echo(write(pipeline, Path(config.out_dir)))
 
 
-class _Main(click.Group):
+class _Command(click.Command):
+    """A command whose ``--help`` reads no environment variable."""
+
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.allow_from_autoenv = False
+        return option
+
+
+class _Main(_Command, click.Group):
     """The command group; a toolkit error or a missing input file in any
     subcommand ends the run with a one-line ``Error:`` and exit status 1."""
+
+    command_class = _Command
 
     def invoke(self, ctx: click.Context):
         try:
@@ -59,7 +71,7 @@ class _Main(click.Group):
 
 
 @click.group(cls=_Main, context_settings=_CONTEXT)
-@click.version_option(version=__version__, prog_name="collabmetrics")
+@click.version_option(version=__version__, prog_name="collabmetrics", allow_from_autoenv=False)
 @click.option("-v", "--verbose", is_flag=True, help="Enable debug logging.")
 def main(verbose: bool) -> None:
     """Analytics for dyadic content-creator collaborations."""

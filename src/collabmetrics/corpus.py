@@ -537,8 +537,9 @@ def _registry_from_row(row: Mapping[str, object]) -> ChannelRecord:
         handles = handles.split(_HANDLE_SEP)
     elif not isinstance(handles, list):
         raise ValueError(f"handles {handles!r} is not a list or a string")
-    # A handle empty once normalized is dropped; a non-string is a row error.
-    handles = tuple(h for h in (normalize_handle(_text(h, "handle")) for h in handles) if h)
+    # A handle empty once normalized is dropped and a repeat is kept once, in
+    # first-seen order; a non-string is a row error.
+    handles = tuple(dict.fromkeys(h for h in (normalize_handle(_text(h, "handle")) for h in handles) if h))
     if not handles:
         raise ValueError("channel has no handles")
     attributes = row.get("attributes")

@@ -22,7 +22,6 @@ round to three significant decimals; CSV and JSON carry full precision.
 from __future__ import annotations
 
 import dataclasses
-import logging
 import math
 from dataclasses import MISSING, dataclass
 from fractions import Fraction
@@ -43,8 +42,6 @@ from collabmetrics.corpus import (
 from collabmetrics.errors import CollabMetricsError, ConfigurationError, ValidationError
 
 __all__ = ["RunConfig", "ReportBundle", "RunStageError", "CommunityPipeline", "CommunityResult", "run_report", "check_fields", "FORMATS"]
-
-logger = logging.getLogger(__name__)
 
 ABSENT = "—"  # em dash for dyad types a community never produced
 

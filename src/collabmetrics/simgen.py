@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from copy import deepcopy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from operator import ne
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
@@ -527,77 +529,66 @@ def _comment_text(topic_cdf: list[float] | None, p_positive: float, draws: _Draw
 # Presets
 
 
+# What sets each bundled community apart; :func:`preset` adds the per-game
+# shape that all three share.
+_PRESETS: dict[str, dict] = {
+    "valorant": dict(
+        attribute_ratios={"M": 42, "W": 8},
+        collab_rate=0.1,
+        two_way_share=0.696,
+        dyad_propensity={"M-M": 0.40, "M-W": 0.22, "W-M": 0.20, "W-W": 0.18},
+        synergy_multipliers={"M-M": 6.75, "W-M": 4.5, "W-W": 3.0, "M-W": 2.0},
+        upstream_bias=0.6,
+        loyalty=0.85,
+        discourse_profiles={
+            "baseline": DiscourseProfile(0.14, {"gameplay": 0.45, "environment": 0.15, "food": 0.05, "appearance": 0.10, "other": 0.25}),
+            "M-M": DiscourseProfile(0.15, {"gameplay": 0.50, "environment": 0.15, "food": 0.05, "appearance": 0.05, "other": 0.25}),
+            "M-W": DiscourseProfile(0.20, {"gameplay": 0.35, "environment": 0.15, "food": 0.08, "appearance": 0.17, "other": 0.25}),
+            "W-M": DiscourseProfile(0.25, {"gameplay": 0.33, "environment": 0.15, "food": 0.08, "appearance": 0.19, "other": 0.25}),
+            "W-W": DiscourseProfile(0.30, {"gameplay": 0.20, "environment": 0.20, "food": 0.10, "appearance": 0.30, "other": 0.20}),
+        },
+    ),
+    "animal-crossing": dict(
+        attribute_ratios={"M": 15, "W": 35},
+        collab_rate=0.044,
+        two_way_share=0.7,
+        dyad_propensity={"M-W": 0.45, "W-W": 0.25, "W-M": 0.15, "M-M": 0.15},
+        synergy_multipliers={"W-W": 6.75, "W-M": 4.5, "M-W": 3.0, "M-M": 2.0},
+        upstream_bias=-0.6,
+        loyalty=0.55,
+        discourse_profiles={
+            "baseline": DiscourseProfile(0.29, {"gameplay": 0.30, "environment": 0.20, "food": 0.15, "appearance": 0.10, "other": 0.25}),
+            "M-M": DiscourseProfile(0.21, {"gameplay": 0.45, "environment": 0.15, "food": 0.08, "appearance": 0.07, "other": 0.25}),
+            "M-W": DiscourseProfile(0.28, {"gameplay": 0.30, "environment": 0.20, "food": 0.12, "appearance": 0.13, "other": 0.25}),
+            "W-M": DiscourseProfile(0.31, {"gameplay": 0.28, "environment": 0.20, "food": 0.12, "appearance": 0.15, "other": 0.25}),
+            "W-W": DiscourseProfile(0.34, {"gameplay": 0.18, "environment": 0.22, "food": 0.15, "appearance": 0.25, "other": 0.20}),
+        },
+    ),
+    "dead-by-daylight": dict(
+        attribute_ratios={"M": 42, "W": 8},
+        collab_rate=0.043,
+        two_way_share=0.7,
+        dyad_propensity={"M-M": 0.70, "M-W": 0.20, "W-M": 0.10},
+        synergy_multipliers={"M-W": 6.75, "M-M": 4.5, "W-M": 3.0},
+        upstream_bias=0.6,
+        loyalty=0.35,
+        discourse_profiles={
+            "baseline": DiscourseProfile(0.18, {"gameplay": 0.40, "environment": 0.15, "food": 0.05, "appearance": 0.10, "other": 0.30}),
+            "M-M": DiscourseProfile(0.16, {"gameplay": 0.48, "environment": 0.15, "food": 0.05, "appearance": 0.07, "other": 0.25}),
+            "M-W": DiscourseProfile(0.24, {"gameplay": 0.35, "environment": 0.15, "food": 0.08, "appearance": 0.17, "other": 0.25}),
+            "W-M": DiscourseProfile(0.27, {"gameplay": 0.33, "environment": 0.15, "food": 0.08, "appearance": 0.19, "other": 0.25}),
+        },
+    ),
+}
+
+
 def preset(name: str, seed: int = 0) -> CommunitySpec:
     """Bundled community presets mirroring three observed community shapes."""
-    if name == "valorant":
-        return CommunitySpec(
-            community="valorant",
-            n_channels=50,
-            attribute_ratios={"M": 42, "W": 8},
-            seed=seed,
-            videos_per_channel=50,
-            viewership_exponent=0.8,
-            collab_rate=0.1,
-            two_way_share=0.696,
-            dyad_propensity={"M-M": 0.40, "M-W": 0.22, "W-M": 0.20, "W-W": 0.18},
-            synergy_multipliers={"M-M": 6.75, "W-M": 4.5, "W-W": 3.0, "M-W": 2.0},
-            upstream_bias=0.6,
-            audience_size=400,
-            loyalty=0.85,
-            discourse_profiles={
-                "baseline": DiscourseProfile(0.14, {"gameplay": 0.45, "environment": 0.15, "food": 0.05, "appearance": 0.10, "other": 0.25}),
-                "M-M": DiscourseProfile(0.15, {"gameplay": 0.50, "environment": 0.15, "food": 0.05, "appearance": 0.05, "other": 0.25}),
-                "M-W": DiscourseProfile(0.20, {"gameplay": 0.35, "environment": 0.15, "food": 0.08, "appearance": 0.17, "other": 0.25}),
-                "W-M": DiscourseProfile(0.25, {"gameplay": 0.33, "environment": 0.15, "food": 0.08, "appearance": 0.19, "other": 0.25}),
-                "W-W": DiscourseProfile(0.30, {"gameplay": 0.20, "environment": 0.20, "food": 0.10, "appearance": 0.30, "other": 0.20}),
-            },
-        )
-    if name == "animal-crossing":
-        return CommunitySpec(
-            community="animal-crossing",
-            n_channels=50,
-            attribute_ratios={"M": 15, "W": 35},
-            seed=seed,
-            videos_per_channel=50,
-            viewership_exponent=0.8,
-            collab_rate=0.044,
-            two_way_share=0.7,
-            dyad_propensity={"M-W": 0.45, "W-W": 0.25, "W-M": 0.15, "M-M": 0.15},
-            synergy_multipliers={"W-W": 6.75, "W-M": 4.5, "M-W": 3.0, "M-M": 2.0},
-            upstream_bias=-0.6,
-            audience_size=400,
-            loyalty=0.55,
-            discourse_profiles={
-                "baseline": DiscourseProfile(0.29, {"gameplay": 0.30, "environment": 0.20, "food": 0.15, "appearance": 0.10, "other": 0.25}),
-                "M-M": DiscourseProfile(0.21, {"gameplay": 0.45, "environment": 0.15, "food": 0.08, "appearance": 0.07, "other": 0.25}),
-                "M-W": DiscourseProfile(0.28, {"gameplay": 0.30, "environment": 0.20, "food": 0.12, "appearance": 0.13, "other": 0.25}),
-                "W-M": DiscourseProfile(0.31, {"gameplay": 0.28, "environment": 0.20, "food": 0.12, "appearance": 0.15, "other": 0.25}),
-                "W-W": DiscourseProfile(0.34, {"gameplay": 0.18, "environment": 0.22, "food": 0.15, "appearance": 0.25, "other": 0.20}),
-            },
-        )
-    if name == "dead-by-daylight":
-        return CommunitySpec(
-            community="dead-by-daylight",
-            n_channels=50,
-            attribute_ratios={"M": 42, "W": 8},
-            seed=seed,
-            videos_per_channel=50,
-            viewership_exponent=0.8,
-            collab_rate=0.043,
-            two_way_share=0.7,
-            dyad_propensity={"M-M": 0.70, "M-W": 0.20, "W-M": 0.10},
-            synergy_multipliers={"M-W": 6.75, "M-M": 4.5, "W-M": 3.0},
-            upstream_bias=0.6,
-            audience_size=400,
-            loyalty=0.35,
-            discourse_profiles={
-                "baseline": DiscourseProfile(0.18, {"gameplay": 0.40, "environment": 0.15, "food": 0.05, "appearance": 0.10, "other": 0.30}),
-                "M-M": DiscourseProfile(0.16, {"gameplay": 0.48, "environment": 0.15, "food": 0.05, "appearance": 0.07, "other": 0.25}),
-                "M-W": DiscourseProfile(0.24, {"gameplay": 0.35, "environment": 0.15, "food": 0.08, "appearance": 0.17, "other": 0.25}),
-                "W-M": DiscourseProfile(0.27, {"gameplay": 0.33, "environment": 0.15, "food": 0.08, "appearance": 0.19, "other": 0.25}),
-            },
-        )
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return CommunitySpec(  # a deep copy: each call's mappings are its own, as a caller may change them
+        community=name, n_channels=50, seed=seed, videos_per_channel=50, audience_size=400, **deepcopy(_PRESETS[name])
+    )
 
 
 def spec_from_dict(raw: Mapping) -> CommunitySpec:
@@ -733,7 +724,7 @@ def _naive_median(values: list[int]) -> Fraction:
     return (Fraction(ordered[n // 2 - 1]) + Fraction(ordered[n // 2])) / 2
 
 
-def compute_oracle_metrics(corpus: Corpus, attribute_key: str = "gender") -> _Metrics:
+def compute_oracle_metrics(corpus: Corpus) -> _Metrics:
     """Recompute everything with naive routines, independent of the pipeline."""
     channels = [rec.channel_id for rec in corpus.registry]
     handles_of = {rec.channel_id: rec.handles for rec in corpus.registry}
@@ -839,34 +830,27 @@ def compute_oracle_metrics(corpus: Corpus, attribute_key: str = "gender") -> _Me
     )
 
 
+def _far(a: float | None, b: float | None) -> bool:
+    return a is None or b is None or abs(a - b) > _FLOAT_TOL
+
+
 def compare_metrics(pipeline: _Metrics, oracle: _Metrics) -> OracleReport:
+    """One check per key of each metric: exact for the rationals and the share, within ``_FLOAT_TOL`` for floats."""
     mismatches: list[Mismatch] = []
     checks = 0
-
-    def check_exact(metric: str, a: Mapping, b: Mapping) -> None:
-        nonlocal checks
+    for metric, a, b, differs in (
+        ("baseline", pipeline.baselines, oracle.baselines, ne),
+        ("shap2", pipeline.shap2, oracle.shap2, ne),
+        ("shapn", pipeline.shapn, oracle.shapn, ne),
+        ("share", {"corpus": pipeline.share}, {"corpus": oracle.share}, ne),
+        ("closeness", pipeline.closeness, oracle.closeness, _far),
+        ("entropy", pipeline.entropy, oracle.entropy, _far),
+    ):
         for key in sorted(set(a) | set(b), key=str):
             checks += 1
             va, vb = a.get(key), b.get(key)
-            if va != vb:
+            if differs(va, vb):
                 mismatches.append(Mismatch(metric, str(key), repr(va), repr(vb)))
-
-    def check_float(metric: str, a: Mapping[str, float], b: Mapping[str, float]) -> None:
-        nonlocal checks
-        for key in sorted(set(a) | set(b)):
-            checks += 1
-            va, vb = a.get(key), b.get(key)
-            if va is None or vb is None or abs(va - vb) > _FLOAT_TOL:
-                mismatches.append(Mismatch(metric, key, repr(va), repr(vb)))
-
-    check_exact("baseline", pipeline.baselines, oracle.baselines)
-    check_exact("shap2", pipeline.shap2, oracle.shap2)
-    check_exact("shapn", pipeline.shapn, oracle.shapn)
-    checks += 1
-    if pipeline.share != oracle.share:
-        mismatches.append(Mismatch("share", "corpus", repr(pipeline.share), repr(oracle.share)))
-    check_float("closeness", pipeline.closeness, oracle.closeness)
-    check_float("entropy", pipeline.entropy, oracle.entropy)
     return OracleReport(tuple(mismatches), checks)
 
 
@@ -881,17 +865,12 @@ def oracle_check(
     compared to the share the generator realized.
     """
     pipeline = compute_pipeline_metrics(corpus, attribute_key)
-    oracle = compute_oracle_metrics(corpus, attribute_key)
-    result = compare_metrics(pipeline, oracle)
-    if truth is not None:
-        total, two, multi = pipeline.share
-        measured = Fraction(two, two + multi) if (two + multi) else Fraction(0)
-        if measured != truth.two_way_share:
-            result = OracleReport(
-                result.mismatches
-                + (Mismatch("two_way_share", "corpus", str(measured), str(truth.two_way_share)),),
-                result.checks + 1,
-            )
-        else:
-            result = OracleReport(result.mismatches, result.checks + 1)
-    return result
+    result = compare_metrics(pipeline, compute_oracle_metrics(corpus))
+    if truth is None:
+        return result
+    _, two, multi = pipeline.share
+    measured = Fraction(two, two + multi) if (two + multi) else Fraction(0)
+    wrong = () if measured == truth.two_way_share else (
+        Mismatch("two_way_share", "corpus", str(measured), str(truth.two_way_share)),
+    )
+    return OracleReport(result.mismatches + wrong, result.checks + 1)

@@ -80,7 +80,6 @@ class DyadSynergy:
 
 @dataclass(frozen=True)
 class TypeAggregate:
-    dyad_type: str
     dyad_count: int
     video_count: int
     shapn_host: Fraction
@@ -91,14 +90,13 @@ class TypeAggregate:
 class SynergyReport:
     """Aggregated normalized contributions per dyad type for one community.
 
-    ``rows`` holds observed dyad types only; an absent type means absent,
-    never zero.
+    ``rows`` is keyed by dyad type and holds observed types only; an absent
+    type means absent, never zero.
     """
 
     community: str
     statistic: str
     rows: Mapping[str, TypeAggregate]
-    excluded_dyads: int = 0
 
 
 @dataclass(frozen=True)
@@ -216,20 +214,17 @@ def aggregate_by_dyad_type(
 
     The default statistic is the median, which stays stable under the
     heavy-tailed viewership these corpora show; the mean is available for
-    comparison. Dyads lacking normalized values are excluded and counted.
+    comparison. Dyads lacking normalized values are excluded; the
+    ``zero_baseline`` diagnostics of :func:`compute_synergies` name them.
     """
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
     groups: dict[str, list[DyadSynergy]] = {}
-    excluded = 0
     for syn in synergies:
-        if syn.shapn_host is None or syn.shapn_guest is None:
-            excluded += 1
-            continue
-        groups.setdefault(syn.dyad.dyad_type, []).append(syn)
+        if syn.shapn_host is not None and syn.shapn_guest is not None:
+            groups.setdefault(syn.dyad.dyad_type, []).append(syn)
     rows = {
         dyad_type: TypeAggregate(
-            dyad_type=dyad_type,
             dyad_count=len(group),
             video_count=sum(s.n_videos for s in group),
             shapn_host=_central([s.shapn_host for s in group], statistic),
@@ -237,7 +232,7 @@ def aggregate_by_dyad_type(
         )
         for dyad_type, group in sorted(groups.items())
     }
-    return SynergyReport(community=community, statistic=statistic, rows=rows, excluded_dyads=excluded)
+    return SynergyReport(community=community, statistic=statistic, rows=rows)
 
 
 def reciprocity(dyads: Sequence[CollaborationDyad], baselines: Mapping[str, Fraction]) -> ReciprocityStats:

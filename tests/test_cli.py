@@ -447,7 +447,8 @@ GOLDEN_HELP = Path(__file__).with_name("golden") / "cli_help.txt"
 def cli_surface() -> str:
     """The ``--help`` text of the group and of every subcommand at 80
     columns, then each option's environment variable, as click derives it
-    from ``auto_envvar_prefix`` and the option's parameter name."""
+    from ``auto_envvar_prefix`` and the option's parameter name. ``--help``
+    and ``--version`` read none, so neither is listed."""
     parts = []
     for args in (["--help"], *([name, "--help"] for name in SUBCOMMANDS)):
         result = CliRunner().invoke(main, args, prog_name="collabmetrics", terminal_width=80, catch_exceptions=False)
@@ -457,7 +458,7 @@ def cli_surface() -> str:
     for command, ctx in [(main, group)] + [
         (main.commands[name], click.Context(main.commands[name], parent=group, info_name=name)) for name in SUBCOMMANDS
     ]:
-        for param in command.params:
+        for param in command.get_params(ctx):
             if isinstance(param, click.Option) and param.allow_from_autoenv:
                 parts.append(f"{ctx.auto_envvar_prefix}_{param.name.upper()} {ctx.command_path} {'/'.join(param.opts)}\n")
     return "".join(parts)
@@ -469,6 +470,14 @@ class TestCliSurface:
     def test_help_and_environment_variables_pinned(self):
         # Regenerate with: python -c 'from tests.test_cli import *; GOLDEN_HELP.write_text(cli_surface())'
         assert cli_surface() == GOLDEN_HELP.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("variable", ["COLLABMETRICS_HELP", "COLLABMETRICS_REPORT_HELP", "COLLABMETRICS_VERSION"])
+    def test_help_and_version_read_no_environment(self, corpus_dir, tmp_path, variable):
+        out = tmp_path / "rep"
+        result = CliRunner().invoke(main, ["report", "--corpus", str(corpus_dir), "--out", str(out)], env={variable: "1"})
+        assert result.exit_code == 0, result.output
+        assert result.output.endswith(f"manifest: {out / 'manifest.json'}\n")
+        assert {"manifest.json", *SEVEN_ARTIFACTS} <= {p.name for p in out.iterdir()}
 
     @pytest.mark.parametrize(
         ("command", "flag", "variable", "value"),
@@ -653,6 +662,21 @@ class TestBadConfigFiles:
         result = run_cli("report", "--config", config_path)
         assert (result.exit_code, result.output) == (1, f"Error: bad config: {message}\n")
         assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            ("--out", "at least one --corpus directory (or config community_dirs) is required"),
+            ("--corpus", "--out (or config out_dir) is required"),
+        ],
+    )
+    def test_report_without_corpus_or_out(self, corpus_dir, tmp_path, given, message):
+        config_path = tmp_path / "run.json"
+        config_path.write_text('{"attribute_key": "gender"}', encoding="utf-8")
+        for config in ((), ("--config", config_path)):
+            result = run_cli("report", *config, given, {"--out": tmp_path / "rep", "--corpus": corpus_dir}[given])
+            assert (result.exit_code, result.output) == (1, f"Error: {message}\n")
+            assert not (tmp_path / "rep").exists()
 
     def test_run_config_checks_its_fields(self):
         with pytest.raises(ConfigurationError, match=r"^statistic must be one of \['median', 'mean'\], got 'mode'$"):

@@ -34,6 +34,7 @@ from collabmetrics.corpus import (
     VideoRecord,
     _comment_from_row,
     _rows,
+    build_corpus,
     cap_videos_per_channel,
     exact_median,
     load_comments,
@@ -100,6 +101,16 @@ class TestLoadRegistry:
             load_registry(path)
         assert "ch1" in str(err.value) and "ch2" in str(err.value)
 
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+    def test_handle_repeated_within_a_channel_counts_once(self, tmp_path, suffix):
+        path = tmp_path / f"registry{suffix}"
+        path.write_text({
+            ".jsonl": json.dumps(registry_row("c1", ["@Alpha", "beta", "alpha"])) + "\n",
+            ".csv": "channel_id,handles,display_name,community,gender\nc1,@Alpha|beta|alpha,c1,testgame,M\n",
+        }[suffix], encoding="utf-8")
+        (rec,) = load_registry(path)
+        assert rec.handles == ("alpha", "beta")
+
     def test_duplicate_channel_id(self, tmp_path):
         rows = [registry_row("ch1", ["a"]), registry_row("ch1", ["b"])]
         path = tmp_path / "registry.jsonl"
@@ -148,6 +159,18 @@ class TestLoadRegistry:
         (rec,) = load_registry(path)
         assert rec.handles == ("main", "alt")
         assert rec.attributes == {"gender": "W", "region": "eu"}
+
+
+@pytest.mark.parametrize(
+    ("videos", "comments", "message"),
+    [
+        ([make_video("v1", "B")], [], "video 'v1' references unknown channel 'B'"),
+        ([make_video("v1", "A")], [make_comment("c1", "v9", "u1")], "comment 'c1' references unknown video 'v9'"),
+    ],
+)
+def test_build_corpus_refuses_a_dangling_reference(videos, comments, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build_corpus([make_channel("A")], videos, CommentTable.from_rows(comments))
 
 
 class TestLoadVideos:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import re
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -171,6 +172,28 @@ class TestGenerate:
     def test_invalid_loyalty_rejected(self):
         with pytest.raises(InfeasibleSpecError):
             generate(small_spec(loyalty=1.5))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(n_channels=1), "need at least 2 channels"),
+            (dict(attribute_ratios={}), "attribute_ratios must be nonnegative and nonempty"),
+            (dict(attribute_ratios={"M": 3, "W": -1}), "attribute_ratios must be nonnegative and nonempty"),
+            (dict(attribute_ratios={"M": 0, "W": 0}), "attribute_ratios must have positive total weight"),
+            (dict(collab_rate=1.5), "collab_rate must lie in [0, 1]"),
+            (dict(collab_rate=-0.1), "collab_rate must lie in [0, 1]"),
+            (dict(two_way_share=1.1), "two_way_share must lie in [0, 1]"),
+            (dict(videos_per_channel=0), "videos_per_channel and videos_per_dyad must be >= 1"),
+            (dict(videos_per_dyad=0), "videos_per_channel and videos_per_dyad must be >= 1"),
+            (dict(synergy_multipliers={"M-M": 2.0, "W-W": 0.0}), "synergy multipliers must be positive"),
+            (dict(upstream_bias=1.5), "upstream_bias must lie in [-1, 1]"),
+            (dict(upstream_bias=-1.01), "upstream_bias must lie in [-1, 1]"),
+        ],
+    )
+    def test_validate_refuses(self, overrides, message):
+        spec = dataclasses.replace(preset("valorant"), **overrides)
+        with pytest.raises(InfeasibleSpecError, match=f"^{re.escape(message)}$"):
+            spec.validate()
 
     def test_spec_round_trip_from_dict(self):
         raw = {

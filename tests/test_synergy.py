@@ -196,9 +196,12 @@ class TestAggregate:
         assert report.rows["M-M"].shapn_host == Fraction(1, 2)
 
     def test_zero_baseline_dyads_excluded_but_counted(self):
-        syn = self._synergy("M-M", None)
-        report = aggregate_by_dyad_type([syn])
-        assert report.rows == {} and report.excluded_dyads == 1
+        # compute_synergies' diagnostics are the one record of such dyads
+        registry = [make_channel("A"), make_channel("B")]
+        corpus = build_corpus(registry, [make_video("v1", "A", views=100)], CommentTable.from_rows([]))
+        synergies, diagnostics = compute_synergies([dyad()], corpus, {"A": Fraction(50), "B": Fraction(0)})
+        assert diagnostics.zero_baseline == (("A", "B"),)
+        assert aggregate_by_dyad_type(synergies).rows == {}
 
 
 class TestReciprocity:
