@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from pathlib import Path
 
 import click
@@ -73,12 +74,27 @@ class _Main(_Command, click.Group):
 @click.group(cls=_Main, context_settings=_CONTEXT)
 @click.version_option(version=__version__, prog_name="collabmetrics", allow_from_autoenv=False)
 @click.option("-v", "--verbose", is_flag=True, help="Enable debug logging.")
-def main(verbose: bool) -> None:
+@click.pass_context
+def main(ctx: click.Context, verbose: bool) -> None:
     """Analytics for dyadic content-creator collaborations."""
     logging.basicConfig(
         level=logging.DEBUG if verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    for name in _unread_variables(ctx):
+        click.echo(f"Warning: {name} is read by no command; it is ignored", err=True)
+
+
+def _unread_variables(group: click.Context) -> list[str]:
+    """The set environment variables with the group's prefix that no option of any command reads."""
+    commands = group.command.commands.items()
+    read = {
+        f"{ctx.auto_envvar_prefix}_{param.name.upper()}"
+        for ctx in [group, *(click.Context(c, parent=group, info_name=name) for name, c in commands)]
+        for param in ctx.command.get_params(ctx)
+        if isinstance(param, click.Option) and param.allow_from_autoenv
+    }
+    return sorted(name for name in os.environ if name.startswith(f"{group.auto_envvar_prefix}_") and name not in read)
 
 
 _CORPUS = click.option("--corpus", "corpus_dir", required=True, type=click.Path(exists=True, file_okay=False))

@@ -20,17 +20,17 @@ import logging
 import operator
 import os
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, compress, count, groupby, islice
+from itertools import accumulate, chain, compress, count, groupby, islice, repeat, tee
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Container, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from collabmetrics.errors import ConfigurationError, ValidationError
 
@@ -38,6 +38,7 @@ __all__ = [
     "ChannelRecord",
     "VideoRecord",
     "CHUNK",
+    "STEP",
     "PackedStrings",
     "CommentTable",
     "Corpus",
@@ -235,21 +236,38 @@ class CommentTable:
     @classmethod
     def from_rows(cls, rows: Iterable[CommentRow]) -> CommentTable:
         """The table of ``rows``, in order."""
+        rows = iter(rows)
+        # ``CHUNK`` rows at a time, turned into columns by ``zip``: no Python code here runs per row.
+        return cls.from_columns(zip(*chunk) for chunk in iter(lambda: list(islice(rows, CHUNK)), []))
+
+    @classmethod
+    def from_columns(cls, steps: Iterable[Iterable[Sequence]]) -> CommentTable:
+        """The table of the rows of each step, in order.
+
+        A step is six columns of one length, in field order; its ids and
+        texts wait until ``CHUNK`` of them can be packed together.
+        """
         comment_ids, texts = PackedStrings(), PackedStrings()
         video_ids: list[str] = []
         author_ids: list[str] = []
         published_us = array("q")
         like_counts: list[int | None] = []
-        rows = iter(rows)
-        # ``CHUNK`` rows at a time, turned into columns by ``zip``: no Python code here runs per row.
-        while chunk := list(islice(rows, CHUNK)):
-            chunk_ids, chunk_videos, chunk_authors, chunk_texts, chunk_us, chunk_likes = zip(*chunk)
-            comment_ids._pack(chunk_ids)
-            video_ids += chunk_videos
-            author_ids += chunk_authors
-            texts._pack(chunk_texts)
-            published_us.extend(chunk_us)
-            like_counts += chunk_likes
+        ids_due: list[str] = []
+        texts_due: list[str] = []
+        for step_ids, step_videos, step_authors, step_texts, step_us, step_likes in steps:
+            ids_due += step_ids
+            video_ids += step_videos
+            author_ids += step_authors
+            texts_due += step_texts
+            published_us.extend(step_us)
+            like_counts += step_likes
+            while len(ids_due) >= CHUNK:
+                comment_ids._pack(ids_due[:CHUNK])
+                texts._pack(texts_due[:CHUNK])
+                del ids_due[:CHUNK], texts_due[:CHUNK]
+        if ids_due:
+            comment_ids._pack(ids_due)
+            texts._pack(texts_due)
         return cls(
             comment_ids,
             _frozen(video_ids),
@@ -343,9 +361,9 @@ def build_corpus(
         if v.channel_id not in channel_ids:
             raise ValidationError(f"video {v.video_id!r} references unknown channel {v.channel_id!r}")
     video_ids = {v.video_id for v in videos}
-    for i, video_id in enumerate(comments.video_ids):
-        if video_id not in video_ids:
-            raise ValidationError(f"comment {comments.comment_ids[i]!r} references unknown video {video_id!r}")
+    if not video_ids.issuperset(comments.video_ids):  # one C-level pass; the first offender is sought only on failure
+        i = next(i for i, video_id in enumerate(comments.video_ids) if video_id not in video_ids)
+        raise ValidationError(f"comment {comments.comment_ids[i]!r} references unknown video {comments.video_ids[i]!r}")
     return Corpus(tuple(registry), tuple(videos), comments, community)
 
 
@@ -364,13 +382,12 @@ _ROW_ERRORS = (KeyError, ValueError, TypeError, OverflowError, csv.Error)
 _T = TypeVar("_T")
 
 
-def _csv_records(lines: Iterator[str]) -> Iterator[tuple[int, list[str] | csv.Error]]:
-    """Each CSV record with its first physical line; one that ``csv`` cannot read is its error.
+def _csv_records(reader) -> Iterator[tuple[int, list[str] | csv.Error]]:
+    """Each record of a ``csv.reader`` with its first physical line; one that ``csv`` cannot read is its error.
 
     A quoted cell may hold newlines, so a record can span several lines; a
     blank line holds no record.
     """
-    reader = csv.reader(lines)
     end = 0  # physical lines read so far
     while True:
         try:
@@ -425,69 +442,118 @@ class _HashingReader(io.RawIOBase):
         super().close()
 
 
-def _rows(
-    path: Path, parse: Callable[[dict], _T], tabular: bool | None = None, sha256=None
-) -> Iterator[tuple[int, _T | Exception]]:
-    """Yield ``(line, parse(row))`` for each good row of a file and ``(line, error)`` for each bad one.
+# Rows read, checked for undecodable bytes and, by :func:`load_comments`,
+# turned into columns together: one step of a file.
+STEP = 64
+
+
+class _Step(NamedTuple):
+    """Up to ``STEP`` rows of a file: each row's line and raw form (a JSON-lines
+    line, or a CSV record or its ``csv.Error``), the physical lines that hold
+    them, numbered from ``first``, and the CSV header (None for JSON-lines)."""
+
+    first: int
+    lines: list[str]
+    line_nos: Sequence[int]
+    raws: Sequence[str | list[str] | csv.Error]
+    header: list[str] | Exception | None
+
+
+def _line_errors(lines: list[str], first: int) -> dict[int, UnicodeDecodeError]:
+    """The error of each of ``lines``, numbered from ``first``, that holds a byte that is not UTF-8.
+
+    Such a byte was read as a lone surrogate, the one character that fails
+    to encode, so lines whose text encodes hold none: one check for all of them.
+    """
+    try:
+        "".join(lines).encode("utf-8")
+        return {}
+    except UnicodeEncodeError:
+        errors = {}
+    for line_no, line in enumerate(lines, first):
+        try:  # decoding the line's bytes again names its first bad byte
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            errors[line_no] = exc
+    return errors
+
+
+def _steps(path: Path, tabular: bool | None = None, sha256=None) -> Iterator[_Step]:
+    """The rows of a file, ``STEP`` at a time.
 
     The file is CSV when ``tabular`` is true, JSON-lines when it is false,
     and by default CSV exactly when its suffix is ``.csv``. It is opened and
     read once; a ``hashlib`` object ``sha256``, if given, is fed its bytes
-    as they are read. A physical line holding a byte that is not UTF-8 makes its row a
-    ``UnicodeDecodeError``. Bad JSON, a CSV record that ``csv`` cannot read
+    as they are read. A CSV file's header is read first; a header line
+    holding a byte that is not UTF-8 makes the header that byte's error.
+    """
+    if tabular is None:
+        tabular = _is_csv(path)
+    binary = path.open("rb") if sha256 is None else io.BufferedReader(_HashingReader(path, sha256))
+    encoding = "utf-8-sig" if tabular else "utf-8"  # a CSV file's leading byte order mark is no part of its header
+    with io.TextIOWrapper(binary, encoding=encoding, errors="surrogateescape", newline="" if tabular else None) as fh:
+        if not tabular:
+            first = 1
+            while lines := list(islice(fh, STEP)):
+                yield _Step(first, lines, range(first, first + len(lines)), lines, None)
+                first += len(lines)
+            return
+        physical, read = tee(fh)  # the csv reader's lines, kept until its step takes them
+        reader = csv.reader(read)
+        records = _csv_records(reader)
+        _, header = next(records, (0, []))
+        bad = _line_errors(list(islice(physical, reader.line_num)), 1)
+        if bad:  # no row can be read against this header
+            header = next(iter(bad.values()))
+        done = reader.line_num
+        while step := list(islice(records, STEP)):
+            lines = list(islice(physical, reader.line_num - done))
+            yield _Step(done + 1, lines, *zip(*step), header)
+            done = reader.line_num
+
+
+def _step_rows(step: _Step, parse: Callable[[dict], _T]) -> Iterator[tuple[int, _T | Exception]]:
+    """Yield ``(line, parse(row))`` for each good row of ``step`` and ``(line, error)`` for each bad one.
+
+    A row holding a byte that is not UTF-8 is a ``UnicodeDecodeError``,
+    its first such line's. Bad JSON, a CSV record that ``csv`` cannot read
     or that has more cells than its header, and a row that ``parse``
     rejects are that row's error. A CSV row is numbered by its first
     physical line, and a short one lacks the keys of its missing cells.
     """
-    if tabular is None:
-        tabular = _is_csv(path)
-    bad: list[UnicodeDecodeError] = []  # one per undecodable line of the record being read
+    bad = {}
+    for line_no, exc in _line_errors(step.lines, step.first).items():
+        row_line = step.line_nos[bisect_right(step.line_nos, line_no) - 1]  # the row that holds the line
+        bad.setdefault(row_line, exc)
+    header = step.header
+    for line_no, raw in zip(step.line_nos, step.raws):
+        try:
+            if bad and line_no in bad:
+                raise bad[line_no]
+            if isinstance(raw, str):
+                if raw.isspace():  # a blank line holds no row
+                    continue
+                row = _json_object(raw)
+            elif isinstance(raw, Exception):
+                raise raw
+            elif isinstance(header, Exception):
+                raise ValueError(f"header: {header}")
+            elif len(raw) > len(header):
+                raise ValueError(f"row has {len(raw)} cells but the header has {len(header)}")
+            else:
+                row = dict(zip(header, raw))
+            value = parse(row)
+        except _ROW_ERRORS as exc:
+            value = exc
+        yield line_no, value
 
-    def checked(lines: Iterable[str]) -> Iterator[str]:
-        for line in lines:
-            # An undecodable byte was read as a lone surrogate, the one character that fails to encode.
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    try:  # decoding the line's bytes again names its first bad byte
-                        line.encode("utf-8", "surrogateescape").decode("utf-8")
-                    except UnicodeDecodeError as exc:
-                        bad.append(exc)
-            yield line
 
-    binary = path.open("rb") if sha256 is None else io.BufferedReader(_HashingReader(path, sha256))
-    encoding = "utf-8-sig" if tabular else "utf-8"  # a CSV file's leading byte order mark is no part of its header
-    with io.TextIOWrapper(binary, encoding=encoding, errors="surrogateescape", newline="" if tabular else None) as fh:
-        if tabular:
-            records = _csv_records(checked(fh))
-            _, header = next(records, (0, []))
-            if bad:  # no row can be read against this header
-                header = bad[0]
-                bad.clear()
-        else:
-            records = enumerate(checked(fh), 1)
-        for line_no, raw in records:
-            try:
-                if bad:
-                    raise bad[0]
-                if isinstance(raw, str):
-                    if raw.isspace():  # a blank line holds no row
-                        continue
-                    row = _json_object(raw)
-                elif isinstance(raw, Exception):
-                    raise raw
-                elif isinstance(header, Exception):
-                    raise ValueError(f"header: {header}")
-                elif len(raw) > len(header):
-                    raise ValueError(f"row has {len(raw)} cells but the header has {len(header)}")
-                else:
-                    row = dict(zip(header, raw))
-                value = parse(row)
-            except _ROW_ERRORS as exc:
-                value = exc
-                bad.clear()  # a row read with ``bad`` set always raises
-            yield line_no, value
+def _rows(
+    path: Path, parse: Callable[[dict], _T], tabular: bool | None = None, sha256=None
+) -> Iterator[tuple[int, _T | Exception]]:
+    """Each row of a file, read as :func:`_steps` and :func:`_step_rows` read it."""
+    for step in _steps(path, tabular, sha256):
+        yield from _step_rows(step, parse)
 
 
 def load_rows(
@@ -673,6 +739,68 @@ def load_videos(
     return records, errors
 
 
+def _comment_columns(
+    step: _Step, videos: dict[str, str], authors: dict[str, str]
+) -> tuple[Sequence, ...] | None:
+    """The six columns of the rows of ``step`` as :func:`_comment_from_row` reads them, when
+    every row is a well-formed comment on a known video; None for any other step.
+
+    A JSON-lines step is one ``json.loads``, a CSV step one transposition;
+    each check and column is then one C-level pass, but a CSV like count's.
+    """
+    n = len(step.raws)
+    if step.header is None:
+        # One parse is sound only where object i is exactly line i: each line
+        # starts with "{", ends with "}" before its newline, and the step holds
+        # no other brace. A JSON string holds no raw newline, so no string
+        # spans two lines; each line's two braces are then structural, and
+        # the parse, if it succeeds, is the line's own object, line by line.
+        text = "[" + ",".join(step.lines) + "]"
+        if not (text.count("{") == n == text.count("}") and text.count("}\n,{") == n - 1
+                and text.startswith("[{") and text.endswith(("}]", "}\n]"))):
+            return None
+        try:
+            rows = json.loads(text)
+        except ValueError:
+            return None
+        ids, video_ids, author_ids, stamps, likes = (
+            list(map(dict.get, rows, repeat(key)))
+            for key in ("comment_id", "video_id", "author_id", "published_at", "like_count")
+        )
+        texts = list(map(dict.get, rows, repeat("text"), repeat("")))
+    else:
+        header = step.header
+        if type(header) is not list or set(map(type, step.raws)) != {list}:
+            return None
+        if set(map(len, step.raws)) != {len(header)}:
+            return None
+        columns = dict(zip(header, zip(*step.raws)))  # a repeated name is its last column, as in a row
+        texts = columns.get("text", ("",) * n)
+        likes = columns.get("like_count", (None,) * n)
+        try:
+            ids, video_ids, author_ids, stamps = (
+                columns[key] for key in ("comment_id", "video_id", "author_id", "published_at")
+            )
+            likes = [int(v) if v else None for v in likes]
+        except (KeyError, ValueError):
+            return None
+    if set(map(type, chain(ids, video_ids, author_ids, texts, stamps))) != {str}:
+        return None
+    if _line_errors(step.lines, step.first):
+        return None
+    if not {int, type(None)}.issuperset(map(type, likes)) or min(filter(None, likes), default=0) < 0:
+        return None
+    try:
+        times = list(map(datetime.fromisoformat, stamps))
+        video_ids = list(map(videos.__getitem__, video_ids))
+    except (ValueError, KeyError):
+        return None
+    if set(map(operator.attrgetter("tzinfo"), times)) != {timezone.utc}:  # any other zone is converted row by row
+        return None
+    published_us = list(map(operator.floordiv, map(operator.sub, times, repeat(_UNIX_EPOCH)), repeat(_MICROSECOND)))
+    return ids, video_ids, list(map(authors.setdefault, author_ids, author_ids)), texts, published_us, likes
+
+
 # The hash of a comment id in the duplicate check of :func:`load_comments`;
 # a module name only so that a test can make every id collide.
 _id_hash = hash
@@ -681,16 +809,18 @@ _id_hash = hash
 def load_comments(
     path: str | Path, videos: Sequence[VideoRecord], sha256=None
 ) -> tuple[CommentTable, CommentLoadReport]:
-    """Load comments line by line (the corpus can be millions of rows).
+    """Load comments ``STEP`` rows at a time (the corpus can be millions of rows).
 
-    A comment pointing at an unknown video is an orphan, a row error naming
-    its ``video_id``; malformed rows and duplicate comment ids go to the
-    error report. Well-formed, referentially valid rows are always kept. A kept
-    comment's ``video_id`` is its video record's string, and equal
-    ``author_id`` values are one string, so a comment keeps only the
-    characters of its own id and text (packed, with 4 bytes each for their
-    ends), 8 bytes for its time and three tuple slots. ``sha256`` is fed the
-    file's bytes.
+    A step whose every row is a well-formed comment on a known video is
+    read as columns; any other step is read row by row, so that each bad
+    row keeps its own line and message. A comment pointing at an unknown
+    video is an orphan, a row error naming its ``video_id``; malformed
+    rows and duplicate comment ids go to the error report. Well-formed,
+    referentially valid rows are always kept. A kept comment's
+    ``video_id`` is its video record's string, and equal ``author_id``
+    values are one string, so a comment keeps only the characters of its
+    own id and text (packed, with 4 bytes each for their ends), 8 bytes
+    for its time and three tuple slots. ``sha256`` is fed the file's bytes.
 
     The duplicate check keeps no id strings. While the file loads, a
     comment costs 8 bytes for its id's hash, and a bit map of one bit per
@@ -713,12 +843,10 @@ def load_comments(
     bits = bytearray(n_bits // 8 + 1)
     candidates: list[tuple[int, int]] = []  # (position, line) of each row whose bit was set
 
-    def kept() -> Iterator[CommentRow]:
-        for line_no, row in _rows(path, partial(_comment_from_row, known, authors), sha256=sha256):
-            if isinstance(row, Exception):
-                errors.append(RowError(line_no, f"malformed row: {row}"))
-                continue
-            h = _id_hash(row[0])
+    def mark(ids: Iterable[str], line_nos: Iterable[int]) -> None:
+        """Add the ids of one step's rows that are not malformed to the duplicate check."""
+        for comment_id, line_no in zip(ids, line_nos):
+            h = _id_hash(comment_id)
             i = h % n_bits
             bit = 1 << (i & 7)
             i >>= 3
@@ -727,14 +855,32 @@ def load_comments(
             else:
                 bits[i] |= bit
             hashes.append(h)
-            if row[1] in known:
-                yield row
-            else:
-                orphans.append(RowError(line_no, f"unknown video_id {row[1]!r}"))
-                orphan_at.append(len(hashes) - 1)
-                orphan_ids.append(row[0])
 
-    comments = CommentTable.from_rows(kept())
+    def steps() -> Iterator[Iterable[Sequence]]:
+        """The columns of each step's kept rows: a step of good rows read as columns, any other row by row."""
+        parse = partial(_comment_from_row, known, authors)
+        for step in _steps(path, sha256=sha256):
+            columns = _comment_columns(step, known, authors)
+            if columns is not None:
+                mark(columns[0], step.line_nos)
+                yield columns
+                continue
+            rows: list[CommentRow] = []
+            for line_no, row in _step_rows(step, parse):
+                if isinstance(row, Exception):
+                    errors.append(RowError(line_no, f"malformed row: {row}"))
+                    continue
+                if row[1] in known:
+                    rows.append(row)
+                else:
+                    orphans.append(RowError(line_no, f"unknown video_id {row[1]!r}"))
+                    orphan_at.append(len(hashes))
+                    orphan_ids.append(row[0])
+                mark((row[0],), (line_no,))
+            if rows:
+                yield zip(*rows)
+
+    comments = CommentTable.from_columns(steps())
     del bits  # freed before the repeats are sought
     # Every repeat is a candidate. Group the positions that share a
     # candidate's hash; only a group of two or more reads its ids.

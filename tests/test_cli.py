@@ -479,6 +479,25 @@ class TestCliSurface:
         assert result.output.endswith(f"manifest: {out / 'manifest.json'}\n")
         assert {"manifest.json", *SEVEN_ARTIFACTS} <= {p.name for p in out.iterdir()}
 
+    def test_unread_variable_is_named(self, corpus_dir):
+        """A set ``COLLABMETRICS_`` variable that no option reads is named on standard error; the command still runs."""
+        env = {"COLLABMETRICS_SIMULATE_FORMAT": "csv", "COLLABMETRICS_REPORT_CORPUS": "x",
+               "COLLABMETRICS_INGEST_ATTRIBUTE_KEY": "gender"}
+        result = CliRunner().invoke(main, ["ingest", "--corpus", str(corpus_dir)], env=env)
+        assert result.exit_code == 0, result.output
+        assert result.stderr == (
+            "Warning: COLLABMETRICS_REPORT_CORPUS is read by no command; it is ignored\n"
+            "Warning: COLLABMETRICS_SIMULATE_FORMAT is read by no command; it is ignored\n"
+        )
+        assert json.loads(result.stdout)["community"] == "minigame"
+
+    def test_every_listed_variable_is_read(self, corpus_dir):
+        """No variable of the pinned listing draws the warning (an empty value sets no option)."""
+        names = [line.split()[0] for line in GOLDEN_HELP.read_text(encoding="utf-8").splitlines()
+                 if line.startswith("COLLABMETRICS_")]
+        result = CliRunner().invoke(main, ["ingest", "--corpus", str(corpus_dir)], env=dict.fromkeys(names, ""))
+        assert len(names) > 30 and result.exit_code == 0 and result.stderr == ""
+
     @pytest.mark.parametrize(
         ("command", "flag", "variable", "value"),
         [

@@ -27,6 +27,7 @@ from collabmetrics import corpus
 from collabmetrics.collab import HandleIndex
 from collabmetrics.corpus import (
     CHUNK,
+    STEP,
     CommentLoadReport,
     CommentTable,
     PackedStrings,
@@ -584,6 +585,148 @@ class TestDuplicateIds:
             outputs.append(done.stdout)
         table, report = load_comments(path, _ID_VIDEOS)
         assert outputs[0] == outputs[1] == f"{list(table.rows())} {report}\n"
+
+
+def _comment_record(suffix, comment_id, video_id="v1", text="gg", like_count=None, stamp="2024-01-01T00:00:00+00:00"):
+    """One comment as a JSON-lines line or a CSV record (header ``_COMMENT_HEADER``), ended by LF."""
+    row = {"comment_id": comment_id, "video_id": video_id, "author_id": f"u{len(comment_id) % 3}",
+           "text": text, "published_at": stamp, "like_count": like_count}
+    if suffix == "jsonl":
+        return json.dumps({k: v for k, v in row.items() if v is not None}, ensure_ascii=False) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["" if row[k] is None else row[k] for k in _COMMENT_HEADER])
+    return buf.getvalue()
+
+
+def _write_records(path, records):
+    """Write comment records (``str`` or ``bytes``) as one file, after the CSV header for a ``.csv`` path."""
+    head = [",".join(_COMMENT_HEADER) + "\n"] if path.suffix == ".csv" else []
+    path.write_bytes(b"".join(r if isinstance(r, bytes) else r.encode("utf-8") for r in head + records))
+
+
+def _clean_records(suffix, n, **fields):
+    return [_comment_record(suffix, f"c{i:04d}", like_count=None if i % 3 == 0 else i, **fields) for i in range(n)]
+
+
+def _load_both_ways(path, videos=_ID_VIDEOS):
+    """``load_comments`` of ``path``, checked equal, digest included, to the load that reads every step row by row.
+
+    Returns the load and how many of its steps were read as columns.
+    """
+    fast_columns = []
+    columns = corpus._comment_columns
+
+    def counted(*args):
+        got = columns(*args)
+        fast_columns.append(got is not None)
+        return got
+
+    digests = [hashlib.sha256(), hashlib.sha256()]
+    with mock.patch.object(corpus, "_comment_columns", counted):
+        loaded = load_comments(path, videos, sha256=digests[0])
+    with mock.patch.object(corpus, "_comment_columns", lambda *args: None):
+        by_row = load_comments(path, videos, sha256=digests[1])
+    assert loaded[0] == by_row[0]
+    _assert_same_load(loaded, by_row)
+    assert digests[0].hexdigest() == digests[1].hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+    return loaded, sum(fast_columns)
+
+
+class TestStepReader:
+    """A step of good rows read as columns loads exactly as it loads row by row."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["csv", "jsonl"]), st.integers(min_value=300, max_value=800), st.randoms(use_true_random=False),
+           st.data())
+    def test_equals_the_row_path(self, tmp_path_factory, suffix, n, rnd, data):
+        """Clean rows, with one or two faults from ``_fuzz_file`` planted at step and chunk edges."""
+        tmp_path = tmp_path_factory.mktemp("steps")
+        texts = ["gg", "so good, really", 'say "hi"', "two\nlines", "café \U0001f600", ""]
+        records = [
+            _comment_record(suffix, f"c{i:04d}", rnd.choice(["v1", "v2"]), rnd.choice(texts),
+                            rnd.choice([None, rnd.randrange(100)]), f"2024-01-{1 + i % 28:02d}T{i % 24:02d}:00:00+00:00")
+            for i in range(n)
+        ]
+        edges = sorted({k * size + d for size in (STEP, CHUNK) for k in range(1, n // size + 1) for d in (-1, 0)})
+        for at in sorted(data.draw(st.lists(st.sampled_from(edges), min_size=1, max_size=2)), reverse=True):
+            fault = tmp_path / f"fault.{suffix}"
+            _fuzz_file(data.draw, fault, data.draw(st.lists(_comment_rows, min_size=1, max_size=3)), _COMMENT_HEADER)
+            body = fault.read_bytes()
+            records.insert(at, body.split(b"\n", 1)[1] if suffix == "csv" else body)
+        path = tmp_path / f"comments.{suffix}"
+        _write_records(path, records)
+        _, fast_steps = _load_both_ways(path)
+        assert fast_steps > 0  # a fault of at most four rows touches at most two steps
+
+    @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
+    def test_clean_file_is_read_as_columns(self, tmp_path, suffix):
+        """A clean 1,000-row file never reaches the row path; a later change that
+        sends good steps row by row fails here."""
+        path = tmp_path / f"comments.{suffix}"
+        write_comments(CommentTable.from_rows(
+            make_comment(f"c{i:04d}", f"v{1 + i % 2}", f"u{i % 7}", f"text {i}", i, None if i % 3 == 0 else i)
+            for i in range(1_000)
+        ), path)
+        with mock.patch.object(corpus, "_comment_from_row", side_effect=AssertionError("read row by row")):
+            table, report = load_comments(path, _ID_VIDEOS)
+        assert len(table) == 1_000 and report == CommentLoadReport()
+
+    @pytest.mark.parametrize("comments", [False, True])
+    def test_three_lines_that_parse_together_are_three_errors(self, tmp_path, comments):
+        """Joined, three lines parse to three objects, yet each alone is a row error;
+        in the second form the three objects are good comments."""
+        lines = ['{"a": [{"x": 1}\n', '{"b": 2}]}\n', '{"c": 1}, {"d": 2}\n']
+        if comments:
+            good = [_comment_record("jsonl", f"c01{i:02d}")[:-2] for i in range(3)]  # each without its "}\n"
+            lines = [good[0] + ', "extra": [{"x": 1}\n', '{"b": 2}]}\n', good[1] + "}, " + good[2] + "}\n"]
+        assert len(json.loads("[" + ",".join(lines) + "]")) == 3
+        path = tmp_path / "comments.jsonl"
+        _write_records(path, _clean_records("jsonl", 10) + lines + _clean_records("jsonl", 14)[10:])
+        (table, report), _ = _load_both_ways(path)
+        assert [e.line for e in report.errors] == [11, 12, 13]
+        assert len(table) == 14 and "c0100" not in table.comment_ids
+
+    @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
+    @pytest.mark.parametrize(
+        ("case", "fast"),
+        [("braces", {"jsonl": 1, "csv": 2}), ("emoji", 2), ("bad byte", 1), ("crlf", 2), ("orphan", 1), ("repeat", 5)],
+    )
+    def test_edge_case(self, tmp_path, suffix, case, fast):
+        """Each case in a step of its own: how many steps are read as columns, and the same load as row by row."""
+        path = tmp_path / f"comments.{suffix}"
+        records = _clean_records(suffix, 2 * STEP if case != "repeat" else 5 * STEP)
+        if case == "braces":
+            records[STEP + 1] = _comment_record(suffix, "c9999", text="a {brace} and a } closing one")
+        elif case == "emoji":
+            records = _clean_records(suffix, 2 * STEP, text="\U0001f600 gg é")
+        elif case == "bad byte":
+            records[STEP + 1] = _comment_record(suffix, "c9999", text="B<bad>D").encode("utf-8").replace(b"<bad>", b"\xff")
+        elif case == "crlf":
+            records = [r.replace("\n", "\r\n") for r in records]
+        elif case == "orphan":
+            records[STEP + 1] = _comment_record(suffix, "c9999", video_id="gone")
+        elif case == "repeat":
+            records[CHUNK] = _comment_record(suffix, "c0255")  # the id of the last row of the first chunk
+        _write_records(path, records)
+        (table, report), fast_steps = _load_both_ways(path)
+        assert fast_steps == (fast if isinstance(fast, int) else fast[suffix])
+        first = 2 if suffix == "csv" else 1
+        if case == "bad byte":
+            assert [(e.line, "can't decode byte 0xff" in e.message) for e in report.errors] == [(STEP + 1 + first, True)]
+        elif case == "orphan":
+            assert [e.line for e in report.orphans] == [STEP + 1 + first] and report.errors == ()
+        elif case == "repeat":
+            assert [e.message for e in report.errors] == ["duplicate comment_id 'c0255'"]
+            assert report.errors[0].line == CHUNK + first and len(table) == 5 * STEP - 1
+        else:
+            assert report == CommentLoadReport() and len(table) == 2 * STEP
+
+    def test_byte_order_mark_csv(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        _write_records(plain, _clean_records("csv", 2 * STEP))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        (table, report), fast_steps = _load_both_ways(marked)
+        assert fast_steps == 2 and (table, report) == load_comments(plain, _ID_VIDEOS)
 
 
 class TestCorpusDirWarnings:
