@@ -2,9 +2,10 @@
 
 Three record kinds make up a corpus: a channel registry, a video corpus,
 and a comment corpus. Files are UTF-8 CSV (declared header) or JSON-lines,
-one record per row/line, with ISO-8601 timestamps, which load as whole
-microseconds since 1970-01-01 UTC. Channels and videos load as records; the
-comments, by far the most rows, load as one column table.
+one record per row/line, with ISO-8601 timestamps. Channels and videos load
+as records, a video's time as whole microseconds since 1970-01-01 UTC. The
+comments, by far the most rows, load as one table of the four columns that an
+analysis reads; a comment's time and like count are checked, not kept.
 Loaded collections are validated, immutable, and safe to share across
 threads.
 """
@@ -136,7 +137,7 @@ class VideoRecord:
     comment_count: int | None = None
 
 
-# One comment as :meth:`CommentTable.from_rows` takes it:
+# One row of a comments file as :func:`write_comments` takes it:
 # (comment_id, video_id, author_id, text, published_us, like_count).
 CommentRow = tuple[str, str, str, str, int, int | None]
 
@@ -217,25 +218,22 @@ class PackedStrings(Sequence[str]):
 
 @dataclass(frozen=True, slots=True)
 class CommentTable:
-    """The audience comments of a corpus, one column per field.
+    """The audience comments of a corpus, one column per field that an analysis reads.
 
     Row ``i`` of every column is comment ``i``. ``comment_ids`` and
-    ``texts`` are :class:`PackedStrings`; ``published_us`` is UTC
-    microseconds since 1970-01-01 in a read-only view of an
-    ``array('q')``, 8 bytes a comment; the other columns are tuples. Build
-    a table with :meth:`from_rows`.
+    ``texts`` are :class:`PackedStrings`; ``video_ids`` and ``author_ids``
+    are tuples. A comment's time and like count are in its file only.
+    Build a table with :meth:`from_rows`.
     """
 
     comment_ids: PackedStrings
     video_ids: tuple[str, ...]
     author_ids: tuple[str, ...]
     texts: PackedStrings
-    published_us: memoryview
-    like_counts: tuple[int | None, ...]
 
     @classmethod
-    def from_rows(cls, rows: Iterable[CommentRow]) -> CommentTable:
-        """The table of ``rows``, in order."""
+    def from_rows(cls, rows: Iterable[tuple[str, str, str, str]]) -> CommentTable:
+        """The table of ``rows``, each ``(comment_id, video_id, author_id, text)``, in order."""
         rows = iter(rows)
         # ``CHUNK`` rows at a time, turned into columns by ``zip``: no Python code here runs per row.
         return cls.from_columns(zip(*chunk) for chunk in iter(lambda: list(islice(rows, CHUNK)), []))
@@ -244,23 +242,19 @@ class CommentTable:
     def from_columns(cls, steps: Iterable[Iterable[Sequence]]) -> CommentTable:
         """The table of the rows of each step, in order.
 
-        A step is six columns of one length, in field order; its ids and
+        A step is four columns of one length, in field order; its ids and
         texts wait until ``CHUNK`` of them can be packed together.
         """
         comment_ids, texts = PackedStrings(), PackedStrings()
         video_ids: list[str] = []
         author_ids: list[str] = []
-        published_us = array("q")
-        like_counts: list[int | None] = []
         ids_due: list[str] = []
         texts_due: list[str] = []
-        for step_ids, step_videos, step_authors, step_texts, step_us, step_likes in steps:
+        for step_ids, step_videos, step_authors, step_texts in steps:
             ids_due += step_ids
             video_ids += step_videos
             author_ids += step_authors
             texts_due += step_texts
-            published_us.extend(step_us)
-            like_counts += step_likes
             while len(ids_due) >= CHUNK:
                 comment_ids._pack(ids_due[:CHUNK])
                 texts._pack(texts_due[:CHUNK])
@@ -268,21 +262,10 @@ class CommentTable:
         if ids_due:
             comment_ids._pack(ids_due)
             texts._pack(texts_due)
-        return cls(
-            comment_ids,
-            _frozen(video_ids),
-            _frozen(author_ids),
-            texts,
-            memoryview(published_us).toreadonly(),
-            _frozen(like_counts),
-        )
+        return cls(comment_ids, _frozen(video_ids), _frozen(author_ids), texts)
 
     def __len__(self) -> int:
         return len(self.video_ids)
-
-    def rows(self) -> Iterator[CommentRow]:
-        """Each comment as :meth:`from_rows` takes it, in order."""
-        return zip(*self.columns())
 
     def on_videos(self, video_ids: Container[str]) -> CommentTable:
         """The comments whose ``video_id`` is in ``video_ids``, in order."""
@@ -301,8 +284,7 @@ class CommentTable:
         frees its columns one at a time and never holds two whole tables.
         """
         for i, column in enumerate(columns):
-            rows = compress(column, keep)  # a tuple or a PackedStrings is rebuilt by its own type
-            columns[i] = memoryview(array("q", rows)).toreadonly() if isinstance(column, memoryview) else type(column)(rows)
+            columns[i] = type(column)(compress(column, keep))  # a tuple or a PackedStrings, rebuilt by its own type
         return cls(*columns)
 
 
@@ -648,23 +630,19 @@ def _video_from_row(channels: dict[str, str], row: Mapping[str, object]) -> Vide
 
 def _comment_from_row(
     videos: dict[str, str], authors: dict[str, str], row: Mapping[str, object]
-) -> CommentRow:
-    """A comment whose ids share strings: the ``video_id`` that ``videos`` holds, and the
-    first equal ``author_id``, which ``authors`` collects."""
+) -> tuple[str, str, str, str]:
+    """A comment as :meth:`CommentTable.from_rows` takes it, its ids sharing strings: the
+    ``video_id`` that ``videos`` holds, and the first equal ``author_id``, which ``authors``
+    collects. Its time and like count are checked, not kept."""
     comment_id, video_id, author_id = row.get("comment_id"), row.get("video_id"), row.get("author_id")
     text, published_at = row.get("text", ""), row.get("published_at")
     if not (type(comment_id) is type(video_id) is type(author_id) is type(text) is type(published_at) is str):
         # One check at a time, so that the row's first fault is the one raised.
         comment_id, video_id, author_id = (_text(row[k], k) for k in ("comment_id", "video_id", "author_id"))
         text, published_at = _text(row.get("text", ""), "text"), _text(row["published_at"], "published_at")
-    return (
-        comment_id,
-        videos.get(video_id, video_id),
-        authors.setdefault(author_id, author_id),
-        text,
-        _parse_timestamp(published_at),
-        _opt_count(row, "like_count"),
-    )
+    _parse_timestamp(published_at)
+    _opt_count(row, "like_count")
+    return comment_id, videos.get(video_id, video_id), authors.setdefault(author_id, author_id), text
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +720,7 @@ def load_videos(
 def _comment_columns(
     step: _Step, videos: dict[str, str], authors: dict[str, str]
 ) -> tuple[Sequence, ...] | None:
-    """The six columns of the rows of ``step`` as :func:`_comment_from_row` reads them, when
+    """The four columns of the rows of ``step`` as :func:`_comment_from_row` reads them, when
     every row is a well-formed comment on a known video; None for any other step.
 
     A JSON-lines step is one ``json.loads``, a CSV step one transposition;
@@ -791,14 +769,13 @@ def _comment_columns(
     if not {int, type(None)}.issuperset(map(type, likes)) or min(filter(None, likes), default=0) < 0:
         return None
     try:
-        times = list(map(datetime.fromisoformat, stamps))
+        zones = set(map(operator.attrgetter("tzinfo"), map(datetime.fromisoformat, stamps)))
         video_ids = list(map(videos.__getitem__, video_ids))
     except (ValueError, KeyError):
         return None
-    if set(map(operator.attrgetter("tzinfo"), times)) != {timezone.utc}:  # any other zone is converted row by row
+    if zones != {timezone.utc}:  # any other zone is converted, and its range checked, row by row
         return None
-    published_us = list(map(operator.floordiv, map(operator.sub, times, repeat(_UNIX_EPOCH)), repeat(_MICROSECOND)))
-    return ids, video_ids, list(map(authors.setdefault, author_ids, author_ids)), texts, published_us, likes
+    return ids, video_ids, list(map(authors.setdefault, author_ids, author_ids)), texts
 
 
 # The hash of a comment id in the duplicate check of :func:`load_comments`;
@@ -816,11 +793,13 @@ def load_comments(
     row keeps its own line and message. A comment pointing at an unknown
     video is an orphan, a row error naming its ``video_id``; malformed
     rows and duplicate comment ids go to the error report. Well-formed,
-    referentially valid rows are always kept. A kept comment's
-    ``video_id`` is its video record's string, and equal ``author_id``
-    values are one string, so a comment keeps only the characters of its
-    own id and text (packed, with 4 bytes each for their ends), 8 bytes
-    for its time and three tuple slots. ``sha256`` is fed the file's bytes.
+    referentially valid rows are always kept. A row's ``published_at`` and
+    ``like_count`` are checked as a video's are, so a bad one rejects the
+    row, but neither is kept. A kept comment's ``video_id`` is its video
+    record's string, and equal ``author_id`` values are one string, so a
+    comment keeps only the characters of its own id and text (packed, with
+    4 bytes each for their ends) and two tuple slots. ``sha256`` is fed
+    the file's bytes.
 
     The duplicate check keeps no id strings. While the file loads, a
     comment costs 8 bytes for its id's hash, and a bit map of one bit per
@@ -865,7 +844,7 @@ def load_comments(
                 mark(columns[0], step.line_nos)
                 yield columns
                 continue
-            rows: list[CommentRow] = []
+            rows: list[tuple[str, str, str, str]] = []
             for line_no, row in _step_rows(step, parse):
                 if isinstance(row, Exception):
                     errors.append(RowError(line_no, f"malformed row: {row}"))
@@ -968,7 +947,7 @@ def load_corpus_dir(
 
 
 # ---------------------------------------------------------------------------
-# Writers (inverse of the loaders; round-trip preserves records and tables field-for-field)
+# Writers (inverse of the loaders; a written record, or a comment row's table fields, loads back unchanged)
 
 
 def _registry_to_row(rec: ChannelRecord) -> dict:
@@ -1079,12 +1058,15 @@ def write_videos(records: Sequence[VideoRecord], path: str | Path) -> None:
     _write_tabular(Path(path), [_video_to_row(r) for r in records], header)
 
 
-def write_comments(comments: CommentTable, path: str | Path) -> None:
+def write_comments(comments: Iterable[CommentRow], path: str | Path) -> None:
     header = ["comment_id", "video_id", "author_id", "text", "published_at", "like_count"]
-    _write_tabular(Path(path), map(_comment_to_row, comments.rows()), header)
+    _write_tabular(Path(path), map(_comment_to_row, comments), header)
 
 
-def write_corpus(corpus: Corpus, directory: str | Path, fmt: str = "jsonl") -> dict[str, Path]:
+def write_corpus(
+    registry: Sequence[ChannelRecord], videos: Sequence[VideoRecord], comments: Iterable[CommentRow],
+    directory: str | Path, fmt: str = "jsonl",
+) -> dict[str, Path]:
     """Write the three corpus files into ``directory``; returns their paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -1094,9 +1076,9 @@ def write_corpus(corpus: Corpus, directory: str | Path, fmt: str = "jsonl") -> d
         "videos": directory / f"videos{suffix}",
         "comments": directory / f"comments{suffix}",
     }
-    write_registry(corpus.registry, paths["registry"])
-    write_videos(corpus.videos, paths["videos"])
-    write_comments(corpus.comments, paths["comments"])
+    write_registry(registry, paths["registry"])
+    write_videos(videos, paths["videos"])
+    write_comments(comments, paths["comments"])
     return paths
 
 

@@ -17,6 +17,7 @@ Floyd-Warshall shortest paths) used to cross-check pipeline output.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from copy import deepcopy
 from dataclasses import dataclass, field
@@ -28,8 +29,8 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from collabmetrics import PRESET_NAMES, report
 from collabmetrics.corpus import (
+    _REGISTRY_FIXED,
     ChannelRecord,
-    CommentRow,
     CommentTable,
     Corpus,
     VideoRecord,
@@ -145,6 +146,9 @@ class CommunitySpec:
             raise InfeasibleSpecError("attribute_ratios must be nonnegative and nonempty")
         if sum(self.attribute_ratios.values()) <= 0:
             raise InfeasibleSpecError("attribute_ratios must have positive total weight")
+        registry_fields = (*_REGISTRY_FIXED, "attributes")  # a CSV registry cannot load an attribute column so named
+        if self.attribute_key in registry_fields:
+            raise InfeasibleSpecError(f"attribute_key must not be a registry field: {', '.join(registry_fields)}")
         if any("-" in label for label in self.attribute_ratios):
             raise InfeasibleSpecError("attribute values must not contain '-', the dyad-type separator")
         if not 0.0 <= self.loyalty <= 1.0:
@@ -167,7 +171,8 @@ class CommunitySpec:
 
 @dataclass(frozen=True)
 class PlantedTruth:
-    """Ground truth realized by one generation run."""
+    """Ground truth realized by one generation run, and what only the comments file holds:
+    each comment's time (UTC microseconds since 1970-01-01) and like count, in table order."""
 
     community: str
     seed: int
@@ -178,6 +183,8 @@ class PlantedTruth:
     two_way_videos: int
     multi_way_videos: int
     baseline_targets: Mapping[str, float]
+    comment_published_us: array = field(repr=False)  # array('q')
+    comment_like_counts: bytes = field(repr=False)
 
 
 def _apportion(total: int, weights: Mapping[str, float]) -> dict[str, int]:
@@ -375,8 +382,10 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
         for s, (_, views, title, description) in enumerate(slots[i])
     ]
 
-    # --- comments -----------------------------------------------------------
-    def comment_rows() -> Iterator[CommentRow]:
+    # --- comments: the table's rows, and each one's time and like count beside them
+    comment_us, comment_likes = array("q"), bytearray()
+
+    def comment_rows() -> Iterator[tuple[str, str, str, str]]:
         if spec.audience_size <= 0:
             return
         popularity = target_arr / target_arr.sum()
@@ -405,13 +414,13 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
                 bucket = slots[target][slot][0]
                 if bucket not in text_draws:
                     text_draws[bucket] = _text_draws(spec.discourse_profiles, bucket)
+                comment_us.append(video.published_us + (comment_seq % 600 + 1) * _MINUTE_US)
+                comment_likes.append(below(50))
                 yield (
                     f"{spec.community}-m{comment_seq:07d}",
                     video.video_id,
                     author,
                     _comment_text(*text_draws[bucket], text),
-                    video.published_us + (comment_seq % 600 + 1) * _MINUTE_US,
-                    below(50),
                 )
                 comment_seq += 1
 
@@ -433,6 +442,8 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
         two_way_videos=n_two,
         multi_way_videos=n_multi,
         baseline_targets=baseline_targets,
+        comment_published_us=comment_us,
+        comment_like_counts=bytes(comment_likes),
     )
     return corpus, truth
 
@@ -632,7 +643,8 @@ def simulate_to_dir(spec: CommunitySpec, out_dir: str | Path, fmt: str = "jsonl"
     """Generate and write the three corpus files plus the truth file."""
     corpus, truth = generate(spec)
     out_dir = Path(out_dir)
-    paths = write_corpus(corpus, out_dir, fmt=fmt)
+    comments = zip(*corpus.comments.columns(), truth.comment_published_us, truth.comment_like_counts)
+    paths = write_corpus(corpus.registry, corpus.videos, comments, out_dir, fmt=fmt)
     truth_path = out_dir / "truth.json"
     write_truth(truth, truth_path)
     paths["truth"] = truth_path

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from collabmetrics.corpus import ChannelRecord, CommentTable, VideoRecord, build_corpus
+from collabmetrics.corpus import ChannelRecord, CommentTable, VideoRecord, build_corpus, write_corpus
 
 T0_US = 1_704_067_200_000_000  # 2024-01-01 UTC in microseconds since 1970-01-01
 
@@ -32,9 +32,20 @@ def make_video(video_id, channel_id, views=100, description="", offset_hours=0, 
     )
 
 
-def make_comment(comment_id, video_id, author_id, text="", offset_minutes=0, like_count=None):
-    """One comment row, as :meth:`CommentTable.from_rows` takes it."""
+def make_comment(comment_id, video_id, author_id, text=""):
+    """One comment, as :meth:`CommentTable.from_rows` takes it."""
+    return (comment_id, video_id, author_id, text)
+
+
+def make_comment_row(comment_id, video_id, author_id, text="", offset_minutes=0, like_count=None):
+    """One row of a comments file, as :func:`write_comments` takes it."""
     return (comment_id, video_id, author_id, text, T0_US + offset_minutes * 60_000_000, like_count)
+
+
+def write_test_corpus(corpus, directory, fmt="jsonl"):
+    """Write a corpus's three files, each comment at ``T0_US`` with no like count; returns their paths."""
+    rows = [make_comment_row(*comment) for comment in zip(*corpus.comments.columns())]
+    return write_corpus(corpus.registry, corpus.videos, rows, directory, fmt)
 
 
 class KeyedScorer:

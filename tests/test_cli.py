@@ -324,12 +324,12 @@ class TestRunReport:
     def test_one_community_in_memory_at_a_time(self, trio_dirs, tmp_path, monkeypatch):
         """When a community's stages start, every earlier community's corpus
         and comment table are already freed."""
-        refs = {}  # community -> weak references to its corpus and its comment time column
+        refs = {}  # community -> weak references to its corpus and the array of its comment texts' ends
         load, detect = report._load, collab.detect_collaborations
 
         def recording_load(directory, config):
             corpus, digests = load(directory, config)
-            refs[corpus.community] = (weakref.ref(corpus), weakref.ref(corpus.comments.published_us))
+            refs[corpus.community] = (weakref.ref(corpus), weakref.ref(corpus.comments.texts._ends))
             return corpus, digests
 
         alive = []  # (community, earlier communities whose corpus or comments are still reachable)
@@ -806,6 +806,14 @@ class TestBadConfigFiles:
                 {**_SPEC, "attribute_ratios": {"M": -(10**400)}},
                 f"spec: attribute_ratios must be an object of numbers, got {{'M': {-(10**400)}}}",
                 id="weight-beyond-float-range",
+            ),
+            *(  # a CSV registry of such an attribute column fails to load
+                pytest.param(
+                    {**_SPEC, "attribute_key": key},
+                    "attribute_key must not be a registry field: channel_id, handles, display_name, community, attributes",
+                    id=f"attribute-key-{key}",
+                )
+                for key in ("channel_id", "handles", "display_name", "community", "attributes")
             ),
         ],
     )

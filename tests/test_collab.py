@@ -15,12 +15,12 @@ from collabmetrics.collab import (
     detect_collaborations,
     partition_videos,
 )
-from collabmetrics.corpus import CommentTable, build_corpus, write_corpus
+from collabmetrics.corpus import CommentTable, build_corpus
 from collabmetrics.errors import ValidationError
 from collabmetrics.report import RunConfig, run_report
 from collabmetrics.simgen import _naive_bounded_find
 
-from .conftest import make_channel, make_comment, make_video
+from .conftest import make_channel, make_comment, make_video, write_test_corpus
 
 
 def detect(corpus):
@@ -84,7 +84,7 @@ class TestExtractMentions:
         registry = [make_channel("A", "hosta"), make_channel("S", "ss", gender="W")]
         videos = [make_video("a1", "A", description="with ſs today"), make_video("s1", "S", offset_hours=1)]
         comments = CommentTable.from_rows([make_comment("c1", "a1", "u1", "hi")])
-        write_corpus(build_corpus(registry, videos, comments), tmp_path / "in")
+        write_test_corpus(build_corpus(registry, videos, comments), tmp_path / "in")
         bundle = run_report(RunConfig(community_dirs=(str(tmp_path / "in"),), out_dir=str(tmp_path / "out")))
         assert json.loads(bundle.manifest_path.read_text())["stages"]["collabs"] == "ok"
 

@@ -49,7 +49,12 @@ from collabmetrics.corpus import (
 )
 from collabmetrics.errors import ConfigurationError, ValidationError
 
-from .conftest import make_channel, make_comment, make_video
+from .conftest import make_channel, make_comment, make_comment_row, make_video, write_test_corpus
+
+
+def table_rows(table):
+    """Each comment of a table as :meth:`CommentTable.from_rows` takes it, in order."""
+    return list(zip(*table.columns()))
 
 
 def write_jsonl(path, rows):
@@ -312,16 +317,17 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
     def test_comments_round_trip(self, tmp_path, suffix):
+        """Written comment rows load back as their table rows; a time and a like count are checked, not kept."""
         videos = [make_video("v1", "A")]
-        records = CommentTable.from_rows([
-            make_comment("c1", "v1", "u1", 'text with "quotes" and, commas'),
-            make_comment("c2", "v1", "u2", "", like_count=3),
-        ])
+        rows = [
+            make_comment_row("c1", "v1", "u1", 'text with "quotes" and, commas'),
+            make_comment_row("c2", "v1", "u2", "", offset_minutes=5, like_count=3),
+        ]
         path = tmp_path / f"comments.{suffix}"
-        write_comments(records, path)
+        write_comments(rows, path)
         loaded, report = load_comments(path, videos)
         assert report.errors == () and report.orphans == ()
-        assert loaded == records
+        assert loaded == CommentTable.from_rows(row[:4] for row in rows)
 
 
 class TestBaseline:
@@ -484,7 +490,7 @@ def _reference_load_comments(path, videos):
 
 def _assert_same_load(got, expected):
     """Two ``(table, report)`` loads hold the same rows and the same row errors, line, order and message."""
-    assert list(got[0].rows()) == list(expected[0].rows())
+    assert table_rows(got[0]) == table_rows(expected[0])
     assert got[1] == expected[1]
 
 
@@ -575,7 +581,7 @@ class TestDuplicateIds:
             "from collabmetrics.corpus import VideoRecord, load_comments\n"
             "videos = [VideoRecord(v, 'A', 0, '', '', 1) for v in ('v1', 'v2')]\n"
             "table, report = load_comments(sys.argv[1], videos)\n"
-            "print(list(table.rows()), report)\n"
+            "print(list(zip(*table.columns())), report)\n"
         )
         outputs = []
         for seed in ("0", "1"):
@@ -584,7 +590,7 @@ class TestDuplicateIds:
             assert done.returncode == 0, done.stderr
             outputs.append(done.stdout)
         table, report = load_comments(path, _ID_VIDEOS)
-        assert outputs[0] == outputs[1] == f"{list(table.rows())} {report}\n"
+        assert outputs[0] == outputs[1] == f"{table_rows(table)} {report}\n"
 
 
 def _comment_record(suffix, comment_id, video_id="v1", text="gg", like_count=None, stamp="2024-01-01T00:00:00+00:00"):
@@ -663,8 +669,8 @@ class TestStepReader:
         """A clean 1,000-row file never reaches the row path; a later change that
         sends good steps row by row fails here."""
         path = tmp_path / f"comments.{suffix}"
-        write_comments(CommentTable.from_rows(
-            make_comment(f"c{i:04d}", f"v{1 + i % 2}", f"u{i % 7}", f"text {i}", i, None if i % 3 == 0 else i)
+        write_comments((
+            make_comment_row(f"c{i:04d}", f"v{1 + i % 2}", f"u{i % 7}", f"text {i}", i, None if i % 3 == 0 else i)
             for i in range(1_000)
         ), path)
         with mock.patch.object(corpus, "_comment_from_row", side_effect=AssertionError("read row by row")):
@@ -773,7 +779,7 @@ class TestByteOrderMark:
 
     def test_corpus_loads_the_same_records(self, two_channel_corpus, tmp_path):
         plain, marked = tmp_path / "plain", tmp_path / "marked"
-        paths = corpus.write_corpus(two_channel_corpus, plain, fmt="csv")
+        paths = write_test_corpus(two_channel_corpus, plain, fmt="csv")
         marked.mkdir()
         for path in paths.values():
             (marked / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
@@ -803,7 +809,7 @@ class TestUndecodableBytes:
         if kind == "videos":
             write_videos([make_video(f"v{i:03d}", "A", description=t) for i, t in enumerate(texts)], path)
         else:
-            write_comments(CommentTable.from_rows(make_comment(f"c{i:03d}", "v1", "u1", text=t) for i, t in enumerate(texts)), path)
+            write_comments((make_comment_row(f"c{i:03d}", "v1", "u1", text=t) for i, t in enumerate(texts)), path)
         path.write_bytes(path.read_bytes().replace(b"BAD", b"B\xffD"))
         if kind == "videos":
             records, errors = load_videos(path, [make_channel("A", "a")])
@@ -945,9 +951,7 @@ class TestCsvLineNumbers:
         bad = 390
         path = tmp_path / "comments.csv"
         write_comments(
-            CommentTable.from_rows(
-                make_comment(f"c{i:03d}", "v1", "u1", text=f"{'BAD' if i == bad else 'ok'}\nmore") for i in range(400)
-            ),
+            (make_comment_row(f"c{i:03d}", "v1", "u1", text=f"{'BAD' if i == bad else 'ok'}\nmore") for i in range(400)),
             path,
         )
         path.write_bytes(path.read_bytes().replace(b"BAD", b"B\xffD"))
@@ -1349,20 +1353,22 @@ def _timed_row(kind, i, stamp):
 
 
 def _load_timed(kind, path):
-    """The loaded videos or comments of ``path``, their times by id, and the lines of the rows it rejected."""
+    """The loaded videos or comments of ``path``, the time of each by id (None for a comment,
+    whose time is checked but not kept), and the lines of the rows it rejected."""
     if kind == "videos":
         videos, errors = load_videos(path, [make_channel("A")])
         return videos, {v.video_id: v.published_us for v in videos}, [e.line for e in errors]
     comments, report = load_comments(path, [make_video("v1", "A")])
-    return comments, dict(zip(comments.comment_ids, comments.published_us)), [e.line for e in report.errors]
+    return comments, dict.fromkeys(comments.comment_ids), [e.line for e in report.errors]
 
 
-_WRITE_TIMED = {"videos": write_videos, "comments": write_comments}
 _TIMED_KINDS = pytest.mark.parametrize("kind", ["videos", "comments"])
 
 
 class TestTimeColumn:
-    """A video's or comment's time is kept as exact UTC microseconds since 1970 and written back unchanged."""
+    """A video's or comment's time is accepted or rejected by its UTC instant. A video keeps it
+    as exact UTC microseconds since 1970 and writes it back unchanged; a comment keeps none, and
+    its file rows are written with their times in the same form."""
 
     @_TIMED_KINDS
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -1375,20 +1381,28 @@ class TestTimeColumn:
         loaded, times, error_lines = _load_timed(kind, tmp_path / "in.jsonl")
 
         expected = {f"r{i}": _utc_us(stamp) for i, stamp in enumerate(stamps)}
-        assert times == {key: us for key, us in expected.items() if us is not None}
+        in_range = {key: us for key, us in expected.items() if us is not None}
+        assert times == (in_range if kind == "videos" else dict.fromkeys(in_range))
         assert error_lines == [line for line, us in enumerate(expected.values(), 1) if us is None]
 
+        # A video writes back the time it loaded with; a comment's file row is written with its own.
+        rows = [(key, "v1", "u1", "hi", us, None) for key, us in in_range.items()]
         for suffix in ("jsonl", "csv"):
             first, second = tmp_path / f"first.{suffix}", tmp_path / f"second.{suffix}"
-            _WRITE_TIMED[kind](loaded, first)
-            again, _, _ = _load_timed(kind, first)
-            _WRITE_TIMED[kind](again, second)
-            assert again == loaded
-            assert first.read_bytes() == second.read_bytes()
+            if kind == "videos":
+                write_videos(loaded, first)
+            else:
+                write_comments(rows, first)
+            again, again_times, again_errors = _load_timed(kind, first)
+            assert again_times == times and again_errors == []
+            if kind == "videos":
+                write_videos(again, second)
+                assert again == loaded
+                assert first.read_bytes() == second.read_bytes()
         id_key = "video_id" if kind == "videos" else "comment_id"
-        rows = [json.loads(line) for line in (tmp_path / "first.jsonl").read_text().splitlines()]
-        assert {row[id_key]: row["published_at"] for row in rows} == {
-            key: (_NAIVE_EPOCH + us * _MICROSECOND).isoformat() + "+00:00" for key, us in times.items()
+        written = [json.loads(line) for line in (tmp_path / "first.jsonl").read_text().splitlines()]
+        assert {row[id_key]: row["published_at"] for row in written} == {
+            key: (_NAIVE_EPOCH + us * _MICROSECOND).isoformat() + "+00:00" for key, us in in_range.items()
         }
 
     @_TIMED_KINDS
@@ -1409,7 +1423,7 @@ class TestSharedIdStrings:
         registry = [make_channel("A", "a"), make_channel("B", "b")]
         write_videos([make_video(f"v{i}", "AB"[i % 2]) for i in range(4)], tmp_path / f"videos.{suffix}")
         videos, _ = load_videos(tmp_path / f"videos.{suffix}", registry)
-        comments = CommentTable.from_rows(make_comment(f"c{i}", f"v{i % 5}", f"u{i % 3}") for i in range(30))
+        comments = [make_comment_row(f"c{i}", f"v{i % 5}", f"u{i % 3}") for i in range(30)]
         write_comments(comments, tmp_path / f"comments.{suffix}")
         records, report = load_comments(tmp_path / f"comments.{suffix}", videos)
 
@@ -1459,35 +1473,39 @@ def _traced_load(path, videos, errors=0):
 
 def test_bytes_kept_per_comment(tmp_path):
     """A loaded comment keeps the characters of its id and text, 4 bytes for
-    each one's end, 8 bytes of time and three column slots.
+    each one's end and two column slots.
 
-    The simulator-shaped comments keep about 92 bytes each on Python 3.11
-    (90 on 3.12). Each used to keep about 400 bytes, 125 of them in copies
-    of its video and author ids, then about 284 in a record and a
-    ``datetime`` of its own, and then about 197 with an id and a text
-    ``str`` each in tuple columns.
+    The simulator-shaped comments keep about 75 bytes each on Python 3.11
+    (77.5 on 3.10, 73 on 3.12 and 3.13). Each used to keep about 400 bytes,
+    125 of them in copies of its video and author ids, then about 284 in a
+    record and a ``datetime`` of its own, then about 197 with an id and a
+    text ``str`` each in tuple columns, and then about 92 with its time and
+    like count kept in two more columns.
     """
     path = tmp_path / "comments.jsonl"
     _, kept, _ = _traced_load(path, _simulator_shaped_comments(path))
-    assert kept <= 95
+    assert kept <= 80
 
 
 def test_load_peak_per_comment(tmp_path):
-    """Loading peaks at about 158 bytes a comment on Python 3.11 (165 on
-    3.10, 154 on 3.12): the table, and 8 bytes of id hash and about 6 of
-    bit map for the duplicate check. With a set of the ids seen it peaked
-    at about 228 (234 on 3.10), most of it the set and the id strings it
-    held; with tuple columns of id and text strings at about 247."""
+    """Loading peaks at about 130 bytes a comment on Python 3.11 (137 on
+    3.10, 127 on 3.12 and 3.13): the table, one step's parsed rows, and 8
+    bytes of id hash and about 6 of bit map for the duplicate check. With
+    each comment's time and like count kept too it peaked at about 147
+    (154 on 3.10). With a set of the ids seen it peaked at about 228 (234
+    on 3.10), most of it the set and the id strings it held; with tuple
+    columns of id and text strings at about 247."""
     path = tmp_path / "comments.jsonl"
     _, _, peak = _traced_load(path, _simulator_shaped_comments(path))
-    assert peak <= 170
+    assert peak <= 150
 
 
 def test_load_peak_with_a_repeated_id(tmp_path):
     """A repeated id leaves the table without a second whole table alive:
     the kept rows are copied one column at a time, the old column freed as
-    its copy is built. The peak is then about 161 bytes a comment on Python
-    3.11; with the table rebuilt from the old one's rows it was about 231."""
+    its copy is built. The peak is then about 134 bytes a comment on Python
+    3.11 (139 on 3.10); with the table rebuilt from the old one's rows it
+    was about 231."""
     path = tmp_path / "comments.jsonl"
     videos = _simulator_shaped_comments(path)
     with path.open("r+", encoding="utf-8") as fh:
@@ -1495,7 +1513,7 @@ def test_load_peak_with_a_repeated_id(tmp_path):
         fh.seek(0, os.SEEK_END)
         fh.write(first)
     records, _, peak = _traced_load(path, videos, errors=1)
-    assert peak <= 170
+    assert peak <= 150
     assert records.comment_ids[0] == "game-m0000000" and len(set(records.comment_ids)) == 4_000
 
 
@@ -1533,9 +1551,9 @@ class TestPackedStrings:
     def test_round_trip(self, pool, size, offset):
         strings = [pool[(offset + i) % len(pool)] for i in range(size)]
         self._check(strings)
-        rows = [make_comment(f"c{i}", "v1", "u1", text, i) for i, text in enumerate(strings)]
+        rows = [make_comment(f"c{i}", "v1", "u1", text) for i, text in enumerate(strings)]
         table = CommentTable.from_rows(rows)
-        assert list(table.rows()) == rows
+        assert table_rows(table) == rows
         assert table.texts == strings and list(table.comment_ids) == [row[0] for row in rows]
 
     @pytest.mark.parametrize("size", [0, 1, 255, 256, 257, 513])
@@ -1544,12 +1562,11 @@ class TestPackedStrings:
         packed = self._check(strings)
         if size:
             assert packed[-1] == strings[-1]
-        rows = [make_comment(f"c{i:03d}", f"v{i % 3}", f"u{i % 5}", text, i, i % 4 or None)
-                for i, text in enumerate(strings)]
+        rows = [make_comment(f"c{i:03d}", f"v{i % 3}", f"u{i % 5}", text) for i, text in enumerate(strings)]
         table = CommentTable.from_rows(rows)
-        assert len(table) == size and list(table.rows()) == rows
+        assert len(table) == size and table_rows(table) == rows
         kept = table.on_videos({"v1"})
-        assert list(kept.rows()) == [row for row in rows if row[1] == "v1"]
+        assert table_rows(kept) == [row for row in rows if row[1] == "v1"]
 
     def test_equality(self):
         packed = PackedStrings(["a", "b"])
@@ -1569,11 +1586,13 @@ class TestPackedStrings:
 
     @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
     def test_write_comments_bytes(self, tmp_path, suffix):
-        """The table writes its rows in order, whatever chunk a row is in."""
+        """Rows zipped from a table's columns and their times and like counts, as ``simgen`` writes
+        them, are written in order, whatever chunk a row is in."""
         texts = ('say "hi", ok', "é\nline", "")
-        rows = [make_comment(f"c{i:03d}", "v1", "u1", texts[i % 3], i, i % 2 or None) for i in range(2 * CHUNK + 1)]
+        rows = [make_comment_row(f"c{i:03d}", "v1", "u1", texts[i % 3], i, i % 2 or None) for i in range(2 * CHUNK + 1)]
         path = tmp_path / f"comments.{suffix}"
-        write_comments(CommentTable.from_rows(rows), path)
+        table = CommentTable.from_rows(row[:4] for row in rows)
+        write_comments(zip(*table.columns(), (row[4] for row in rows), (row[5] for row in rows)), path)
         header = ["comment_id", "video_id", "author_id", "text", "published_at", "like_count"]
         cells = [
             [*row[:4], (datetime(2024, 1, 1, tzinfo=timezone.utc) + timedelta(minutes=i)).isoformat(), row[5]]

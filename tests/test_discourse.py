@@ -42,11 +42,10 @@ from collabmetrics.discourse import (
     load_topic_keywords,
     score_comments,
 )
-from collabmetrics.corpus import write_corpus
 from collabmetrics.errors import ConfigurationError, ValidationError
 from collabmetrics.report import CommunityPipeline, RunConfig, RunStageError, run_report
 
-from .conftest import KeyedScorer, make_channel, make_comment, make_video
+from .conftest import KeyedScorer, make_channel, make_comment, make_video, write_test_corpus
 
 
 def score_sentiment(text):
@@ -637,7 +636,7 @@ def _chunked_corpus(n_comments, texts):
         make_video("solo-d", "C", offset_hours=6),
     ]
     comments = CommentTable.from_rows(
-        make_comment(f"c{i:05d}", videos[(i * 3) % len(videos)].video_id, f"u{i % 97}", texts[i % len(texts)], i)
+        make_comment(f"c{i:05d}", videos[(i * 3) % len(videos)].video_id, f"u{i % 97}", texts[i % len(texts)])
         for i in range(n_comments)
     )
     return build_corpus(registry, videos, comments)
@@ -824,7 +823,7 @@ class TestNonFiniteScore:
         assert str(err.value) == f"sentiment scorer _ConstantScorer returned {value!r}; scores must be finite"
 
     def test_report_names_the_discourse_stage(self, value, tmp_path, monkeypatch):
-        write_corpus(_chunked_corpus(40, ("good", "bad")), tmp_path / "corpus")
+        write_test_corpus(_chunked_corpus(40, ("good", "bad")), tmp_path / "corpus")
         plugged = functools.partial(CommunityPipeline, scorer=_ConstantScorer(value))
         monkeypatch.setattr("collabmetrics.report.CommunityPipeline", plugged)
         with pytest.raises(RunStageError) as err:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collabmetrics import collab
-from collabmetrics.corpus import attribute_histogram, write_corpus
+from collabmetrics.corpus import attribute_histogram
 from collabmetrics.errors import InfeasibleSpecError
 from collabmetrics.simgen import (
     CommunitySpec,
@@ -64,11 +64,9 @@ class TestGenerate:
     def test_fixed_seed_byte_identical_files(self, tmp_path):
         spec = small_spec(seed=11)
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-        corpus_a, _ = generate(spec)
-        corpus_b, _ = generate(spec)
-        write_corpus(corpus_a, dir_a)
-        write_corpus(corpus_b, dir_b)
-        for name in ("registry.jsonl", "videos.jsonl", "comments.jsonl"):
+        simulate_to_dir(spec, dir_a)
+        simulate_to_dir(spec, dir_b)
+        for name in ("registry.jsonl", "videos.jsonl", "comments.jsonl", "truth.json"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
     def test_different_seeds_differ(self):
@@ -188,6 +186,11 @@ class TestGenerate:
             (dict(synergy_multipliers={"M-M": 2.0, "W-W": 0.0}), "synergy multipliers must be positive"),
             (dict(upstream_bias=1.5), "upstream_bias must lie in [-1, 1]"),
             (dict(upstream_bias=-1.01), "upstream_bias must lie in [-1, 1]"),
+            *(
+                (dict(attribute_key=key),
+                 "attribute_key must not be a registry field: channel_id, handles, display_name, community, attributes")
+                for key in ("channel_id", "handles", "display_name", "community", "attributes")
+            ),
         ],
     )
     def test_validate_refuses(self, overrides, message):
