@@ -14,7 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from collabmetrics.corpus import ChannelRecord, Corpus, VideoRecord
 from collabmetrics.errors import ValidationError
@@ -86,13 +87,24 @@ class HandleIndex:
         else:
             self._pattern = None
 
+    def mentions(self, descriptions: Iterable[str], owners: Sequence[str]) -> Iterator[tuple[int, set[str]]]:
+        """``(i, ids)`` for each of ``descriptions`` that holds a mention: the ids of the registered
+        channels other than its owner ``owners[i]`` that it mentions, a set that may be empty.
+
+        The descriptions are lowered and scanned by one ``map`` each; Python
+        code runs only for a description with a match.
+        """
+        if self._pattern is None:
+            return
+        found = map(self._pattern.findall, map(str.lower, descriptions))
+        for i, handles in filter(itemgetter(1), enumerate(found)):
+            mentioned = set(map(self._owner_by_handle.__getitem__, handles))
+            mentioned.discard(owners[i])  # self-mentions are not collaborations
+            yield i, mentioned
+
     def scan(self, video: VideoRecord) -> set[str]:
         """Ids of the registered channels other than the owner that the description mentions."""
-        if self._pattern is None or not video.description:
-            return set()
-        mentioned = {self._owner_by_handle[m] for m in self._pattern.findall(video.description.lower())}
-        mentioned.discard(video.channel_id)  # self-mentions are not collaborations
-        return mentioned
+        return next((ids for _, ids in self.mentions((video.description,), (video.channel_id,))), set())
 
 
 def classify_dyad(host: str, guest: str, channels: Mapping[str, ChannelRecord], attribute_key: str) -> str:
@@ -109,15 +121,14 @@ def classify_dyad(host: str, guest: str, channels: Mapping[str, ChannelRecord], 
 
 def partition_videos(corpus: Corpus) -> VideoPartition:
     """Split videos into two-way and multi-way by distinct mentions; the rest are plain."""
-    index = HandleIndex(corpus.registry)
+    videos = corpus.videos
     two_way: dict[str, str] = {}
     multi_way: set[str] = set()
-    for video in corpus.videos:
-        mentioned = index.scan(video)
+    for i, mentioned in HandleIndex(corpus.registry).mentions(videos.descriptions, videos.channel_ids):
         if len(mentioned) == 1:
-            two_way[video.video_id] = next(iter(mentioned))
+            two_way[videos.video_ids[i]] = next(iter(mentioned))
         elif len(mentioned) > 1:
-            multi_way.add(video.video_id)
+            multi_way.add(videos.video_ids[i])
     return VideoPartition(two_way, frozenset(multi_way))
 
 
@@ -133,7 +144,7 @@ def detect_collaborations(
     ordered pair accumulate into one dyad.
     """
     channels = corpus.channels_by_id()
-    owner_of = {v.video_id: v.channel_id for v in corpus.videos}
+    owner_of = dict(zip(corpus.videos.video_ids, corpus.videos.channel_ids))
 
     videos_by_pair: dict[tuple[str, str], list[str]] = {}
     for video_id in sorted(partition.two_way):

@@ -2,8 +2,9 @@
 
 Three record kinds make up a corpus: a channel registry, a video corpus,
 and a comment corpus. Files are UTF-8 CSV (declared header) or JSON-lines,
-one record per row/line, with ISO-8601 timestamps. Channels and videos load
-as records, a video's time as whole microseconds since 1970-01-01 UTC. The
+one record per row/line, with ISO-8601 timestamps. Channels load as records.
+Videos load as one table of columns, a video's time as whole microseconds
+since 1970-01-01 UTC; iterating it gives one record per video. The
 comments, by far the most rows, load as one table of the four columns that an
 analysis reads; a comment's time and like count are checked, not kept.
 Loaded collections are validated, immutable, and safe to share across
@@ -41,6 +42,7 @@ __all__ = [
     "CHUNK",
     "STEP",
     "PackedStrings",
+    "VideoTable",
     "CommentTable",
     "Corpus",
     "RowError",
@@ -82,6 +84,14 @@ _UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
 
+def _iso_text(value: str) -> str:
+    """``value`` without surrounding space and with a trailing ``Z`` as ``+00:00``, which
+    ``datetime.fromisoformat`` reads before Python 3.11 too. A time that it reads
+    unchanged reads to the same instant after this rewrite."""
+    text = value.strip()
+    return text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text
+
+
 def _parse_timestamp(value: str) -> int:
     """An ISO-8601 timestamp as whole microseconds since 1970-01-01 UTC; naive values are taken as UTC.
 
@@ -89,11 +99,8 @@ def _parse_timestamp(value: str) -> int:
     """
     try:
         dt = datetime.fromisoformat(value)
-    except ValueError:  # surrounding space, or a "Z" that Python before 3.11 does not read
-        text = value.strip()
-        if text.endswith(("Z", "z")):
-            text = text[:-1] + "+00:00"
-        dt = datetime.fromisoformat(text)
+    except ValueError:
+        dt = datetime.fromisoformat(_iso_text(value))
     if dt.tzinfo is not timezone.utc:
         dt = dt.replace(tzinfo=timezone.utc) if dt.tzinfo is None else dt.astimezone(timezone.utc)
     return (dt - _UNIX_EPOCH) // _MICROSECOND
@@ -216,6 +223,118 @@ class PackedStrings(Sequence[str]):
         return f"PackedStrings({list(self)!r})"
 
 
+def _columns_of(steps: Iterable[Iterable[Iterable]], kinds: Sequence[type]) -> list:
+    """The columns of the rows of each step, in order, column ``i`` a ``kinds[i]``.
+
+    A step is one iterable of cells per column, all of one length. A kind
+    is ``tuple``, ``array`` (of typecode ``q``) or :class:`PackedStrings`,
+    whose strings wait until ``CHUNK`` of them can be packed together.
+    """
+    columns: list = [array("q") if kind is array else [] for kind in kinds]
+    packed = [(i, PackedStrings()) for i, kind in enumerate(kinds) if kind is PackedStrings]
+    for step in steps:
+        for column, cells in zip(columns, step):
+            column.extend(cells)
+        for i, strings in packed:
+            due = columns[i]
+            while len(due) >= CHUNK:
+                strings._pack(due[:CHUNK])
+                del due[:CHUNK]
+    for i, strings in packed:
+        if columns[i]:
+            strings._pack(columns[i])
+        columns[i] = strings
+    return [_frozen(column) if type(column) is list else column for column in columns]
+
+
+def _rebuilt(columns: list, rows: Callable[[Sequence], Iterable]) -> list:
+    """``columns`` with each entry replaced by the column of its own kind that holds ``rows(column)``.
+
+    Each entry is replaced as soon as its new column is built, so a caller
+    that holds no other reference to a table frees its columns one at a
+    time and never holds two whole tables.
+    """
+    for i, column in enumerate(columns):
+        cells = rows(column)
+        columns[i] = array(column.typecode, cells) if isinstance(column, array) else type(column)(cells)
+    return columns
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class VideoTable(Sequence[VideoRecord]):
+    """The videos of a corpus, one column per field of :class:`VideoRecord`.
+
+    Row ``i`` of every column is video ``i``. ``video_ids`` and
+    ``channel_ids`` are tuples of strings shared with the comments and the
+    registry, ``published_us`` an ``array('q')``, ``titles`` and
+    ``descriptions`` :class:`PackedStrings`, and the three counts tuples of
+    ``int`` (the optional two also of None). Indexing or iterating the table
+    gives each video as a :class:`VideoRecord`, and the table equals any
+    sequence of the same records. Build a table with :meth:`from_records`;
+    :func:`load_videos` gives one in ``(channel_id, published_us)`` order.
+    """
+
+    video_ids: tuple[str, ...]
+    channel_ids: tuple[str, ...]
+    published_us: array
+    titles: PackedStrings
+    descriptions: PackedStrings
+    view_counts: tuple[int, ...]
+    like_counts: tuple[int | None, ...]
+    comment_counts: tuple[int | None, ...]
+
+    _KINDS = (tuple, tuple, array, PackedStrings, PackedStrings, tuple, tuple, tuple)
+
+    @classmethod
+    def from_records(cls, records: Iterable[VideoRecord]) -> VideoTable:
+        """The table of ``records``, in order."""
+        records = iter(records)
+        chunks = iter(lambda: list(islice(records, CHUNK)), [])
+        return cls.from_columns(zip(*map(_VIDEO_FIELDS, chunk)) for chunk in chunks)
+
+    @classmethod
+    def of(cls, videos: VideoTable | Iterable[VideoRecord]) -> VideoTable:
+        """``videos`` itself if it is a table, else the table of its records."""
+        return videos if isinstance(videos, VideoTable) else cls.from_records(videos)
+
+    @classmethod
+    def from_columns(cls, steps: Iterable[Iterable[Iterable]]) -> VideoTable:
+        """The table of the rows of each step, in order; a step is eight columns of one length, in field order."""
+        return cls(*_columns_of(steps, cls._KINDS))
+
+    @classmethod
+    def taken(cls, columns: list, rows: Sequence[int]) -> VideoTable:
+        """The table of the rows ``rows`` of ``columns`` (as :meth:`columns` gives them), in that order.
+
+        Each old column is freed as its copy is built, as in :func:`_rebuilt`.
+        """
+        return cls(*_rebuilt(columns, lambda column: map(column.__getitem__, rows)))
+
+    def columns(self) -> list:
+        """The table's columns, in field order, in a new list."""
+        return [getattr(self, field.name) for field in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self.video_ids)
+
+    def __getitem__(self, index: int) -> VideoRecord:  # type: ignore[override]
+        return VideoRecord(*(column[index] for column in self.columns()))
+
+    def __iter__(self) -> Iterator[VideoRecord]:
+        return map(VideoRecord, *self.columns())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, VideoTable):
+            return self.columns() == other.columns()
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+
+# A record's fields in :class:`VideoTable` column order.
+_VIDEO_FIELDS = operator.attrgetter(*(field.name for field in fields(VideoRecord)))
+
+
 @dataclass(frozen=True, slots=True)
 class CommentTable:
     """The audience comments of a corpus, one column per field that an analysis reads.
@@ -239,30 +358,9 @@ class CommentTable:
         return cls.from_columns(zip(*chunk) for chunk in iter(lambda: list(islice(rows, CHUNK)), []))
 
     @classmethod
-    def from_columns(cls, steps: Iterable[Iterable[Sequence]]) -> CommentTable:
-        """The table of the rows of each step, in order.
-
-        A step is four columns of one length, in field order; its ids and
-        texts wait until ``CHUNK`` of them can be packed together.
-        """
-        comment_ids, texts = PackedStrings(), PackedStrings()
-        video_ids: list[str] = []
-        author_ids: list[str] = []
-        ids_due: list[str] = []
-        texts_due: list[str] = []
-        for step_ids, step_videos, step_authors, step_texts in steps:
-            ids_due += step_ids
-            video_ids += step_videos
-            author_ids += step_authors
-            texts_due += step_texts
-            while len(ids_due) >= CHUNK:
-                comment_ids._pack(ids_due[:CHUNK])
-                texts._pack(texts_due[:CHUNK])
-                del ids_due[:CHUNK], texts_due[:CHUNK]
-        if ids_due:
-            comment_ids._pack(ids_due)
-            texts._pack(texts_due)
-        return cls(comment_ids, _frozen(video_ids), _frozen(author_ids), texts)
+    def from_columns(cls, steps: Iterable[Iterable[Iterable]]) -> CommentTable:
+        """The table of the rows of each step, in order; a step is four columns of one length, in field order."""
+        return cls(*_columns_of(steps, (PackedStrings, tuple, tuple, PackedStrings)))
 
     def __len__(self) -> int:
         return len(self.video_ids)
@@ -279,13 +377,9 @@ class CommentTable:
     def kept(cls, columns: list, keep: Sequence[int]) -> CommentTable:
         """The table of the rows ``i`` of ``columns`` (as :meth:`columns` gives them) where ``keep[i]`` is true.
 
-        Each entry of ``columns`` is replaced by its kept rows as soon as
-        they are built, so a caller that holds no other reference to a table
-        frees its columns one at a time and never holds two whole tables.
+        Each old column is freed as its copy is built, as in :func:`_rebuilt`.
         """
-        for i, column in enumerate(columns):
-            columns[i] = type(column)(compress(column, keep))  # a tuple or a PackedStrings, rebuilt by its own type
-        return cls(*columns)
+        return cls(*_rebuilt(columns, partial(compress, selectors=keep)))
 
 
 @dataclass(frozen=True)
@@ -306,47 +400,44 @@ class CommentLoadReport:
 
 @dataclass(frozen=True)
 class Corpus:
-    """A validated registry + videos + comments for one community."""
+    """A validated registry + videos + comments for one community.
+
+    ``videos`` is a :class:`VideoTable`: an analysis reads its columns, and
+    iterating it gives one :class:`VideoRecord` per video.
+    """
 
     registry: tuple[ChannelRecord, ...]
-    videos: tuple[VideoRecord, ...]
+    videos: VideoTable
     comments: CommentTable
     community: str
 
     def channels_by_id(self) -> dict[str, ChannelRecord]:
         return {ch.channel_id: ch for ch in self.registry}
 
-    def videos_by_id(self) -> dict[str, VideoRecord]:
-        return {v.video_id: v for v in self.videos}
-
-    def videos_by_channel(self) -> dict[str, list[VideoRecord]]:
-        out: dict[str, list[VideoRecord]] = {ch.channel_id: [] for ch in self.registry}
-        for v in self.videos:
-            out[v.channel_id].append(v)
-        return out
-
 
 def build_corpus(
     registry: Sequence[ChannelRecord],
-    videos: Sequence[VideoRecord],
+    videos: VideoTable | Iterable[VideoRecord],
     comments: CommentTable,
     community: str | None = None,
 ) -> Corpus:
-    """Assemble a corpus, enforcing referential integrity and a single community."""
+    """Assemble a corpus from a video table or records, enforcing referential integrity and a single community."""
     communities = {ch.community for ch in registry}
     if len(communities) > 1:
         raise ValidationError(f"registry spans multiple communities: {sorted(communities)}")
     if community is None:
         community = next(iter(communities)) if communities else ""
+    videos = VideoTable.of(videos)
+    # One C-level pass per check; the first offender is sought only on failure.
     channel_ids = {ch.channel_id for ch in registry}
-    for v in videos:
-        if v.channel_id not in channel_ids:
-            raise ValidationError(f"video {v.video_id!r} references unknown channel {v.channel_id!r}")
-    video_ids = {v.video_id for v in videos}
-    if not video_ids.issuperset(comments.video_ids):  # one C-level pass; the first offender is sought only on failure
+    if not channel_ids.issuperset(videos.channel_ids):
+        i = next(i for i, channel_id in enumerate(videos.channel_ids) if channel_id not in channel_ids)
+        raise ValidationError(f"video {videos.video_ids[i]!r} references unknown channel {videos.channel_ids[i]!r}")
+    video_ids = set(videos.video_ids)
+    if not video_ids.issuperset(comments.video_ids):
         i = next(i for i, video_id in enumerate(comments.video_ids) if video_id not in video_ids)
         raise ValidationError(f"comment {comments.comment_ids[i]!r} references unknown video {comments.video_ids[i]!r}")
-    return Corpus(tuple(registry), tuple(videos), comments, community)
+    return Corpus(tuple(registry), videos, comments, community)
 
 
 # ---------------------------------------------------------------------------
@@ -655,11 +746,20 @@ def load_registry(path: str | Path, attribute_key: str = "gender", sha256=None) 
     Handle normalization is applied on load. Raises :class:`ValidationError`
     naming the offenders on duplicate channel ids, duplicate normalized
     handles, or a dyad-typing attribute that is missing or contains ``-``
-    (the separator in dyad-type labels such as ``W-M``); the registry is
-    the analysis universe, so it is loaded strictly rather than row-by-row.
+    (the separator in dyad-type labels such as ``W-M``). An attribute that
+    shares its name with a fixed column (``channel_id``, ``handles``,
+    ``display_name``, ``community``) can come only from a JSON-lines row's
+    ``attributes`` object; one that is missing is one error naming that
+    column. The registry is the analysis universe, so it is loaded strictly
+    rather than row-by-row.
     A ``hashlib`` object ``sha256`` is fed the file's bytes as they are read.
     """
     records = list(load_rows(path, _registry_from_row, sha256=sha256))
+    if attribute_key in _REGISTRY_FIXED and not all(attribute_key in rec.attributes for rec in records):
+        raise ValidationError(
+            f"attribute {attribute_key!r} is missing: a registry column named {attribute_key!r} is a fixed "
+            "field, not an attribute, so it cannot type dyads; give the attribute another name"
+        )
 
     problems: list[str] = []
     id_owners: dict[str, str] = {}
@@ -687,44 +787,45 @@ def load_registry(path: str | Path, attribute_key: str = "gender", sha256=None) 
     return records
 
 
-def load_videos(
-    path: str | Path, registry: Sequence[ChannelRecord], sha256=None
-) -> tuple[list[VideoRecord], list[RowError]]:
-    """Load videos, keeping well-formed rows and collecting the rest.
+# The fields that the column steps read. A text field, a string, maps to the
+# value of a row that lacks it (None: a good row holds it); ``published_at``
+# is read as a time. A count, a whole number of at least 0, maps to whether a
+# good row holds it.
+_VIDEO_TEXTS = {"video_id": None, "channel_id": None, "published_at": None, "title": "", "description": ""}
+_VIDEO_COUNTS = {"view_count": True, "like_count": False, "comment_count": False}
+_COMMENT_TEXTS = {"comment_id": None, "video_id": None, "author_id": None, "text": "", "published_at": None}
+_COMMENT_COUNTS = {"like_count": False}
 
-    Rows with an unknown channel, a duplicate video id, a negative count,
-    or a parse failure are diverted into the per-row error report
-    instead of aborting the load. Returns records sorted by
-    ``(channel_id, published_us)``; each record's ``channel_id`` is its
-    registry record's string. ``sha256`` is fed the file's bytes.
+
+def _utc_times(stamps: Sequence[str]) -> list[datetime] | None:
+    """Each of ``stamps`` as :func:`_parse_timestamp` reads it, when every one is a UTC time; None otherwise.
+
+    A step that ``datetime.fromisoformat`` cannot read is read again as
+    :func:`_iso_text` rewrites it, so a time ending in ``Z`` is read on
+    Python 3.10 too.
     """
-    path = Path(path)
-    known = {ch.channel_id: ch.channel_id for ch in registry}
-    records: list[VideoRecord] = []
-    errors: list[RowError] = []
-    seen: set[str] = set()
-    for line_no, rec in _rows(path, partial(_video_from_row, known), sha256=sha256):
-        if isinstance(rec, Exception):
-            errors.append(RowError(line_no, f"malformed row: {rec}"))
-        elif rec.channel_id not in known:
-            errors.append(RowError(line_no, f"unknown channel_id {rec.channel_id!r}"))
-        elif rec.video_id in seen:
-            errors.append(RowError(line_no, f"duplicate video_id {rec.video_id!r}"))
-        else:
-            seen.add(rec.video_id)
-            records.append(rec)
-    records.sort(key=lambda v: (v.channel_id, v.published_us))
-    return records, errors
+    try:
+        times = list(map(datetime.fromisoformat, stamps))
+    except ValueError:
+        try:
+            times = list(map(datetime.fromisoformat, map(_iso_text, stamps)))
+        except ValueError:
+            return None
+    if set(map(operator.attrgetter("tzinfo"), times)) != {timezone.utc}:
+        return None  # any other zone is converted, and its range checked, row by row
+    return times
 
 
-def _comment_columns(
-    step: _Step, videos: dict[str, str], authors: dict[str, str]
-) -> tuple[Sequence, ...] | None:
-    """The four columns of the rows of ``step`` as :func:`_comment_from_row` reads them, when
-    every row is a well-formed comment on a known video; None for any other step.
+def _step_columns(step: _Step, texts: Mapping[str, str | None], counts: Mapping[str, bool]) -> dict[str, list] | None:
+    """The column of each field of ``texts`` and ``counts`` over the rows of ``step``, by field,
+    when every row is good in them; None for any other step.
 
     A JSON-lines step is one ``json.loads``, a CSV step one transposition;
-    each check and column is then one C-level pass, but a CSV like count's.
+    each check and column is then one C-level pass, but a CSV count's. A
+    good row has no undecodable byte, a string for each of ``texts`` (a
+    missing one is its default there), a count of at least 0 for each of
+    ``counts`` (a missing optional one is None), and a UTC time in
+    ``published_at``, whose column holds the ``datetime`` values.
     """
     n = len(step.raws)
     if step.header is None:
@@ -741,41 +842,127 @@ def _comment_columns(
             rows = json.loads(text)
         except ValueError:
             return None
-        ids, video_ids, author_ids, stamps, likes = (
-            list(map(dict.get, rows, repeat(key)))
-            for key in ("comment_id", "video_id", "author_id", "published_at", "like_count")
-        )
-        texts = list(map(dict.get, rows, repeat("text"), repeat("")))
+        columns = {key: list(map(dict.get, rows, repeat(key), repeat(texts.get(key)))) for key in (*texts, *counts)}
     else:
         header = step.header
         if type(header) is not list or set(map(type, step.raws)) != {list}:
             return None
         if set(map(len, step.raws)) != {len(header)}:
             return None
-        columns = dict(zip(header, zip(*step.raws)))  # a repeated name is its last column, as in a row
-        texts = columns.get("text", ("",) * n)
-        likes = columns.get("like_count", (None,) * n)
+        cells = dict(zip(header, zip(*step.raws)))  # a repeated name is its last column, as in a row
+        columns = {key: cells.get(key, (default,) * n) for key, default in texts.items()}
         try:
-            ids, video_ids, author_ids, stamps = (
-                columns[key] for key in ("comment_id", "video_id", "author_id", "published_at")
-            )
-            likes = [int(v) if v else None for v in likes]
-        except (KeyError, ValueError):
+            for key in counts:
+                columns[key] = [int(v) if v else None for v in cells.get(key, (None,) * n)]
+        except ValueError:
             return None
-    if set(map(type, chain(ids, video_ids, author_ids, texts, stamps))) != {str}:
+    if set(map(type, chain.from_iterable(map(columns.__getitem__, texts)))) != {str}:
         return None
     if _line_errors(step.lines, step.first):
         return None
-    if not {int, type(None)}.issuperset(map(type, likes)) or min(filter(None, likes), default=0) < 0:
+    for key, required in counts.items():
+        kinds = {int} if required else {int, type(None)}
+        if not kinds.issuperset(map(type, columns[key])) or min(filter(None, columns[key]), default=0) < 0:
+            return None
+    times = _utc_times(columns["published_at"])
+    if times is None:
+        return None
+    columns["published_at"] = times
+    return columns
+
+
+def _video_columns(step: _Step, channels: dict[str, str], seen: set[str]) -> tuple[Iterable, ...] | None:
+    """The eight columns of the rows of ``step`` as :func:`_video_from_row` reads them, when every
+    row is a well-formed video on a channel of ``channels`` whose id is not in ``seen`` and
+    not repeated in the step; None for any other step. The ids are then added to ``seen``."""
+    columns = _step_columns(step, _VIDEO_TEXTS, _VIDEO_COUNTS)
+    if columns is None:
+        return None
+    video_ids = columns["video_id"]
+    try:
+        channel_ids = list(map(channels.__getitem__, columns["channel_id"]))
+    except KeyError:
+        return None
+    if len(set(video_ids)) < len(video_ids) or not seen.isdisjoint(video_ids):
+        return None
+    seen.update(video_ids)
+    since_epoch = map(operator.sub, columns["published_at"], repeat(_UNIX_EPOCH))
+    return (
+        video_ids, channel_ids, map(operator.floordiv, since_epoch, repeat(_MICROSECOND)),
+        *map(columns.__getitem__, ("title", "description", *_VIDEO_COUNTS)),
+    )
+
+
+def _comment_columns(
+    step: _Step, videos: dict[str, str], authors: dict[str, str]
+) -> tuple[Sequence, ...] | None:
+    """The four columns of the rows of ``step`` as :func:`_comment_from_row` reads them, when
+    every row is a well-formed comment on a known video; None for any other step."""
+    columns = _step_columns(step, _COMMENT_TEXTS, _COMMENT_COUNTS)
+    if columns is None:
         return None
     try:
-        zones = set(map(operator.attrgetter("tzinfo"), map(datetime.fromisoformat, stamps)))
-        video_ids = list(map(videos.__getitem__, video_ids))
-    except (ValueError, KeyError):
+        video_ids = list(map(videos.__getitem__, columns["video_id"]))
+    except KeyError:
         return None
-    if zones != {timezone.utc}:  # any other zone is converted, and its range checked, row by row
-        return None
-    return ids, video_ids, list(map(authors.setdefault, author_ids, author_ids)), texts
+    author_ids = columns["author_id"]
+    return columns["comment_id"], video_ids, list(map(authors.setdefault, author_ids, author_ids)), columns["text"]
+
+
+def load_videos(
+    path: str | Path, registry: Sequence[ChannelRecord], sha256=None
+) -> tuple[VideoTable, list[RowError]]:
+    """Load videos ``STEP`` rows at a time into a :class:`VideoTable`, keeping well-formed rows and collecting the rest.
+
+    A step whose every row is a well-formed video on a known channel, with
+    an id not seen before, is read as columns; any other step is read row
+    by row, so that each bad row keeps its own line and message. Rows with
+    an unknown channel, a duplicate video id, a negative count, or a parse
+    failure are diverted into the per-row error report instead of aborting
+    the load. The table is in ``(channel_id, published_us)`` order, videos
+    of equal time in file order; each ``channel_id`` is its registry
+    record's string. ``sha256`` is fed the file's bytes.
+    """
+    path = Path(path)
+    known = {ch.channel_id: ch.channel_id for ch in registry}
+    errors: list[RowError] = []
+    seen: set[str] = set()
+
+    def steps() -> Iterator[Iterable[Iterable]]:
+        """The columns of each step's kept rows: a step of good rows read as columns, any other row by row."""
+        parse = partial(_video_from_row, known)
+        for step in _steps(path, sha256=sha256):
+            columns = _video_columns(step, known, seen)
+            if columns is not None:
+                yield columns
+                continue
+            records: list[VideoRecord] = []
+            for line_no, rec in _step_rows(step, parse):
+                if isinstance(rec, Exception):
+                    errors.append(RowError(line_no, f"malformed row: {rec}"))
+                elif rec.channel_id not in known:
+                    errors.append(RowError(line_no, f"unknown channel_id {rec.channel_id!r}"))
+                elif rec.video_id in seen:
+                    errors.append(RowError(line_no, f"duplicate video_id {rec.video_id!r}"))
+                else:
+                    seen.add(rec.video_id)
+                    records.append(rec)
+            if records:
+                yield zip(*map(_VIDEO_FIELDS, records))
+
+    columns = _columns_of(steps(), VideoTable._KINDS)
+    seen.clear()  # its table is freed before the sort
+    order = _channel_order(columns[1], columns[2])
+    if all(map(operator.eq, order, count())):
+        return VideoTable(*columns), errors
+    return VideoTable.taken(columns, order), errors
+
+
+def _channel_order(channel_ids: Sequence[str], published_us: Sequence[int]) -> list[int]:
+    """The rows' positions by channel id, then time, rows of equal time in their order: two stable sorts, no key tuples."""
+    order = sorted(range(len(channel_ids)), key=published_us.__getitem__)
+    order.sort(key=channel_ids.__getitem__)
+    return order
 
 
 # The hash of a comment id in the duplicate check of :func:`load_comments`;
@@ -784,7 +971,7 @@ _id_hash = hash
 
 
 def load_comments(
-    path: str | Path, videos: Sequence[VideoRecord], sha256=None
+    path: str | Path, videos: VideoTable | Iterable[VideoRecord], sha256=None
 ) -> tuple[CommentTable, CommentLoadReport]:
     """Load comments ``STEP`` rows at a time (the corpus can be millions of rows).
 
@@ -795,11 +982,11 @@ def load_comments(
     rows and duplicate comment ids go to the error report. Well-formed,
     referentially valid rows are always kept. A row's ``published_at`` and
     ``like_count`` are checked as a video's are, so a bad one rejects the
-    row, but neither is kept. A kept comment's ``video_id`` is its video
-    record's string, and equal ``author_id`` values are one string, so a
-    comment keeps only the characters of its own id and text (packed, with
-    4 bytes each for their ends) and two tuple slots. ``sha256`` is fed
-    the file's bytes.
+    row, but neither is kept. ``videos`` is a table or records. A kept
+    comment's ``video_id`` is its video's string, and equal ``author_id``
+    values are one string, so a comment keeps only the characters of its
+    own id and text (packed, with 4 bytes each for their ends) and two
+    tuple slots. ``sha256`` is fed the file's bytes.
 
     The duplicate check keeps no id strings. While the file loads, a
     comment costs 8 bytes for its id's hash, and a bit map of one bit per
@@ -808,7 +995,7 @@ def load_comments(
     earlier rows of equal hash, and only a true repeat leaves the table.
     """
     path = Path(path)
-    known = {v.video_id: v.video_id for v in videos}
+    known = {video_id: video_id for video_id in VideoTable.of(videos).video_ids}
     orphans: list[RowError] = []
     errors: list[RowError] = []
     authors: dict[str, str] = {}
@@ -960,19 +1147,23 @@ def _registry_to_row(rec: ChannelRecord) -> dict:
     }
 
 
-def _video_to_row(rec: VideoRecord) -> dict:
+def _video_to_row(
+    video_id: str, channel_id: str, published_us: int, title: str, description: str,
+    view_count: int, like_count: int | None, comment_count: int | None,
+) -> dict:
+    """A video's row, from its fields in :class:`VideoTable` column order."""
     row = {
-        "video_id": rec.video_id,
-        "channel_id": rec.channel_id,
-        "published_at": _format_epoch_us(rec.published_us),
-        "title": rec.title,
-        "description": rec.description,
-        "view_count": rec.view_count,
+        "video_id": video_id,
+        "channel_id": channel_id,
+        "published_at": _format_epoch_us(published_us),
+        "title": title,
+        "description": description,
+        "view_count": view_count,
     }
-    if rec.like_count is not None:
-        row["like_count"] = rec.like_count
-    if rec.comment_count is not None:
-        row["comment_count"] = rec.comment_count
+    if like_count is not None:
+        row["like_count"] = like_count
+    if comment_count is not None:
+        row["comment_count"] = comment_count
     return row
 
 
@@ -1050,12 +1241,13 @@ def _write_tabular(
         write_jsonl(path, rows)
 
 
-def write_videos(records: Sequence[VideoRecord], path: str | Path) -> None:
+def write_videos(videos: VideoTable | Iterable[VideoRecord], path: str | Path) -> None:
+    """Write a video table or records; a table's rows are written from its columns."""
     header = [
         "video_id", "channel_id", "published_at", "title", "description",
         "view_count", "like_count", "comment_count",
     ]
-    _write_tabular(Path(path), [_video_to_row(r) for r in records], header)
+    _write_tabular(Path(path), map(_video_to_row, *VideoTable.of(videos).columns()), header)
 
 
 def write_comments(comments: Iterable[CommentRow], path: str | Path) -> None:
@@ -1064,7 +1256,7 @@ def write_comments(comments: Iterable[CommentRow], path: str | Path) -> None:
 
 
 def write_corpus(
-    registry: Sequence[ChannelRecord], videos: Sequence[VideoRecord], comments: Iterable[CommentRow],
+    registry: Sequence[ChannelRecord], videos: VideoTable | Iterable[VideoRecord], comments: Iterable[CommentRow],
     directory: str | Path, fmt: str = "jsonl",
 ) -> dict[str, Path]:
     """Write the three corpus files into ``directory``; returns their paths."""
@@ -1102,7 +1294,7 @@ def attribute_histogram(registry: Sequence[ChannelRecord], key: str) -> Counter:
     return Counter(rec.attributes.get(key) for rec in registry)
 
 
-def cap_videos_per_channel(videos: Sequence[VideoRecord], cap: int) -> list[VideoRecord]:
+def cap_videos_per_channel(videos: VideoTable | Iterable[VideoRecord], cap: int) -> VideoTable:
     """Keep at most ``cap`` most recent videos per channel (platform-style cap).
 
     The videos come out by channel id, each channel's by time; videos
@@ -1111,5 +1303,6 @@ def cap_videos_per_channel(videos: Sequence[VideoRecord], cap: int) -> list[Vide
     """
     if cap < 1:
         raise ConfigurationError(f"max videos per channel must be at least 1, got {cap}")
-    by_channel = groupby(sorted(videos, key=lambda v: (v.channel_id, v.published_us)), operator.attrgetter("channel_id"))
-    return [v for _, channel_videos in by_channel for v in list(channel_videos)[-cap:]]
+    videos = VideoTable.of(videos)
+    runs = groupby(_channel_order(videos.channel_ids, videos.published_us), videos.channel_ids.__getitem__)
+    return VideoTable.taken(videos.columns(), [i for _, run in runs for i in list(run)[-cap:]])

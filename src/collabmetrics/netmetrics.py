@@ -35,7 +35,7 @@ from statistics import median
 from typing import Iterable, Mapping, Sequence
 
 from collabmetrics.collab import CollaborationDyad
-from collabmetrics.corpus import CommentTable, VideoRecord
+from collabmetrics.corpus import CommentTable, VideoRecord, VideoTable
 
 __all__ = [
     "CollabGraph",
@@ -181,7 +181,7 @@ def closeness(graph: CollabGraph, attributes: Mapping[str, str] | None = None) -
 
 
 def build_attention_graph(
-    videos: Sequence[VideoRecord],
+    videos: VideoTable | Iterable[VideoRecord],
     comments: CommentTable,
     min_comments: int = 1,
 ) -> AttentionGraph:
@@ -193,7 +193,8 @@ def build_attention_graph(
     by one ``Counter`` over the zipped columns, in C. ``min_comments``
     optionally drops low-activity commenters; the default keeps everyone.
     """
-    owner = {v.video_id: v.channel_id for v in videos}
+    videos = VideoTable.of(videos)
+    owner = dict(zip(videos.video_ids, videos.channel_ids))
     video_ids, author_ids = comments.video_ids, comments.author_ids
     weights: Mapping[tuple[str, str], int] = Counter(
         compress(zip(author_ids, map(owner.get, video_ids)), map(owner.__contains__, video_ids))

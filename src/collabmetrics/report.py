@@ -279,8 +279,8 @@ def _load(directory: str, config: RunConfig) -> tuple[Corpus, dict[str, str]]:
     if config.max_videos_per_channel is None:
         return corpus, digests
     videos = cap_videos_per_channel(corpus.videos, config.max_videos_per_channel)
-    kept = {v.video_id for v in videos}
-    return dataclasses.replace(corpus, videos=tuple(videos), comments=corpus.comments.on_videos(kept)), digests
+    comments = corpus.comments.on_videos(frozenset(videos.video_ids))
+    return dataclasses.replace(corpus, videos=videos, comments=comments), digests
 
 
 def run_report(config: RunConfig) -> ReportBundle:

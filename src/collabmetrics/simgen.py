@@ -33,7 +33,7 @@ from collabmetrics.corpus import (
     ChannelRecord,
     CommentTable,
     Corpus,
-    VideoRecord,
+    VideoTable,
     build_corpus,
     write_corpus,
     write_json,
@@ -366,21 +366,22 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
             slots[host][slot] = ("baseline", views, f"Collab session {slot}", description)
             host_load[host] += 1
 
-    # --- videos, channel-major: channel i's slot s is videos[i * videos_per_channel + s]
-    videos = [
-        VideoRecord(
-            video_id=f"{spec.community}-v{i:03d}-{s:04d}",
-            channel_id=cid,
-            published_us=_EPOCH_US + (i * spec.videos_per_channel + s) * _HOUR_US,
-            title=title,
-            description=description,
-            view_count=views,
-            like_count=views // 100,
-            comment_count=0,
+    # --- videos, channel-major: channel i's slot s is row i * videos_per_channel + s, each
+    # row the fields of a VideoRecord in order, laid out as the table's columns
+    videos = VideoTable.from_columns([zip(*(
+        (
+            f"{spec.community}-v{i:03d}-{s:04d}",
+            cid,
+            _EPOCH_US + (i * spec.videos_per_channel + s) * _HOUR_US,
+            title,
+            description,
+            views,
+            views // 100,
+            0,
         )
         for i, cid in enumerate(channel_ids)
         for s, (_, views, title, description) in enumerate(slots[i])
-    ]
+    ))])
 
     # --- comments: the table's rows, and each one's time and like count beside them
     comment_us, comment_likes = array("q"), bytearray()
@@ -410,15 +411,15 @@ def generate(spec: CommunitySpec) -> tuple[Corpus, PlantedTruth]:
                 else:
                     target = home
                 slot = below(spec.videos_per_channel)
-                video = videos[target * spec.videos_per_channel + slot]
+                row = target * spec.videos_per_channel + slot
                 bucket = slots[target][slot][0]
                 if bucket not in text_draws:
                     text_draws[bucket] = _text_draws(spec.discourse_profiles, bucket)
-                comment_us.append(video.published_us + (comment_seq % 600 + 1) * _MINUTE_US)
+                comment_us.append(videos.published_us[row] + (comment_seq % 600 + 1) * _MINUTE_US)
                 comment_likes.append(below(50))
                 yield (
                     f"{spec.community}-m{comment_seq:07d}",
-                    video.video_id,
+                    videos.video_ids[row],
                     author,
                     _comment_text(*text_draws[bucket], text),
                 )
@@ -741,8 +742,9 @@ def compute_oracle_metrics(corpus: Corpus) -> _Metrics:
     channels = [rec.channel_id for rec in corpus.registry]
     handles_of = {rec.channel_id: rec.handles for rec in corpus.registry}
 
+    videos = list(corpus.videos)
     mentioned: dict[str, set[str]] = {}
-    for video in corpus.videos:
+    for video in videos:
         found: set[str] = set()
         for cid in channels:
             if cid == video.channel_id:
@@ -759,14 +761,14 @@ def compute_oracle_metrics(corpus: Corpus) -> _Metrics:
     for cid in channels:
         views = [
             v.view_count
-            for v in corpus.videos
+            for v in videos
             if v.channel_id == cid and v.video_id not in collab_video_ids
         ]
         if views:
             baselines[cid] = _naive_median(views)
 
-    owner = {v.video_id: v.channel_id for v in corpus.videos}
-    views_of = {v.video_id: v.view_count for v in corpus.videos}
+    owner = {v.video_id: v.channel_id for v in videos}
+    views_of = {v.video_id: v.view_count for v in videos}
     pair_videos: dict[tuple[str, str], list[str]] = {}
     for vid, guest in two_way.items():
         pair_videos.setdefault((owner[vid], guest), []).append(vid)

@@ -15,12 +15,14 @@ reports are rendered.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, groupby
 from typing import Mapping, Sequence
 
 from collabmetrics.collab import CollaborationDyad, VideoPartition
-from collabmetrics.corpus import Corpus, VideoRecord, exact_median
+from collabmetrics.corpus import Corpus, exact_median
 
 __all__ = [
     "DyadSynergy",
@@ -118,31 +120,40 @@ class SynergyDiagnostics:
     zero_baseline: tuple[tuple[str, str], ...] = ()
 
 
+def _contributions(total: int, n: int, partner: Fraction) -> tuple[Fraction, Fraction | None]:
+    """``(mean - partner, (mean - partner) / partner - 1)`` for the mean ``total / n``, each one
+    ``Fraction`` over integers; the second is None when ``partner`` is 0."""
+    p, q = partner.numerator, partner.denominator
+    return Fraction(total * q - n * p, n * q), (Fraction(total * q - 2 * n * p, n * p) if p else None)
+
+
 def dyad_synergy(
     dyad: CollaborationDyad,
-    videos_by_id: Mapping[str, VideoRecord],
+    views: Mapping[str, int],
     baselines: Mapping[str, Fraction],
 ) -> DyadSynergy:
-    """Exact contributions for one dyad whose host and guest have baselines.
+    """Exact contributions for one dyad whose host and guest have baselines; ``views`` holds each
+    of the dyad's videos' view count by id.
 
     A zero baseline leaves the normalized contribution that divides by it
     None; the raw contributions are always set.
     """
-    mean = Fraction(sum(videos_by_id[vid].view_count for vid in dyad.videos), len(dyad.videos))
+    n = len(dyad.videos)
+    total = sum(map(views.__getitem__, dyad.videos))
     baseline_host = baselines[dyad.host]
     baseline_guest = baselines[dyad.guest]
-    shap2_host = mean - baseline_guest
-    shap2_guest = mean - baseline_host
+    shap2_host, shapn_host = _contributions(total, n, baseline_guest)
+    shap2_guest, shapn_guest = _contributions(total, n, baseline_host)
     return DyadSynergy(
         dyad=dyad,
-        n_videos=len(dyad.videos),
-        mean_collab_views=mean,
+        n_videos=n,
+        mean_collab_views=Fraction(total, n),
         baseline_host=baseline_host,
         baseline_guest=baseline_guest,
         shap2_host=shap2_host,
         shap2_guest=shap2_guest,
-        shapn_host=None if baseline_guest == 0 else shap2_host / baseline_guest - 1,
-        shapn_guest=None if baseline_host == 0 else shap2_guest / baseline_host - 1,
+        shapn_host=shapn_host,
+        shapn_guest=shapn_guest,
     )
 
 
@@ -160,9 +171,17 @@ def channel_baselines(
     if mode not in BASELINE_MODES:
         raise ValueError(f"unknown baseline mode {mode!r}")
     exclude = partition.collaboration_videos() if mode == "solo" else frozenset()
+    videos = corpus.videos
+    solo = bytes(map(operator.not_, map(exclude.__contains__, videos.video_ids)))
+    # Each run of one channel's videos (one run a channel in a loaded table) is one slice of each column.
+    views_by_channel: dict[str, list[int]] = {ch.channel_id: [] for ch in corpus.registry}
+    start = 0
+    for channel_id, run in groupby(videos.channel_ids):
+        stop = start + len(list(run))
+        views_by_channel[channel_id] += compress(videos.view_counts[start:stop], solo[start:stop])
+        start = stop
     baselines: dict[str, Fraction] = {}
-    for channel_id, channel_videos in corpus.videos_by_channel().items():
-        views = [v.view_count for v in channel_videos if v.video_id not in exclude]
+    for channel_id, views in views_by_channel.items():
         if views:
             baselines[channel_id] = exact_median(views)
         else:
@@ -181,7 +200,10 @@ def compute_synergies(
     baseline keep their raw contributions (normalized fields None) and are
     surfaced in the diagnostics.
     """
-    videos = corpus.videos_by_id()
+    # The view counts of the dyads' own videos only, picked in one C-level pass over the columns.
+    wanted = {video_id for dyad in dyads for video_id in dyad.videos}
+    video_ids = corpus.videos.video_ids
+    views = dict(compress(zip(video_ids, corpus.videos.view_counts), map(wanted.__contains__, video_ids)))
     out: list[DyadSynergy] = []
     skipped: list[tuple[str, str, str]] = []
     zeroed: list[tuple[str, str]] = []
@@ -192,7 +214,7 @@ def compute_synergies(
             logger.info("skipping dyad (%s, %s): %s", dyad.host, dyad.guest, reason)
             skipped.append((dyad.host, dyad.guest, reason))
             continue
-        syn = dyad_synergy(dyad, videos, baselines)
+        syn = dyad_synergy(dyad, views, baselines)
         if syn.shapn_host is None or syn.shapn_guest is None:
             zeroed.append((dyad.host, dyad.guest))
         out.append(syn)

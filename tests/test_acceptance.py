@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from collabmetrics import collab, synergy
 from collabmetrics.collab import CollaborationDyad
-from collabmetrics.corpus import CommentTable, Corpus, build_corpus
+from collabmetrics.corpus import CommentTable, Corpus, VideoTable, build_corpus
 from collabmetrics.discourse import aggregate_discourse
 from collabmetrics.netmetrics import (
     AttentionGraph,
@@ -59,7 +59,7 @@ def _tiny_spec(seed: int, **overrides) -> CommunitySpec:
 
 
 def _scale_views(corpus: Corpus, factor: int) -> Corpus:
-    videos = tuple(
+    videos = VideoTable.from_records(
         dataclasses.replace(v, view_count=v.view_count * factor) for v in corpus.videos
     )
     return Corpus(corpus.registry, videos, corpus.comments, corpus.community)

@@ -33,6 +33,11 @@ from collabmetrics.simgen import (
 )
 
 
+def videos_by_channel(corpus):
+    """Each registry channel's videos, by channel id in registry order."""
+    return {ch.channel_id: [v for v in corpus.videos if v.channel_id == ch.channel_id] for ch in corpus.registry}
+
+
 def small_spec(seed=0, **overrides):
     params = dict(
         community="minigame",
@@ -132,7 +137,7 @@ class TestGenerate:
         corpus, _ = generate(small_spec(seed=9, collab_rate=0.3))
         partition = collab.partition_videos(corpus)
         collab_ids = partition.collaboration_videos()
-        for channel_videos in corpus.videos_by_channel().values():
+        for channel_videos in videos_by_channel(corpus).values():
             assert any(v.video_id not in collab_ids for v in channel_videos)
 
     def test_infeasible_pair_ceiling(self):
@@ -225,7 +230,7 @@ class TestGenerate:
 
     def test_realized_median_views_track_targets(self):
         corpus, truth = generate(small_spec(seed=21, collab_rate=0.0, videos_per_channel=30))
-        for channel_id, videos in corpus.videos_by_channel().items():
+        for channel_id, videos in videos_by_channel(corpus).items():
             views = sorted(v.view_count for v in videos)
             median = views[len(views) // 2]
             target = truth.baseline_targets[channel_id]

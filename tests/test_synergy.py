@@ -25,13 +25,9 @@ def dyad(host="A", guest="B", videos=("v1",), dyad_type="M-W"):
     return CollaborationDyad(host=host, guest=guest, videos=tuple(videos), dyad_type=dyad_type)
 
 
-def video_map(views_by_id):
-    return {vid: make_video(vid, "A", views=v) for vid, v in views_by_id.items()}
-
-
 class TestDyadSynergy:
     def test_worked_example(self):
-        videos = video_map({"v1": 100, "v2": 200})
+        videos = {"v1": 100, "v2": 200}
         baselines = {"A": Fraction(300), "B": Fraction(100)}
         syn = dyad_synergy(dyad(videos=("v1", "v2")), videos, baselines)
         assert syn.mean_collab_views == 150
@@ -41,14 +37,14 @@ class TestDyadSynergy:
         assert syn.shapn_guest == Fraction(-3, 2)
 
     def test_views_at_guest_baseline(self):
-        videos = video_map({"v1": 100})
+        videos = {"v1": 100}
         baselines = {"A": Fraction(250), "B": Fraction(100)}
         syn = dyad_synergy(dyad(), videos, baselines)
         assert syn.shap2_host == 0
         assert syn.shapn_host == -1
 
     def test_zero_baseline_guarded(self):
-        videos = video_map({"v1": 100})
+        videos = {"v1": 100}
         baselines = {"A": Fraction(250), "B": Fraction(0)}
         syn = dyad_synergy(dyad(), videos, baselines)
         assert (syn.shap2_host, syn.shap2_guest) == (100, -150)
@@ -56,14 +52,14 @@ class TestDyadSynergy:
         assert syn.shapn_guest == Fraction(-150, 250) - 1
 
     def test_lift_is_mean_over_baseline_minus_one(self):
-        videos = video_map({"v1": 100, "v2": 200})
+        videos = {"v1": 100, "v2": 200}
         baselines = {"A": Fraction(300), "B": Fraction(100)}
         syn = dyad_synergy(dyad(videos=("v1", "v2")), videos, baselines)
         assert syn.lift_host == Fraction(150, 100) - 1
         assert syn.lift_guest == Fraction(150, 300) - 1
 
     def test_invariants_hold_exactly(self):
-        videos = video_map({"v1": 123, "v2": 456, "v3": 789})
+        videos = {"v1": 123, "v2": 456, "v3": 789}
         baselines = {"A": Fraction(1000, 3), "B": Fraction(77)}
         syn = dyad_synergy(dyad(videos=("v1", "v2", "v3")), videos, baselines)
         assert syn.shap2_host == syn.mean_collab_views - syn.baseline_guest
@@ -177,7 +173,7 @@ class TestAggregate:
         assert "W-W" not in report.rows
 
     def test_aggregation_identity_single_dyad(self):
-        videos = video_map({"v1": 100, "v2": 200})
+        videos = {"v1": 100, "v2": 200}
         baselines = {"A": Fraction(300), "B": Fraction(100)}
         syn = dyad_synergy(dyad(videos=("v1", "v2")), videos, baselines)
         for statistic in ("median", "mean"):
@@ -245,8 +241,8 @@ class TestProperties:
     )
     def test_scale_equivariance(self, views, ha, hb, c):
         ids = tuple(f"v{i}" for i in range(len(views)))
-        videos = {f"v{i}": make_video(f"v{i}", "A", views=v) for i, v in enumerate(views)}
-        scaled = {f"v{i}": make_video(f"v{i}", "A", views=v * c) for i, v in enumerate(views)}
+        videos = {f"v{i}": v for i, v in enumerate(views)}
+        scaled = {f"v{i}": v * c for i, v in enumerate(views)}
         base = {"A": Fraction(ha), "B": Fraction(hb)}
         base_scaled = {"A": Fraction(ha * c), "B": Fraction(hb * c)}
         syn = dyad_synergy(dyad(videos=ids), videos, base)
@@ -264,7 +260,7 @@ class TestProperties:
     )
     def test_swap_antisymmetry(self, views, ha, hb):
         ids = tuple(f"v{i}" for i in range(len(views)))
-        videos = {f"v{i}": make_video(f"v{i}", "A", views=v) for i, v in enumerate(views)}
+        videos = {f"v{i}": v for i, v in enumerate(views)}
         baselines = {"A": Fraction(ha), "B": Fraction(hb)}
         syn = dyad_synergy(dyad("A", "B", ids), videos, baselines)
         swapped = dyad_synergy(dyad("B", "A", ids, dyad_type="W-M"), videos, baselines)
@@ -272,10 +268,39 @@ class TestProperties:
         assert (syn.shapn_host, syn.shapn_guest) == (swapped.shapn_guest, swapped.shapn_host)
 
     def test_views_equal_guest_baseline_gives_zero_shap2(self):
-        videos = video_map({"v1": 60, "v2": 60})
+        videos = {"v1": 60, "v2": 60}
         baselines = {"A": Fraction(10), "B": Fraction(60)}
         syn = dyad_synergy(dyad(videos=("v1", "v2")), videos, baselines)
         assert syn.shap2_host == 0
+
+
+# A channel baseline is a median of view counts: 0, a whole number, or a half-integer midpoint.
+_baselines = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=0, max_value=10**9).map(Fraction),
+    st.integers(min_value=0, max_value=10**9).map(lambda k: Fraction(2 * k + 1, 2)),
+)
+
+
+class TestOneFractionEach:
+    """``dyad_synergy`` builds each value as one ``Fraction`` of integers; it equals the operator form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        views=st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=8),
+        baseline_host=_baselines,
+        baseline_guest=_baselines,
+    )
+    def test_equals_the_operator_form(self, views, baseline_host, baseline_guest):
+        ids = tuple(f"v{i}" for i in range(len(views)))
+        syn = dyad_synergy(dyad(videos=ids), dict(zip(ids, views)), {"A": baseline_host, "B": baseline_guest})
+        mean = Fraction(sum(views), len(views))
+        shap2_host, shap2_guest = mean - baseline_guest, mean - baseline_host
+        assert (syn.mean_collab_views, syn.shap2_host, syn.shap2_guest) == (mean, shap2_host, shap2_guest)
+        assert syn.shapn_host == (None if baseline_guest == 0 else shap2_host / baseline_guest - 1)
+        assert syn.shapn_guest == (None if baseline_host == 0 else shap2_guest / baseline_host - 1)
+        values = (syn.mean_collab_views, syn.shap2_host, syn.shap2_guest, syn.shapn_host, syn.shapn_guest)
+        assert all(type(value) is Fraction for value in values if value is not None)
 
 
 def test_dyad_type_order_binary_gender():
