@@ -448,9 +448,10 @@ def _is_csv(path: Path) -> bool:
     return path.suffix.lower() == ".csv"
 
 
-# Raised by a malformed row (OverflowError: int() of a JSON-lines Infinity;
-# ValueError also covers UnicodeDecodeError and bad JSON).
-_ROW_ERRORS = (KeyError, ValueError, TypeError, OverflowError, csv.Error)
+# Raised by a malformed row (OverflowError: a time whose UTC falls outside
+# years 1-9999; RecursionError: JSON nested too deep to decode; ValueError
+# also covers UnicodeDecodeError and bad JSON).
+_ROW_ERRORS = (KeyError, ValueError, TypeError, OverflowError, RecursionError, csv.Error)
 
 _T = TypeVar("_T")
 
@@ -653,21 +654,12 @@ def _text(value: object, what: str) -> str:
 
 def _count(value: object, what: str) -> int:
     """``value`` as ``int()`` reads it; a bool, a float with a fractional part, or a number below 0 is no count."""
-    if type(value) is int and value >= 0:
-        return value
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{what} {value!r} is not an integer")
     count = int(value)  # type: ignore[call-overload]
     if count < 0:
         raise ValueError(f"negative {what} {count}")
     return count
-
-
-def _opt_count(row: Mapping[str, object], key: str) -> int | None:
-    raw = row.get(key)
-    if type(raw) is int and raw >= 0:
-        return raw
-    return None if raw is None or raw == "" else _count(raw, key)
 
 
 def _registry_from_row(row: Mapping[str, object]) -> ChannelRecord:
@@ -696,44 +688,62 @@ def _registry_from_row(row: Mapping[str, object]) -> ChannelRecord:
     )
 
 
-def _video_from_row(channels: dict[str, str], row: Mapping[str, object]) -> VideoRecord:
-    """A video whose ``channel_id``, when ``channels`` holds it, is that one string."""
-    view_count = _count(row["view_count"], "view_count")
-    video_id, channel_id, published_at = row.get("video_id"), row.get("channel_id"), row.get("published_at")
-    title, description = row.get("title", ""), row.get("description", "")
-    if type(video_id) is type(channel_id) is type(published_at) is type(title) is type(description) is str:
-        published = _parse_timestamp(published_at)
-    else:  # one check at a time, so that the row's first fault is the one raised
-        video_id, channel_id, published_at = (_text(row[k], k) for k in ("video_id", "channel_id", "published_at"))
-        published = _parse_timestamp(published_at)
-        title, description = (_text(row.get(k, ""), k) for k in ("title", "description"))
-    return VideoRecord(
-        video_id=video_id,
-        channel_id=channels.get(channel_id, channel_id),
-        published_us=published,
-        title=title,
-        description=description,
-        view_count=view_count,
-        like_count=_opt_count(row, "like_count"),
-        comment_count=_opt_count(row, "comment_count"),
-    )
+# The kinds of a video or comment field: a string, an ISO-8601 time (a
+# string), and a whole number of at least 0.
+_TEXT, _TIME, _COUNT = "text", "time", "count"
 
 
-def _comment_from_row(
-    videos: dict[str, str], authors: dict[str, str], row: Mapping[str, object]
-) -> tuple[str, str, str, str]:
-    """A comment as :meth:`CommentTable.from_rows` takes it, its ids sharing strings: the
-    ``video_id`` that ``videos`` holds, and the first equal ``author_id``, which ``authors``
-    collects. Its time and like count are checked, not kept."""
-    comment_id, video_id, author_id = row.get("comment_id"), row.get("video_id"), row.get("author_id")
-    text, published_at = row.get("text", ""), row.get("published_at")
-    if not (type(comment_id) is type(video_id) is type(author_id) is type(text) is type(published_at) is str):
-        # One check at a time, so that the row's first fault is the one raised.
-        comment_id, video_id, author_id = (_text(row[k], k) for k in ("comment_id", "video_id", "author_id"))
-        text, published_at = _text(row.get("text", ""), "text"), _text(row["published_at"], "published_at")
-    _parse_timestamp(published_at)
-    _opt_count(row, "like_count")
-    return comment_id, videos.get(video_id, video_id), authors.setdefault(author_id, author_id), text
+class _Field(NamedTuple):
+    """A field of a video or comment row: its name, its kind, and whether a good row must hold it.
+
+    An optional count that a row holds as None or ``""`` is None.
+    """
+
+    name: str
+    kind: str
+    required: bool
+
+    @property
+    def absent(self) -> str | None:
+        """What a row that lacks the field holds in it: ``""`` for an optional text, else None, which
+        no good row holds in a field that it must hold."""
+        return "" if self.kind == _TEXT and not self.required else None
+
+
+# What a good row of each file holds, in the order in which a row's first fault is found.
+_VIDEO_ROW = tuple(map(_Field._make, (
+    ("view_count", _COUNT, True), ("video_id", _TEXT, True), ("channel_id", _TEXT, True),
+    ("published_at", _TIME, True), ("title", _TEXT, False), ("description", _TEXT, False),
+    ("like_count", _COUNT, False), ("comment_count", _COUNT, False),
+)))
+_COMMENT_ROW = tuple(map(_Field._make, (
+    ("comment_id", _TEXT, True), ("video_id", _TEXT, True), ("author_id", _TEXT, True),
+    ("text", _TEXT, False), ("published_at", _TIME, True), ("like_count", _COUNT, False),
+)))
+# The fields that each table keeps, in its column order; a video keeps its
+# time as whole microseconds, and a comment its time and like count not at all.
+_VIDEO_KEPT = (
+    "video_id", "channel_id", "published_at", "title", "description", "view_count", "like_count", "comment_count",
+)
+_COMMENT_KEPT = ("comment_id", "video_id", "author_id", "text")
+
+
+def _checked_row(fields: Sequence[_Field], kept: Sequence[str], row: Mapping[str, object]) -> tuple:
+    """The values of the ``kept`` fields of ``row``, a time as whole microseconds since 1970-01-01 UTC.
+
+    The fields are checked in the order of ``fields``; the first that is
+    not good in ``row`` raises its error.
+    """
+    values = {}
+    for field in fields:
+        name, kind, required = field
+        value = row[name] if required else row.get(name, field.absent)
+        if kind != _COUNT:
+            value = _text(value, name)
+            values[name] = _parse_timestamp(value) if kind == _TIME else value
+        else:
+            values[name] = _count(value, name) if required or value not in (None, "") else None
+    return tuple(map(values.__getitem__, kept))
 
 
 # ---------------------------------------------------------------------------
@@ -787,16 +797,6 @@ def load_registry(path: str | Path, attribute_key: str = "gender", sha256=None) 
     return records
 
 
-# The fields that the column steps read. A text field, a string, maps to the
-# value of a row that lacks it (None: a good row holds it); ``published_at``
-# is read as a time. A count, a whole number of at least 0, maps to whether a
-# good row holds it.
-_VIDEO_TEXTS = {"video_id": None, "channel_id": None, "published_at": None, "title": "", "description": ""}
-_VIDEO_COUNTS = {"view_count": True, "like_count": False, "comment_count": False}
-_COMMENT_TEXTS = {"comment_id": None, "video_id": None, "author_id": None, "text": "", "published_at": None}
-_COMMENT_COUNTS = {"like_count": False}
-
-
 def _utc_times(stamps: Sequence[str]) -> list[datetime] | None:
     """Each of ``stamps`` as :func:`_parse_timestamp` reads it, when every one is a UTC time; None otherwise.
 
@@ -816,97 +816,81 @@ def _utc_times(stamps: Sequence[str]) -> list[datetime] | None:
     return times
 
 
-def _step_columns(step: _Step, texts: Mapping[str, str | None], counts: Mapping[str, bool]) -> dict[str, list] | None:
-    """The column of each field of ``texts`` and ``counts`` over the rows of ``step``, by field,
-    when every row is good in them; None for any other step.
+def _fast_columns(step: _Step, fields: Sequence[_Field], kept: Sequence[str]) -> list[Sequence] | None:
+    """The ``kept`` columns of the rows of ``step`` as :func:`_checked_row` reads each row, when every
+    row is good in ``fields``, holds no undecodable byte and has its times in UTC; None for any other step.
 
-    A JSON-lines step is one ``json.loads``, a CSV step one transposition;
-    each check and column is then one C-level pass, but a CSV count's. A
-    good row has no undecodable byte, a string for each of ``texts`` (a
-    missing one is its default there), a count of at least 0 for each of
-    ``counts`` (a missing optional one is None), and a UTC time in
-    ``published_at``, whose column holds the ``datetime`` values.
+    A JSON-lines line is one scan, which must read one object and leave
+    nothing after it but the line's newline; a CSV step is one
+    transposition, and each of its records must be as wide as its header.
+    Each check and column is then one C-level pass, but a CSV count's.
     """
-    n = len(step.raws)
-    if step.header is None:
-        # One parse is sound only where object i is exactly line i: each line
-        # starts with "{", ends with "}" before its newline, and the step holds
-        # no other brace. A JSON string holds no raw newline, so no string
-        # spans two lines; each line's two braces are then structural, and
-        # the parse, if it succeeds, is the line's own object, line by line.
-        text = "[" + ",".join(step.lines) + "]"
-        if not (text.count("{") == n == text.count("}") and text.count("}\n,{") == n - 1
-                and text.startswith("[{") and text.endswith(("}]", "}\n]"))):
-            return None
-        try:
-            rows = json.loads(text)
-        except ValueError:
-            return None
-        columns = {key: list(map(dict.get, rows, repeat(key), repeat(texts.get(key)))) for key in (*texts, *counts)}
-    else:
-        header = step.header
-        if type(header) is not list or set(map(type, step.raws)) != {list}:
-            return None
-        if set(map(len, step.raws)) != {len(header)}:
-            return None
-        cells = dict(zip(header, zip(*step.raws)))  # a repeated name is its last column, as in a row
-        columns = {key: cells.get(key, (default,) * n) for key, default in texts.items()}
-        try:
-            for key in counts:
-                columns[key] = [int(v) if v else None for v in cells.get(key, (None,) * n)]
-        except ValueError:
-            return None
-    if set(map(type, chain.from_iterable(map(columns.__getitem__, texts)))) != {str}:
-        return None
     if _line_errors(step.lines, step.first):
         return None
-    for key, required in counts.items():
-        kinds = {int} if required else {int, type(None)}
-        if not kinds.issuperset(map(type, columns[key])) or min(filter(None, columns[key]), default=0) < 0:
+    n = len(step.raws)
+    if step.header is None:
+        try:
+            scans = list(map(_scan_json, step.lines, repeat(0)))
+        except (ValueError, RecursionError):
             return None
-    times = _utc_times(columns["published_at"])
-    if times is None:
-        return None
-    columns["published_at"] = times
-    return columns
+        if len(scans) != n:  # a line holding no JSON value raises StopIteration, which ends the map there
+            return None
+        rows, ends = zip(*scans)
+        # After each object comes its line's newline, which only the last line of a file may lack.
+        tails = list(map(operator.sub, map(len, step.lines), ends))
+        if set(map(type, rows)) != {dict} or tails != [1] * (n - 1) + [step.lines[-1].endswith("\n")]:
+            return None
+        cells = {field.name: list(map(dict.get, rows, repeat(field.name), repeat(field.absent))) for field in fields}
+    else:
+        header = step.header
+        if type(header) is not list or set(map(type, step.raws)) != {list} or set(map(len, step.raws)) != {len(header)}:
+            return None
+        by_name = dict(zip(header, zip(*step.raws)))  # a repeated name is its last column, as in a row
+        cells = {}
+        for field in fields:
+            column = by_name.get(field.name, (field.absent,) * n)
+            try:
+                cells[field.name] = [int(v) if v else None for v in column] if field.kind == _COUNT else column
+            except ValueError:
+                return None
+    for name, kind, required in fields:
+        column = cells[name]
+        if kind == _COUNT:
+            kinds = {int} if required else {int, type(None)}
+            if not kinds.issuperset(map(type, column)) or min(filter(None, column), default=0) < 0:
+                return None
+        elif set(map(type, column)) != {str}:
+            return None
+        elif kind == _TIME:
+            times = _utc_times(column)
+            if times is None:
+                return None
+            if name in kept:
+                since_epoch = map(operator.sub, times, repeat(_UNIX_EPOCH))
+                cells[name] = list(map(operator.floordiv, since_epoch, repeat(_MICROSECOND)))
+    return list(map(cells.__getitem__, kept))
 
 
-def _video_columns(step: _Step, channels: dict[str, str], seen: set[str]) -> tuple[Iterable, ...] | None:
-    """The eight columns of the rows of ``step`` as :func:`_video_from_row` reads them, when every
-    row is a well-formed video on a channel of ``channels`` whose id is not in ``seen`` and
-    not repeated in the step; None for any other step. The ids are then added to ``seen``."""
-    columns = _step_columns(step, _VIDEO_TEXTS, _VIDEO_COUNTS)
-    if columns is None:
-        return None
-    video_ids = columns["video_id"]
-    try:
-        channel_ids = list(map(channels.__getitem__, columns["channel_id"]))
-    except KeyError:
-        return None
-    if len(set(video_ids)) < len(video_ids) or not seen.isdisjoint(video_ids):
-        return None
-    seen.update(video_ids)
-    since_epoch = map(operator.sub, columns["published_at"], repeat(_UNIX_EPOCH))
-    return (
-        video_ids, channel_ids, map(operator.floordiv, since_epoch, repeat(_MICROSECOND)),
-        *map(columns.__getitem__, ("title", "description", *_VIDEO_COUNTS)),
-    )
+def _good_rows(
+    step: _Step, fields: Sequence[_Field], kept: Sequence[str], errors: list[RowError]
+) -> tuple[Sequence[int], list[Sequence]]:
+    """The lines of the good rows of ``step`` and their ``kept`` columns; a bad row's error is added to ``errors``.
 
-
-def _comment_columns(
-    step: _Step, videos: dict[str, str], authors: dict[str, str]
-) -> tuple[Sequence, ...] | None:
-    """The four columns of the rows of ``step`` as :func:`_comment_from_row` reads them, when
-    every row is a well-formed comment on a known video; None for any other step."""
-    columns = _step_columns(step, _COMMENT_TEXTS, _COMMENT_COUNTS)
-    if columns is None:
-        return None
-    try:
-        video_ids = list(map(videos.__getitem__, columns["video_id"]))
-    except KeyError:
-        return None
-    author_ids = columns["author_id"]
-    return columns["comment_id"], video_ids, list(map(authors.setdefault, author_ids, author_ids)), columns["text"]
+    A step that :func:`_fast_columns` reads is read as columns, any other
+    row by row through :func:`_checked_row`, so that each bad row keeps
+    its own line and message.
+    """
+    columns = _fast_columns(step, fields, kept)
+    if columns is not None:
+        return step.line_nos, columns
+    line_nos, rows = [], []
+    for line_no, row in _step_rows(step, partial(_checked_row, fields, kept)):
+        if isinstance(row, Exception):
+            errors.append(RowError(line_no, f"malformed row: {row}"))
+        else:
+            line_nos.append(line_no)
+            rows.append(row)
+    return line_nos, list(zip(*rows)) or [()] * len(kept)
 
 
 def load_videos(
@@ -914,44 +898,46 @@ def load_videos(
 ) -> tuple[VideoTable, list[RowError]]:
     """Load videos ``STEP`` rows at a time into a :class:`VideoTable`, keeping well-formed rows and collecting the rest.
 
-    A step whose every row is a well-formed video on a known channel, with
-    an id not seen before, is read as columns; any other step is read row
-    by row, so that each bad row keeps its own line and message. Rows with
-    an unknown channel, a duplicate video id, a negative count, or a parse
-    failure are diverted into the per-row error report instead of aborting
-    the load. The table is in ``(channel_id, published_us)`` order, videos
-    of equal time in file order; each ``channel_id`` is its registry
-    record's string. ``sha256`` is fed the file's bytes.
+    Each row is checked field by field as ``_VIDEO_ROW`` lists them: a
+    step whose rows are all good, with UTC times, is read as columns, any
+    other row by row, so that each malformed row keeps its own line and
+    message. The good rows of a step are then checked together, and a row
+    at a time only when that check fails: a row with an unknown channel or
+    a video id seen before is a row error too. The errors are in line
+    order. The table is in ``(channel_id, published_us)`` order, videos of
+    equal time in file order; each ``channel_id`` is its registry record's
+    string. ``sha256`` is fed the file's bytes.
     """
     path = Path(path)
     known = {ch.channel_id: ch.channel_id for ch in registry}
     errors: list[RowError] = []
     seen: set[str] = set()
 
-    def steps() -> Iterator[Iterable[Iterable]]:
-        """The columns of each step's kept rows: a step of good rows read as columns, any other row by row."""
-        parse = partial(_video_from_row, known)
+    def steps() -> Iterator[list[Sequence]]:
+        """The columns of each step's kept rows."""
         for step in _steps(path, sha256=sha256):
-            columns = _video_columns(step, known, seen)
-            if columns is not None:
-                yield columns
-                continue
-            records: list[VideoRecord] = []
-            for line_no, rec in _step_rows(step, parse):
-                if isinstance(rec, Exception):
-                    errors.append(RowError(line_no, f"malformed row: {rec}"))
-                elif rec.channel_id not in known:
-                    errors.append(RowError(line_no, f"unknown channel_id {rec.channel_id!r}"))
-                elif rec.video_id in seen:
-                    errors.append(RowError(line_no, f"duplicate video_id {rec.video_id!r}"))
-                else:
-                    seen.add(rec.video_id)
-                    records.append(rec)
-            if records:
-                yield zip(*map(_VIDEO_FIELDS, records))
+            line_nos, columns = _good_rows(step, _VIDEO_ROW, _VIDEO_KEPT, errors)
+            video_ids, channel_ids = columns[0], columns[1]
+            fresh = len(set(video_ids)) == len(video_ids) and seen.isdisjoint(video_ids)
+            if fresh and all(map(known.__contains__, channel_ids)):
+                seen.update(video_ids)
+            else:
+                keep = bytearray(len(video_ids))
+                for i, line_no, video_id, channel_id in zip(count(), line_nos, video_ids, channel_ids):
+                    if channel_id not in known:
+                        errors.append(RowError(line_no, f"unknown channel_id {channel_id!r}"))
+                    elif video_id in seen:
+                        errors.append(RowError(line_no, f"duplicate video_id {video_id!r}"))
+                    else:
+                        seen.add(video_id)
+                        keep[i] = 1
+                columns = [list(compress(column, keep)) for column in columns]
+            columns[1] = list(map(known.__getitem__, columns[1]))
+            yield columns
 
     columns = _columns_of(steps(), VideoTable._KINDS)
     seen.clear()  # its table is freed before the sort
+    errors.sort(key=operator.attrgetter("line"))
     order = _channel_order(columns[1], columns[2])
     if all(map(operator.eq, order, count())):
         return VideoTable(*columns), errors
@@ -975,18 +961,20 @@ def load_comments(
 ) -> tuple[CommentTable, CommentLoadReport]:
     """Load comments ``STEP`` rows at a time (the corpus can be millions of rows).
 
-    A step whose every row is a well-formed comment on a known video is
-    read as columns; any other step is read row by row, so that each bad
-    row keeps its own line and message. A comment pointing at an unknown
-    video is an orphan, a row error naming its ``video_id``; malformed
-    rows and duplicate comment ids go to the error report. Well-formed,
-    referentially valid rows are always kept. A row's ``published_at`` and
-    ``like_count`` are checked as a video's are, so a bad one rejects the
-    row, but neither is kept. ``videos`` is a table or records. A kept
-    comment's ``video_id`` is its video's string, and equal ``author_id``
-    values are one string, so a comment keeps only the characters of its
-    own id and text (packed, with 4 bytes each for their ends) and two
-    tuple slots. ``sha256`` is fed the file's bytes.
+    Each row is checked field by field as ``_COMMENT_ROW`` lists them: a
+    step whose rows are all good, with UTC times, is read as columns, any
+    other row by row, so that each malformed row keeps its own line and
+    message. A row's ``published_at`` and ``like_count`` are checked as a
+    video's are, so a bad one rejects the row, but neither is kept. The
+    good rows of a step are then checked together against ``videos``, and
+    a row at a time only when one is not on a known video: such a comment
+    is an orphan, a row error naming its ``video_id``. Malformed rows and
+    duplicate comment ids go to the error report. Well-formed,
+    referentially valid rows are always kept. ``videos`` is a table or
+    records. A kept comment's ``video_id`` is its video's string, and equal
+    ``author_id`` values are one string, so a comment keeps only the
+    characters of its own id and text (packed, with 4 bytes each for their
+    ends) and two tuple slots. ``sha256`` is fed the file's bytes.
 
     The duplicate check keeps no id strings. While the file loads, a
     comment costs 8 bytes for its id's hash, and a bit map of one bit per
@@ -1022,29 +1010,26 @@ def load_comments(
                 bits[i] |= bit
             hashes.append(h)
 
-    def steps() -> Iterator[Iterable[Sequence]]:
-        """The columns of each step's kept rows: a step of good rows read as columns, any other row by row."""
-        parse = partial(_comment_from_row, known, authors)
+    def steps() -> Iterator[list[Sequence]]:
+        """The columns of each step's kept rows."""
         for step in _steps(path, sha256=sha256):
-            columns = _comment_columns(step, known, authors)
-            if columns is not None:
-                mark(columns[0], step.line_nos)
-                yield columns
-                continue
-            rows: list[tuple[str, str, str, str]] = []
-            for line_no, row in _step_rows(step, parse):
-                if isinstance(row, Exception):
-                    errors.append(RowError(line_no, f"malformed row: {row}"))
-                    continue
-                if row[1] in known:
-                    rows.append(row)
-                else:
-                    orphans.append(RowError(line_no, f"unknown video_id {row[1]!r}"))
-                    orphan_at.append(len(hashes))
-                    orphan_ids.append(row[0])
-                mark((row[0],), (line_no,))
-            if rows:
-                yield zip(*rows)
+            line_nos, columns = _good_rows(step, _COMMENT_ROW, _COMMENT_KEPT, errors)
+            comment_ids, video_ids = columns[0], columns[1]
+            at = len(hashes)
+            mark(comment_ids, line_nos)
+            if not all(map(known.__contains__, video_ids)):
+                keep = bytearray(len(video_ids))
+                for i, line_no, comment_id, video_id in zip(count(), line_nos, comment_ids, video_ids):
+                    if video_id in known:
+                        keep[i] = 1
+                    else:
+                        orphans.append(RowError(line_no, f"unknown video_id {video_id!r}"))
+                        orphan_at.append(at + i)
+                        orphan_ids.append(comment_id)
+                columns = [list(compress(column, keep)) for column in columns]
+            columns[1] = list(map(known.__getitem__, columns[1]))
+            columns[2] = list(map(authors.setdefault, columns[2], columns[2]))
+            yield columns
 
     comments = CommentTable.from_columns(steps())
     del bits  # freed before the repeats are sought
@@ -1243,16 +1228,11 @@ def _write_tabular(
 
 def write_videos(videos: VideoTable | Iterable[VideoRecord], path: str | Path) -> None:
     """Write a video table or records; a table's rows are written from its columns."""
-    header = [
-        "video_id", "channel_id", "published_at", "title", "description",
-        "view_count", "like_count", "comment_count",
-    ]
-    _write_tabular(Path(path), map(_video_to_row, *VideoTable.of(videos).columns()), header)
+    _write_tabular(Path(path), map(_video_to_row, *VideoTable.of(videos).columns()), _VIDEO_KEPT)
 
 
 def write_comments(comments: Iterable[CommentRow], path: str | Path) -> None:
-    header = ["comment_id", "video_id", "author_id", "text", "published_at", "like_count"]
-    _write_tabular(Path(path), map(_comment_to_row, comments), header)
+    _write_tabular(Path(path), map(_comment_to_row, comments), [field.name for field in _COMMENT_ROW])
 
 
 def write_corpus(

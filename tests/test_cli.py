@@ -149,6 +149,21 @@ class TestSubcommands:
         assert payload["comment_row_errors"] == 1
         assert run_cli("report", "--corpus", broken, "--out", tmp_path / "rep").exit_code == 0
 
+    def test_deeply_nested_rows_are_row_errors(self, corpus_dir, tmp_path):
+        """A row nested too deep for the JSON decoder costs that one row: ingest and report still run."""
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(corpus_dir, broken)
+        for name in ("videos.jsonl", "comments.jsonl"):
+            with (broken / name).open("a", encoding="utf-8") as fh:
+                fh.write('{"text": ' + "[" * 100_000 + "]" * 100_000 + "}\n")
+        clean = json.loads(run_cli("ingest", "--corpus", corpus_dir).output)
+        result = run_cli("ingest", "--corpus", broken)
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {**clean, "video_row_errors": 1, "comment_row_errors": 1}
+        assert run_cli("report", "--corpus", broken, "--out", tmp_path / "rep").exit_code == 0
+
     def test_synergy_outputs(self, corpus_dir, tmp_path):
         result = run_cli("synergy", "--corpus", corpus_dir, "--out", tmp_path)
         assert result.exit_code == 0

@@ -34,7 +34,6 @@ from collabmetrics.corpus import (
     RowError,
     VideoRecord,
     VideoTable,
-    _comment_from_row,
     _rows,
     build_corpus,
     cap_videos_per_channel,
@@ -495,7 +494,7 @@ def _reference_load_comments(path, videos):
     """
     known = {v.video_id for v in videos}
     rows, orphans, errors, seen = [], [], [], set()
-    for line, row in _rows(Path(path), partial(_comment_from_row, {}, {})):
+    for line, row in _rows(Path(path), partial(corpus._checked_row, corpus._COMMENT_ROW, corpus._COMMENT_KEPT)):
         if isinstance(row, Exception):
             errors.append(RowError(line, f"malformed row: {row}"))
         elif row[0] in seen:
@@ -641,7 +640,7 @@ def _load_both_ways(path, videos=_ID_VIDEOS):
     Returns the load and how many of its steps were read as columns.
     """
     fast_columns = []
-    columns = corpus._comment_columns
+    columns = corpus._fast_columns
 
     def counted(*args):
         got = columns(*args)
@@ -649,9 +648,9 @@ def _load_both_ways(path, videos=_ID_VIDEOS):
         return got
 
     digests = [hashlib.sha256(), hashlib.sha256()]
-    with mock.patch.object(corpus, "_comment_columns", counted):
+    with mock.patch.object(corpus, "_fast_columns", counted):
         loaded = load_comments(path, videos, sha256=digests[0])
-    with mock.patch.object(corpus, "_comment_columns", lambda *args: None):
+    with mock.patch.object(corpus, "_fast_columns", lambda *args: None):
         by_row = load_comments(path, videos, sha256=digests[1])
     assert loaded[0] == by_row[0]
     _assert_same_load(loaded, by_row)
@@ -694,7 +693,7 @@ class TestStepReader:
             make_comment_row(f"c{i:04d}", f"v{1 + i % 2}", f"u{i % 7}", f"text {i}", i, None if i % 3 == 0 else i)
             for i in range(1_000)
         ), path)
-        with mock.patch.object(corpus, "_comment_from_row", side_effect=AssertionError("read row by row")):
+        with mock.patch.object(corpus, "_checked_row", side_effect=AssertionError("read row by row")):
             table, report = load_comments(path, _ID_VIDEOS)
         assert len(table) == 1_000 and report == CommentLoadReport()
 
@@ -716,7 +715,7 @@ class TestStepReader:
     @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
     @pytest.mark.parametrize(
         ("case", "fast"),
-        [("braces", {"jsonl": 1, "csv": 2}), ("emoji", 2), ("bad byte", 1), ("crlf", 2), ("orphan", 1), ("repeat", 5)],
+        [("braces", {"jsonl": 2, "csv": 2}), ("emoji", 2), ("bad byte", 1), ("crlf", 2), ("orphan", 2), ("repeat", 5)],
     )
     def test_edge_case(self, tmp_path, suffix, case, fast):
         """Each case in a step of its own: how many steps are read as columns, and the same load as row by row."""
@@ -747,6 +746,44 @@ class TestStepReader:
             assert report.errors[0].line == CHUNK + first and len(table) == 5 * STEP - 1
         else:
             assert report == CommentLoadReport() and len(table) == 2 * STEP
+
+    @pytest.mark.parametrize("at", [0, STEP // 2, STEP - 1])
+    @pytest.mark.parametrize("odd", ["nul", "]", " "])
+    def test_line_without_a_json_value(self, tmp_path, odd, at):
+        """A line that holds no JSON value as the first, a middle or the last row of a step:
+        ``nul`` and ``]`` are one row error each, a blank line holds no row, and no other row of
+        the step is lost. Scanned in one ``map``, such a line raises ``StopIteration``, which
+        ends the map there."""
+        path = tmp_path / "comments.jsonl"
+        records = _clean_records("jsonl", 2 * STEP)
+        records[STEP + at] = odd + "\n"
+        _write_records(path, records)
+        (table, report), fast_steps = _load_both_ways(path)
+        assert fast_steps == 1 and report.orphans == ()
+        assert [e.line for e in report.errors] == ([] if odd.isspace() else [STEP + at + 1])
+        assert list(table.comment_ids) == [f"c{i:04d}" for i in range(2 * STEP) if i != STEP + at]
+
+    @pytest.mark.parametrize("after", ["x", "}", ", {}", ' {"a": 1}'])
+    @pytest.mark.parametrize("at", [STEP + 1, 2 * STEP - 1])
+    def test_more_after_the_object_of_a_line(self, tmp_path, after, at):
+        """A good comment followed by more on its line is one row error, as ``json.loads`` reads the
+        line; the file's last line, which has no newline here, too."""
+        path = tmp_path / "comments.jsonl"
+        records = _clean_records("jsonl", 2 * STEP)
+        records[at] = records[at][:-1] + after + ("\n" if at < 2 * STEP - 1 else "")
+        _write_records(path, records)
+        (table, report), fast_steps = _load_both_ways(path)
+        assert fast_steps == 1 and [e.line for e in report.errors] == [at + 1] and len(table) == 2 * STEP - 1
+
+    def test_braces_in_every_text_are_read_as_columns(self, tmp_path):
+        """A 1,000-row JSON-lines file whose every text holds ``{`` or ``}`` never reaches the row path."""
+        path = tmp_path / "comments.jsonl"
+        words = ["{", "}", "a {brace}", "} and {", '{"x": 1}', "{}"]
+        texts = [f"{words[i % len(words)]} {i}" for i in range(1_000)]
+        write_comments((make_comment_row(f"c{i:04d}", f"v{1 + i % 2}", f"u{i % 7}", text, i) for i, text in enumerate(texts)), path)
+        with mock.patch.object(corpus, "_checked_row", side_effect=AssertionError("read row by row")):
+            table, report = load_comments(path, _ID_VIDEOS)
+        assert report == CommentLoadReport() and list(table.texts) == texts
 
     def test_byte_order_mark_csv(self, tmp_path):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
@@ -802,7 +839,7 @@ def _load_videos_both_ways(path, registry=_STEP_CHANNELS):
     Returns the load and how many of its steps were read as columns.
     """
     fast_columns = []
-    columns = corpus._video_columns
+    columns = corpus._fast_columns
 
     def counted(*args):
         got = columns(*args)
@@ -810,9 +847,9 @@ def _load_videos_both_ways(path, registry=_STEP_CHANNELS):
         return got
 
     digests = [hashlib.sha256(), hashlib.sha256()]
-    with mock.patch.object(corpus, "_video_columns", counted):
+    with mock.patch.object(corpus, "_fast_columns", counted):
         loaded = load_videos(path, registry, sha256=digests[0])
-    with mock.patch.object(corpus, "_video_columns", lambda *args: None):
+    with mock.patch.object(corpus, "_fast_columns", lambda *args: None):
         by_row = load_videos(path, registry, sha256=digests[1])
     assert loaded == by_row
     assert list(loaded[0]) == list(by_row[0]) and loaded[0].columns() == by_row[0].columns()
@@ -867,9 +904,9 @@ class TestVideoStepReader:
     @pytest.mark.parametrize(
         ("fault", "fast", "message"),
         [
-            ("unknown channel", 1, "unknown channel_id 'ZZ'"),
-            ("id repeated in the step", 1, f"duplicate video_id 'v{STEP:04d}'"),
-            ("id repeated across steps", 1, "duplicate video_id 'v0001'"),
+            ("unknown channel", 2, "unknown channel_id 'ZZ'"),
+            ("id repeated in the step", 2, f"duplicate video_id 'v{STEP:04d}'"),
+            ("id repeated across steps", 2, "duplicate video_id 'v0001'"),
             ("bool views", 1, {"jsonl": "malformed row: view_count True is not an integer",
                                "csv": "malformed row: invalid literal for int() with base 10: 'True'"}),
             ("float views", 1, {"jsonl": "malformed row: view_count 2.5 is not an integer",
@@ -882,7 +919,7 @@ class TestVideoStepReader:
             ("offset time", 1, None),
             ("Z time", 2, None),
             ("no time", 1, "malformed row: Invalid isoformat string: 'soon'"),
-            ("brace", {"jsonl": 1, "csv": 2}, None),
+            ("brace", {"jsonl": 2, "csv": 2}, None),
             ("bad byte", 1, "can't decode byte 0xff"),
             ("short row", 1, {"jsonl": "malformed row: 'view_count'", "csv": "malformed row: 'view_count'"}),
             ("long row", {"jsonl": 2, "csv": 1}, {"jsonl": None, "csv": "malformed row: row has 9 cells but the header has 8"}),
@@ -907,13 +944,28 @@ class TestVideoStepReader:
             assert len(table) == 2 * STEP - 1 and len(set(table.video_ids)) == len(table)
 
     @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
+    def test_errors_are_in_line_order(self, tmp_path, suffix):
+        """A step's malformed rows are found before its unknown channels and repeated ids, yet every
+        error of the load is reported in line order."""
+        path = tmp_path / f"videos.{suffix}"
+        records = _clean_video_records(suffix, 2 * STEP)
+        faults = ["unknown channel", "negative views", "id repeated in the step", "no time", "id repeated across steps"]
+        for at, fault in zip(range(STEP + 1, 2 * STEP, 2), faults):
+            records[at] = _VIDEO_FAULTS[fault](suffix, "v9999", f"v{at - 1:04d}", "v0001")
+        _write_video_records(path, records)
+        (_, errors), fast_steps = _load_videos_both_ways(path)
+        first = 2 if suffix == "csv" else 1
+        assert fast_steps == 1 and [e.line for e in errors] == [STEP + first + 1 + 2 * k for k in range(len(faults))]
+        assert [e.message.split(" ")[0] for e in errors] == ["unknown", "malformed", "duplicate", "malformed", "duplicate"]
+
+    @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
     def test_clean_file_is_read_as_columns(self, tmp_path, suffix):
         """A clean 1,000-row file never reaches the row path, and loads in (channel, time) order."""
         path = tmp_path / f"videos.{suffix}"
         records = [make_video(f"v{i:04d}", "AB"[i % 2], views=i, offset_hours=-i, description=f"with @b {i}",
                               like_count=None if i % 3 == 0 else i, comment_count=i % 4) for i in range(1_000)]
         write_videos(records, path)
-        with mock.patch.object(corpus, "_video_from_row", side_effect=AssertionError("read row by row")):
+        with mock.patch.object(corpus, "_checked_row", side_effect=AssertionError("read row by row")):
             table, errors = load_videos(path, _STEP_CHANNELS)
         assert errors == [] and table == sorted(records, key=lambda v: (v.channel_id, v.published_us))
 
@@ -1547,6 +1599,38 @@ class TestJsonLineDecode:
             for i, value in _rows(path, lambda row: row, tabular=False)
         ]
         assert got == expected
+
+
+# A JSON value nested deeper than the decoder recurses: decoding it raises ``RecursionError``.
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+class TestDeeplyNestedRow:
+    """A JSON-lines row nested too deep to decode is one row error, not an aborted load."""
+
+    def test_comment_row(self, tmp_path):
+        path = tmp_path / "comments.jsonl"
+        records = _clean_records("jsonl", 3)
+        records[1] = records[1].replace('"text": "gg"', f'"text": {_DEEP}')
+        _write_records(path, records)
+        (table, report), _ = _load_both_ways(path)
+        assert [e.line for e in report.errors] == [2] and "maximum recursion depth" in report.errors[0].message
+        assert list(table.comment_ids) == ["c0000", "c0002"]
+
+    def test_video_row(self, tmp_path):
+        path = tmp_path / "videos.jsonl"
+        records = _clean_video_records("jsonl", 3)
+        records[1] = records[1].replace('"description": "d"', f'"description": {_DEEP}')
+        _write_video_records(path, records)
+        (table, errors), _ = _load_videos_both_ways(path)
+        assert [e.line for e in errors] == [2] and "maximum recursion depth" in errors[0].message
+        assert sorted(table.video_ids) == ["v0000", "v0002"]
+
+    def test_registry_row(self, tmp_path):
+        path = tmp_path / "registry.jsonl"
+        path.write_text(json.dumps(registry_row("ch1", ["a"])) + f'\n{{"channel_id": {_DEEP}}}\n', encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"^registry\.jsonl:2: maximum recursion depth exceeded"):
+            load_registry(path)
 
 
 def _utc_offset(minutes):

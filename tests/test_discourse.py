@@ -153,6 +153,12 @@ class TestClassifier:
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
         assert load_precomputed_labels(path) == {"c1": "food", "c2": "other"}
 
+    def test_deeply_nested_label_row_names_its_line(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text('{"comment_id": "c1", "label": "food"}\n{"label": ' + "[" * 100_000 + "]" * 100_000 + "}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"^labels\.jsonl:2: maximum recursion depth exceeded"):
+            load_precomputed_labels(path)
+
     def test_side_files_are_not_hashed(self, tmp_path, monkeypatch):
         # Only corpus files have digests in the manifest; a labels file is as long as the comments.
         labels, lexicon, keywords = tmp_path / "labels.jsonl", tmp_path / "lex.csv", tmp_path / "kw.csv"
