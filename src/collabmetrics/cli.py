@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from collabmetrics import PRESET_NAMES, __version__, discourse, report
-from collabmetrics.corpus import attribute_histogram, load_corpus_dir
+from collabmetrics.corpus import CommentFold, attribute_histogram, load_corpus_dir
 from collabmetrics.errors import CollabMetricsError, ConfigurationError
 from collabmetrics.synergy import BASELINE_MODES, STATISTICS
 
@@ -118,14 +118,17 @@ def _stage(name: str, *options):
 @_ATTRIBUTE_KEY
 def ingest(corpus_dir: str, attribute_key: str) -> None:
     """Load and validate a corpus directory as ``report`` does; print a summary with drop counts."""
-    corpus, dropped, _ = load_corpus_dir(corpus_dir, attribute_key=attribute_key)
+    corpus, video_errors, _ = load_corpus_dir(corpus_dir, attribute_key=attribute_key)
+    comments, dropped = corpus.comments.fold(CommentFold())
     summary = {
         "community": corpus.community,
         "channels": len(corpus.registry),
         "videos": len(corpus.videos),
-        "comments": len(corpus.comments),
+        "comments": len(comments),
         "attribute_histogram": dict(sorted(attribute_histogram(corpus.registry, attribute_key).items())),
-        **dropped,
+        "video_row_errors": len(video_errors),
+        "comment_row_errors": len(dropped.errors),
+        "orphan_comments": len(dropped.orphans),
     }
     click.echo(json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False))
 

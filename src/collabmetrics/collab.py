@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -144,7 +145,10 @@ def detect_collaborations(
     ordered pair accumulate into one dyad.
     """
     channels = corpus.channels_by_id()
-    owner_of = dict(zip(corpus.videos.video_ids, corpus.videos.channel_ids))
+    videos = corpus.videos
+    # The owners of the two-way videos only, picked by one C-level pass.
+    two_way = map(partition.two_way.__contains__, videos.video_ids)
+    owner_of = dict(compress(zip(videos.video_ids, videos.channel_ids), two_way))
 
     videos_by_pair: dict[tuple[str, str], list[str]] = {}
     for video_id in sorted(partition.two_way):

@@ -5,8 +5,11 @@ and a comment corpus. Files are UTF-8 CSV (declared header) or JSON-lines,
 one record per row/line, with ISO-8601 timestamps. Channels load as records.
 Videos load as one table of columns, a video's time as whole microseconds
 since 1970-01-01 UTC; iterating it gives one record per video. The
-comments, by far the most rows, load as one table of the four columns that an
-analysis reads; a comment's time and like count are checked, not kept.
+comments, by far the most rows, are not held: a loaded corpus's comments are
+its :class:`CommentFile`, read in one pass that hands each step of accepted
+comments to a :class:`CommentFold`, which keeps only what it counts. A
+comment's time and like count are checked, not kept. A corpus built in memory
+holds its comments as a :class:`CommentTable`, which feeds the same folds.
 Loaded collections are validated, immutable, and safe to share across
 threads.
 """
@@ -22,17 +25,17 @@ import logging
 import operator
 import os
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain, compress, count, groupby, islice, repeat, tee
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from collabmetrics.errors import ConfigurationError, ValidationError
 
@@ -44,6 +47,8 @@ __all__ = [
     "PackedStrings",
     "VideoTable",
     "CommentTable",
+    "CommentFold",
+    "CommentFile",
     "Corpus",
     "RowError",
     "CommentLoadReport",
@@ -335,14 +340,36 @@ class VideoTable(Sequence[VideoRecord]):
 _VIDEO_FIELDS = operator.attrgetter(*(field.name for field in fields(VideoRecord)))
 
 
+class CommentFold:
+    """What the comments of a corpus are folded into, one step of accepted comments at a time.
+
+    :meth:`add` takes each comment's line (its 1-based row in a table) and
+    the four columns of :class:`CommentTable`; the comments of one load come
+    in no set order. This fold only counts them: ``len`` is how many it
+    took. A fold that keeps more extends :meth:`add`.
+    """
+
+    def __init__(self) -> None:
+        self.taken = 0
+
+    def add(self, lines: Sequence[int], columns: Sequence[Sequence]) -> None:
+        self.taken += len(lines)
+
+    def __len__(self) -> int:
+        return self.taken
+
+
+_F = TypeVar("_F", bound=CommentFold)
+
+
 @dataclass(frozen=True, slots=True)
 class CommentTable:
-    """The audience comments of a corpus, one column per field that an analysis reads.
+    """The audience comments of a corpus built in memory, one column per field that an analysis reads.
 
     Row ``i`` of every column is comment ``i``. ``comment_ids`` and
     ``texts`` are :class:`PackedStrings`; ``video_ids`` and ``author_ids``
-    are tuples. A comment's time and like count are in its file only.
-    Build a table with :meth:`from_rows`.
+    are tuples. A comment's time and like count are not held. Build a
+    table with :meth:`from_rows`.
     """
 
     comment_ids: PackedStrings
@@ -355,31 +382,24 @@ class CommentTable:
         """The table of ``rows``, each ``(comment_id, video_id, author_id, text)``, in order."""
         rows = iter(rows)
         # ``CHUNK`` rows at a time, turned into columns by ``zip``: no Python code here runs per row.
-        return cls.from_columns(zip(*chunk) for chunk in iter(lambda: list(islice(rows, CHUNK)), []))
-
-    @classmethod
-    def from_columns(cls, steps: Iterable[Iterable[Iterable]]) -> CommentTable:
-        """The table of the rows of each step, in order; a step is four columns of one length, in field order."""
+        steps = (zip(*chunk) for chunk in iter(lambda: list(islice(rows, CHUNK)), []))
         return cls(*_columns_of(steps, (PackedStrings, tuple, tuple, PackedStrings)))
 
     def __len__(self) -> int:
         return len(self.video_ids)
 
-    def on_videos(self, video_ids: Container[str]) -> CommentTable:
-        """The comments whose ``video_id`` is in ``video_ids``, in order."""
-        return CommentTable.kept(self.columns(), bytes(map(video_ids.__contains__, self.video_ids)))
-
     def columns(self) -> list:
         """The table's columns, in field order, in a new list."""
         return [getattr(self, field.name) for field in fields(self)]
 
-    @classmethod
-    def kept(cls, columns: list, keep: Sequence[int]) -> CommentTable:
-        """The table of the rows ``i`` of ``columns`` (as :meth:`columns` gives them) where ``keep[i]`` is true.
-
-        Each old column is freed as its copy is built, as in :func:`_rebuilt`.
-        """
-        return cls(*_rebuilt(columns, partial(compress, selectors=keep)))
+    def fold(self, fold: _F) -> tuple[_F, CommentLoadReport]:
+        """``fold`` fed the table's comments ``CHUNK`` at a time, in order (an empty table once, with
+        none), and the report of a load that dropped no row."""
+        columns, n = self.columns(), len(self)
+        for start in range(0, n or 1, CHUNK):
+            stop = min(start + CHUNK, n)
+            fold.add(range(start + 1, stop + 1), [column[start:stop] for column in columns])
+        return fold, CommentLoadReport()
 
 
 @dataclass(frozen=True)
@@ -398,17 +418,52 @@ class CommentLoadReport:
     errors: tuple[RowError, ...] = ()
 
 
+@dataclass(frozen=True, eq=False)
+class CommentFile:
+    """A corpus directory's comments file, read only when its comments are folded.
+
+    A comment on a video outside ``videos`` is an orphan; ``sha256`` is fed
+    the file's bytes as :meth:`fold` reads them.
+    """
+
+    path: Path
+    videos: VideoTable
+    sha256: object = field(default_factory=hashlib.sha256)
+
+    def fold(self, fold: _F) -> tuple[_F, CommentLoadReport]:
+        """:func:`load_comments` of the file into ``fold``; a load that drops rows logs how many.
+
+        Fold a file once: a second pass would feed ``sha256`` the file again.
+        """
+        fold, report = load_comments(self.path, self.videos, fold, self.sha256)
+        if report.errors or report.orphans:
+            logger.warning(
+                "%s: dropped %d comment row(s) with errors and %d orphan comment row(s)",
+                self.path.parent,
+                len(report.errors),
+                len(report.orphans),
+            )
+        return fold, report
+
+    def digest(self) -> str:
+        """The hex SHA-256 of the bytes read so far: of the whole file once it is folded."""
+        return self.sha256.hexdigest()  # type: ignore[attr-defined]
+
+
 @dataclass(frozen=True)
 class Corpus:
     """A validated registry + videos + comments for one community.
 
     ``videos`` is a :class:`VideoTable`: an analysis reads its columns, and
-    iterating it gives one :class:`VideoRecord` per video.
+    iterating it gives one :class:`VideoRecord` per video. ``comments`` is
+    a :class:`CommentTable` for a corpus built in memory and a
+    :class:`CommentFile` for a loaded one; either feeds a
+    :class:`CommentFold` through its ``fold``.
     """
 
     registry: tuple[ChannelRecord, ...]
     videos: VideoTable
-    comments: CommentTable
+    comments: CommentTable | CommentFile
     community: str
 
     def channels_by_id(self) -> dict[str, ChannelRecord]:
@@ -418,10 +473,13 @@ class Corpus:
 def build_corpus(
     registry: Sequence[ChannelRecord],
     videos: VideoTable | Iterable[VideoRecord],
-    comments: CommentTable,
+    comments: CommentTable | CommentFile,
     community: str | None = None,
 ) -> Corpus:
-    """Assemble a corpus from a video table or records, enforcing referential integrity and a single community."""
+    """Assemble a corpus from a video table or records, enforcing referential integrity and a single community.
+
+    A table's comments must be on ``videos``; a file's are checked as they are folded.
+    """
     communities = {ch.community for ch in registry}
     if len(communities) > 1:
         raise ValidationError(f"registry spans multiple communities: {sorted(communities)}")
@@ -434,7 +492,7 @@ def build_corpus(
         i = next(i for i, channel_id in enumerate(videos.channel_ids) if channel_id not in channel_ids)
         raise ValidationError(f"video {videos.video_ids[i]!r} references unknown channel {videos.channel_ids[i]!r}")
     video_ids = set(videos.video_ids)
-    if not video_ids.issuperset(comments.video_ids):
+    if isinstance(comments, CommentTable) and not video_ids.issuperset(comments.video_ids):
         i = next(i for i, video_id in enumerate(comments.video_ids) if video_id not in video_ids)
         raise ValidationError(f"comment {comments.comment_ids[i]!r} references unknown video {comments.video_ids[i]!r}")
     return Corpus(tuple(registry), videos, comments, community)
@@ -957,114 +1015,131 @@ _id_hash = hash
 
 
 def load_comments(
-    path: str | Path, videos: VideoTable | Iterable[VideoRecord], sha256=None
-) -> tuple[CommentTable, CommentLoadReport]:
-    """Load comments ``STEP`` rows at a time (the corpus can be millions of rows).
+    path: str | Path, videos: VideoTable | Iterable[VideoRecord], fold: _F, sha256=None
+) -> tuple[_F, CommentLoadReport]:
+    """Fold the comments of a file into ``fold`` in one pass, ``STEP`` rows at a time (the corpus can be millions of rows).
 
     Each row is checked field by field as ``_COMMENT_ROW`` lists them: a
     step whose rows are all good, with UTC times, is read as columns, any
     other row by row, so that each malformed row keeps its own line and
     message. A row's ``published_at`` and ``like_count`` are checked as a
-    video's are, so a bad one rejects the row, but neither is kept. The
-    good rows of a step are then checked together against ``videos``, and
-    a row at a time only when one is not on a known video: such a comment
-    is an orphan, a row error naming its ``video_id``. Malformed rows and
-    duplicate comment ids go to the error report. Well-formed,
-    referentially valid rows are always kept. ``videos`` is a table or
-    records. A kept comment's ``video_id`` is its video's string, and equal
-    ``author_id`` values are one string, so a comment keeps only the
-    characters of its own id and text (packed, with 4 bytes each for their
-    ends) and two tuple slots. ``sha256`` is fed the file's bytes.
+    video's are, so a bad one rejects the row, but neither is kept. A row
+    on a video not in ``videos`` (a table or records) is an orphan, a row
+    error naming its ``video_id``. Malformed rows and duplicate comment ids
+    go to the error report. Every other row goes to ``fold`` with its step,
+    so no comment outlives its step unless it is held back (below).
+    Returns ``fold`` and the report; ``sha256`` is fed the file's bytes.
 
-    The duplicate check keeps no id strings. While the file loads, a
-    comment costs 8 bytes for its id's hash, and a bit map of one bit per
-    4 bytes of file marks the hashes seen. A row whose bit is set already
-    is kept for now; after the load its id is compared with those of the
-    earlier rows of equal hash, and only a true repeat leaves the table.
+    The duplicate check keeps no id strings. A comment costs 8 bytes for
+    its id's hash, and a bit map of one bit per 4 bytes of file marks the
+    hashes seen. A row whose bit is set already is held back. After the
+    pass, the ids of each group of rows of equal hash are compared: the
+    first row with an id is kept, and an orphan's id counts as seen. A
+    held-back row is folded only if its id is new. A group that holds a
+    row folded with its step needs that row's id, so the file is read once
+    more, fed to no digest: in effect only when it repeats an id.
     """
     path = Path(path)
-    known = {video_id: video_id for video_id in VideoTable.of(videos).video_ids}
+    known = dict.fromkeys(VideoTable.of(videos).video_ids)  # a dict is less than half a set's size
     orphans: list[RowError] = []
     errors: list[RowError] = []
-    authors: dict[str, str] = {}
-    # Position p is the p-th row that is not malformed: the orphan
-    # orphan_ids[k] if orphan_at[k] == p, else table row p - k, where k
-    # orphans come before it. hashes[p] is its id's hash.
-    orphan_at: list[int] = []
-    orphan_ids: list[str] = []
+    # Position p is the p-th row that is not malformed; hashes[p] is its id's hash.
     hashes = array("q")
     n_bits = max(os.stat(path).st_size // 4, 64)
     bits = bytearray(n_bits // 8 + 1)
     candidates: list[tuple[int, int]] = []  # (position, line) of each row whose bit was set
+    orphan_at: list[int] = []  # the position of each orphan
+    orphan_ids: list[str] = []
+    held: list[tuple[int, int, list]] = []  # (position, line, cells) of each held-back row
 
-    def mark(ids: Iterable[str], line_nos: Iterable[int]) -> None:
-        """Add the ids of one step's rows that are not malformed to the duplicate check."""
-        for comment_id, line_no in zip(ids, line_nos):
-            h = _id_hash(comment_id)
-            i = h % n_bits
-            bit = 1 << (i & 7)
-            i >>= 3
-            if bits[i] & bit:
-                candidates.append((len(hashes), line_no))
+    step = None
+    for step in _steps(path, sha256=sha256):
+        line_nos, columns = _good_rows(step, _COMMENT_ROW, _COMMENT_KEPT, errors)
+        comment_ids, video_ids = columns[0], columns[1]
+        at = len(hashes)
+        step_hashes = list(map(_id_hash, comment_ids))
+        hashes.extend(step_hashes)
+        seen = []  # the step's rows whose bit was set
+        for i, h in enumerate(step_hashes):
+            j = h % n_bits
+            bit = 1 << (j & 7)
+            j >>= 3
+            if bits[j] & bit:
+                seen.append(i)
             else:
-                bits[i] |= bit
-            hashes.append(h)
-
-    def steps() -> Iterator[list[Sequence]]:
-        """The columns of each step's kept rows."""
-        for step in _steps(path, sha256=sha256):
-            line_nos, columns = _good_rows(step, _COMMENT_ROW, _COMMENT_KEPT, errors)
-            comment_ids, video_ids = columns[0], columns[1]
-            at = len(hashes)
-            mark(comment_ids, line_nos)
-            if not all(map(known.__contains__, video_ids)):
-                keep = bytearray(len(video_ids))
+                bits[j] |= bit
+        orphaned = not all(map(known.__contains__, video_ids))
+        if seen or orphaned:
+            keep = bytearray(b"\1") * len(line_nos)
+            if orphaned:
                 for i, line_no, comment_id, video_id in zip(count(), line_nos, comment_ids, video_ids):
-                    if video_id in known:
-                        keep[i] = 1
-                    else:
+                    if video_id not in known:
                         orphans.append(RowError(line_no, f"unknown video_id {video_id!r}"))
                         orphan_at.append(at + i)
                         orphan_ids.append(comment_id)
-                columns = [list(compress(column, keep)) for column in columns]
-            columns[1] = list(map(known.__getitem__, columns[1]))
-            columns[2] = list(map(authors.setdefault, columns[2], columns[2]))
-            yield columns
+                        keep[i] = 0
+            for i in seen:
+                candidates.append((at + i, line_nos[i]))
+                if keep[i]:
+                    held.append((at + i, line_nos[i], [column[i] for column in columns]))
+                    keep[i] = 0
+            line_nos = list(compress(line_nos, keep))
+            columns = [list(compress(column, keep)) for column in columns]
+        fold.add(line_nos, columns)
+    if step is None:  # a file of no rows: the fold still takes one step, with none, as an empty table's does
+        fold.add((), [()] * len(_COMMENT_KEPT))
+    del bits
 
-    comments = CommentTable.from_columns(steps())
-    del bits  # freed before the repeats are sought
     # Every repeat is a candidate. Group the positions that share a
-    # candidate's hash; only a group of two or more reads its ids.
+    # candidate's hash; only a group of two or more compares its ids.
     groups: dict[int, list[int]] = {}
     if candidates:
         wanted = set(map(hashes.__getitem__, map(operator.itemgetter(0), candidates)))
         for p in compress(count(), map(wanted.__contains__, hashes)):
             groups.setdefault(hashes[p], []).append(p)
+    del hashes
+    grouped = [group for group in groups.values() if len(group) > 1]
     repeats: list[tuple[int, str]] = []  # (position, comment_id) of each row whose id an earlier row has
-    for group in groups.values():
-        if len(group) == 1:
-            continue  # a candidate whose bit an unequal hash had set
-        firsts: list[str] = []
-        for p in group:
-            k = bisect_left(orphan_at, p)
-            comment_id = orphan_ids[k] if k < len(orphan_at) and orphan_at[k] == p else comments.comment_ids[p - k]
-            if comment_id in firsts:
-                repeats.append((p, comment_id))
-            else:
-                firsts.append(comment_id)
+    if grouped:
+        wanted = set(chain.from_iterable(grouped))
+        ids = {p: cells[0] for p, _, cells in held if p in wanted}
+        ids.update((p, comment_id) for p, comment_id in zip(orphan_at, orphan_ids) if p in wanted)
+        folded = wanted.difference(ids)
+        if folded:
+            ids.update(_ids_at(path, folded))
+        for group in grouped:
+            firsts: list[str] = []
+            for p in group:
+                if ids[p] in firsts:
+                    repeats.append((p, ids[p]))
+                else:
+                    firsts.append(ids[p])
     if repeats:
         lines = dict(candidates)
         duplicates = [RowError(lines[p], f"duplicate comment_id {comment_id!r}") for p, comment_id in repeats]
         errors = sorted(errors + duplicates, key=operator.attrgetter("line"))
         dropped = {p for p, _ in repeats}
-        keep = bytearray(b"\1") * len(comments)
-        for p in dropped.difference(orphan_at):
-            keep[p - bisect_left(orphan_at, p)] = 0
-        columns = comments.columns()
-        del comments  # so that each old column is freed once its kept copy is built
-        comments = CommentTable.kept(columns, keep)
         orphans = [orphan for orphan, p in zip(orphans, orphan_at) if p not in dropped]
-    return comments, CommentLoadReport(tuple(orphans), tuple(errors))
+        held = [row for row in held if row[0] not in dropped]
+    for start in range(0, len(held), STEP):
+        _, line_nos, cells = zip(*held[start:start + STEP])
+        fold.add(line_nos, list(zip(*cells)))
+    return fold, CommentLoadReport(tuple(orphans), tuple(errors))
+
+
+def _ids_at(path: Path, positions: set[int]) -> dict[int, str]:
+    """The comment ids at ``positions`` of a comments file, by position, as :func:`load_comments` numbers
+    the rows that are not malformed; the file is read again, up to the last of them."""
+    ids: dict[int, str] = {}
+    at = 0
+    for step in _steps(path):
+        comment_ids = _good_rows(step, _COMMENT_ROW, _COMMENT_KEPT, [])[1][0]
+        for p in positions.intersection(range(at, at + len(comment_ids))):
+            ids[p] = comment_ids[p - at]
+        at += len(comment_ids)
+        if len(ids) == len(positions):
+            break
+    return ids
 
 
 def corpus_files(directory: str | Path) -> dict[str, Path]:
@@ -1087,35 +1162,24 @@ def corpus_files(directory: str | Path) -> dict[str, Path]:
 
 def load_corpus_dir(
     directory: str | Path, attribute_key: str = "gender"
-) -> tuple[Corpus, dict[str, int], dict[str, str]]:
-    """Load the :func:`corpus_files` of one directory, with the rows it dropped and the files' digests.
+) -> tuple[Corpus, list[RowError], dict[str, str]]:
+    """Load the registry and videos of the :func:`corpus_files` of one directory, with the video rows
+    it dropped and the two files' digests.
 
-    Row errors are tolerated (the accepted subset is analyzed) and counted
-    as ``video_row_errors``, ``comment_row_errors`` and ``orphan_comments``;
-    registry problems raise. The digests are the hex SHA-256 of each
-    file's bytes, by file name, taken as the file is loaded.
+    Video row errors are tolerated (the accepted subset is analyzed) and
+    logged; registry problems raise. The digests are the hex SHA-256 of
+    each file's bytes, by file name, taken as the file is loaded. The
+    comments file is not read here: the corpus's comments are its
+    :class:`CommentFile`, read once, when they are folded.
     """
     files = corpus_files(directory)
-    hashes = {stem: hashlib.sha256() for stem in files}
+    hashes = {stem: hashlib.sha256() for stem in ("registry", "videos")}
     registry = load_registry(files["registry"], attribute_key=attribute_key, sha256=hashes["registry"])
     videos, video_errors = load_videos(files["videos"], registry, sha256=hashes["videos"])
-    comments, comment_report = load_comments(files["comments"], videos, sha256=hashes["comments"])
     if video_errors:
         logger.warning("%s: dropped %d video row(s) with errors", directory, len(video_errors))
-    if comment_report.errors or comment_report.orphans:
-        logger.warning(
-            "%s: dropped %d comment row(s) with errors and %d orphan comment row(s)",
-            directory,
-            len(comment_report.errors),
-            len(comment_report.orphans),
-        )
-    dropped = {
-        "video_row_errors": len(video_errors),
-        "comment_row_errors": len(comment_report.errors),
-        "orphan_comments": len(comment_report.orphans),
-    }
     digests = {files[stem].name: h.hexdigest() for stem, h in hashes.items()}
-    return build_corpus(registry, videos, comments), dropped, digests
+    return build_corpus(registry, videos, CommentFile(files["comments"], videos)), video_errors, digests
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Comment sentiment scoring and topic tagging, aggregated by dyad type.
 
 The unit of this layer is one comment's token list: the lowercased text's
-maximal runs of letters a-z, digits and inner apostrophes. A report
-tokenises each comment once, a chunk of ``CHUNK`` comments at a time
-(:func:`aggregate_discourse`), hands the same lists to the sentiment
-scorer and the topic classifier, and keeps only counts, so no stage holds
-every comment's tokens, score or label. Both stages sit behind small
-token-level interfaces, so another scorer or classifier over the same
-tokens, or labels precomputed out-of-band, can be plugged in without
-touching the aggregation. The
+maximal runs of letters a-z, digits and inner apostrophes. The comments
+are folded into :class:`DiscourseCounts` a step at a time, as they are
+read: each step's texts are tokenised once, the same lists go to the
+sentiment scorer and the topic classifier, and only the counts of
+(group, score, label) triples are kept, so nothing holds every comment's
+text, tokens, score or label. :func:`aggregate_discourse` turns the counts
+into the report. Both stages sit behind small token-level interfaces, so
+another scorer or classifier over the same tokens, or labels precomputed
+out-of-band, can be plugged in without touching the aggregation. The
 bundled defaults are deterministic: a valence-lexicon scorer with
 negation/booster rules and a keyword-rule topic classifier over the fixed
 five-category schema.
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import Collection, Iterable, Mapping, Protocol, Sequence
 
 from collabmetrics.collab import CollaborationDyad
-from collabmetrics.corpus import CHUNK, CommentTable, Corpus, _text, load_rows
+from collabmetrics.corpus import CommentFold, _text, load_rows
 from collabmetrics.errors import ConfigurationError, ValidationError
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "load_sentiment_lexicon",
     "load_topic_keywords",
     "load_precomputed_labels",
+    "DiscourseCounts",
     "aggregate_discourse",
 ]
 
@@ -312,59 +314,80 @@ def _make_row(group: str, scores: Mapping[float, int], labels: Mapping[str, int]
     )
 
 
-def aggregate_discourse(
-    comments: CommentTable,
-    dyads: Sequence[CollaborationDyad],
-    corpus: Corpus,
-    exclude_videos: Collection[str] = (),
-    scorer: SentimentScorer | None = None,
-    classifier: TopicClassifier | None = None,
-    labels: Mapping[str, str] | None = None,
-) -> DiscourseReport:
-    """Score, label and aggregate the comments' sentiment and topics by dyad type.
+class DiscourseCounts(CommentFold):
+    """The comments per (group, score, label) triple of the comments it takes.
 
-    Comments under a dyad's videos feed that dyad type; comments under
-    videos in no dyad (and not in ``exclude_videos``, which callers use
-    for multi-party collaboration videos) feed the non-collaboration
-    baseline. Aggregation weights each comment equally. Dyad types with
-    zero comments are omitted rather than zero-filled.
+    A comment's group is its video's dyad type among ``dyads``, None under
+    a video in ``exclude_videos`` (which callers use for multi-party
+    collaboration videos), and ``"baseline"`` under any other. Each step's
+    texts are tokenised once, and the token lists go to
+    :func:`score_comments` and :func:`label_comments` (default: the bundled
+    scorer and classifier). Precomputed ``labels`` (topic label by comment
+    id) replace the classifier; a comment they lack is a
+    :class:`ValidationError`. One ``Counter`` counts each step's triples in C.
 
-    The comments are read ``CHUNK`` at a time. Each chunk's texts are
-    tokenised once, and the token lists go to :func:`score_comments` and
-    :func:`label_comments` (default: the bundled scorer and classifier).
-    Precomputed ``labels`` (topic label by comment id) replace the
-    classifier; a comment they lack raises :class:`ValidationError`. One
-    ``Counter`` counts each chunk's (group, score, label) triples in C. An
-    empty table still calls each function once.
+    The first error that scoring or labelling raises is kept, and no later
+    comment is counted; :func:`aggregate_discourse` raises it. So a pass that
+    folds other counts beside these reads on to the end of its file.
     """
-    # A comment's group is its video's dyad type, None under an excluded
-    # video, or "baseline" under any other; a dyad type always holds a hyphen.
-    group_of_video: dict[str, str | None] = dict.fromkeys(exclude_videos)
-    for dyad in dyads:
-        for video_id in dyad.videos:
-            group_of_video[video_id] = dyad.dyad_type
-    if labels is None:
-        classifier = classifier or KeywordTopicClassifier()
 
-    counts: Counter = Counter()
-    for start in range(0, len(comments) or 1, CHUNK):
-        stop = start + CHUNK
-        # ``tokenize`` of each text, without a Python call per text
-        tokens = list(map(_TOKEN_RE.findall, map(str.lower, comments.texts[start:stop])))
-        scores = score_comments(tokens, scorer)
-        if labels is None:
-            chunk_labels = label_comments(tokens, classifier)
-        else:
-            try:
-                chunk_labels = list(map(labels.__getitem__, comments.comment_ids[start:stop]))
-            except KeyError as exc:
-                raise ValidationError(f"comment {exc.args[0]!r} lacks a topic label") from None
-        groups = map(group_of_video.get, comments.video_ids[start:stop], repeat("baseline"))
-        counts.update(zip(groups, scores, chunk_labels))
+    def __init__(
+        self,
+        dyads: Sequence[CollaborationDyad],
+        exclude_videos: Collection[str] = (),
+        scorer: SentimentScorer | None = None,
+        classifier: TopicClassifier | None = None,
+        labels: Mapping[str, str] | None = None,
+    ) -> None:
+        super().__init__()
+        # A dyad type always holds a hyphen, so it is never "baseline".
+        self.group_of_video: dict[str, str | None] = dict.fromkeys(exclude_videos)
+        for dyad in dyads:
+            for video_id in dyad.videos:
+                self.group_of_video[video_id] = dyad.dyad_type
+        self.scorer = scorer or LexiconSentimentScorer()
+        self.classifier = (classifier or KeywordTopicClassifier()) if labels is None else None
+        self.labels = labels
+        self.counts: Counter = Counter()
+        self.failure: Exception | None = None
 
+    def add(self, lines: Sequence[int], columns: Sequence[Sequence]) -> None:
+        super().add(lines, columns)
+        if self.failure is not None:
+            return
+        comment_ids, video_ids, _, texts = columns
+        try:
+            # ``tokenize`` of each text, without a Python call per text
+            tokens = list(map(_TOKEN_RE.findall, map(str.lower, texts)))
+            scores = score_comments(tokens, self.scorer)
+            if self.labels is None:
+                step_labels = label_comments(tokens, self.classifier)
+            else:
+                try:
+                    step_labels = list(map(self.labels.__getitem__, comment_ids))
+                except KeyError as exc:
+                    raise ValidationError(f"comment {exc.args[0]!r} lacks a topic label") from None
+        except Exception as exc:
+            self.failure = exc
+            return
+        groups = map(self.group_of_video.get, video_ids, repeat("baseline"))
+        self.counts.update(zip(groups, scores, step_labels))
+
+
+def aggregate_discourse(counts: DiscourseCounts, community: str) -> DiscourseReport:
+    """The sentiment and topics of folded comments, aggregated by dyad type.
+
+    Comments under a dyad's videos make that dyad type's row; comments
+    under videos in no dyad and not excluded make the non-collaboration
+    baseline. Aggregation weights each comment equally. Dyad types with
+    zero comments are omitted rather than zero-filled. Raises the error
+    that stopped the fold, if one did.
+    """
+    if counts.failure is not None:
+        raise counts.failure
     scores_of: defaultdict[str | None, Counter] = defaultdict(Counter)
     labels_of: defaultdict[str | None, Counter] = defaultdict(Counter)
-    for (group, score, label), count in counts.items():
+    for (group, score, label), count in counts.counts.items():
         scores_of[group][score] += count
         labels_of[group][label] += count
     observed = set().union(*labels_of.values())
@@ -376,7 +399,7 @@ def aggregate_discourse(
     )
 
     return DiscourseReport(
-        community=corpus.community,
+        community=community,
         categories=categories,
         by_dyad_type={
             group: _make_row(group, scores_of[group], labels_of[group], categories)

@@ -16,10 +16,12 @@ about levels * 2m * n / 64 word operations. The reach counts and distance
 sums are exact integers, so the floats equal those of a per-source BFS.
 
 Commenter diversity is Shannon entropy in bits over the commenter's
-distribution of comments across channels. It is one fold over the
-attention graph's sorted ``(author, channel)`` keys, which visits each
-commenter's channels in order without a per-commenter mapping, so its
-transient memory is one list of key references.
+distribution of comments across channels. The attention graph's weights
+are counted as the comments are folded (:class:`AttentionCounts`), so no
+comment is held. Entropy is one fold over the graph's sorted
+``(author, channel)`` keys, which visits each commenter's channels in order
+and yields one commenter at a time; the CDF keeps only how many commenters
+have each entropy value, so a report holds no mapping by commenter.
 """
 
 from __future__ import annotations
@@ -29,17 +31,18 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, groupby
+from itertools import accumulate, compress, groupby
 from operator import itemgetter
 from statistics import median
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from collabmetrics.collab import CollaborationDyad
-from collabmetrics.corpus import CommentTable, VideoRecord, VideoTable
+from collabmetrics.corpus import CommentFold, VideoRecord, VideoTable
 
 __all__ = [
     "CollabGraph",
     "AttentionGraph",
+    "AttentionCounts",
     "CentralitySummary",
     "AttributeCentrality",
     "build_collab_graph",
@@ -180,27 +183,42 @@ def closeness(graph: CollabGraph, attributes: Mapping[str, str] | None = None) -
     return CentralitySummary(closeness=values, by_attribute=by_attribute)
 
 
-def build_attention_graph(
-    videos: VideoTable | Iterable[VideoRecord],
-    comments: CommentTable,
-    min_comments: int = 1,
-) -> AttentionGraph:
-    """Bipartite graph of direct commenter-to-channel interactions.
+class AttentionCounts(CommentFold):
+    """The comments per ``(author, channel)`` pair of the comments it takes, a comment's channel
+    being its video's owner in ``videos``.
 
     Every comment counts (raw comment frequency, not distinct videos); a
-    comment on a video missing from ``videos`` counts nowhere. Each
-    comment on a known video is counted as its ``(author, channel)`` pair
-    by one ``Counter`` over the zipped columns, in C. ``min_comments``
-    optionally drops low-activity commenters; the default keeps everyone.
+    comment on a video missing from ``videos`` counts nowhere. Each step is
+    counted by one ``Counter`` update over the zipped columns, in C.
     """
-    videos = VideoTable.of(videos)
-    owner = dict(zip(videos.video_ids, videos.channel_ids))
-    video_ids, author_ids = comments.video_ids, comments.author_ids
-    weights: Mapping[tuple[str, str], int] = Counter(
-        compress(zip(author_ids, map(owner.get, video_ids)), map(owner.__contains__, video_ids))
-    )
+
+    def __init__(self, videos: VideoTable | Iterable[VideoRecord]) -> None:
+        super().__init__()
+        videos = VideoTable.of(videos)
+        self.owner = dict(zip(videos.video_ids, videos.channel_ids))
+        self.weights: Counter = Counter()
+
+    def add(self, lines: Sequence[int], columns: Sequence[Sequence]) -> None:
+        super().add(lines, columns)
+        _, video_ids, author_ids, _ = columns
+        owner = self.owner
+        pairs = zip(author_ids, map(owner.get, video_ids))
+        self.weights.update(compress(pairs, map(owner.__contains__, video_ids)))
+
+
+def build_attention_graph(
+    weights: Mapping[tuple[str, str], int], min_comments: int = 1
+) -> AttentionGraph:
+    """Bipartite graph of direct commenter-to-channel interactions, from the comments per
+    ``(author, channel)`` pair (:class:`AttentionCounts`).
+
+    ``min_comments`` optionally drops low-activity commenters; the default
+    keeps everyone, and ``weights`` themselves.
+    """
     if min_comments > 1:
-        totals = Counter(compress(author_ids, map(owner.__contains__, video_ids)))
+        totals: Counter = Counter()
+        for (author, _), w in weights.items():
+            totals[author] += w
         keep = frozenset(a for a, t in totals.items() if t >= min_comments)
         weights = {k: w for k, w in weights.items() if k[0] in keep}
     else:
@@ -208,15 +226,15 @@ def build_attention_graph(
     return AttentionGraph(commenters=keep, weights=weights)
 
 
-def commenter_entropy(attention: AttentionGraph) -> dict[str, float]:
-    """Shannon entropy in bits of each commenter's attention distribution, by ``author_id``.
+def commenter_entropy(attention: AttentionGraph) -> Iterator[tuple[str, float]]:
+    """Shannon entropy in bits of each commenter's attention distribution, as ``(author_id, entropy)``
+    in ``author_id`` order; ``dict`` of them maps each commenter to its entropy.
 
     p(x) is the commenter's comment share toward channel x; H = -sum p log2 p
     with the 0 log 0 := 0 convention. A commenter loyal to one channel
     scores exactly 0.
     """
     weights = attention.weights
-    entropy: dict[str, float] = {}
     for author, keys in groupby(sorted(weights), key=itemgetter(0)):
         counts = [weights[key] for key in keys]
         total = sum(counts)
@@ -228,22 +246,28 @@ def commenter_entropy(attention: AttentionGraph) -> dict[str, float]:
                 continue
             p = w / total
             h -= p * math.log2(p)
-        entropy[author] = max(h, 0.0)
-    return entropy
+        yield author, max(h, 0.0)
 
 
 def entropy_cdf(
-    entropy: Mapping[str, float], grid: Sequence[float] | None = None
+    entropy: Iterable[tuple[str, float]], grid: Sequence[float] | None = None
 ) -> list[tuple[float, float]]:
     """Cumulative fraction of commenters with entropy <= each threshold.
 
-    With no grid, the sorted unique entropy values are used (the empirical
-    CDF). Fractions are nondecreasing in [0, 1] and reach 1 once the grid
-    covers the maximum entropy. An empty distribution yields an empty CDF.
+    ``entropy`` is the ``(author_id, entropy)`` pairs that
+    :func:`commenter_entropy` yields (or a mapping's ``items()``); only how
+    many commenters have each value is kept, and the fractions come from
+    their cumulative counts. With no grid, the sorted distinct values are
+    the thresholds (the empirical CDF). Fractions are nondecreasing in
+    [0, 1] and reach 1 once the grid covers the maximum entropy. An empty
+    distribution yields an empty CDF.
     """
-    values = sorted(entropy.values())
-    if not values:
+    counts = Counter(map(itemgetter(1), entropy))
+    if not counts:
         logger.warning("entropy distribution is empty; emitting empty CDF")
         return []
-    thresholds = sorted(set(grid)) if grid is not None else sorted(set(values))
-    return [(t, bisect_right(values, t) / len(values)) for t in thresholds]
+    values = sorted(counts)
+    at_most = list(accumulate(map(counts.__getitem__, values)))  # commenters at or below each value
+    n = at_most[-1]
+    thresholds = sorted(set(grid)) if grid is not None else values
+    return [(t, (at_most[i - 1] if (i := bisect_right(values, t)) else 0) / n) for t in thresholds]

@@ -26,12 +26,14 @@ import math
 from dataclasses import MISSING, dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 from statistics import fmean
 from typing import Callable, Mapping, Sequence
 
 from collabmetrics import __version__, collab, discourse, netmetrics, synergy
 from collabmetrics.corpus import (
+    CommentFold,
     Corpus,
     cap_videos_per_channel,
     load_corpus_dir,
@@ -41,7 +43,10 @@ from collabmetrics.corpus import (
 )
 from collabmetrics.errors import CollabMetricsError, ConfigurationError, ValidationError
 
-__all__ = ["RunConfig", "ReportBundle", "RunStageError", "CommunityPipeline", "CommunityResult", "run_report", "check_fields", "FORMATS"]
+__all__ = [
+    "RunConfig", "ReportBundle", "RunStageError", "CommentCounts", "CommunityPipeline", "CommunityResult", "run_report",
+    "check_fields", "FORMATS",
+]
 
 ABSENT = "—"  # em dash for dyad types a community never produced
 
@@ -150,15 +155,40 @@ class ReportBundle:
     manifest_path: Path
 
 
+class CommentCounts(CommentFold):
+    """All that a report reads of a community's comments, folded in one pass: the attention
+    pairs of the entropy stage and, unless ``talk`` is None, the discourse counts.
+
+    A comment on a video outside the attention's videos, one that
+    ``max_videos_per_channel`` dropped, counts in neither.
+    """
+
+    def __init__(self, attention: netmetrics.AttentionCounts, talk: discourse.DiscourseCounts | None) -> None:
+        super().__init__()
+        self.attention, self.discourse = attention, talk
+
+    def add(self, lines: Sequence[int], columns: Sequence[Sequence]) -> None:
+        super().add(lines, columns)
+        on_videos = self.attention.owner.__contains__
+        if not all(map(on_videos, columns[1])):
+            keep = bytes(map(on_videos, columns[1]))
+            lines, columns = list(compress(lines, keep)), [list(compress(column, keep)) for column in columns]
+        self.attention.add(lines, columns)
+        if self.discourse is not None:
+            self.discourse.add(lines, columns)
+
+
 @dataclass
 class CommunityPipeline:
     """Every analysis result for one community, each computed on first use.
 
     Stage files read the results they show and so compute only what they
-    need: writing the ``network`` files never scores a comment. A report
-    keeps only the pipeline's :class:`CommunityResult`. ``scorer``,
-    ``classifier`` and precomputed ``labels`` (topic label by comment id)
-    replace the bundled discourse defaults.
+    need: writing the ``network`` files never reads a comment. The entropy
+    and discourse results share one pass over the comments
+    (:attr:`comment_counts`). A report keeps only the pipeline's
+    :class:`CommunityResult`. ``scorer``, ``classifier`` and precomputed
+    ``labels`` (topic label by comment id) replace the bundled discourse
+    defaults.
     """
 
     corpus: Corpus
@@ -218,22 +248,40 @@ class CommunityPipeline:
     def centrality(self) -> netmetrics.CentralitySummary:
         return netmetrics.closeness(self.graph, self.attributes)
 
+    def _fold_comments(self, talk: bool) -> CommentCounts:
+        """The comments folded in one pass, with the discourse counts if ``talk``: a loaded corpus
+        reads its comments file here."""
+        counts = CommentCounts(
+            netmetrics.AttentionCounts(self.corpus.videos),
+            discourse.DiscourseCounts(self.dyads, self.partition.multi_way, self.scorer, self.classifier, self.labels)
+            if talk else None,
+        )
+        return self.corpus.comments.fold(counts)[0]
+
+    @cached_property
+    def comment_counts(self) -> CommentCounts:
+        """Both counts of the comments, grouped by the dyads, in one pass."""
+        return self._fold_comments(talk=True)
+
+    @cached_property
+    def attention(self) -> netmetrics.AttentionGraph:
+        # A report folds both counts first; asked for first, as by the ``entropy`` stage and the
+        # simulator's oracle, the pairs are folded alone, and no comment is scored.
+        counts = self.comment_counts if "comment_counts" in vars(self) else self._fold_comments(talk=False)
+        return netmetrics.build_attention_graph(counts.attention.weights, min_comments=self.config.min_comments)
+
     @cached_property
     def entropy(self) -> dict[str, float]:
-        attention = netmetrics.build_attention_graph(
-            self.corpus.videos, self.corpus.comments, min_comments=self.config.min_comments
-        )
-        return netmetrics.commenter_entropy(attention)
+        """Each commenter's entropy; :attr:`cdf` holds no such mapping."""
+        return dict(netmetrics.commenter_entropy(self.attention))
 
     @cached_property
     def cdf(self) -> list[tuple[float, float]]:
-        return netmetrics.entropy_cdf(self.entropy)
+        return netmetrics.entropy_cdf(netmetrics.commenter_entropy(self.attention))
 
     @cached_property
     def discourse_report(self) -> discourse.DiscourseReport:
-        return discourse.aggregate_discourse(
-            self.corpus.comments, self.dyads, self.corpus, self.partition.multi_way, self.scorer, self.classifier, self.labels
-        )
+        return discourse.aggregate_discourse(self.comment_counts.discourse, self.community)
 
 
 @dataclass(frozen=True)
@@ -274,13 +322,13 @@ def format_compact(value: float | Fraction | None) -> str:
 
 
 def _load(directory: str, config: RunConfig) -> tuple[Corpus, dict[str, str]]:
-    """One directory's corpus, capped as ``config`` asks, and its files' digests."""
+    """One directory's corpus, its videos capped as ``config`` asks, and the digests of its registry
+    and videos files; its comments are read when they are folded."""
     corpus, _, digests = load_corpus_dir(directory, attribute_key=config.attribute_key)
     if config.max_videos_per_channel is None:
         return corpus, digests
     videos = cap_videos_per_channel(corpus.videos, config.max_videos_per_channel)
-    comments = corpus.comments.on_videos(frozenset(videos.video_ids))
-    return dataclasses.replace(corpus, videos=videos, comments=comments), digests
+    return dataclasses.replace(corpus, videos=videos), digests
 
 
 def run_report(config: RunConfig) -> ReportBundle:
@@ -289,9 +337,11 @@ def run_report(config: RunConfig) -> ReportBundle:
     Each directory is ingested and runs its five per-community stages, and
     only its :class:`CommunityResult` is kept before the next one loads: the
     run peaks at about its largest community, and a bad later directory
-    fails after the earlier communities' stages ran. The manifest is always
-    written; on failure a :class:`RunStageError` propagates after the
-    manifest records the stage.
+    fails after the earlier communities' stages ran. Ingest reads the
+    registry and videos first; the comments, whose discourse groups come
+    from the dyads, are read in one pass after the network stage, still as
+    part of ingest. The manifest is always written; on failure a
+    :class:`RunStageError` propagates after the manifest records the stage.
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -333,6 +383,8 @@ def run_report(config: RunConfig) -> ReportBundle:
         run("collabs", lambda: p.collaborations, where)
         run("synergy", lambda: (p.synergy_report, p.reciprocity), where)
         run("network", lambda: p.centrality, where)
+        run("ingest", lambda: p.comment_counts, where)
+        inputs[p.community][p.corpus.comments.path.name] = p.corpus.comments.digest()
         run("entropy", lambda: p.cdf, where)
         run("discourse", lambda: p.discourse_report, where)
         return CommunityResult(**{f.name: getattr(p, f.name) for f in dataclasses.fields(CommunityResult)})

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import shutil
+
 import pytest
 
-from collabmetrics.corpus import ChannelRecord, CommentTable, VideoRecord, build_corpus, write_corpus
+from collabmetrics.corpus import ChannelRecord, CommentFold, CommentTable, VideoRecord, build_corpus, load_comments, write_corpus
+from collabmetrics.discourse import DiscourseCounts, aggregate_discourse
+from collabmetrics.netmetrics import AttentionCounts, build_attention_graph
+from collabmetrics.report import RunConfig, run_report
 
 T0_US = 1_704_067_200_000_000  # 2024-01-01 UTC in microseconds since 1970-01-01
 
@@ -40,6 +46,50 @@ def make_comment(comment_id, video_id, author_id, text=""):
 def make_comment_row(comment_id, video_id, author_id, text="", offset_minutes=0, like_count=None):
     """One row of a comments file, as :func:`write_comments` takes it."""
     return (comment_id, video_id, author_id, text, T0_US + offset_minutes * 60_000_000, like_count)
+
+
+class TableFold(CommentFold):
+    """A fold that keeps every comment it takes: :meth:`table` holds them in line order."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = []
+
+    def add(self, lines, columns):
+        super().add(lines, columns)
+        self.rows.extend(zip(lines, zip(*columns)))
+
+    def table(self):
+        return CommentTable.from_rows(row for _, row in sorted(self.rows, key=lambda line_row: line_row[0]))
+
+
+def load_table(path, videos, sha256=None):
+    """:func:`load_comments` of ``path``, its accepted comments as a table in file order, and its report."""
+    fold, report = load_comments(path, videos, TableFold(), sha256)
+    return fold.table(), report
+
+
+def attention_graph(videos, comments, min_comments=1):
+    """The attention graph of a comment table's comments on ``videos``."""
+    counts, _ = comments.fold(AttentionCounts(videos))
+    return build_attention_graph(counts.weights, min_comments=min_comments)
+
+
+def aggregate(comments, dyads, corpus, exclude_videos=(), scorer=None, classifier=None, labels=None):
+    """The discourse report of a comment table's comments, grouped by ``dyads``."""
+    counts, _ = comments.fold(DiscourseCounts(dyads, exclude_videos, scorer, classifier, labels))
+    return aggregate_discourse(counts, corpus.community)
+
+
+def report_bundle(directory, out, **config):
+    """Every file of the report bundle of one corpus directory, written to ``out`` afresh, by name; the
+    manifest is parsed, without its ``inputs`` digests and its ``config.community_dirs``."""
+    shutil.rmtree(out, ignore_errors=True)
+    run_report(RunConfig(community_dirs=(str(directory),), out_dir=str(out), formats=("csv", "json", "table"), **config))
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    manifest = json.loads(files.pop("manifest.json"))
+    del manifest["inputs"], manifest["config"]["community_dirs"]
+    return files, manifest
 
 
 def write_test_corpus(corpus, directory, fmt="jsonl"):

@@ -15,11 +15,9 @@ from fractions import Fraction
 from collabmetrics import collab, synergy
 from collabmetrics.collab import CollaborationDyad
 from collabmetrics.corpus import CommentTable, Corpus, VideoTable, build_corpus
-from collabmetrics.discourse import aggregate_discourse
 from collabmetrics.netmetrics import (
     AttentionGraph,
     CollabGraph,
-    build_attention_graph,
     closeness,
     commenter_entropy,
     entropy_cdf,
@@ -34,7 +32,7 @@ from collabmetrics.simgen import (
     simulate_to_dir,
 )
 
-from .conftest import KeyedScorer, make_channel, make_comment, make_video
+from .conftest import KeyedScorer, aggregate, attention_graph, make_channel, make_comment, make_video
 
 
 def _verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -105,7 +103,7 @@ def test_criterion_3_entropy_identities():
             commenters=frozenset({"u"}),
             weights={("u", f"c{i}"): w for i, w in enumerate(weights)},
         )
-        return commenter_entropy(graph)["u"]
+        return dict(commenter_entropy(graph))["u"]
 
     ok = entropy_of([5]) == 0.0
     for k in (2, 4, 8, 16):
@@ -268,7 +266,7 @@ def test_criterion_9_loyalty_entropy_dominance():
         cdfs = {}
         for loyalty in (0.9, 0.3):
             corpus, _ = generate(loyal_spec(loyalty, seed))
-            attention = build_attention_graph(corpus.videos, corpus.comments)
+            attention = attention_graph(corpus.videos, corpus.comments)
             cdfs[loyalty] = entropy_cdf(commenter_entropy(attention), grid)
         for (t, high), (_, low) in zip(cdfs[0.9], cdfs[0.3]):
             worst_gap = min(worst_gap, high - low)
@@ -306,7 +304,7 @@ def test_criterion_10_discourse_report_integrity():
         "c2": "gameplay", "c3": "food", "c4": "environment", "c5": "other",
         "c6": "other", "c7": "other", "c8": "gameplay", "c9": "food",
     }
-    report = aggregate_discourse(comments, dyads, corpus, scorer=KeyedScorer(injected_scores), labels=labels_by_id)
+    report = aggregate(comments, dyads, corpus, scorer=KeyedScorer(injected_scores), labels=labels_by_id)
     ok = (
         report.by_dyad_type["M-M"].mean_sentiment == 0.5
         and report.by_dyad_type["W-M"].mean_sentiment == 0.5

@@ -338,26 +338,33 @@ class TestRunReport:
 
     def test_one_community_in_memory_at_a_time(self, trio_dirs, tmp_path, monkeypatch):
         """When a community's stages start, every earlier community's corpus
-        and comment table are already freed."""
-        refs = {}  # community -> weak references to its corpus and the array of its comment texts' ends
+        and the counts folded from its comments are already freed."""
+        refs = {}  # community -> a weak reference to its corpus
+        folds = []  # a weak reference to each community's comment counts, made after its collaborations
         load, detect = report._load, collab.detect_collaborations
 
         def recording_load(directory, config):
             corpus, digests = load(directory, config)
-            refs[corpus.community] = (weakref.ref(corpus), weakref.ref(corpus.comments.texts._ends))
+            refs[corpus.community] = weakref.ref(corpus)
             return corpus, digests
 
-        alive = []  # (community, earlier communities whose corpus or comments are still reachable)
+        class RecordingCounts(report.CommentCounts):
+            def __init__(self, *args):
+                super().__init__(*args)
+                folds.append(weakref.ref(self))
+
+        alive = []  # (community, earlier communities whose corpus is still reachable, comment counts still reachable)
 
         def checking_detect(corpus, *args):
-            earlier = [c for c, pair in refs.items() if c != corpus.community and any(ref() is not None for ref in pair)]
-            alive.append((corpus.community, earlier))
+            earlier = [c for c, ref in refs.items() if c != corpus.community and ref() is not None]
+            alive.append((corpus.community, earlier, sum(ref() is not None for ref in folds)))
             return detect(corpus, *args)
 
         monkeypatch.setattr(report, "_load", recording_load)
+        monkeypatch.setattr(report, "CommentCounts", RecordingCounts)
         monkeypatch.setattr(collab, "detect_collaborations", checking_detect)
         run_report(RunConfig(community_dirs=tuple(trio_dirs), out_dir=str(tmp_path / "rep")))
-        assert alive == [(name, []) for name in PRESET_NAMES]
+        assert alive == [(name, [], 0) for name in PRESET_NAMES] and len(folds) == len(PRESET_NAMES)
 
     def test_report_peak_is_about_its_largest_community(self, trio_dirs, tmp_path):
         """The traced peak of a three-community report stays within 15% of

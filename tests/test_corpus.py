@@ -28,6 +28,7 @@ from collabmetrics.collab import HandleIndex
 from collabmetrics.corpus import (
     CHUNK,
     STEP,
+    CommentFold,
     CommentLoadReport,
     CommentTable,
     PackedStrings,
@@ -49,7 +50,7 @@ from collabmetrics.corpus import (
 )
 from collabmetrics.errors import ConfigurationError, ValidationError
 
-from .conftest import make_channel, make_comment, make_comment_row, make_video, write_test_corpus
+from .conftest import TableFold, load_table, make_channel, make_comment, make_comment_row, make_video, write_test_corpus
 
 
 def table_rows(table):
@@ -263,7 +264,7 @@ class TestLoadComments:
                      "text": "hi", "published_at": "2024-01-01T00:00:00Z"})
         path = tmp_path / "comments.jsonl"
         write_jsonl(path, rows)
-        records, report = load_comments(path, videos)
+        records, report = load_table(path, videos)
         assert len(records) == 4
         assert report.orphans == (RowError(5, "unknown video_id 'nope'"),)
 
@@ -273,7 +274,7 @@ class TestLoadComments:
                  "text": "", "published_at": "2024-01-01T00:00:00Z"}]
         path = tmp_path / "comments.jsonl"
         write_jsonl(path, rows)
-        records, report = load_comments(path, videos)
+        records, report = load_table(path, videos)
         assert records.texts == ("",)
         assert report.errors == ()
 
@@ -294,7 +295,7 @@ class TestLoadComments:
         if kind == "videos":
             records, errors = load_videos(path, [make_channel("A", "a")])
         else:
-            records, report = load_comments(path, [make_video("v1", "A")])
+            records, report = load_table(path, [make_video("v1", "A")])
             errors = report.errors
         assert len(records) == 1
         assert list(errors) == [RowError(2, message)]
@@ -308,7 +309,7 @@ class TestLoadComments:
         path.write_text(
             "\n".join([json.dumps(row)[:30], "[1, 2]", "", json.dumps(row)]) + "\n", encoding="utf-8"
         )
-        records, report = load_comments(path, videos)
+        records, report = load_table(path, videos)
         assert list(records.comment_ids) == ["c1"]
         assert [e.line for e in report.errors] == [1, 2]
         assert "JSON object" in report.errors[1].message
@@ -345,7 +346,7 @@ class TestRoundTrip:
         ]
         path = tmp_path / f"comments.{suffix}"
         write_comments(rows, path)
-        loaded, report = load_comments(path, videos)
+        loaded, report = load_table(path, videos)
         assert report.errors == () and report.orphans == ()
         assert loaded == CommentTable.from_rows(row[:4] for row in rows)
 
@@ -520,10 +521,10 @@ _ID_VIDEOS = [make_video("v1", "A"), make_video("v2", "A")]
 def _checked_load(path):
     """``load_comments`` of ``path`` on ``_ID_VIDEOS``, checked equal to the reference
     loader's and to a load in which every id hashes alike."""
-    loaded = load_comments(path, _ID_VIDEOS)
+    loaded = load_table(path, _ID_VIDEOS)
     _assert_same_load(loaded, _reference_load_comments(path, _ID_VIDEOS))
     with mock.patch.object(corpus, "_id_hash", lambda comment_id: 0):
-        _assert_same_load(load_comments(path, _ID_VIDEOS), loaded)
+        _assert_same_load(load_table(path, _ID_VIDEOS), loaded)
     return loaded
 
 
@@ -586,7 +587,7 @@ class TestDuplicateIds:
 
     @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
     def test_repeats_in_every_chunk(self, tmp_path, suffix):
-        """Repeats that leave the table from every chunk, also when every id hashes alike."""
+        """Repeats dropped from every chunk, also when every id hashes alike."""
         path = tmp_path / f"comments.{suffix}"
         self._repeated_ids(path)
         table, report = _checked_load(path)
@@ -598,10 +599,14 @@ class TestDuplicateIds:
         self._repeated_ids(path)
         script = (
             "import sys\n"
-            "from collabmetrics.corpus import VideoRecord, load_comments\n"
+            "from collabmetrics.corpus import CommentFold, VideoRecord, load_comments\n"
+            "class Rows(CommentFold):\n"
+            "    def add(self, lines, columns):\n"
+            "        rows.extend(zip(lines, zip(*columns)))\n"
+            "rows = []\n"
             "videos = [VideoRecord(v, 'A', 0, '', '', 1) for v in ('v1', 'v2')]\n"
-            "table, report = load_comments(sys.argv[1], videos)\n"
-            "print(list(zip(*table.columns())), report)\n"
+            "_, report = load_comments(sys.argv[1], videos, Rows())\n"
+            "print([row for _, row in sorted(rows)], report)\n"
         )
         outputs = []
         for seed in ("0", "1"):
@@ -609,7 +614,7 @@ class TestDuplicateIds:
             done = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, env=env, timeout=120)
             assert done.returncode == 0, done.stderr
             outputs.append(done.stdout)
-        table, report = load_comments(path, _ID_VIDEOS)
+        table, report = load_table(path, _ID_VIDEOS)
         assert outputs[0] == outputs[1] == f"{table_rows(table)} {report}\n"
 
 
@@ -649,9 +654,9 @@ def _load_both_ways(path, videos=_ID_VIDEOS):
 
     digests = [hashlib.sha256(), hashlib.sha256()]
     with mock.patch.object(corpus, "_fast_columns", counted):
-        loaded = load_comments(path, videos, sha256=digests[0])
+        loaded = load_table(path, videos, sha256=digests[0])
     with mock.patch.object(corpus, "_fast_columns", lambda *args: None):
-        by_row = load_comments(path, videos, sha256=digests[1])
+        by_row = load_table(path, videos, sha256=digests[1])
     assert loaded[0] == by_row[0]
     _assert_same_load(loaded, by_row)
     assert digests[0].hexdigest() == digests[1].hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
@@ -694,7 +699,7 @@ class TestStepReader:
             for i in range(1_000)
         ), path)
         with mock.patch.object(corpus, "_checked_row", side_effect=AssertionError("read row by row")):
-            table, report = load_comments(path, _ID_VIDEOS)
+            table, report = load_table(path, _ID_VIDEOS)
         assert len(table) == 1_000 and report == CommentLoadReport()
 
     @pytest.mark.parametrize("comments", [False, True])
@@ -718,7 +723,15 @@ class TestStepReader:
         [("braces", {"jsonl": 2, "csv": 2}), ("emoji", 2), ("bad byte", 1), ("crlf", 2), ("orphan", 2), ("repeat", 5)],
     )
     def test_edge_case(self, tmp_path, suffix, case, fast):
-        """Each case in a step of its own: how many steps are read as columns, and the same load as row by row."""
+        """Each case in a step of its own: how many steps are read as columns, and the same load as row by row.
+
+        Each id ``c<n>`` hashes to ``n``, so no two ids share a bit of the
+        duplicate check by chance: a repeat's first row was folded with its
+        step, and the file is then read again up to that row, its first four
+        steps as columns again. (With string hashes, that row's bit is set
+        by another id for some ``PYTHONHASHSEED`` values; the row is then
+        held back, and nothing is read twice.)
+        """
         path = tmp_path / f"comments.{suffix}"
         records = _clean_records(suffix, 2 * STEP if case != "repeat" else 5 * STEP)
         if case == "braces":
@@ -734,8 +747,10 @@ class TestStepReader:
         elif case == "repeat":
             records[CHUNK] = _comment_record(suffix, "c0255")  # the id of the last row of the first chunk
         _write_records(path, records)
-        (table, report), fast_steps = _load_both_ways(path)
-        assert fast_steps == (fast if isinstance(fast, int) else fast[suffix])
+        with mock.patch.object(corpus, "_id_hash", lambda comment_id: int(comment_id[1:])):
+            (table, report), fast_steps = _load_both_ways(path)
+        rereads = 4 if case == "repeat" else 0
+        assert fast_steps == (fast if isinstance(fast, int) else fast[suffix]) + rereads
         first = 2 if suffix == "csv" else 1
         if case == "bad byte":
             assert [(e.line, "can't decode byte 0xff" in e.message) for e in report.errors] == [(STEP + 1 + first, True)]
@@ -782,7 +797,7 @@ class TestStepReader:
         texts = [f"{words[i % len(words)]} {i}" for i in range(1_000)]
         write_comments((make_comment_row(f"c{i:04d}", f"v{1 + i % 2}", f"u{i % 7}", text, i) for i, text in enumerate(texts)), path)
         with mock.patch.object(corpus, "_checked_row", side_effect=AssertionError("read row by row")):
-            table, report = load_comments(path, _ID_VIDEOS)
+            table, report = load_table(path, _ID_VIDEOS)
         assert report == CommentLoadReport() and list(table.texts) == texts
 
     def test_byte_order_mark_csv(self, tmp_path):
@@ -790,7 +805,7 @@ class TestStepReader:
         _write_records(plain, _clean_records("csv", 2 * STEP))
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         (table, report), fast_steps = _load_both_ways(marked)
-        assert fast_steps == 2 and (table, report) == load_comments(plain, _ID_VIDEOS)
+        assert fast_steps == 2 and (table, report) == load_table(plain, _ID_VIDEOS)
 
 
 _VIDEO_FILE_HEADER = ["video_id", "channel_id", "published_at", "title", "description", "view_count", "like_count", "comment_count"]
@@ -1041,9 +1056,10 @@ class TestCorpusDirWarnings:
         directory = tmp_path / "ids"
         self._write_corpus(directory, [{"video_id": "v1", "channel_id": "A", "published_at": "2024-01-01T00:00:00Z", "view_count": 1}])
         with caplog.at_level("WARNING", logger="collabmetrics.corpus"):
-            loaded, dropped, _ = corpus.load_corpus_dir(directory)
-        assert dropped == {"video_row_errors": 0, "comment_row_errors": 4, "orphan_comments": 1}
-        assert len(loaded.comments) == 2
+            loaded, video_errors, _ = corpus.load_corpus_dir(directory)
+            comments, dropped = loaded.comments.fold(CommentFold())
+        assert (len(video_errors), len(dropped.errors), len(dropped.orphans)) == (0, 4, 1)
+        assert len(comments) == 2
         assert [rec.getMessage() for rec in caplog.records] == [
             f"{directory}: dropped 4 comment row(s) with errors and 1 orphan comment row(s)"
         ]
@@ -1068,11 +1084,16 @@ class TestByteOrderMark:
         marked.mkdir()
         for path in paths.values():
             (marked / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-        got, dropped, digests = corpus.load_corpus_dir(marked)
-        assert (got, dropped) == corpus.load_corpus_dir(plain)[:2]
-        assert (len(got.videos), len(got.comments), sum(dropped.values())) == (5, 3, 0)
-        # Each digest still covers every byte of its file, the mark's too.
+        got, video_errors, digests = corpus.load_corpus_dir(marked)
+        want, want_errors, _ = corpus.load_corpus_dir(plain)
+        assert (got.registry, got.videos, got.community, video_errors) == (want.registry, want.videos, want.community, want_errors)
+        (comments, dropped), (want_comments, want_dropped) = (c.comments.fold(TableFold()) for c in (got, want))
+        assert (comments.table(), dropped) == (want_comments.table(), want_dropped)
+        assert (len(got.videos), len(comments), len(video_errors) + len(dropped.errors) + len(dropped.orphans)) == (5, 3, 0)
+        # Each digest still covers every byte of its file, the mark's too; the comments file's is taken as it is folded.
+        digests[got.comments.path.name] = got.comments.digest()
         assert digests == {name: hashlib.sha256((marked / name).read_bytes()).hexdigest() for name in digests}
+        assert len(digests) == 3
 
     def test_side_file_csv(self, tmp_path):
         path = tmp_path / "lexicon.csv"
@@ -1100,7 +1121,7 @@ class TestUndecodableBytes:
             records, errors = load_videos(path, [make_channel("A", "a")])
             kept = {v.description for v in records}
         else:
-            records, report = load_comments(path, [make_video("v1", "A")])
+            records, report = load_table(path, [make_video("v1", "A")])
             errors, kept = report.errors, set(records.texts)
         first_line = 2 if suffix == "csv" else 1
         assert [e.line for e in errors] == [i + first_line for i in sorted(bad)]
@@ -1144,7 +1165,7 @@ class TestCsvRowWidth:
             + b"c1,v1,u1,hi,2024-01-01T00:00:00Z,3,EXTRA\n"
             + b"c2,v1,u1,hi,2024-01-01T00:00:00Z,3\n"
         )
-        records, report = load_comments(path, [make_video("v1", "A")])
+        records, report = load_table(path, [make_video("v1", "A")])
         assert list(records.comment_ids) == (["c2"] if escaped else ["c0", "c2"])
         assert [e.line for e in report.errors] == ([2, 3] if escaped else [3])
         assert "7 cells but the header has 6" in report.errors[-1].message
@@ -1192,7 +1213,7 @@ def test_negative_count_in_csv(tmp_path, kind, cells, message):
         records, errors = load_videos(path, [make_channel("A", "a")])
     else:
         path.write_text(_COMMENT_CSV_HEADER + f"c0,v1,u1,hi,2024-01-01T00:00:00Z,3\nc1,v1,u1,hi,2024-01-01T00:00:00Z,{cells}\n")
-        records, report = load_comments(path, [make_video("v1", "A")])
+        records, report = load_table(path, [make_video("v1", "A")])
         errors = list(report.errors)
     assert len(records) == 1
     assert errors == [RowError(3, f"malformed row: {message}")]
@@ -1240,7 +1261,7 @@ class TestCsvLineNumbers:
             path,
         )
         path.write_bytes(path.read_bytes().replace(b"BAD", b"B\xffD"))
-        records, report = load_comments(path, [make_video("v1", "A")])
+        records, report = load_table(path, [make_video("v1", "A")])
         assert [e.line for e in report.errors] == [2 + 2 * bad]
         assert list(records.comment_ids) == [f"c{i:03d}" for i in range(400) if i != bad]
 
@@ -1272,7 +1293,7 @@ class TestCsvReadErrors:
             + b"c1,v1,u1," + self._RUNAWAY
             + b"c2,v1,u1,hi,2024-01-01T00:00:00Z,3\n"
         )
-        records, report = load_comments(path, [make_video("v1", "A")])
+        records, report = load_table(path, [make_video("v1", "A")])
         assert list(records.comment_ids) == ["c0", "c2"]
         assert report.errors == (RowError(3, f"malformed row: {self._MESSAGE}"),)
 
@@ -1289,7 +1310,7 @@ class TestCsvReadErrors:
             + b"c0,v1,u1,hi,2024-01-01T00:00:00Z,3\n"
             + b"c1,v1,u1,hi,2024-01-01T00:00:00Z,3\n"
         )
-        records, report = load_comments(path, [make_video("v1", "A")])
+        records, report = load_table(path, [make_video("v1", "A")])
         assert len(records) == 0
         assert [e.line for e in report.errors] == [2, 3]
         prefix = "malformed row: header: 'utf-8' codec can't decode byte 0xff"
@@ -1495,7 +1516,7 @@ class TestRowJsonValues:
     def test_comment_row_error(self, tmp_path, fields, message):
         path = tmp_path / "comments.jsonl"
         write_jsonl(path, [_comment_row(comment_id="c0"), _comment_row(**fields)])
-        records, report = load_comments(path, [make_video("v1", "A")])
+        records, report = load_table(path, [make_video("v1", "A")])
         assert list(records.comment_ids) == ["c0"] and report.orphans == ()
         assert report.errors == (RowError(2, f"malformed row: {message}"),)
 
@@ -1544,7 +1565,7 @@ class TestFirstFaultOfARow:
         row = {k: v for k, v in _comment_row(**fields).items() if k not in drop}
         path = tmp_path / "comments.jsonl"
         write_jsonl(path, [row])
-        assert load_comments(path, [make_video("v1", "A")])[1].errors == (RowError(1, f"malformed row: {message}"),)
+        assert load_table(path, [make_video("v1", "A")])[1].errors == (RowError(1, f"malformed row: {message}"),)
 
 
 def _json_line_reference(line):
@@ -1676,7 +1697,7 @@ def _load_timed(kind, path):
     if kind == "videos":
         videos, errors = load_videos(path, [make_channel("A")])
         return videos, {v.video_id: v.published_us for v in videos}, [e.line for e in errors]
-    comments, report = load_comments(path, [make_video("v1", "A")])
+    comments, report = load_table(path, [make_video("v1", "A")])
     return comments, dict.fromkeys(comments.comment_ids), [e.line for e in report.errors]
 
 
@@ -1734,7 +1755,7 @@ class TestTimeColumn:
 
 
 class TestSharedIdStrings:
-    """Loaded records share their id strings instead of holding copies."""
+    """Loaded videos share the registry's channel id strings instead of holding copies."""
 
     @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
     def test_ids_are_shared(self, tmp_path, suffix):
@@ -1743,17 +1764,12 @@ class TestSharedIdStrings:
         videos, _ = load_videos(tmp_path / f"videos.{suffix}", registry)
         comments = [make_comment_row(f"c{i}", f"v{i % 5}", f"u{i % 3}") for i in range(30)]
         write_comments(comments, tmp_path / f"comments.{suffix}")
-        records, report = load_comments(tmp_path / f"comments.{suffix}", videos)
+        records, report = load_comments(tmp_path / f"comments.{suffix}", videos, CommentFold())
 
         channel_ids = {ch.channel_id: ch.channel_id for ch in registry}
         assert all(v.channel_id is channel_ids[v.channel_id] for v in videos)
-        video_ids = {v.video_id: v.video_id for v in videos}
+        # No comment is held, so no comment holds a string.
         assert len(records) == 24 and len(report.orphans) == 6  # v4 is not a video
-        assert all(video_id is video_ids[video_id] for video_id in records.video_ids)
-        authors: dict[str, str] = {}
-        for author_id in records.author_ids:
-            assert authors.setdefault(author_id, author_id) is author_id
-        assert len(authors) == 3
 
 
 def _simulator_shaped_comments(path):
@@ -1774,13 +1790,26 @@ def _simulator_shaped_comments(path):
     return VideoTable.from_records(videos)
 
 
-def _traced_load(path, videos, errors=0):
-    """``load_comments`` of ``path``, with the bytes per comment it kept and its traced peak above the start."""
+class _Ids(CommentFold):
+    """A fold that keeps each comment's id, in the order that it takes them."""
+
+    def __init__(self):
+        super().__init__()
+        self.ids = []
+
+    def add(self, lines, columns):
+        super().add(lines, columns)
+        self.ids.extend(columns[0])
+
+
+def _traced_load(path, videos, errors=0, fold=None):
+    """``load_comments`` of ``path`` into ``fold`` (by default one that only counts), with the bytes per
+    comment that it kept and its traced peak above the start."""
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        records, report = load_comments(path, videos)
+        records, report = load_comments(path, videos, CommentFold() if fold is None else fold)
         peak = tracemalloc.get_traced_memory()[1] - base
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - base
@@ -1791,19 +1820,21 @@ def _traced_load(path, videos, errors=0):
 
 
 def test_bytes_kept_per_comment(tmp_path):
-    """A loaded comment keeps the characters of its id and text, 4 bytes for
-    each one's end and two column slots.
+    """A load keeps nothing of a comment: each step goes to the fold, and the
+    duplicate check's hashes and bit map are freed when the load ends.
 
-    The simulator-shaped comments keep about 75 bytes each on Python 3.11
-    (77.5 on 3.10, 73 on 3.12 and 3.13). Each used to keep about 400 bytes,
-    125 of them in copies of its video and author ids, then about 284 in a
-    record and a ``datetime`` of its own, then about 197 with an id and a
-    text ``str`` each in tuple columns, and then about 92 with its time and
-    like count kept in two more columns.
+    The simulator-shaped comments keep well under a byte each, the fold and
+    the load report. Held in a table of columns, each kept about 75 bytes on
+    Python 3.11: the characters of its id and text, 4 bytes for each one's
+    end and two column slots. Each used to keep about 400 bytes, 125 of
+    them in copies of its video and author ids, then about 284 in a record
+    and a ``datetime`` of its own, then about 197 with an id and a text
+    ``str`` each in tuple columns, and then about 92 with its time and like
+    count kept in two more columns.
     """
     path = tmp_path / "comments.jsonl"
     _, kept, _ = _traced_load(path, _simulator_shaped_comments(path))
-    assert kept <= 80
+    assert kept <= 1
 
 
 def test_load_peak_per_comment(tmp_path):
@@ -1820,20 +1851,22 @@ def test_load_peak_per_comment(tmp_path):
 
 
 def test_load_peak_with_a_repeated_id(tmp_path):
-    """A repeated id leaves the table without a second whole table alive:
-    the kept rows are copied one column at a time, the old column freed as
-    its copy is built. The peak is then about 134 bytes a comment on Python
-    3.11 (139 on 3.10); with the table rebuilt from the old one's rows it
-    was about 231."""
+    """A repeated id is found by reading the file once more for the id of
+    its first row, which was folded with its step; nothing else is held
+    for it. Into a fold that keeps every id, the load then peaks at about
+    122 bytes a comment on Python 3.11, 71 of them the fold's id strings.
+    When the comments were held in a table, the repeat left it with the
+    kept rows copied one column at a time, at about 134 bytes a comment;
+    with the table rebuilt from the old one's rows it was about 231."""
     path = tmp_path / "comments.jsonl"
     videos = _simulator_shaped_comments(path)
     with path.open("r+", encoding="utf-8") as fh:
         first = fh.readline()
         fh.seek(0, os.SEEK_END)
         fh.write(first)
-    records, _, peak = _traced_load(path, videos, errors=1)
+    records, _, peak = _traced_load(path, videos, errors=1, fold=_Ids())
     assert peak <= 150
-    assert records.comment_ids[0] == "game-m0000000" and len(set(records.comment_ids)) == 4_000
+    assert records.ids[0] == "game-m0000000" and len(set(records.ids)) == 4_000
 
 
 def _simulator_shaped_videos(path):
@@ -1923,8 +1956,10 @@ class TestPackedStrings:
         rows = [make_comment(f"c{i:03d}", f"v{i % 3}", f"u{i % 5}", text) for i, text in enumerate(strings)]
         table = CommentTable.from_rows(rows)
         assert len(table) == size and table_rows(table) == rows
-        kept = table.on_videos({"v1"})
-        assert table_rows(kept) == [row for row in rows if row[1] == "v1"]
+        # A fold takes every row once, in order, ``CHUNK`` at a time (an empty table once, with none).
+        fold, report = table.fold(TableFold())
+        assert fold.table() == table and report == CommentLoadReport()
+        assert [line for line, _ in fold.rows] == list(range(1, size + 1)) and len(fold) == size
 
     def test_equality(self):
         packed = PackedStrings(["a", "b"])

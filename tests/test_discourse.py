@@ -22,11 +22,10 @@ from hypothesis import strategies as st
 
 from collabmetrics import discourse
 from collabmetrics.collab import CollaborationDyad
-from collabmetrics.corpus import CommentTable, build_corpus
+from collabmetrics.corpus import CHUNK, CommentTable, build_corpus, load_corpus_dir
 from collabmetrics.discourse import (
     BOOSTERS,
     BOOSTER_STEP,
-    CHUNK,
     CONTEXT_WINDOW,
     NEGATION_SCALAR,
     NEGATORS,
@@ -35,7 +34,6 @@ from collabmetrics.discourse import (
     KeywordTopicClassifier,
     LexiconSentimentScorer,
     tokenize,
-    aggregate_discourse,
     label_comments,
     load_precomputed_labels,
     load_sentiment_lexicon,
@@ -45,7 +43,7 @@ from collabmetrics.discourse import (
 from collabmetrics.errors import ConfigurationError, ValidationError
 from collabmetrics.report import CommunityPipeline, RunConfig, RunStageError, run_report
 
-from .conftest import KeyedScorer, make_channel, make_comment, make_video, write_test_corpus
+from .conftest import KeyedScorer, aggregate, make_channel, make_comment, make_video, write_test_corpus
 
 
 def score_sentiment(text):
@@ -199,7 +197,7 @@ class TestAggregate:
     def _run(self, scores_by_id, labels_by_id, exclude=()):
         """The report with each comment's score and label injected; a comment's text is its id."""
         corpus, dyads = self._fixture()
-        return aggregate_discourse(
+        return aggregate(
             corpus.comments, dyads, corpus, exclude, scorer=KeyedScorer(scores_by_id), labels=labels_by_id
         )
 
@@ -242,9 +240,10 @@ class TestAggregate:
         corpus, dyads = self._fixture()
         dyads = dyads + [CollaborationDyad("B", "A", ("plain",), "W-M")]
         # no comments under any W-M video? c3 sits on 'plain' which is now W-M
-        report = aggregate_discourse(corpus.comments, dyads, corpus)
+        report = aggregate(corpus.comments, dyads, corpus)
         assert set(report.by_dyad_type) == {"M-M", "W-M"}
-        report2 = aggregate_discourse(corpus.comments.on_videos({"collab", "multi"}), dyads, corpus)
+        on_two = CommentTable.from_rows(row for row in zip(*corpus.comments.columns()) if row[1] in {"collab", "multi"})
+        report2 = aggregate(on_two, dyads, corpus)
         assert set(report2.by_dyad_type) == {"M-M"}
 
     def test_report_structure_stable_across_plugins(self):
@@ -254,7 +253,7 @@ class TestAggregate:
             (LexiconSentimentScorer({"good": 1.9}), KeywordTopicClassifier({"food": {"ramen"}})),
             (LexiconSentimentScorer({"bad": -2.0}), KeywordTopicClassifier()),
         ):
-            report = aggregate_discourse(corpus.comments, dyads, corpus, scorer=scorer, classifier=classifier)
+            report = aggregate(corpus.comments, dyads, corpus, scorer=scorer, classifier=classifier)
             rows[id(scorer)] = {
                 group: (set(row.topic_proportions), row.comment_count)
                 for group, row in report.by_dyad_type.items()
@@ -340,7 +339,7 @@ def test_aggregate_refuses_a_non_finite_score(value):
     """A plug-in score that is not finite stops the aggregation with ``score_comments``' one line."""
     corpus = _chunked_corpus(14, ("good",))
     with pytest.raises(ValidationError) as err:
-        aggregate_discourse(corpus.comments, [], corpus, scorer=_ConstantScorer(value))
+        aggregate(corpus.comments, [], corpus, scorer=_ConstantScorer(value))
     assert str(err.value) == f"sentiment scorer _ConstantScorer returned {value!r}; scores must be finite"
 
 
@@ -475,7 +474,7 @@ class TestCountedAggregation:
         comments = CommentTable.from_rows(make_comment(f"c{i}", video, "u", f"t{i}") for i, (video, _, _) in enumerate(rows))
         scorer = KeyedScorer({f"t{i}": score for i, (_, score, _) in enumerate(rows)})
         labels = {f"c{i}": label for i, (_, _, label) in enumerate(rows)}
-        got = aggregate_discourse(comments, dyads, _TABLE_CORPUS, exclude, scorer=scorer, labels=labels)
+        got = aggregate(comments, dyads, _TABLE_CORPUS, exclude, scorer=scorer, labels=labels)
         expected = reference_aggregate_discourse(
             comments, list(labels.values()), [score for _, score, _ in rows], dyads, _TABLE_CORPUS, exclude_videos=exclude
         )
@@ -763,7 +762,19 @@ class TestChunkedReport:
 
     def test_empty_corpus_still_calls_both_functions(self, monkeypatch):
         calls = _record_calls(monkeypatch)
-        report = aggregate_discourse(CommentTable.from_rows([]), [], _TABLE_CORPUS)
+        report = aggregate(CommentTable.from_rows([]), [], _TABLE_CORPUS)
+        assert (report.by_dyad_type, report.baseline) == ({}, None)
+        assert calls == [("score_comments", []), ("label_comments", [])]
+
+    @pytest.mark.parametrize("text", ["", "comment_id,video_id,author_id,text,published_at,like_count\n"])
+    def test_comments_file_of_no_rows_still_calls_both_functions(self, tmp_path, monkeypatch, text):
+        """A loaded corpus whose comments file holds no row (empty, or a CSV header alone) folds one empty step."""
+        suffix = "csv" if text else "jsonl"
+        write_test_corpus(_TABLE_CORPUS, tmp_path, fmt=suffix)
+        (tmp_path / f"comments.{suffix}").write_text(text, encoding="utf-8")
+        loaded = load_corpus_dir(tmp_path)[0]
+        calls = _record_calls(monkeypatch)
+        report = CommunityPipeline(loaded, RunConfig(community_dirs=(), out_dir="")).discourse_report
         assert (report.by_dyad_type, report.baseline) == ({}, None)
         assert calls == [("score_comments", []), ("label_comments", [])]
 

@@ -32,6 +32,8 @@ from collabmetrics.simgen import (
     spec_from_dict,
 )
 
+from .conftest import attention_graph
+
 
 def videos_by_channel(corpus):
     """Each registry channel's videos, by channel id in registry order."""
@@ -511,8 +513,8 @@ def test_loyalty_monotone_in_mean_entropy():
         corpus, _ = generate(
             small_spec(seed=seed, audience_size=120, comments_per_commenter=4.0, loyalty=loyalty)
         )
-        att = netmetrics.build_attention_graph(corpus.videos, corpus.comments)
-        values = list(netmetrics.commenter_entropy(att).values())
+        att = attention_graph(corpus.videos, corpus.comments)
+        values = [h for _, h in netmetrics.commenter_entropy(att)]
         return sum(values) / len(values)
 
     for seed in range(5):
