@@ -418,24 +418,28 @@ class CommentLoadReport:
     errors: tuple[RowError, ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class CommentFile:
     """A corpus directory's comments file, read only when its comments are folded.
 
-    A comment on a video outside ``videos`` is an orphan; ``sha256`` is fed
-    the file's bytes as :meth:`fold` reads them.
+    A comment on a video outside ``videos`` is an orphan. Each :meth:`fold`
+    reads the whole file and hashes it afresh.
     """
 
     path: Path
     videos: VideoTable
-    sha256: object = field(default_factory=hashlib.sha256)
+    sha256: str | None = field(default=None, init=False)  # the hex SHA-256 of the file, once folded
 
-    def fold(self, fold: _F) -> tuple[_F, CommentLoadReport]:
+    def fold(self, fold: _F, known: Mapping[str, object] | None = None) -> tuple[_F, CommentLoadReport]:
         """:func:`load_comments` of the file into ``fold``; a load that drops rows logs how many.
 
-        Fold a file once: a second pass would feed ``sha256`` the file again.
+        ``known``, a mapping keyed by the ids of ``videos`` and no others,
+        stands for them in the orphan check, so a caller that holds such a
+        map builds no second one.
         """
-        fold, report = load_comments(self.path, self.videos, fold, self.sha256)
+        sha256 = hashlib.sha256()
+        fold, report = load_comments(self.path, self.videos if known is None else known, fold, sha256)
+        self.sha256 = sha256.hexdigest()
         if report.errors or report.orphans:
             logger.warning(
                 "%s: dropped %d comment row(s) with errors and %d orphan comment row(s)",
@@ -446,8 +450,10 @@ class CommentFile:
         return fold, report
 
     def digest(self) -> str:
-        """The hex SHA-256 of the bytes read so far: of the whole file once it is folded."""
-        return self.sha256.hexdigest()  # type: ignore[attr-defined]
+        """The hex SHA-256 of the file as the last :meth:`fold` read it."""
+        if self.sha256 is None:
+            raise ValueError(f"{self.path} is not folded yet")
+        return self.sha256
 
 
 @dataclass(frozen=True)
@@ -1015,7 +1021,7 @@ _id_hash = hash
 
 
 def load_comments(
-    path: str | Path, videos: VideoTable | Iterable[VideoRecord], fold: _F, sha256=None
+    path: str | Path, videos: VideoTable | Iterable[VideoRecord] | Mapping[str, object], fold: _F, sha256=None
 ) -> tuple[_F, CommentLoadReport]:
     """Fold the comments of a file into ``fold`` in one pass, ``STEP`` rows at a time (the corpus can be millions of rows).
 
@@ -1024,7 +1030,8 @@ def load_comments(
     other row by row, so that each malformed row keeps its own line and
     message. A row's ``published_at`` and ``like_count`` are checked as a
     video's are, so a bad one rejects the row, but neither is kept. A row
-    on a video not in ``videos`` (a table or records) is an orphan, a row
+    on a video not in ``videos`` (a table, records, or a mapping keyed by
+    video id) is an orphan, a row
     error naming its ``video_id``. Malformed rows and duplicate comment ids
     go to the error report. Every other row goes to ``fold`` with its step,
     so no comment outlives its step unless it is held back (below).
@@ -1040,7 +1047,8 @@ def load_comments(
     more, fed to no digest: in effect only when it repeats an id.
     """
     path = Path(path)
-    known = dict.fromkeys(VideoTable.of(videos).video_ids)  # a dict is less than half a set's size
+    # A dict is less than half a set's size.
+    known = videos if isinstance(videos, Mapping) else dict.fromkeys(VideoTable.of(videos).video_ids)
     orphans: list[RowError] = []
     errors: list[RowError] = []
     # Position p is the p-th row that is not malformed; hashes[p] is its id's hash.
@@ -1170,7 +1178,7 @@ def load_corpus_dir(
     logged; registry problems raise. The digests are the hex SHA-256 of
     each file's bytes, by file name, taken as the file is loaded. The
     comments file is not read here: the corpus's comments are its
-    :class:`CommentFile`, read once, when they are folded.
+    :class:`CommentFile`, read when they are folded.
     """
     files = corpus_files(directory)
     hashes = {stem: hashlib.sha256() for stem in ("registry", "videos")}

@@ -326,9 +326,12 @@ class DiscourseCounts(CommentFold):
     id) replace the classifier; a comment they lack is a
     :class:`ValidationError`. One ``Counter`` counts each step's triples in C.
 
-    The first error that scoring or labelling raises is kept, and no later
-    comment is counted; :func:`aggregate_discourse` raises it. So a pass that
-    folds other counts beside these reads on to the end of its file.
+    A comment whose scoring or labelling raises stops the count, and the
+    error of the faulty comment of the smallest line is kept, whatever
+    order the steps come in; :func:`aggregate_discourse` raises it. Steps
+    after an error are checked only for a fault on an earlier line. So a
+    pass that folds other counts beside these reads on to the end of its
+    file.
     """
 
     def __init__(
@@ -350,28 +353,45 @@ class DiscourseCounts(CommentFold):
         self.labels = labels
         self.counts: Counter = Counter()
         self.failure: Exception | None = None
+        self.failure_line = 0  # the line of the comment that ``failure`` is the error of
+
+    def _score_and_label(self, comment_ids: Sequence[str], tokens: list[list[str]]) -> tuple[array, list[str]]:
+        scores = score_comments(tokens, self.scorer)
+        if self.labels is None:
+            return scores, label_comments(tokens, self.classifier)
+        try:
+            return scores, list(map(self.labels.__getitem__, comment_ids))
+        except KeyError as exc:
+            raise ValidationError(f"comment {exc.args[0]!r} lacks a topic label") from None
 
     def add(self, lines: Sequence[int], columns: Sequence[Sequence]) -> None:
         super().add(lines, columns)
-        if self.failure is not None:
+        if self.failure is not None and (not lines or min(lines) > self.failure_line):
             return
         comment_ids, video_ids, _, texts = columns
+        # ``tokenize`` of each text, without a Python call per text
+        tokens = list(map(_TOKEN_RE.findall, map(str.lower, texts)))
         try:
-            # ``tokenize`` of each text, without a Python call per text
-            tokens = list(map(_TOKEN_RE.findall, map(str.lower, texts)))
-            scores = score_comments(tokens, self.scorer)
-            if self.labels is None:
-                step_labels = label_comments(tokens, self.classifier)
-            else:
-                try:
-                    step_labels = list(map(self.labels.__getitem__, comment_ids))
-                except KeyError as exc:
-                    raise ValidationError(f"comment {exc.args[0]!r} lacks a topic label") from None
+            scores, step_labels = self._score_and_label(comment_ids, tokens)
         except Exception as exc:
-            self.failure = exc
+            self._fail(lines, comment_ids, tokens, exc)
             return
-        groups = map(self.group_of_video.get, video_ids, repeat("baseline"))
-        self.counts.update(zip(groups, scores, step_labels))
+        if self.failure is None:
+            groups = map(self.group_of_video.get, video_ids, repeat("baseline"))
+            self.counts.update(zip(groups, scores, step_labels))
+
+    def _fail(self, lines: Sequence[int], comment_ids: Sequence[str], tokens: list[list[str]], exc: Exception) -> None:
+        """Keep the error of the step's first faulty comment, by line, if no earlier line failed; a
+        step whose comments each pass alone fails on its smallest line."""
+        line = min(lines, default=0)
+        for row in sorted(range(len(lines)), key=lines.__getitem__):
+            try:
+                self._score_and_label(comment_ids[row:row + 1], tokens[row:row + 1])
+            except Exception as row_exc:
+                line, exc = lines[row], row_exc
+                break
+        if self.failure is None or line < self.failure_line:
+            self.failure, self.failure_line = exc, line
 
 
 def aggregate_discourse(counts: DiscourseCounts, community: str) -> DiscourseReport:

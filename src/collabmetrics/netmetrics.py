@@ -31,13 +31,13 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress, groupby
+from itertools import accumulate, groupby
 from operator import itemgetter
 from statistics import median
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from collabmetrics.collab import CollaborationDyad
-from collabmetrics.corpus import CommentFold, VideoRecord, VideoTable
+from collabmetrics.corpus import CommentFold
 
 __all__ = [
     "CollabGraph",
@@ -185,25 +185,27 @@ def closeness(graph: CollabGraph, attributes: Mapping[str, str] | None = None) -
 
 class AttentionCounts(CommentFold):
     """The comments per ``(author, channel)`` pair of the comments it takes, a comment's channel
-    being its video's owner in ``videos``.
+    being its video's owner in ``owner`` (video id to channel id).
 
-    Every comment counts (raw comment frequency, not distinct videos); a
-    comment on a video missing from ``videos`` counts nowhere. Each step is
-    counted by one ``Counter`` update over the zipped columns, in C.
+    Every comment counts (raw comment frequency, not distinct videos).
+    Every comment it takes must be on a video of ``owner``: a caller whose
+    comments are not, as when ``max_videos_per_channel`` drops videos,
+    filters them first. Each author id is kept as one string, however many
+    channels it comments on. Each step is counted by one ``Counter``
+    update over the zipped columns, in C.
     """
 
-    def __init__(self, videos: VideoTable | Iterable[VideoRecord]) -> None:
+    def __init__(self, owner: Mapping[str, str]) -> None:
         super().__init__()
-        videos = VideoTable.of(videos)
-        self.owner = dict(zip(videos.video_ids, videos.channel_ids))
+        self.owner = owner
+        self.authors: dict[str, str] = {}
         self.weights: Counter = Counter()
 
     def add(self, lines: Sequence[int], columns: Sequence[Sequence]) -> None:
         super().add(lines, columns)
         _, video_ids, author_ids, _ = columns
-        owner = self.owner
-        pairs = zip(author_ids, map(owner.get, video_ids))
-        self.weights.update(compress(pairs, map(owner.__contains__, video_ids)))
+        authors = map(self.authors.setdefault, author_ids, author_ids)
+        self.weights.update(zip(authors, map(self.owner.__getitem__, video_ids)))
 
 
 def build_attention_graph(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import MISSING, dataclass
+from dataclasses import MISSING, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -33,6 +33,7 @@ from typing import Callable, Mapping, Sequence
 
 from collabmetrics import __version__, collab, discourse, netmetrics, synergy
 from collabmetrics.corpus import (
+    CommentFile,
     CommentFold,
     Corpus,
     cap_videos_per_channel,
@@ -157,25 +158,31 @@ class ReportBundle:
 
 class CommentCounts(CommentFold):
     """All that a report reads of a community's comments, folded in one pass: the attention
-    pairs of the entropy stage and, unless ``talk`` is None, the discourse counts.
+    pairs of the entropy stage and the discourse counts, either of which may be None.
 
-    A comment on a video outside the attention's videos, one that
-    ``max_videos_per_channel`` dropped, counts in neither.
+    ``owner`` maps each video of the community to its channel. A comment on
+    any other video, one that ``max_videos_per_channel`` dropped, counts in
+    neither fold.
     """
 
-    def __init__(self, attention: netmetrics.AttentionCounts, talk: discourse.DiscourseCounts | None) -> None:
+    def __init__(
+        self,
+        owner: Mapping[str, str],
+        attention: netmetrics.AttentionCounts | None,
+        talk: discourse.DiscourseCounts | None,
+    ) -> None:
         super().__init__()
-        self.attention, self.discourse = attention, talk
+        self.owner, self.attention, self.discourse = owner, attention, talk
 
     def add(self, lines: Sequence[int], columns: Sequence[Sequence]) -> None:
         super().add(lines, columns)
-        on_videos = self.attention.owner.__contains__
+        on_videos = self.owner.__contains__
         if not all(map(on_videos, columns[1])):
             keep = bytes(map(on_videos, columns[1]))
             lines, columns = list(compress(lines, keep)), [list(compress(column, keep)) for column in columns]
-        self.attention.add(lines, columns)
-        if self.discourse is not None:
-            self.discourse.add(lines, columns)
+        for fold in (self.attention, self.discourse):
+            if fold is not None:
+                fold.add(lines, columns)
 
 
 @dataclass
@@ -196,6 +203,7 @@ class CommunityPipeline:
     scorer: discourse.SentimentScorer | None = None
     classifier: discourse.TopicClassifier | None = None
     labels: Mapping[str, str] | None = None
+    _pairs: netmetrics.AttentionCounts | None = field(default=None, init=False, repr=False)  # folded alone
 
     @property
     def community(self) -> str:
@@ -248,27 +256,44 @@ class CommunityPipeline:
     def centrality(self) -> netmetrics.CentralitySummary:
         return netmetrics.closeness(self.graph, self.attributes)
 
-    def _fold_comments(self, talk: bool) -> CommentCounts:
-        """The comments folded in one pass, with the discourse counts if ``talk``: a loaded corpus
-        reads its comments file here."""
+    @cached_property
+    def owner(self) -> dict[str, str]:
+        """Each video's channel, by video id."""
+        return dict(zip(self.corpus.videos.video_ids, self.corpus.videos.channel_ids))
+
+    def _fold_comments(self, pairs: bool, talk: bool) -> CommentCounts:
+        """The comments folded in one pass, into the attention pairs if ``pairs`` and the discourse
+        counts if ``talk``: a loaded corpus reads its comments file here."""
         counts = CommentCounts(
-            netmetrics.AttentionCounts(self.corpus.videos),
+            self.owner,
+            netmetrics.AttentionCounts(self.owner) if pairs else None,
             discourse.DiscourseCounts(self.dyads, self.partition.multi_way, self.scorer, self.classifier, self.labels)
             if talk else None,
         )
-        return self.corpus.comments.fold(counts)[0]
+        comments = self.corpus.comments
+        if isinstance(comments, CommentFile) and comments.videos is self.corpus.videos:
+            # No video was capped out: the owner map serves the orphan check too.
+            return comments.fold(counts, known=self.owner)[0]
+        return comments.fold(counts)[0]
 
     @cached_property
     def comment_counts(self) -> CommentCounts:
-        """Both counts of the comments, grouped by the dyads, in one pass."""
-        return self._fold_comments(talk=True)
+        """Both counts of the comments, grouped by the dyads, in one pass. Pairs that
+        :attr:`attention` folded alone before are kept, and only the discourse counts are folded."""
+        counts = self._fold_comments(pairs=self._pairs is None, talk=True)
+        if self._pairs is not None:
+            counts.attention = self._pairs
+        return counts
 
     @cached_property
     def attention(self) -> netmetrics.AttentionGraph:
         # A report folds both counts first; asked for first, as by the ``entropy`` stage and the
         # simulator's oracle, the pairs are folded alone, and no comment is scored.
-        counts = self.comment_counts if "comment_counts" in vars(self) else self._fold_comments(talk=False)
-        return netmetrics.build_attention_graph(counts.attention.weights, min_comments=self.config.min_comments)
+        if "comment_counts" in vars(self):
+            pairs = self.comment_counts.attention
+        else:
+            pairs = self._pairs = self._fold_comments(pairs=True, talk=False).attention
+        return netmetrics.build_attention_graph(pairs.weights, min_comments=self.config.min_comments)
 
     @cached_property
     def entropy(self) -> dict[str, float]:

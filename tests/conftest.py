@@ -7,10 +7,12 @@ import shutil
 
 import pytest
 
-from collabmetrics.corpus import ChannelRecord, CommentFold, CommentTable, VideoRecord, build_corpus, load_comments, write_corpus
+from collabmetrics.corpus import (
+    ChannelRecord, CommentFold, CommentTable, VideoRecord, VideoTable, build_corpus, load_comments, write_corpus,
+)
 from collabmetrics.discourse import DiscourseCounts, aggregate_discourse
 from collabmetrics.netmetrics import AttentionCounts, build_attention_graph
-from collabmetrics.report import RunConfig, run_report
+from collabmetrics.report import CommentCounts, RunConfig, run_report
 
 T0_US = 1_704_067_200_000_000  # 2024-01-01 UTC in microseconds since 1970-01-01
 
@@ -70,9 +72,12 @@ def load_table(path, videos, sha256=None):
 
 
 def attention_graph(videos, comments, min_comments=1):
-    """The attention graph of a comment table's comments on ``videos``."""
-    counts, _ = comments.fold(AttentionCounts(videos))
-    return build_attention_graph(counts.weights, min_comments=min_comments)
+    """The attention graph of a comment table's comments on ``videos``, folded as a report folds them:
+    a comment on any other video counts nowhere."""
+    videos = VideoTable.of(videos)
+    owner = dict(zip(videos.video_ids, videos.channel_ids))
+    counts, _ = comments.fold(CommentCounts(owner, AttentionCounts(owner), None))
+    return build_attention_graph(counts.attention.weights, min_comments=min_comments)
 
 
 def aggregate(comments, dyads, corpus, exclude_videos=(), scorer=None, classifier=None, labels=None):

@@ -49,6 +49,7 @@ from collabmetrics.corpus import (
     write_videos,
 )
 from collabmetrics.errors import ConfigurationError, ValidationError
+from collabmetrics.netmetrics import AttentionCounts
 
 from .conftest import TableFold, load_table, make_channel, make_comment, make_comment_row, make_video, write_test_corpus
 
@@ -1755,7 +1756,8 @@ class TestTimeColumn:
 
 
 class TestSharedIdStrings:
-    """Loaded videos share the registry's channel id strings instead of holding copies."""
+    """Loaded videos share the registry's channel id strings, and the folded attention pairs hold one
+    string per author and per channel instead of copies."""
 
     @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
     def test_ids_are_shared(self, tmp_path, suffix):
@@ -1764,12 +1766,18 @@ class TestSharedIdStrings:
         videos, _ = load_videos(tmp_path / f"videos.{suffix}", registry)
         comments = [make_comment_row(f"c{i}", f"v{i % 5}", f"u{i % 3}") for i in range(30)]
         write_comments(comments, tmp_path / f"comments.{suffix}")
-        records, report = load_comments(tmp_path / f"comments.{suffix}", videos, CommentFold())
+        owner = dict(zip(videos.video_ids, videos.channel_ids))
+        pairs, report = load_comments(tmp_path / f"comments.{suffix}", videos, AttentionCounts(owner))
 
         channel_ids = {ch.channel_id: ch.channel_id for ch in registry}
         assert all(v.channel_id is channel_ids[v.channel_id] for v in videos)
-        # No comment is held, so no comment holds a string.
-        assert len(records) == 24 and len(report.orphans) == 6  # v4 is not a video
+        # No comment is held; the pairs that count them hold the strings.
+        assert len(pairs) == 24 and len(report.orphans) == 6  # v4 is not a video
+        authors: dict[str, str] = {}
+        for author_id, channel_id in pairs.weights:
+            assert authors.setdefault(author_id, author_id) is author_id
+            assert channel_id is channel_ids[channel_id]
+        assert len(authors) == 3 and len(pairs.weights) == 6
 
 
 def _simulator_shaped_comments(path):
