@@ -14,8 +14,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, groupby
 from operator import itemgetter
+from os.path import commonprefix
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from collabmetrics.corpus import ChannelRecord, Corpus, VideoRecord
@@ -73,18 +74,42 @@ class VideoPartition:
         return frozenset(self.two_way) | self.multi_way
 
 
+# sre's parser recurses once per nested group, so a trie branch this deep is a flat alternation.
+_TRIE_DEPTH = 32
+
+
+def _trie(handles: list[str], depth: int = 0) -> str:
+    """The sorted, distinct, non-empty ``handles`` as one alternation shaped as their character trie.
+
+    Each single-child chain is one escaped literal. A handle that ends at a node makes the node's
+    branches a greedy ``(?:…)?``. The handles that match at one position are prefixes of one another,
+    so the longest is tried first and a shorter one only if the end check refuses it, as in a
+    longest-first alternation.
+    """
+    if depth == _TRIE_DEPTH:
+        return "|".join(map(re.escape, sorted(handles, key=len, reverse=True)))
+    branches = []
+    for _, group in groupby(handles, itemgetter(0)):
+        group = list(group)
+        prefix = commonprefix((group[0], group[-1]))
+        ends = group[0] == prefix
+        rest = [h[len(prefix):] for h in group[ends:]]
+        tail = f"(?:{_trie(rest, depth + 1)}){'?' if ends else ''}" if rest else ""
+        branches.append(re.escape(prefix) + tail)
+    return "|".join(branches)
+
+
 class HandleIndex:
-    """Compiled mention scanner over the registry's normalized handles."""
+    """Compiled mention scanner over the registry's normalized handles: their trie (:func:`_trie`)
+    behind a lookahead for ``@`` or a first character, so most positions fail before the lookbehinds."""
 
     def __init__(self, registry: Sequence[ChannelRecord]):
         self._owner_by_handle = {handle: rec.channel_id for rec in registry for handle in rec.handles}
         if self._owner_by_handle:
-            # Longest-first alternation so a longer handle wins at a position.
-            alternation = "|".join(
-                re.escape(h) for h in sorted(self._owner_by_handle, key=len, reverse=True)
-            )
+            handles = sorted(self._owner_by_handle)
+            first = "".join({re.escape(h[0]): None for h in handles})
             # [^\W_] is exactly the code points where str.isalnum() holds.
-            self._pattern = re.compile(rf"(?<![^\W_])(?<![^\W_]@)@?({alternation})(?![^\W_])")
+            self._pattern = re.compile(rf"(?=[@{first}])(?<![^\W_])(?<![^\W_]@)@?({_trie(handles)})(?![^\W_])")
         else:
             self._pattern = None
 

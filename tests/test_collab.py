@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -102,6 +104,72 @@ class TestExtractMentions:
         registry = [make_channel(f"C{i}", h) for i, h in enumerate(handles)]
         expected = {c.channel_id for c in registry if _naive_bounded_find(description, c.handles[0])}
         assert HandleIndex(registry).scan(make_video("v1", "OWNER", description=description)) == expected
+
+
+def longest_first(handles):
+    """The mention pattern as one flat alternation of every handle, longest first: the reference
+    that :class:`HandleIndex`'s trie-shaped pattern must match exactly."""
+    alternation = "|".join(re.escape(h) for h in sorted(handles, key=len, reverse=True))
+    return re.compile(rf"(?<![^\W_])(?<![^\W_]@)@?({alternation})(?![^\W_])")
+
+
+def assert_same_findall(handles, descriptions):
+    """The index and the reference find the same handles, in order, in each lowered description."""
+    pattern = HandleIndex([make_channel(f"C{i}", h) for i, h in enumerate(handles)])._pattern
+    reference = longest_first(set(handles))
+    for description in map(str.lower, descriptions):
+        assert pattern.findall(description) == reference.findall(description)
+
+
+class TestTriePattern:
+    """The trie-shaped mention pattern finds what a longest-first alternation of the handles finds."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_findall_matches_longest_first(self, data):
+        # Letters, spaces, punctuation, every regex metacharacter, ``@`` and ``İ`` (two characters lowered).
+        char = st.one_of(st.sampled_from("ab0 ,!_@İ.^$*+?{}[]\\|()-"), st.characters(max_codepoint=0x2FF))
+        bases = data.draw(st.lists(st.text(char, min_size=1, max_size=5), min_size=1, max_size=6))
+        # Cuts of the drawn handles make handles that are prefixes of other handles.
+        cuts = data.draw(st.lists(st.tuples(st.sampled_from(bases), st.integers(1, 4)), max_size=6))
+        handles = {h.lower() for h in bases + [b[:k] for b, k in cuts]}
+        piece = st.one_of(st.sampled_from(sorted(bases)), st.sampled_from(sorted(handles)),
+                          st.sampled_from(["@", " ", "x", "İ", "_", "é"]), st.text(char, max_size=3))
+        descriptions = data.draw(st.lists(st.lists(piece, max_size=10).map("".join), min_size=1, max_size=4))
+        assert_same_findall(sorted(handles), descriptions)
+
+    def test_long_handle(self):
+        long = "q" + "".join(chr(0x61 + i % 26) for i in range(4_999))
+        assert_same_findall(
+            [long, long[:2_500], "qa", "q"],
+            [long, f"@{long}!", long[:-1], f"{long}x {long[:2_500]}.qa q", f"x{long} {long[:2_501]}"],
+        )
+
+    def test_chain_of_prefixes(self):
+        """1,500 handles each a prefix of the next: nesting past the trie's depth is flattened."""
+        handles = ["a" * k for k in range(1, 1_501)]
+        assert_same_findall(handles, [
+            " ".join("a" * k for k in (1, 2, 31, 32, 33, 64, 700, 1_499, 1_500)),
+            "a" * 1_501 + " @" + "a" * 40 + "_" + "a" * 1_500 + "!" + "a" * 3,
+        ])
+
+    def test_deep_chain_keeps_longest_first(self):
+        """Each handle of ``a-a-…-a`` ends before a non-alnum character, so only longest-first order
+        picks the longest past the trie's depth."""
+        handles = ["a" + "-a" * k for k in range(100)]
+        assert_same_findall(handles, ["-".join("a" * n) for n in (1, 33, 34, 99, 100, 101, 150)])
+
+    def test_wide_registry(self):
+        """A registry as wide as the channels-wide bench workload's, with the simulator's handles."""
+        handles = [f"creator{i:03d}" for i in range(1_000)]
+        rng = random.Random(7)
+        templates = ("Collab with @{} today!", "{} and me: a duo run", "feat. @{}, @{}1 and creator{}",
+                     "@{}@{} creator1000 xcreator{}")
+        descriptions = [
+            rng.choice(templates).format(*(rng.choice(handles)[7 * rng.randrange(2):] for _ in range(4)))
+            for _ in range(2_000)
+        ]
+        assert_same_findall(handles, descriptions)
 
 
 class TestClassifyDyad:
