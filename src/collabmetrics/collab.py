@@ -19,7 +19,7 @@ from operator import itemgetter
 from os.path import commonprefix
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from collabmetrics.corpus import ChannelRecord, Corpus, VideoRecord
+from collabmetrics.corpus import ChannelRecord, Corpus
 from collabmetrics.errors import ValidationError
 
 __all__ = [
@@ -127,10 +127,6 @@ class HandleIndex:
             mentioned = set(map(self._owner_by_handle.__getitem__, handles))
             mentioned.discard(owners[i])  # self-mentions are not collaborations
             yield i, mentioned
-
-    def scan(self, video: VideoRecord) -> set[str]:
-        """Ids of the registered channels other than the owner that the description mentions."""
-        return next((ids for _, ids in self.mentions((video.description,), (video.channel_id,))), set())
 
 
 def classify_dyad(host: str, guest: str, channels: Mapping[str, ChannelRecord], attribute_key: str) -> str:

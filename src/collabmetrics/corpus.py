@@ -161,9 +161,9 @@ def _frozen(column: list) -> tuple:
     return frozen
 
 
-# Strings packed into one ``str`` by :class:`PackedStrings`, and comments
-# tokenised together by ``discourse.aggregate_discourse``: one slice of a
-# packed column is one tokenising step.
+# Strings packed into one ``str`` by :class:`PackedStrings`, and the rows of one
+# step of :meth:`CommentTable.fold`, which ``discourse.DiscourseCounts.add``
+# tokenises together (a comments file's steps are ``STEP`` rows).
 CHUNK = 256
 
 
@@ -265,17 +265,16 @@ def _rebuilt(columns: list, rows: Callable[[Sequence], Iterable]) -> list:
     return columns
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class VideoTable(Sequence[VideoRecord]):
+@dataclass(frozen=True, slots=True)
+class VideoTable:
     """The videos of a corpus, one column per field of :class:`VideoRecord`.
 
     Row ``i`` of every column is video ``i``. ``video_ids`` and
     ``channel_ids`` are tuples of strings shared with the comments and the
     registry, ``published_us`` an ``array('q')``, ``titles`` and
     ``descriptions`` :class:`PackedStrings`, and the three counts tuples of
-    ``int`` (the optional two also of None). Indexing or iterating the table
-    gives each video as a :class:`VideoRecord`, and the table equals any
-    sequence of the same records. Build a table with :meth:`from_records`;
+    ``int`` (the optional two also of None). Iterating the table gives each
+    video as a :class:`VideoRecord`. Build a table with :meth:`from_records`;
     :func:`load_videos` gives one in ``(channel_id, published_us)`` order.
     """
 
@@ -298,11 +297,6 @@ class VideoTable(Sequence[VideoRecord]):
         return cls.from_columns(zip(*map(_VIDEO_FIELDS, chunk)) for chunk in chunks)
 
     @classmethod
-    def of(cls, videos: VideoTable | Iterable[VideoRecord]) -> VideoTable:
-        """``videos`` itself if it is a table, else the table of its records."""
-        return videos if isinstance(videos, VideoTable) else cls.from_records(videos)
-
-    @classmethod
     def from_columns(cls, steps: Iterable[Iterable[Iterable]]) -> VideoTable:
         """The table of the rows of each step, in order; a step is eight columns of one length, in field order."""
         return cls(*_columns_of(steps, cls._KINDS))
@@ -322,18 +316,8 @@ class VideoTable(Sequence[VideoRecord]):
     def __len__(self) -> int:
         return len(self.video_ids)
 
-    def __getitem__(self, index: int) -> VideoRecord:  # type: ignore[override]
-        return VideoRecord(*(column[index] for column in self.columns()))
-
     def __iter__(self) -> Iterator[VideoRecord]:
         return map(VideoRecord, *self.columns())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, VideoTable):
-            return self.columns() == other.columns()
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        return NotImplemented
 
 
 # A record's fields in :class:`VideoTable` column order.
@@ -437,8 +421,10 @@ class CommentFile:
         stands for them in the orphan check, so a caller that holds such a
         map builds no second one.
         """
+        if known is None:
+            known = dict.fromkeys(self.videos.video_ids)  # a dict is less than half a set's size
         sha256 = hashlib.sha256()
-        fold, report = load_comments(self.path, self.videos if known is None else known, fold, sha256)
+        fold, report = load_comments(self.path, known, fold, sha256)
         self.sha256 = sha256.hexdigest()
         if report.errors or report.orphans:
             logger.warning(
@@ -478,11 +464,11 @@ class Corpus:
 
 def build_corpus(
     registry: Sequence[ChannelRecord],
-    videos: VideoTable | Iterable[VideoRecord],
+    videos: VideoTable,
     comments: CommentTable | CommentFile,
     community: str | None = None,
 ) -> Corpus:
-    """Assemble a corpus from a video table or records, enforcing referential integrity and a single community.
+    """Assemble a corpus from a video table, enforcing referential integrity and a single community.
 
     A table's comments must be on ``videos``; a file's are checked as they are folded.
     """
@@ -491,7 +477,6 @@ def build_corpus(
         raise ValidationError(f"registry spans multiple communities: {sorted(communities)}")
     if community is None:
         community = next(iter(communities)) if communities else ""
-    videos = VideoTable.of(videos)
     # One C-level pass per check; the first offender is sought only on failure.
     channel_ids = {ch.channel_id for ch in registry}
     if not channel_ids.issuperset(videos.channel_ids):
@@ -1021,7 +1006,7 @@ _id_hash = hash
 
 
 def load_comments(
-    path: str | Path, videos: VideoTable | Iterable[VideoRecord] | Mapping[str, object], fold: _F, sha256=None
+    path: str | Path, known: Mapping[str, object], fold: _F, sha256=None
 ) -> tuple[_F, CommentLoadReport]:
     """Fold the comments of a file into ``fold`` in one pass, ``STEP`` rows at a time (the corpus can be millions of rows).
 
@@ -1030,9 +1015,8 @@ def load_comments(
     other row by row, so that each malformed row keeps its own line and
     message. A row's ``published_at`` and ``like_count`` are checked as a
     video's are, so a bad one rejects the row, but neither is kept. A row
-    on a video not in ``videos`` (a table, records, or a mapping keyed by
-    video id) is an orphan, a row
-    error naming its ``video_id``. Malformed rows and duplicate comment ids
+    on a video that is not a key of ``known`` is an orphan, a row error
+    naming its ``video_id``. Malformed rows and duplicate comment ids
     go to the error report. Every other row goes to ``fold`` with its step,
     so no comment outlives its step unless it is held back (below).
     Returns ``fold`` and the report; ``sha256`` is fed the file's bytes.
@@ -1047,8 +1031,6 @@ def load_comments(
     more, fed to no digest: in effect only when it repeats an id.
     """
     path = Path(path)
-    # A dict is less than half a set's size.
-    known = videos if isinstance(videos, Mapping) else dict.fromkeys(VideoTable.of(videos).video_ids)
     orphans: list[RowError] = []
     errors: list[RowError] = []
     # Position p is the p-th row that is not malformed; hashes[p] is its id's hash.
@@ -1269,6 +1251,11 @@ def write_json(path: str | Path, payload: object) -> None:
 def write_registry(records: Sequence[ChannelRecord], path: str | Path) -> None:
     path = Path(path)
     if _is_csv(path):
+        for rec in records:  # a column of the file, or a handle that splits in two, would load back different
+            clashes = [f"the attribute {k!r}" for k in rec.attributes if k in _REGISTRY_FIXED or k == "attributes"]
+            clashes += [f"the handle {h!r}" for h in rec.handles if _HANDLE_SEP in h]
+            if clashes:
+                raise ValidationError(f"channel {rec.channel_id!r}: a CSV registry cannot hold {clashes[0]}")
         attr_keys = sorted({k for rec in records for k in rec.attributes})
         header = ["channel_id", "handles", "display_name", "community", *attr_keys]
         write_csv(
@@ -1298,9 +1285,9 @@ def _write_tabular(
         write_jsonl(path, rows)
 
 
-def write_videos(videos: VideoTable | Iterable[VideoRecord], path: str | Path) -> None:
-    """Write a video table or records; a table's rows are written from its columns."""
-    _write_tabular(Path(path), map(_video_to_row, *VideoTable.of(videos).columns()), _VIDEO_KEPT)
+def write_videos(videos: VideoTable, path: str | Path) -> None:
+    """Write a video table, its rows from its columns."""
+    _write_tabular(Path(path), map(_video_to_row, *videos.columns()), _VIDEO_KEPT)
 
 
 def write_comments(comments: Iterable[CommentRow], path: str | Path) -> None:
@@ -1308,7 +1295,7 @@ def write_comments(comments: Iterable[CommentRow], path: str | Path) -> None:
 
 
 def write_corpus(
-    registry: Sequence[ChannelRecord], videos: VideoTable | Iterable[VideoRecord], comments: Iterable[CommentRow],
+    registry: Sequence[ChannelRecord], videos: VideoTable, comments: Iterable[CommentRow],
     directory: str | Path, fmt: str = "jsonl",
 ) -> dict[str, Path]:
     """Write the three corpus files into ``directory``; returns their paths."""
@@ -1346,7 +1333,7 @@ def attribute_histogram(registry: Sequence[ChannelRecord], key: str) -> Counter:
     return Counter(rec.attributes.get(key) for rec in registry)
 
 
-def cap_videos_per_channel(videos: VideoTable | Iterable[VideoRecord], cap: int) -> VideoTable:
+def cap_videos_per_channel(videos: VideoTable, cap: int) -> VideoTable:
     """Keep at most ``cap`` most recent videos per channel (platform-style cap).
 
     The videos come out by channel id, each channel's by time; videos
@@ -1355,6 +1342,5 @@ def cap_videos_per_channel(videos: VideoTable | Iterable[VideoRecord], cap: int)
     """
     if cap < 1:
         raise ConfigurationError(f"max videos per channel must be at least 1, got {cap}")
-    videos = VideoTable.of(videos)
     runs = groupby(_channel_order(videos.channel_ids, videos.published_us), videos.channel_ids.__getitem__)
     return VideoTable.taken(videos.columns(), [i for _, run in runs for i in list(run)[-cap:]])

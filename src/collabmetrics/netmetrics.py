@@ -67,13 +67,6 @@ class CollabGraph:
     nodes: frozenset[str]
     edges: Mapping[tuple[str, str], int]  # keys are sorted pairs
 
-    def adjacency(self) -> dict[str, list[str]]:
-        adj: dict[str, list[str]] = {node: [] for node in self.nodes}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
-
 
 @dataclass(frozen=True)
 class AttentionGraph:

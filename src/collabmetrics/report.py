@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -158,7 +158,7 @@ class ReportBundle:
 
 class CommentCounts(CommentFold):
     """All that a report reads of a community's comments, folded in one pass: the attention
-    pairs of the entropy stage and the discourse counts, either of which may be None.
+    pairs of the entropy stage and the discourse counts, which may be None.
 
     ``owner`` maps each video of the community to its channel. A comment on
     any other video, one that ``max_videos_per_channel`` dropped, counts in
@@ -168,11 +168,10 @@ class CommentCounts(CommentFold):
     def __init__(
         self,
         owner: Mapping[str, str],
-        attention: netmetrics.AttentionCounts | None,
         talk: discourse.DiscourseCounts | None,
     ) -> None:
         super().__init__()
-        self.owner, self.attention, self.discourse = owner, attention, talk
+        self.owner, self.attention, self.discourse = owner, netmetrics.AttentionCounts(owner), talk
 
     def add(self, lines: Sequence[int], columns: Sequence[Sequence]) -> None:
         super().add(lines, columns)
@@ -180,9 +179,9 @@ class CommentCounts(CommentFold):
         if not all(map(on_videos, columns[1])):
             keep = bytes(map(on_videos, columns[1]))
             lines, columns = list(compress(lines, keep)), [list(compress(column, keep)) for column in columns]
-        for fold in (self.attention, self.discourse):
-            if fold is not None:
-                fold.add(lines, columns)
+        self.attention.add(lines, columns)
+        if self.discourse is not None:
+            self.discourse.add(lines, columns)
 
 
 @dataclass
@@ -203,7 +202,6 @@ class CommunityPipeline:
     scorer: discourse.SentimentScorer | None = None
     classifier: discourse.TopicClassifier | None = None
     labels: Mapping[str, str] | None = None
-    _pairs: netmetrics.AttentionCounts | None = field(default=None, init=False, repr=False)  # folded alone
 
     @property
     def community(self) -> str:
@@ -261,12 +259,11 @@ class CommunityPipeline:
         """Each video's channel, by video id."""
         return dict(zip(self.corpus.videos.video_ids, self.corpus.videos.channel_ids))
 
-    def _fold_comments(self, pairs: bool, talk: bool) -> CommentCounts:
-        """The comments folded in one pass, into the attention pairs if ``pairs`` and the discourse
-        counts if ``talk``: a loaded corpus reads its comments file here."""
+    def _fold_comments(self, talk: bool) -> CommentCounts:
+        """The comments folded in one pass, into the attention pairs and, if ``talk``, the discourse
+        counts: a loaded corpus reads its comments file here."""
         counts = CommentCounts(
             self.owner,
-            netmetrics.AttentionCounts(self.owner) if pairs else None,
             discourse.DiscourseCounts(self.dyads, self.partition.multi_way, self.scorer, self.classifier, self.labels)
             if talk else None,
         )
@@ -278,12 +275,8 @@ class CommunityPipeline:
 
     @cached_property
     def comment_counts(self) -> CommentCounts:
-        """Both counts of the comments, grouped by the dyads, in one pass. Pairs that
-        :attr:`attention` folded alone before are kept, and only the discourse counts are folded."""
-        counts = self._fold_comments(pairs=self._pairs is None, talk=True)
-        if self._pairs is not None:
-            counts.attention = self._pairs
-        return counts
+        """Both counts of the comments, grouped by the dyads, in one pass."""
+        return self._fold_comments(talk=True)
 
     @cached_property
     def attention(self) -> netmetrics.AttentionGraph:
@@ -292,7 +285,7 @@ class CommunityPipeline:
         if "comment_counts" in vars(self):
             pairs = self.comment_counts.attention
         else:
-            pairs = self._pairs = self._fold_comments(pairs=True, talk=False).attention
+            pairs = self._fold_comments(talk=False).attention
         return netmetrics.build_attention_graph(pairs.weights, min_comments=self.config.min_comments)
 
     @cached_property

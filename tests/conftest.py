@@ -11,7 +11,7 @@ from collabmetrics.corpus import (
     ChannelRecord, CommentFold, CommentTable, VideoRecord, VideoTable, build_corpus, load_comments, write_corpus,
 )
 from collabmetrics.discourse import DiscourseCounts, aggregate_discourse
-from collabmetrics.netmetrics import AttentionCounts, build_attention_graph
+from collabmetrics.netmetrics import build_attention_graph
 from collabmetrics.report import CommentCounts, RunConfig, run_report
 
 T0_US = 1_704_067_200_000_000  # 2024-01-01 UTC in microseconds since 1970-01-01
@@ -40,6 +40,12 @@ def make_video(video_id, channel_id, views=100, description="", offset_hours=0, 
     )
 
 
+def mentions(index, video):
+    """The ids of the registered channels other than ``video``'s owner that its description mentions,
+    as :meth:`HandleIndex.mentions` finds them."""
+    return next((ids for _, ids in index.mentions([video.description], [video.channel_id])), set())
+
+
 def make_comment(comment_id, video_id, author_id, text=""):
     """One comment, as :meth:`CommentTable.from_rows` takes it."""
     return (comment_id, video_id, author_id, text)
@@ -66,17 +72,17 @@ class TableFold(CommentFold):
 
 
 def load_table(path, videos, sha256=None):
-    """:func:`load_comments` of ``path``, its accepted comments as a table in file order, and its report."""
-    fold, report = load_comments(path, videos, TableFold(), sha256)
+    """:func:`load_comments` of ``path`` on ``videos`` (a table or records), its accepted comments as a
+    table in file order, and its report."""
+    fold, report = load_comments(path, dict.fromkeys(video.video_id for video in videos), TableFold(), sha256)
     return fold.table(), report
 
 
 def attention_graph(videos, comments, min_comments=1):
-    """The attention graph of a comment table's comments on ``videos``, folded as a report folds them:
-    a comment on any other video counts nowhere."""
-    videos = VideoTable.of(videos)
-    owner = dict(zip(videos.video_ids, videos.channel_ids))
-    counts, _ = comments.fold(CommentCounts(owner, AttentionCounts(owner), None))
+    """The attention graph of a comment table's comments on ``videos`` (a table or records), folded as a
+    report folds them: a comment on any other video counts nowhere."""
+    owner = {video.video_id: video.channel_id for video in videos}
+    counts, _ = comments.fold(CommentCounts(owner, None))
     return build_attention_graph(counts.attention.weights, min_comments=min_comments)
 
 
@@ -133,4 +139,4 @@ def two_channel_corpus():
         make_comment("c2", "a1", "u1", "boring video"),
         make_comment("c3", "b1", "u2", "love the stream setup"),
     ])
-    return build_corpus(registry, videos, comments)
+    return build_corpus(registry, VideoTable.from_records(videos), comments)

@@ -289,7 +289,7 @@ def test_criterion_10_discourse_report_integrity():
     comments = CommentTable.from_rows(make_comment(f"c{i}", vid, f"u{i}", f"c{i}") for i, vid in enumerate(
         ["mm", "mm", "wm", "wm", "wm", "wm", "solo", "solo", "solo", "solo"]
     ))
-    corpus = build_corpus(registry, videos, comments)
+    corpus = build_corpus(registry, VideoTable.from_records(videos), comments)
     dyads = [
         CollaborationDyad("A", "B", ("mm",), "M-M"),
         CollaborationDyad("C", "A", ("wm",), "W-M"),

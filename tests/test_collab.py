@@ -17,12 +17,12 @@ from collabmetrics.collab import (
     detect_collaborations,
     partition_videos,
 )
-from collabmetrics.corpus import CommentTable, build_corpus
+from collabmetrics.corpus import CommentTable, VideoTable, build_corpus
 from collabmetrics.errors import ValidationError
 from collabmetrics.report import RunConfig, run_report
 from collabmetrics.simgen import _naive_bounded_find
 
-from .conftest import make_channel, make_comment, make_video, write_test_corpus
+from .conftest import make_channel, make_comment, make_video, mentions, write_test_corpus
 
 
 def detect(corpus):
@@ -43,26 +43,26 @@ def registry():
 
 
 class TestExtractMentions:
-    """Mention extraction: :meth:`HandleIndex.scan` gives the mentioned channel ids."""
+    """Mention extraction: :meth:`HandleIndex.mentions` gives the mentioned channel ids."""
 
     def test_at_prefixed_match(self, registry):
         video = make_video("v1", "OWNER", description="duo with @GuestChan!")
-        assert HandleIndex(registry).scan(video) == {"GUEST"}
+        assert mentions(HandleIndex(registry), video) == {"GUEST"}
 
     def test_word_boundary_blocks_substring(self, registry):
         video = make_video("v1", "OWNER", description="visit guestchannel.example")
-        assert HandleIndex(registry).scan(video) == set()
+        assert mentions(HandleIndex(registry), video) == set()
 
     def test_self_mention_excluded(self, registry):
         video = make_video("v1", "OWNER", description="follow @ownerchan for more")
-        assert HandleIndex(registry).scan(video) == set()
+        assert mentions(HandleIndex(registry), video) == set()
 
     def test_empty_description(self, registry):
-        assert HandleIndex(registry).scan(make_video("v1", "OWNER")) == set()
+        assert mentions(HandleIndex(registry), make_video("v1", "OWNER")) == set()
 
     def test_bare_handle_matches(self, registry):
         video = make_video("v1", "OWNER", description="shoutout to guestchan.")
-        assert HandleIndex(registry).scan(video) == {"GUEST"}
+        assert mentions(HandleIndex(registry), video) == {"GUEST"}
 
     @pytest.mark.parametrize(
         "description, mentioned",
@@ -78,7 +78,7 @@ class TestExtractMentions:
     def test_oracle_boundaries(self, description, mentioned):
         """The lowercased description holds the handle with no ``str.isalnum`` neighbour, as in the oracle."""
         registry = [make_channel("ALPHA", "alpha"), make_channel("KIT", "kit")]
-        assert HandleIndex(registry).scan(make_video("v1", "OWNER", description=description)) == mentioned
+        assert mentions(HandleIndex(registry), make_video("v1", "OWNER", description=description)) == mentioned
         assert {c.channel_id for c in registry if _naive_bounded_find(description, c.handles[0])} == mentioned
 
     def test_case_variant_does_not_abort_report(self, tmp_path):
@@ -86,7 +86,7 @@ class TestExtractMentions:
         registry = [make_channel("A", "hosta"), make_channel("S", "ss", gender="W")]
         videos = [make_video("a1", "A", description="with ſs today"), make_video("s1", "S", offset_hours=1)]
         comments = CommentTable.from_rows([make_comment("c1", "a1", "u1", "hi")])
-        write_test_corpus(build_corpus(registry, videos, comments), tmp_path / "in")
+        write_test_corpus(build_corpus(registry, VideoTable.from_records(videos), comments), tmp_path / "in")
         bundle = run_report(RunConfig(community_dirs=(str(tmp_path / "in"),), out_dir=str(tmp_path / "out")))
         assert json.loads(bundle.manifest_path.read_text())["stages"]["collabs"] == "ok"
 
@@ -103,7 +103,7 @@ class TestExtractMentions:
         description = "".join(data.draw(st.lists(piece, max_size=12)))
         registry = [make_channel(f"C{i}", h) for i, h in enumerate(handles)]
         expected = {c.channel_id for c in registry if _naive_bounded_find(description, c.handles[0])}
-        assert HandleIndex(registry).scan(make_video("v1", "OWNER", description=description)) == expected
+        assert mentions(HandleIndex(registry), make_video("v1", "OWNER", description=description)) == expected
 
 
 def longest_first(handles):
@@ -199,7 +199,7 @@ class TestDetectCollaborations:
             make_video("v2", "OWNER", description="again with @guestchan", offset_hours=1),
             make_video("v3", "OWNER", description="@guestchan and @otherchan", offset_hours=2),
         ] + [make_video(f"s{i}", "OWNER", offset_hours=3 + i) for i in range(7)]
-        corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
+        corpus = build_corpus(registry, VideoTable.from_records(videos), CommentTable.from_rows([]))
         dyads, stats = detect(corpus)
         assert len(dyads) == 1
         (dyad,) = dyads
@@ -213,7 +213,7 @@ class TestDetectCollaborations:
 
     def test_no_collaborations(self, registry):
         videos = [make_video(f"v{i}", "OWNER", offset_hours=i) for i in range(3)]
-        corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
+        corpus = build_corpus(registry, VideoTable.from_records(videos), CommentTable.from_rows([]))
         dyads, stats = detect(corpus)
         assert dyads == []
         assert stats.two_way_videos == 0 and stats.share_by_dyad_type == {}
@@ -223,7 +223,7 @@ class TestDetectCollaborations:
             make_video("v1", "OWNER", description="with @guestchan"),
             make_video("v2", "GUEST", description="with @ownerchan", offset_hours=1),
         ]
-        corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
+        corpus = build_corpus(registry, VideoTable.from_records(videos), CommentTable.from_rows([]))
         dyads, _ = detect(corpus)
         assert {(d.host, d.guest) for d in dyads} == {("OWNER", "GUEST"), ("GUEST", "OWNER")}
 
@@ -231,13 +231,13 @@ class TestDetectCollaborations:
         videos = [
             make_video("v1", "OWNER", description="with @guestchan and @not_registered_person"),
         ]
-        corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
+        corpus = build_corpus(registry, VideoTable.from_records(videos), CommentTable.from_rows([]))
         dyads, stats = detect(corpus)
         assert len(dyads) == 1 and stats.two_way_videos == 1 and stats.multi_way_videos == 0
 
     def test_duplicate_mentions_count_once(self, registry):
         videos = [make_video("v1", "OWNER", description="@guestchan @guestchan @guestchan")]
-        corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
+        corpus = build_corpus(registry, VideoTable.from_records(videos), CommentTable.from_rows([]))
         dyads, stats = detect(corpus)
         assert len(dyads) == 1 and stats.two_way_videos == 1
 
@@ -248,7 +248,7 @@ class TestDetectCollaborations:
             make_video("v3", "OTHER", offset_hours=2),
             make_video("v4", "OTHER", description="@ownerchan @guestchan", offset_hours=3),
         ]
-        corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
+        corpus = build_corpus(registry, VideoTable.from_records(videos), CommentTable.from_rows([]))
         _, stats = detect(corpus)
         assert sum(stats.share_by_dyad_type.values()) == stats.two_way_share
 
@@ -258,7 +258,7 @@ class TestDetectCollaborations:
             make_video("v2", "OWNER", description="@guestchan @otherchan", offset_hours=1),
             make_video("v3", "OWNER", offset_hours=2),
         ]
-        corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
+        corpus = build_corpus(registry, VideoTable.from_records(videos), CommentTable.from_rows([]))
         partition = partition_videos(corpus)
         assert set(partition.two_way) == {"v1"}
         assert partition.multi_way == {"v2"}
@@ -290,7 +290,7 @@ def test_rename_bijection_preserves_structure(data):
         )
         for i, (owner, guests) in enumerate(descriptions)
     ]
-    corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
+    corpus = build_corpus(registry, VideoTable.from_records(videos), CommentTable.from_rows([]))
     dyads, stats = detect(corpus)
 
     rename = {f"C{i}": f"Z{n - i:02d}" for i in range(n)}
@@ -306,7 +306,7 @@ def test_rename_bijection_preserves_structure(data):
         )
         for i, (owner, guests) in enumerate(descriptions)
     ]
-    corpus2 = build_corpus(registry2, videos2, CommentTable.from_rows([]))
+    corpus2 = build_corpus(registry2, VideoTable.from_records(videos2), CommentTable.from_rows([]))
     dyads2, stats2 = detect(corpus2)
 
     mapped = {(rename[d.host], rename[d.guest], d.videos, d.dyad_type) for d in dyads}
@@ -324,7 +324,7 @@ def test_video_in_exactly_one_dyad(registry):
         make_video("v2", "OWNER", description="with @otherchan", offset_hours=1),
         make_video("v3", "OWNER", description="with @guestchan", offset_hours=2),
     ]
-    corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
+    corpus = build_corpus(registry, VideoTable.from_records(videos), CommentTable.from_rows([]))
     dyads, _ = detect(corpus)
     assigned = [vid for d in dyads for vid in d.videos]
     assert sorted(assigned) == ["v1", "v2", "v3"]

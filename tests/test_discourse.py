@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from collabmetrics import discourse
 from collabmetrics.collab import CollaborationDyad
-from collabmetrics.corpus import CHUNK, CommentTable, build_corpus, load_corpus_dir
+from collabmetrics.corpus import CHUNK, CommentTable, VideoTable, build_corpus, load_corpus_dir
 from collabmetrics.discourse import (
     BOOSTERS,
     BOOSTER_STEP,
@@ -190,7 +190,7 @@ class TestAggregate:
             make_comment("c3", "plain", "u3", "c3"),
             make_comment("c4", "multi", "u4", "c4"),
         ])
-        corpus = build_corpus(registry, videos, comments)
+        corpus = build_corpus(registry, VideoTable.from_records(videos), comments)
         dyads = [CollaborationDyad("A", "B", ("collab",), "M-M")]
         return corpus, dyads
 
@@ -450,7 +450,7 @@ def discourse_tables(draw):
 
 _TABLE_CORPUS = build_corpus(
     [make_channel("A", "alpha", gender="W"), make_channel("B", "bravo")],
-    [make_video(v, "A", offset_hours=i) for i, v in enumerate(_VIDEOS)],
+    VideoTable.from_records(make_video(v, "A", offset_hours=i) for i, v in enumerate(_VIDEOS)),
     CommentTable.from_rows([]),
 )
 
@@ -644,7 +644,7 @@ def _chunked_corpus(n_comments, texts):
         make_comment(f"c{i:05d}", videos[(i * 3) % len(videos)].video_id, f"u{i % 97}", texts[i % len(texts)])
         for i in range(n_comments)
     )
-    return build_corpus(registry, videos, comments)
+    return build_corpus(registry, VideoTable.from_records(videos), comments)
 
 
 def _pipeline(corpus, **plugins):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from collabmetrics import corpus, discourse, report
 from collabmetrics.cli import main
-from collabmetrics.corpus import STEP, CommentTable, RowError, VideoRecord, load_comments
+from collabmetrics.corpus import STEP, CommentTable, RowError, load_comments
 from collabmetrics.errors import ValidationError
 from collabmetrics.netmetrics import AttentionGraph, commenter_entropy, entropy_cdf
 from collabmetrics.report import CommunityPipeline, RunConfig, run_report
@@ -78,7 +78,7 @@ class TestDuplicateCheck:
             for c, v in zip(ids, videos)
         ), encoding="utf-8")
         with mock.patch.object(corpus, "_ids_at", wraps=corpus._ids_at) as ids_at:
-            fold, got = load_comments(path, [VideoRecord("v1", "A", 0, "", "", 1)], TableFold())
+            fold, got = load_comments(path, {"v1": "A"}, TableFold())
         assert ids_at.call_count == 0
         assert list(fold.table().comment_ids) == ids[1:STEP + 1]
         assert got.orphans == (RowError(1, "unknown video_id 'gone'"),)

@@ -55,6 +55,15 @@ def test_csv_corpus_gives_the_same_bundle(root, bundle):
     assert report_bundle(root / "csv", root / "out") == bundle
 
 
+def test_cap_that_drops_nothing_gives_the_same_bundle(root, jsonl_dir, bundle):
+    """A cap of the preset's videos per channel drops no video; only the manifest's config records it.
+    The comments are then folded on the capped table, with their own orphan check."""
+    files, manifest = report_bundle(jsonl_dir, root / "out", max_videos_per_channel=SPEC.videos_per_channel)
+    assert manifest["config"]["max_videos_per_channel"] == SPEC.videos_per_channel == 50
+    manifest["config"]["max_videos_per_channel"] = bundle[1]["config"]["max_videos_per_channel"]
+    assert (files, manifest) == bundle
+
+
 def test_shuffled_rows_give_the_same_bundle(root, jsonl_dir, bundle):
     """The rows of all three files in another order; no id repeats, so which occurrence is first never matters."""
     key = {"registry": "channel_id", "videos": "video_id", "comments": "comment_id"}

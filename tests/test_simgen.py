@@ -32,7 +32,7 @@ from collabmetrics.simgen import (
     spec_from_dict,
 )
 
-from .conftest import attention_graph
+from .conftest import attention_graph, mentions
 
 
 def videos_by_channel(corpus):
@@ -60,7 +60,7 @@ class TestGenerate:
     def test_zero_collab_rate_no_mentions(self):
         corpus, truth = generate(small_spec(collab_rate=0.0))
         index = collab.HandleIndex(corpus.registry)
-        assert not any(index.scan(v) for v in corpus.videos)
+        assert not any(mentions(index, v) for v in corpus.videos)
         assert truth.two_way_videos == 0
 
     def test_attribute_histogram_exact(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collabmetrics.collab import CollaborationDyad, detect_collaborations, partition_videos
-from collabmetrics.corpus import CommentTable, build_corpus
+from collabmetrics.corpus import CommentTable, VideoTable, build_corpus
 from collabmetrics.synergy import (
     aggregate_by_dyad_type,
     channel_baselines,
@@ -84,7 +84,7 @@ class TestComputeSynergies:
             make_video("c1", "C", views=0),
             make_video("ca", "C", views=10, description="with @hosta", offset_hours=1),
         ]
-        return build_corpus(registry, videos, CommentTable.from_rows([]))
+        return build_corpus(registry, VideoTable.from_records(videos), CommentTable.from_rows([]))
 
     def test_pipeline_and_solo_exclusion(self):
         corpus = self._corpus()
@@ -112,7 +112,7 @@ class TestComputeSynergies:
             make_video("ab", "A", views=100, description="with @guestb"),
             make_video("b1", "B", views=10),
         ]
-        corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
+        corpus = build_corpus(registry, VideoTable.from_records(videos), CommentTable.from_rows([]))
         partition = partition_videos(corpus)
         dyads, _ = detect_collaborations(corpus, "gender", partition)
         baselines = channel_baselines(corpus, partition, mode="solo")
@@ -131,7 +131,7 @@ class TestChannelBaselines:
             make_video("v2", "A", views=200, description="again @guestb", offset_hours=1),
             make_video("b1", "B", views=10),
         ]
-        corpus = build_corpus(registry, videos, CommentTable.from_rows([]))
+        corpus = build_corpus(registry, VideoTable.from_records(videos), CommentTable.from_rows([]))
         partition = partition_videos(corpus)
         assert channel_baselines(corpus, partition) == {"B": 10}
         assert channel_baselines(corpus, partition, mode="all") == {"A": 150, "B": 10}
@@ -194,7 +194,7 @@ class TestAggregate:
     def test_zero_baseline_dyads_excluded_but_counted(self):
         # compute_synergies' diagnostics are the one record of such dyads
         registry = [make_channel("A"), make_channel("B")]
-        corpus = build_corpus(registry, [make_video("v1", "A", views=100)], CommentTable.from_rows([]))
+        corpus = build_corpus(registry, VideoTable.from_records([make_video("v1", "A", views=100)]), CommentTable.from_rows([]))
         synergies, diagnostics = compute_synergies([dyad()], corpus, {"A": Fraction(50), "B": Fraction(0)})
         assert diagnostics.zero_baseline == (("A", "B"),)
         assert aggregate_by_dyad_type(synergies).rows == {}
